@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidAlgebra, NotPositive, ShapeError
-from .linalg import herm_eig, herm_trace_norm, hermitize, is_hermitian, range_isometry
+from .linalg import Spectrum, hermitize, is_hermitian
 
 
 def _frozen_blocks(blocks: Iterable[np.ndarray], dims: Sequence[int], dtype=complex):
@@ -126,11 +126,20 @@ class Functional:
     Values are phi(x) = sum_k Tr(D_k x_k).  Densities may be signed (for
     differences phi - psi); positivity is checked only by the operations
     that need it.
+
+    Everything computed from a density (scale, positivity, rank, support,
+    roots, powers, inverse, flow) reads one eigendecomposition per block,
+    taken on first use by spectrum() and kept.  The densities are
+    immutable, so it cannot go stale; arithmetic on functionals builds a
+    new Functional, which starts without one.
     """
 
     algebra: BlockAlgebra
     densities: tuple[np.ndarray, ...] = field(repr=False)
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
+    _spectrum: tuple[Spectrum, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         blocks = _frozen_blocks(self.densities, self.algebra.block_dims)
@@ -148,24 +157,23 @@ class Functional:
         """Value on the identity, phi(1)."""
         return float(sum(np.trace(d).real for d in self.densities))
 
+    def spectrum(self) -> tuple[Spectrum, ...]:
+        """Read-only (w, v) = eigh(D_k) per block, eigenvalues ascending."""
+        if self._spectrum is None:
+            spec = tuple(np.linalg.eigh(d) for d in self.densities)
+            for w, v in spec:
+                w.setflags(write=False)
+                v.setflags(write=False)
+            object.__setattr__(self, "_spectrum", spec)
+        return self._spectrum
+
     def scale_max(self) -> float:
         """Largest |eigenvalue| over all blocks; the functional's scale."""
-        m = 0.0
-        for d in self.densities:
-            if d.size:
-                w, _ = herm_eig(d)
-                m = max(m, float(np.max(np.abs(w))))
-        return m
+        return max(float(np.max(np.abs(w))) for w, _ in self.spectrum())
 
     def is_positive(self) -> bool:
-        lam = self.scale_max()
-        cut = self.tol.psd(lam)
-        for d in self.densities:
-            if d.size:
-                w, _ = herm_eig(d)
-                if float(w[0]) < -cut:
-                    return False
-        return True
+        cut = self.tol.psd(self.scale_max())
+        return not any(float(w[0]) < -cut for w, _ in self.spectrum())
 
     def require_positive(self, what: str = "functional") -> None:
         if not self.is_positive():
@@ -256,7 +264,21 @@ def functional_norm(phi: Functional) -> float:
     Densities may be signed, so this computes ||phi - psi|| when applied
     to a difference.
     """
-    return float(sum(herm_trace_norm(d) for d in phi.densities))
+    return float(sum(np.sum(np.abs(w)) for w, _ in phi.spectrum()))
+
+
+def _support_isometries(phi: Functional) -> tuple[np.ndarray, ...]:
+    """Orthonormal columns spanning the range of each density.
+
+    Eigenvalues strictly above the rank cut of the functional's global
+    scale count toward the rank.
+    """
+    phi.require_positive()
+    lam = phi.scale_max()
+    return tuple(
+        v[:, w > phi.tol.rank_cut(n, lam)]
+        for n, (w, v) in zip(phi.algebra.block_dims, phi.spectrum())
+    )
 
 
 def support_projection(phi: Functional) -> BlockOperator:
@@ -264,24 +286,16 @@ def support_projection(phi: Functional) -> BlockOperator:
 
     This is the minimal projection p with phi(1 - p) = 0.
     """
-    phi.require_positive()
-    lam = phi.scale_max()
-    blocks = []
-    for n, d in zip(phi.algebra.block_dims, phi.densities):
-        cut = phi.tol.rank_cut(n, lam)
-        v = range_isometry(d, cut)
-        blocks.append(v @ v.conj().T)
-    return BlockOperator(phi.algebra, tuple(blocks))
+    return BlockOperator(phi.algebra, tuple(v @ v.conj().T for v in _support_isometries(phi)))
 
 
 def central_support(phi: Functional) -> BlockOperator:
     """Central projection: the identity on every block carrying mass."""
     phi.require_positive()
-    lam = phi.scale_max()
-    cut = phi.tol.psd(lam)
+    cut = phi.tol.psd(phi.scale_max())
     blocks = []
-    for n, d in zip(phi.algebra.block_dims, phi.densities):
-        on = herm_trace_norm(d) > cut
+    for n, (w, _) in zip(phi.algebra.block_dims, phi.spectrum()):
+        on = float(np.sum(np.abs(w))) > cut
         blocks.append(np.eye(n, dtype=complex) if on else np.zeros((n, n), dtype=complex))
     return BlockOperator(phi.algebra, tuple(blocks))
 
@@ -304,14 +318,7 @@ def classify_pair(phi: Functional, psi: Functional) -> StateRelation:
 
 
 def total_rank(phi: Functional) -> int:
-    phi.require_positive()
-    lam = phi.scale_max()
-    r = 0
-    for n, d in zip(phi.algebra.block_dims, phi.densities):
-        cut = phi.tol.rank_cut(n, lam)
-        w, _ = herm_eig(d)
-        r += int(np.sum(w > cut))
-    return r
+    return sum(v.shape[1] for v in _support_isometries(phi))
 
 
 def is_pure(phi: Functional) -> bool:

@@ -22,13 +22,14 @@ from .algebra import (
     functional_norm,
 )
 from .errors import NotFactor, NotQuotient, ShapeError
-from .linalg import min_eig, psd_sqrt, trace_norm
+from .linalg import min_eig, psd_function, trace_norm
 
 
 def sqrt_vector(phi: Functional) -> L2Vector:
     """Square-root vector of a positive functional, blockwise PSD root."""
     phi.require_positive()
-    return L2Vector(phi.algebra, tuple(psd_sqrt(d, phi.tol) for d in phi.densities))
+    roots = tuple(psd_function(spec, np.sqrt, phi.tol) for spec in phi.spectrum())
+    return L2Vector(phi.algebra, roots)
 
 
 def transition_amplitude(phi: Functional, psi: Functional) -> float:
@@ -38,12 +39,7 @@ def transition_amplitude(phi: Functional, psi: Functional) -> float:
     Tiny negative roundoff is clamped to zero.
     """
     _check_same_algebra(phi, psi)
-    phi.require_positive()
-    psi.require_positive()
-    total = 0.0
-    for dp, dq in zip(phi.densities, psi.densities):
-        total += float(np.trace(psd_sqrt(dp, phi.tol) @ psd_sqrt(dq, psi.tol)).real)
-    return max(total, 0.0)
+    return max(sqrt_vector(phi).inner(sqrt_vector(psi)).real, 0.0)
 
 
 def amplitude_kernel(
@@ -57,11 +53,10 @@ def amplitude_kernel(
     _check_same_algebra(phi, psi)
     _check_same_algebra(phi, x)
     _check_same_algebra(phi, y)
-    phi.require_positive()
-    psi.require_positive()
+    root_p, root_q = sqrt_vector(phi), sqrt_vector(psi)
     total = 0.0 + 0.0j
-    for dp, dq, xb, yb in zip(phi.densities, psi.densities, x.blocks, y.blocks):
-        total += np.trace(psd_sqrt(dp, phi.tol) @ xb.conj().T @ psd_sqrt(dq, psi.tol) @ yb)
+    for rp, rq, xb, yb in zip(root_p.blocks, root_q.blocks, x.blocks, y.blocks):
+        total += np.trace(rp @ xb.conj().T @ rq @ yb)
     return complex(total)
 
 
@@ -72,11 +67,9 @@ def uhlmann_fidelity(phi: Functional, psi: Functional) -> float:
     than rooting the product matrix.
     """
     _check_same_algebra(phi, psi)
-    phi.require_positive()
-    psi.require_positive()
     total = 0.0
-    for dp, dq in zip(phi.densities, psi.densities):
-        total += trace_norm(psd_sqrt(dp, phi.tol) @ psd_sqrt(dq, psi.tol))
+    for rp, rq in zip(sqrt_vector(phi).blocks, sqrt_vector(psi).blocks):
+        total += trace_norm(rp @ rq)
     return total * total
 
 
@@ -124,8 +117,9 @@ def inequality_suite(
     phi.require_positive()
     psi.require_positive()
     amp = transition_amplitude(phi, psi)
-    diff = sqrt_vector(phi) - sqrt_vector(psi)
-    total = sqrt_vector(phi) + sqrt_vector(psi)
+    root_p, root_q = sqrt_vector(phi), sqrt_vector(psi)
+    diff = root_p - root_q
+    total = root_p + root_q
     root_diff_sq = diff.inner(diff).real
     root_sum = total.norm()
     dist = functional_norm(phi - psi)
@@ -144,14 +138,9 @@ def inequality_suite(
 
     conc = np.inf
     for t in ts:
-        mix = t * phi + (1.0 - t) * psi
-        for dm, dp, dq in zip(mix.densities, phi.densities, psi.densities):
-            gap = (
-                psd_sqrt(dm, phi.tol)
-                - t * psd_sqrt(dp, phi.tol)
-                - (1.0 - t) * psd_sqrt(dq, psi.tol)
-            )
-            conc = min(conc, min_eig(gap))
+        root_mix = sqrt_vector(t * phi + (1.0 - t) * psi)
+        for rm, rp, rq in zip(root_mix.blocks, root_p.blocks, root_q.blocks):
+            conc = min(conc, min_eig(rm - t * rp - (1.0 - t) * rq))
 
     return InequalityReport(
         amplitude=amp,
@@ -178,9 +167,7 @@ def purify(phi: Functional) -> Functional:
     """
     if phi.algebra.num_blocks != 1:
         raise NotFactor("purification needs a functional on a single matrix block")
-    phi.require_positive()
-    root = psd_sqrt(phi.densities[0], phi.tol)
-    v = root.flatten(order="F")
+    v = sqrt_vector(phi).blocks[0].flatten(order="F")
     density = np.outer(v, v.conj())
     return Functional(BlockAlgebra((v.size,)), (density,), phi.tol)
 

@@ -93,6 +93,17 @@ def _threads() -> int:
         return 1
 
 
+def _floats(raw: str, what: str) -> list[float]:
+    """Comma-separated finite numbers; anything else is a ParseError naming the input."""
+    try:
+        vals = [float(x) for x in raw.split(",")]
+    except ValueError as exc:
+        raise err.ParseError(f"bad {what} {raw!r}: expected comma-separated numbers") from exc
+    if not np.all(np.isfinite(vals)):
+        raise err.ParseError(f"bad {what} {raw!r}: NaN and infinities are not allowed")
+    return vals
+
+
 def _site_density(spec: str) -> np.ndarray:
     if spec == "pure0":
         return np.diag([1.0, 0.0]).astype(complex)
@@ -103,10 +114,7 @@ def _site_density(spec: str) -> np.ndarray:
     if spec == "mixed":
         return np.eye(2, dtype=complex) / 2.0
     if spec.startswith("diag:"):
-        try:
-            w = [float(x) for x in spec[5:].split(",")]
-        except ValueError as exc:
-            raise err.ParseError(f"bad diagonal site spec {spec!r}") from exc
+        w = _floats(spec[5:], "diagonal site spec")
         if not w or any(x < 0 for x in w):
             raise err.ParseError(f"bad diagonal site spec {spec!r}")
         return np.diag(w).astype(complex)
@@ -223,11 +231,9 @@ def cmd_chain(args, cfg: RunConfig) -> int:
 
 
 def cmd_decompose(args, cfg: RunConfig) -> int:
+    mu = _floats(args.mu_weights, "--mu weights") if args.mu_weights else None
     phi = _load_functional(args.phi, cfg)
     psi = _load_functional(args.psi, cfg)
-    mu = None
-    if args.mu_weights:
-        mu = [float(x) for x in args.mu_weights.split(",")]
     check = ct.amplitude_sum_check(phi, psi, mu)
     if mu is None:
         avg = 0.5 * (phi + psi)
@@ -246,8 +252,10 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
 
 
 def cmd_kms(args, cfg: RunConfig) -> int:
+    times = _floats(args.times, "--times")
+    if args.trials < 1:
+        raise err.ParseError(f"--trials must be at least 1, got {args.trials}")
     phi = _load_functional(args.state, cfg)
-    times = [float(x) for x in args.times.split(",")]
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for t in times:

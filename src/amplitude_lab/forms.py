@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_same_algebra
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, NotPositive, ShapeError
-from .linalg import herm_eig, hermitize, is_hermitian, min_eig, psd_power
+from .linalg import block_diag, check_psd, herm_eig, hermitize, is_hermitian, min_eig, psd_function
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +64,7 @@ class PositiveForm(HermitianForm):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.gram.size:
-            w, _ = herm_eig(self.gram)
-            lam = float(np.max(np.abs(w)))
-            if float(w[0]) < -self.tol.psd(lam):
-                raise NotPositive("Gram matrix is not positive semidefinite within tolerance")
+        check_psd(self.gram, self.tol, "Gram matrix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +123,10 @@ def right_form(phi: Functional) -> PositiveForm:
 def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveForm:
     """Gram of (x, y) -> sum_k Tr(D_phi^(1-t) x^* D_psi^t y) for t in [0, 1].
 
-    Fractional powers are taken by clamped eigendecomposition; the zero
-    eigenvalue maps to 0 for positive exponents and to 1 at exponent 0,
-    so t = 0 and t = 1 reproduce the left and right forms exactly.
+    Fractional powers come from each density's cached spectrum with the
+    clamped cuts of psd_function; the zero eigenvalue maps to 0 for
+    positive exponents and to 1 at exponent 0, so t = 0 and t = 1
+    reproduce the left and right forms exactly.
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"interpolation parameter {t} outside [0, 1]")
@@ -138,9 +134,9 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     phi.require_positive()
     psi.require_positive()
     grams = []
-    for dp, dq in zip(phi.densities, psi.densities):
-        p = psd_power(dp, 1.0 - t, phi.tol)
-        q = psd_power(dq, t, psi.tol)
+    for sp, sq in zip(phi.spectrum(), psi.spectrum()):
+        p = psd_function(sp, lambda w: np.power(w, 1.0 - t), phi.tol)
+        q = psd_function(sq, lambda w: np.power(w, t), psi.tol)
         grams.append(np.kron(q, p.T))
     return PositiveForm(block_diag(*grams), phi.tol)
 

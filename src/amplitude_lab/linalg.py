@@ -1,8 +1,10 @@
 """Dense Hermitian linear-algebra helpers.
 
-Every eigendecomposition in the package goes through this module so that
-the hermitize-before-eigh policy and the scale-relative tolerances are
-applied uniformly.
+Every eigendecomposition in the package goes through this module or
+through the spectrum a Functional caches, so that the hermitize-before-
+eigh policy and the scale-relative tolerances are applied uniformly.
+Every matrix function (root, power, inverse, flow unitary) is taken from
+a spectrum by spectral_apply.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import NotPositive
 
+Spectrum = tuple[np.ndarray, np.ndarray]
+
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a*) / 2."""
     return 0.5 * (a + a.conj().T)
 
 
-def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of the hermitized input, eigenvalues ascending."""
     w, v = np.linalg.eigh(hermitize(a))
     return w, v
@@ -29,76 +33,75 @@ def is_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= tol.herm(scale) if a.size else True
 
 
-def check_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> None:
-    """Raise NotPositive if any eigenvalue falls below -tau_psd."""
-    if a.size == 0:
-        return
-    w, _ = herm_eig(a)
-    lam_max = float(np.max(np.abs(w)))
-    if float(w[0]) < -tol.psd(lam_max):
-        raise NotPositive(f"{what} has eigenvalue {w[0]:.3e} below -{tol.psd(lam_max):.3e}")
+def block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Complex block-diagonal matrix with the given blocks along the diagonal."""
+    out = np.zeros(
+        (sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex
+    )
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def min_eig(a: np.ndarray) -> float:
     """Smallest eigenvalue of the hermitized input."""
     if a.size == 0:
         return 0.0
-    w, _ = herm_eig(a)
-    return float(w[0])
+    return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
-def clamped_eigs(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix"):
-    """Eigendecomposition with roundoff eigenvalues clamped to exact 0.
+def check_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> None:
+    """Raise NotPositive if any eigenvalue falls below -tau_psd."""
+    if a.size == 0:
+        return
+    w = np.linalg.eigvalsh(hermitize(a))
+    lam_max = float(np.max(np.abs(w)))
+    if float(w[0]) < -tol.psd(lam_max):
+        raise NotPositive(f"{what} has eigenvalue {w[0]:.3e} below -{tol.psd(lam_max):.3e}")
+
+
+def spectral_apply(spec: Spectrum, f) -> np.ndarray:
+    """The matrix function v f(w) v* of the Hermitian matrix with spectrum (w, v)."""
+    w, v = spec
+    return (v * f(w)) @ v.conj().T
+
+
+def psd_function(spec: Spectrum, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian f(h) of a PSD matrix h from its spectrum, with roundoff clamped to 0.
 
     Negative eigenvalues within -tau_psd are clamped; anything more
     negative raises NotPositive.  Positive eigenvalues below the rank
     cut are zeroed as well, so exact-rank-deficient input stays exactly
     rank deficient (fractional powers would otherwise amplify
-    eigenvalue noise to its square root).
+    eigenvalue noise to its square root).  Both cuts scale with this
+    matrix's own largest |eigenvalue|.  With f a power s, zero
+    eigenvalues map to 0 for s > 0 and to 1 at s = 0.
     """
-    w, v = herm_eig(a)
+    w, v = spec
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     if w.size and float(w[0]) < -tol.psd(lam_max):
-        raise NotPositive(f"{what} has eigenvalue {w[0]:.3e} below -{tol.psd(lam_max):.3e}")
-    w = np.where(w < tol.rank_cut(a.shape[0], lam_max), 0.0, w)
-    return w, v
+        raise NotPositive(f"matrix has eigenvalue {w[0]:.3e} below -{tol.psd(lam_max):.3e}")
+    w = np.where(w < tol.rank_cut(w.size, lam_max), 0.0, w)
+    return hermitize(spectral_apply((w, v), f))
 
 
 def psd_sqrt(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unique PSD square root of a Hermitian PSD matrix.
-
-    Negative eigenvalues within -tau_psd are clamped to zero before
-    rooting; anything more negative raises NotPositive.
-    """
-    if h.size == 0:
-        return h.copy()
-    w, v = clamped_eigs(h, tol)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+    """Unique PSD square root of a Hermitian PSD matrix (cuts as in psd_function)."""
+    return psd_function(herm_eig(h), np.sqrt, tol)
 
 
-def psd_power(h: np.ndarray, s: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Fractional power h^s of a Hermitian PSD matrix, s in [0, 1].
-
-    Zero eigenvalues map to 0 for s > 0 and to 1 at s = 0 (so h^0 is the
-    identity, matching the endpoint convention of the interpolation
-    family).
-    """
-    if h.size == 0:
-        return h.copy()
-    w, v = clamped_eigs(h, tol)
-    return hermitize((v * np.power(w, s)) @ v.conj().T)
-
-
-def unitary_power(h: np.ndarray, z: complex, cut: float) -> np.ndarray:
-    """h^z for Hermitian positive-definite h and complex exponent z.
+def unitary_power(spec: Spectrum, z: complex, cut: float) -> np.ndarray:
+    """h^z for Hermitian positive-definite h with spectrum spec, complex exponent z.
 
     Eigenvalues at or below the cut raise NotPositive (callers enforce
     faithfulness first, so the spectrum should be strictly positive).
     """
-    w, v = herm_eig(h)
+    w, _ = spec
     if w.size and float(w[0]) <= cut:
         raise NotPositive(f"eigenvalue {w[0]:.3e} not strictly positive (cut {cut:.3e})")
-    return (v * np.power(w.astype(complex), z)) @ v.conj().T
+    return spectral_apply(spec, lambda w: np.power(w.astype(complex), z))
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -106,26 +109,3 @@ def trace_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def herm_trace_norm(a: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix via eigenvalues."""
-    if a.size == 0:
-        return 0.0
-    w, _ = herm_eig(a)
-    return float(np.sum(np.abs(w)))
-
-
-def range_isometry(h: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal columns spanning the range of Hermitian PSD h.
-
-    Eigenvalues strictly above the cut count toward the rank.
-    """
-    w, v = herm_eig(h)
-    keep = w > cut
-    return v[:, keep]
-
-
-def rank_with_cut(h: np.ndarray, cut: float) -> int:
-    w, _ = herm_eig(h)
-    return int(np.sum(w > cut))

@@ -18,12 +18,13 @@ from .algebra import (
     BlockOperator,
     Functional,
     _check_same_algebra,
+    _support_isometries,
     evaluate,
     is_faithful,
 )
 from .config import DEFAULT_TOL, Tolerances
 from .errors import EmptyReduction, NotFaithful, NotPositive, ShapeError
-from .linalg import herm_eig, hermitize, range_isometry, unitary_power
+from .linalg import herm_eig, hermitize, psd_function, unitary_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +87,15 @@ class Superoperator:
         """
         if self.antilinear:
             raise NotPositive("powers are defined for linear positive superoperators only")
-        left = tuple(_psd_complex_power(l, z, tol) for l in self.left)
-        right = tuple(_psd_complex_power(r, z, tol) for r in self.right)
+        zc = complex(z)
+
+        def power(h):
+            if zc.imag == 0.0 and zc.real > 0.0:
+                return psd_function(herm_eig(h), lambda w: np.power(w, zc.real), tol)
+            return unitary_power(herm_eig(h), zc, cut=0.0)
+
+        left = tuple(power(l) for l in self.left)
+        right = tuple(power(r) for r in self.right)
         return Superoperator(self.algebra, left, right)
 
     def to_matrices(self) -> tuple[np.ndarray, ...]:
@@ -97,22 +105,6 @@ class Superoperator:
         return tuple(np.kron(r.T, l) for l, r in zip(self.left, self.right))
 
 
-def _psd_complex_power(h: np.ndarray, z: complex, tol: Tolerances) -> np.ndarray:
-    w, v = herm_eig(h)
-    lam = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and float(w[0]) < -tol.psd(lam):
-        raise NotPositive("superoperator factor is not positive semidefinite")
-    w = np.maximum(w, 0.0)
-    zc = complex(z)
-    if np.any(w == 0.0) and (zc.real <= 0.0 or zc.imag != 0.0):
-        raise NotPositive("singular factor admits only positive real powers")
-    if zc.imag == 0.0:
-        vals = np.power(w, zc.real).astype(complex)
-    else:
-        vals = np.power(w.astype(complex), zc)
-    return (v * vals) @ v.conj().T
-
-
 def _require_faithful(phi: Functional, what: str = "functional") -> None:
     if not is_faithful(phi):
         raise NotFaithful(f"{what} is not faithful; support_reduce it first")
@@ -120,11 +112,10 @@ def _require_faithful(phi: Functional, what: str = "functional") -> None:
 
 def _inverse_density(phi: Functional) -> tuple[np.ndarray, ...]:
     lam = phi.scale_max()
-    out = []
-    for n, d in zip(phi.algebra.block_dims, phi.densities):
-        cut = phi.tol.rank_cut(n, lam)
-        out.append(unitary_power(d, -1.0, cut))
-    return tuple(out)
+    return tuple(
+        unitary_power(spec, -1.0, phi.tol.rank_cut(n, lam))
+        for n, spec in zip(phi.algebra.block_dims, phi.spectrum())
+    )
 
 
 def relative_modular(psi: Functional, phi: Functional) -> Superoperator:
@@ -153,25 +144,16 @@ def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
     _check_same_algebra(phi, x)
     phi.require_positive()
     _require_faithful(phi)
-    lam = phi.scale_max()
-    blocks = []
-    for n, d, b in zip(phi.algebra.block_dims, phi.densities, x.blocks):
-        cut = phi.tol.rank_cut(n, lam)
-        u = unitary_power(d, 1j * t, cut)
-        uinv = unitary_power(d, -1j * t, cut)
-        blocks.append(u @ b @ uinv)
-    return BlockOperator(phi.algebra, tuple(blocks))
+    return _flow_at(phi, complex(t), x)
 
 
 def _flow_at(phi: Functional, z: complex, x: BlockOperator) -> BlockOperator:
-    """Flow at a complex time, x -> D^{iz} x D^{-iz}, via eigendecomposition."""
+    """Flow at a complex time, x -> D^{iz} x D^{-iz}, from the cached spectrum."""
     lam = phi.scale_max()
     blocks = []
-    for n, d, b in zip(phi.algebra.block_dims, phi.densities, x.blocks):
+    for n, spec, b in zip(phi.algebra.block_dims, phi.spectrum(), x.blocks):
         cut = phi.tol.rank_cut(n, lam)
-        u = unitary_power(d, 1j * z, cut)
-        uinv = unitary_power(d, -1j * z, cut)
-        blocks.append(u @ b @ uinv)
+        blocks.append(unitary_power(spec, 1j * z, cut) @ b @ unitary_power(spec, -1j * z, cut))
     return BlockOperator(phi.algebra, tuple(blocks))
 
 
@@ -229,15 +211,11 @@ def support_reduce(phi: Functional) -> SupportReduction:
     Rank-zero blocks are dropped; the compressed functional is faithful
     and evaluation is preserved on compressed elements.
     """
-    phi.require_positive()
-    lam = phi.scale_max()
     isometries = []
     kept = []
     dims = []
     densities = []
-    for k, (n, d) in enumerate(zip(phi.algebra.block_dims, phi.densities)):
-        cut = phi.tol.rank_cut(n, lam)
-        v = range_isometry(d, cut)
+    for k, (v, d) in enumerate(zip(_support_isometries(phi), phi.densities)):
         r = v.shape[1]
         if r == 0:
             continue

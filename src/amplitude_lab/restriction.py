@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
 from .amplitudes import transition_amplitude
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
-from .linalg import hermitize
+from .linalg import block_diag, hermitize
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +105,7 @@ class UnitalEmbedding:
             for l, _ in self._section_offsets(k):
                 c = int(self.multiplicity[k, l])
                 parts.append(np.kron(a.blocks[l], np.eye(c)))
-            mat = block_diag(*parts) if parts else np.zeros((0, 0))
+            mat = block_diag(*parts)
             u = self._unitary(k)
             if u is not None:
                 mat = u @ mat @ u.conj().T

@@ -6,7 +6,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
 from .config import DEFAULT_TOL
-from .linalg import hermitize, unitary_power
+from .linalg import herm_eig, hermitize, unitary_power
 from .restriction import UcpMap, UnitalEmbedding
 
 
@@ -95,7 +95,7 @@ def random_ucp(
     for n in target.block_dims:
         raw = [random_complex(rng, (s, n)) for _ in range(n_kraus)]
         total = sum(a.conj().T @ a for a in raw)
-        inv_root = unitary_power(total, -0.5, cut=1e-12)
+        inv_root = unitary_power(herm_eig(total), -0.5, cut=1e-12)
         families.append(tuple(a @ inv_root for a in raw))
     return UcpMap(source, target, tuple(families))
 

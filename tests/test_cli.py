@@ -209,6 +209,26 @@ class TestErrorsAndDeterminism:
         assert res.returncode == 2
         assert json.loads(res.stdout)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("mu", ["x,y", "nan,nan"])
+    def test_bad_mu_weights_are_a_parse_error(self, qubit_pair, mu):
+        res = run_cli("decompose", *qubit_pair, "--mu", mu)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stdout)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("times", ["", "nan"])
+    def test_bad_times_are_a_parse_error(self, qubit_pair, times):
+        # a NaN time would give a NaN defect, which max() drops: max_defect 0.0
+        res = run_cli("kms-check", qubit_pair[1], f"--times={times}")
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stdout)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_trials_below_one_are_a_parse_error(self, qubit_pair, trials):
+        # zero trials would report max_defect 0.0 without checking anything
+        res = run_cli("kms-check", qubit_pair[1], "--trials", trials)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stdout)["error"]["type"] == "ParseError"
+
     def test_missing_file(self):
         res = run_cli("amp", "/nonexistent/a.json", "/nonexistent/b.json")
         assert res.returncode == 2
