@@ -16,15 +16,19 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidAlgebra, NotPositive, ShapeError
-from .linalg import Spectrum, hermitize, is_hermitian
+from .linalg import Spectrum, eigh, hermitian_part
 
 
-def _frozen_blocks(blocks: Iterable[np.ndarray], dims: Sequence[int], dtype=complex):
+def _square(arr: np.ndarray, n: int) -> np.ndarray:
+    if arr.shape != (n, n):
+        raise ShapeError(f"block shape {arr.shape} does not match dimension {n}")
+    return arr
+
+
+def _frozen_blocks(blocks: Iterable[np.ndarray], dims: Sequence[int]):
     out = []
     for n, b in zip(dims, blocks, strict=True):
-        arr = np.array(b, dtype=dtype)
-        if arr.shape != (n, n):
-            raise ShapeError(f"block shape {arr.shape} does not match dimension {n}")
+        arr = _square(np.array(b, dtype=complex), n)
         arr.setflags(write=False)
         out.append(arr)
     return tuple(out)
@@ -142,15 +146,14 @@ class Functional:
     )
 
     def __post_init__(self):
-        blocks = _frozen_blocks(self.densities, self.algebra.block_dims)
-        for d in blocks:
-            if not is_hermitian(d, self.tol):
-                raise NotPositive("density block is not Hermitian within tolerance")
-        # hermitize to kill roundoff drift before any later eigendecomposition
-        blocks = tuple(hermitize(d) for d in blocks)
-        for d in blocks:
-            d.setflags(write=False)
-        object.__setattr__(self, "densities", blocks)
+        blocks = []
+        for n, d in zip(self.algebra.block_dims, self.densities, strict=True):
+            # asarray copies only to change the dtype; the Hermitian part is a
+            # new array and kills roundoff drift before any eigendecomposition
+            h = hermitian_part(_square(np.asarray(d, dtype=complex), n), self.tol, "density block")
+            h.setflags(write=False)
+            blocks.append(h)
+        object.__setattr__(self, "densities", tuple(blocks))
 
     @property
     def mass(self) -> float:
@@ -158,9 +161,12 @@ class Functional:
         return float(sum(np.trace(d).real for d in self.densities))
 
     def spectrum(self) -> tuple[Spectrum, ...]:
-        """Read-only (w, v) = eigh(D_k) per block, eigenvalues ascending."""
+        """Read-only (w, v) = linalg.eigh(D_k) per block, eigenvalues ascending.
+
+        v is real for a block whose imaginary part is exactly zero.
+        """
         if self._spectrum is None:
-            spec = tuple(np.linalg.eigh(d) for d in self.densities)
+            spec = tuple(eigh(d) for d in self.densities)
             for w, v in spec:
                 w.setflags(write=False)
                 v.setflags(write=False)
@@ -265,6 +271,21 @@ def functional_norm(phi: Functional) -> float:
     to a difference.
     """
     return float(sum(np.sum(np.abs(w)) for w, _ in phi.spectrum()))
+
+
+def _block_component(phi: Functional, k: int, mass: float) -> Functional:
+    """D_k / mass as a functional on M_{n_k}, with spectrum (w / mass, v) from phi's.
+
+    Dividing by a positive mass keeps the eigenvectors and the ascending
+    order, so the component needs no eigendecomposition of its own.
+    """
+    w, v = phi.spectrum()[k]
+    algebra = BlockAlgebra((phi.algebra.block_dims[k],))
+    comp = Functional(algebra, (phi.densities[k] / mass,), phi.tol)
+    w = w / mass
+    w.setflags(write=False)
+    object.__setattr__(comp, "_spectrum", ((w, v),))
+    return comp
 
 
 def _support_isometries(phi: Functional) -> tuple[np.ndarray, ...]:

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import BlockAlgebra, Functional, _check_same_algebra
+from .algebra import BlockAlgebra, Functional, _block_component, _check_same_algebra
 from .amplitudes import transition_amplitude
 from .errors import DomainError, SingularMeasure
 
@@ -45,6 +45,8 @@ def _validate_weights(mu, num_blocks: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (num_blocks,):
         raise DomainError(f"weight vector must have length {num_blocks}")
+    if not np.all(np.isfinite(mu)):
+        raise DomainError("weights must be finite")
     if np.any(mu < -1e-12) or abs(float(np.sum(mu)) - 1.0) > 1e-9:
         raise DomainError("weights must form a probability distribution")
     return np.maximum(mu, 0.0)
@@ -71,13 +73,13 @@ def decompose(phi: Functional, mu: Sequence[float] | None = None) -> StateDecomp
                 raise SingularMeasure(f"weight vanishes on block {k} carrying mass {m:.3e}")
     components = []
     radon = np.zeros(phi.algebra.num_blocks)
-    for k, (n, d) in enumerate(zip(phi.algebra.block_dims, phi.densities)):
-        block_alg = BlockAlgebra((n,))
+    for k, n in enumerate(phi.algebra.block_dims):
         if masses[k] > cut:
-            components.append(Functional(block_alg, (d / masses[k],), phi.tol))
+            components.append(_block_component(phi, k, masses[k]))
             radon[k] = masses[k] / weights[k]
         else:
-            components.append(Functional(block_alg, (np.eye(n, dtype=complex) / n,), phi.tol))
+            trace = np.eye(n, dtype=complex) / n
+            components.append(Functional(BlockAlgebra((n,)), (trace,), phi.tol))
             radon[k] = 0.0
     return StateDecomposition(
         algebra=phi.algebra,

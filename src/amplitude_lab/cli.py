@@ -3,16 +3,15 @@
 One binary with subcommands.  All numeric output is printed with nine
 significant digits; CSV uses dot decimals and comma separators.  Module
 errors map to distinct exit codes (see EXIT_CODES); on error a single
-machine-readable JSON object is printed.  AMPLITUDE_LAB_THREADS > 1
-parallelizes independent chain points without changing output order.
+machine-readable JSON object is printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import itertools
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ from .restriction import (
     chain_amplitudes,
     diagonal_state,
     product_state,
-    restrict,
 )
 from .sampling import random_operator
 from .selftest import run_selftest
@@ -63,7 +61,6 @@ class RunConfig:
     seed: int
     csv: bool
     max_dim: int
-    threads: int
 
 
 def _fmt(x: float) -> str:
@@ -83,14 +80,6 @@ def _emit_scalar(name: str, value: float, cfg: RunConfig) -> None:
 
 def _load_functional(path: str, cfg: RunConfig):
     return ser.functional_from_json(ser.load_file(path), cfg.tol)
-
-
-def _threads() -> int:
-    raw = os.environ.get("AMPLITUDE_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _floats(raw: str, what: str) -> list[float]:
@@ -189,18 +178,6 @@ def cmd_ineq(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _chain_rows(phi, psi, chain, threads: int) -> list[float]:
-    if threads <= 1:
-        return chain_amplitudes(phi, psi, chain)
-
-    def one(n: int) -> float:
-        emb = chain.embedding_to_ambient(n)
-        return transition_amplitude(restrict(phi, emb), restrict(psi, emb))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(len(chain))))
-
-
 def cmd_chain(args, cfg: RunConfig) -> int:
     if args.spec is not None:
         obj = ser.load_file(args.spec)
@@ -211,7 +188,8 @@ def cmd_chain(args, cfg: RunConfig) -> int:
         chain = ser.chain_from_json(obj["chain"], cfg.tol)
     elif args.product_chain is not None:
         n = args.product_chain
-        _, chain = build_product_chain([2] * n, cap=max(10, cfg.max_dim))
+        # sites are generated lazily, so a huge N stops at the dimension cap
+        _, chain = build_product_chain(itertools.repeat(2, n))
         phi = product_state([_site_density(args.site_a)] * n, cfg.tol)
         psi = product_state([_site_density(args.site_b)] * n, cfg.tol)
     elif args.lumped is not None:
@@ -222,7 +200,7 @@ def cmd_chain(args, cfg: RunConfig) -> int:
         psi = diagonal_state(q, cfg.tol)
     else:
         raise err.ParseError("chain: give a spec file, --product-chain, or --lumped")
-    amps = _chain_rows(phi, psi, chain, cfg.threads)
+    amps = chain_amplitudes(phi, psi, chain)
     print("n,a_n,defect")
     for i, a in enumerate(amps, start=1):
         defect = "" if i == len(amps) else _fmt(amps[i - 1] - amps[i])
@@ -377,16 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerances(raw: float | None) -> Tolerances:
+    """The --tol override; anything but a finite number > 0 is a ParseError."""
+    if raw is None:
+        return DEFAULT_TOL
+    if not (math.isfinite(raw) and raw > 0.0):
+        raise err.ParseError(f"bad --tol {raw!r}: expected a finite number > 0")
+    return Tolerances(herm_scale=raw, psd_scale=raw, num=raw)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is None:
-        tol = DEFAULT_TOL
-    else:
-        tol = Tolerances(herm_scale=args.tol, psd_scale=args.tol, num=args.tol)
-    cfg = RunConfig(
-        tol=tol, seed=args.seed, csv=args.csv, max_dim=args.max_dim, threads=_threads()
-    )
     try:
+        cfg = RunConfig(
+            tol=_tolerances(args.tol), seed=args.seed, csv=args.csv, max_dim=args.max_dim
+        )
         return args.fn(args, cfg)
     except err.AmplitudeLabError as exc:
         code = 1

@@ -22,8 +22,16 @@ import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_same_algebra
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DomainError, NotPositive, ShapeError
-from .linalg import block_diag, check_psd, herm_eig, hermitize, is_hermitian, min_eig, psd_function
+from .errors import DomainError, ShapeError
+from .linalg import (
+    block_diag,
+    check_psd,
+    herm_eig,
+    hermitian_part,
+    hermitize,
+    min_eig,
+    psd_function,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,12 +42,10 @@ class HermitianForm:
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.array(self.gram, dtype=complex)
+        g = np.asarray(self.gram, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ShapeError(f"Gram matrix must be square, got {g.shape}")
-        if not is_hermitian(g, self.tol):
-            raise NotPositive("Gram matrix is not Hermitian within tolerance")
-        g = hermitize(g)
+        g = hermitian_part(g, self.tol, "Gram matrix")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
 

@@ -1,10 +1,10 @@
 """Dense Hermitian linear-algebra helpers.
 
-Every eigendecomposition in the package goes through this module or
-through the spectrum a Functional caches, so that the hermitize-before-
-eigh policy and the scale-relative tolerances are applied uniformly.
-Every matrix function (root, power, inverse, flow unitary) is taken from
-a spectrum by spectral_apply.
+Every eigendecomposition in the package goes through eigh or eigvalsh
+here, so that the hermitize-before-eigh policy, the choice of LAPACK
+solver and the scale-relative tolerances are applied uniformly.  Every
+matrix function (root, power, inverse, flow unitary) is taken from a
+spectrum by spectral_apply.
 """
 
 from __future__ import annotations
@@ -22,15 +22,46 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _real_if_exact(h: np.ndarray) -> np.ndarray:
+    """h.real when no entry of h has a nonzero imaginary part, else h itself."""
+    return h if h.imag.any() else h.real
+
+
+def eigh(h: np.ndarray) -> Spectrum:
+    """Eigendecomposition (w, v) of a Hermitian matrix, eigenvalues ascending.
+
+    A matrix whose imaginary part is exactly zero goes to LAPACK's real
+    symmetric solver, and its eigenvectors come back real; any nonzero
+    imaginary entry keeps the complex Hermitian solver.
+    """
+    return np.linalg.eigh(_real_if_exact(h))
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, on the solver eigh picks."""
+    return np.linalg.eigvalsh(_real_if_exact(h))
+
+
 def herm_eig(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of the hermitized input, eigenvalues ascending."""
-    w, v = np.linalg.eigh(hermitize(a))
-    return w, v
+    return eigh(hermitize(a))
 
 
-def is_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.abs(a - a.conj().T))) <= tol.herm(scale) if a.size else True
+def hermitian_part(
+    a: np.ndarray,
+    tol: Tolerances = DEFAULT_TOL,
+    what: str = "matrix",
+    error: type[Exception] = NotPositive,
+) -> np.ndarray:
+    """hermitize(a), after checking max|a - a*| <= tol.herm(max|a|); else raise error.
+
+    a* is formed once and serves both the check and the Hermitian part,
+    which is bit-identical to hermitize(a).  NaN fails the check.
+    """
+    ah = a.conj().T
+    if a.size and not float(np.max(np.abs(a - ah))) <= tol.herm(float(np.max(np.abs(a)))):
+        raise error(f"{what} is not Hermitian within tolerance")
+    return 0.5 * (a + ah)
 
 
 def block_diag(*mats: np.ndarray) -> np.ndarray:
@@ -49,14 +80,14 @@ def min_eig(a: np.ndarray) -> float:
     """Smallest eigenvalue of the hermitized input."""
     if a.size == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
+    return float(eigvalsh(hermitize(a))[0])
 
 
 def check_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> None:
     """Raise NotPositive if any eigenvalue falls below -tau_psd."""
     if a.size == 0:
         return
-    w = np.linalg.eigvalsh(hermitize(a))
+    w = eigvalsh(hermitize(a))
     lam_max = float(np.max(np.abs(w)))
     if float(w[0]) < -tol.psd(lam_max):
         raise NotPositive(f"{what} has eigenvalue {w[0]:.3e} below -{tol.psd(lam_max):.3e}")

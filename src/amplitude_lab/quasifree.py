@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError
-from .linalg import herm_eig, hermitize, is_hermitian, min_eig
+from .linalg import herm_eig, hermitian_part, hermitize, min_eig
 
 __all__ = [
     "PresymplecticSpace",
@@ -67,12 +67,10 @@ class CovarianceForm:
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"covariance matrix must be square, got {m.shape}")
-        if not is_hermitian(m, self.tol):
-            raise InvalidCovariance("covariance matrix is not Hermitian within tolerance")
-        m = hermitize(m)
+        m = hermitian_part(m, self.tol, "covariance matrix", InvalidCovariance)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -16,7 +16,7 @@ amplitude when the chain exhausts the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .amplitudes import transition_amplitude
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
 from .linalg import block_diag, hermitize
+
+# Largest ambient dimension build_product_chain accepts: ten qubit sites.
+MAX_PRODUCT_DIM = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,19 +304,28 @@ def chain_amplitudes(phi: Functional, psi: Functional, chain: SubalgebraChain) -
     return amps
 
 
-def build_product_chain(
-    site_dims: Sequence[int], cap: int = 10
-) -> tuple[BlockAlgebra, SubalgebraChain]:
+def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, SubalgebraChain]:
     """Chain of leading tensor factors inside M_{d_1 ... d_N}.
 
     A_n is the full matrix algebra on the first n sites embedded as
-    a -> a (x) 1 on the rest.
+    a -> a (x) 1 on the rest.  The ambient dimension d_1 ... d_N, the side
+    of the dense densities a product state on it carries, may not exceed
+    MAX_PRODUCT_DIM; the sites are read only until it does.
     """
-    dims = [int(d) for d in site_dims]
-    if len(dims) == 0 or any(d < 1 for d in dims):
+    dims: list[int] = []
+    ambient_dim = 1
+    for d in site_dims:
+        if int(d) < 1:
+            raise DomainError("site dimensions must be positive")
+        dims.append(int(d))
+        ambient_dim *= dims[-1]
+        if ambient_dim > MAX_PRODUCT_DIM:
+            raise TooLarge(
+                f"the first {len(dims)} sites have ambient dimension {ambient_dim}, "
+                f"above MAX_PRODUCT_DIM = {MAX_PRODUCT_DIM}"
+            )
+    if not dims:
         raise DomainError("site dimensions must be positive")
-    if len(dims) > cap:
-        raise TooLarge(f"{len(dims)} sites exceed the cap of {cap}")
     partial = np.cumprod(dims)
     algebras = tuple(BlockAlgebra((int(p),)) for p in partial)
     links = tuple(
@@ -340,6 +352,8 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DomainError(f"{name} must be a nonempty vector")
+    if not np.all(np.isfinite(p)):
+        raise DomainError(f"{name} must be finite")
     if np.any(p < -1e-12) or abs(float(np.sum(p)) - 1.0) > 1e-9:
         raise DomainError(f"{name} is not a probability distribution")
     return np.maximum(p, 0.0)

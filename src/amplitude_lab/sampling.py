@@ -6,7 +6,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
 from .config import DEFAULT_TOL
-from .linalg import herm_eig, hermitize, unitary_power
+from .linalg import eigh, herm_eig, hermitize, unitary_power
 from .restriction import UcpMap, UnitalEmbedding
 
 
@@ -56,7 +56,7 @@ def random_operator(rng: np.random.Generator, algebra: BlockAlgebra) -> BlockOpe
 def random_gibbs(rng: np.random.Generator, n: int) -> np.ndarray:
     """Gibbs density exp(-H)/Z for a random Hermitian H; always faithful."""
     h = hermitize(random_complex(rng, (n, n)))
-    w, v = np.linalg.eigh(h)
+    w, v = eigh(h)
     g = (v * np.exp(-w)) @ v.conj().T
     return hermitize(g / np.trace(g).real)
 

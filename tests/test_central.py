@@ -55,6 +55,11 @@ class TestDecompose:
         with pytest.raises(SingularMeasure):
             decompose(phi, [1.0, 0.0])
 
+    @pytest.mark.parametrize("mu", [[np.nan, np.nan], [0.5, np.nan]])
+    def test_non_finite_weights_rejected(self, mu):
+        with pytest.raises(DomainError):
+            decompose(two_point(0.3), mu)
+
     def test_reassembly_invariant(self):
         rng = np.random.default_rng(2)
         alg = make_algebra([2, 3, 1])

@@ -139,12 +139,22 @@ class TestChain:
         a1, a2 = (float(line.split(",")[1]) for line in lines[1:])
         assert a1 >= a2 - 1e-9
 
-    def test_threads_do_not_change_output(self):
-        base = run_cli("chain", "--product-chain", "4", env={"AMPLITUDE_LAB_THREADS": "1"})
-        threaded = run_cli("chain", "--product-chain", "4", env={"AMPLITUDE_LAB_THREADS": "4"})
-        assert base.returncode == threaded.returncode == 0, (base.stderr, threaded.stderr)
-        assert len(base.stdout.splitlines()) == 5  # header and four chain points
-        assert base.stdout == threaded.stdout
+    def test_product_chain_rows(self):
+        res = run_cli("chain", "--product-chain", "4", "--site-a", "plus", "--site-b", "mixed")
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == "n,a_n,defect"
+        assert len(lines) == 5  # header and four chain points
+        values = [float(line.split(",")[1]) for line in lines[1:]]
+        assert np.allclose(values, 2.0 ** (-0.5 * np.arange(1, 5)), atol=1e-9)
+        assert lines[-1].endswith(",")
+
+    @pytest.mark.parametrize("args", [("11",), ("20", "--max-dim", "20")])
+    def test_product_chain_is_capped_by_dimension(self, args):
+        # 2**11 and 2**20 exceed the 1024 cap on the ambient dimension
+        res = run_cli("chain", "--product-chain", *args)
+        assert res.returncode == 6, res.stderr
+        assert json.loads(res.stdout)["error"]["type"] == "TooLarge"
 
 
 class TestDecomposeAndKms:
@@ -207,6 +217,13 @@ class TestErrorsAndDeterminism:
         bad.write_text("{not json")
         res = run_cli("amp", str(bad), str(bad))
         assert res.returncode == 2
+        assert json.loads(res.stdout)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+    def test_bad_tol_is_a_parse_error(self, qubit_pair, tol):
+        # a negative or NaN tolerance failed as NotPositive; inf switched off the checks
+        res = run_cli("amp", *qubit_pair, "--tol", tol)
+        assert res.returncode == 2, res.stderr
         assert json.loads(res.stdout)["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize("mu", ["x,y", "nan,nan"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,14 @@ class TestChains:
         with pytest.raises(TooLarge):
             build_product_chain([2] * 11)
 
+    def test_cap_is_on_the_ambient_dimension(self):
+        ambient, _ = build_product_chain([4] * 5)
+        assert ambient.block_dims == (1024,)
+        with pytest.raises(TooLarge):
+            build_product_chain([32, 33])
+        with pytest.raises(TooLarge):
+            build_product_chain(itertools.repeat(2))  # sites are read only up to the cap
+
     def test_single_site_trivial(self):
         ambient, chain = build_product_chain([2])
         assert len(chain) == 1
@@ -260,6 +270,11 @@ class TestLumpedDiagonalChain:
             head = np.sum(np.sqrt(p[: idx - 1] * q[: idx - 1]))
             tail = np.sqrt(np.sum(p[idx - 1 :]) * np.sum(q[idx - 1 :]))
             assert a == pytest.approx(head + tail, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [0.5, np.nan]])
+    def test_rejects_non_finite_distribution(self, p):
+        with pytest.raises(DomainError):
+            build_lumped_diagonal_chain(p, [0.5, 0.5])
 
     def test_rejects_bad_distribution(self):
         with pytest.raises(DomainError):
