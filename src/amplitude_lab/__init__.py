@@ -70,7 +70,6 @@ from .forms import (
     left_form,
     matrix_units,
     operator_coordinates,
-    operator_from_coordinates,
     pair_representation,
     right_form,
 )

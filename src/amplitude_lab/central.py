@@ -41,15 +41,21 @@ class StateDecomposition:
         return Functional(self.algebra, tuple(densities))
 
 
-def _validate_weights(mu, num_blocks: int) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (num_blocks,):
-        raise DomainError(f"weight vector must have length {num_blocks}")
-    if not np.all(np.isfinite(mu)):
-        raise DomainError("weights must be finite")
-    if np.any(mu < -1e-12) or abs(float(np.sum(mu)) - 1.0) > 1e-9:
-        raise DomainError("weights must form a probability distribution")
-    return np.maximum(mu, 0.0)
+def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
+    """p as a float vector clipped at 0, once it is checked to be a distribution.
+
+    Entries must be finite and >= -1e-12 and sum to 1 within 1e-9; the
+    vector must be nonempty, and of the given length when one is given.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0 or length not in (None, p.size):
+        of_length = "" if length is None else f" of length {length}"
+        raise DomainError(f"{name} must be a nonempty vector{of_length}")
+    if not np.all(np.isfinite(p)):
+        raise DomainError(f"{name} must be finite")
+    if np.any(p < -1e-12) or abs(float(np.sum(p)) - 1.0) > 1e-9:
+        raise DomainError(f"{name} is not a probability distribution")
+    return np.maximum(p, 0.0)
 
 
 def decompose(phi: Functional, mu: Sequence[float] | None = None) -> StateDecomposition:
@@ -67,7 +73,7 @@ def decompose(phi: Functional, mu: Sequence[float] | None = None) -> StateDecomp
     if mu is None:
         weights = masses / total
     else:
-        weights = _validate_weights(mu, phi.algebra.num_blocks)
+        weights = probability_vector(mu, "weight vector", phi.algebra.num_blocks)
         for k, m in enumerate(masses):
             if m > cut and weights[k] <= 0.0:
                 raise SingularMeasure(f"weight vanishes on block {k} carrying mass {m:.3e}")
@@ -135,7 +141,7 @@ def integrate_disjoint_family(
     """
     if len(components) == 0:
         raise DomainError("need at least one component")
-    mu = _validate_weights(mu, len(components))
+    mu = probability_vector(mu, "weight vector", len(components))
     dims: list[int] = []
     densities: list[np.ndarray] = []
     for w, comp in zip(mu, components):

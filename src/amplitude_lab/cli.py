@@ -25,6 +25,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .forms import geometric_mean
 from .modular import kms_defect
 from .restriction import (
+    MAX_CHAIN_DIM,
     build_lumped_diagonal_chain,
     build_product_chain,
     chain_amplitudes,
@@ -193,6 +194,9 @@ def cmd_chain(args, cfg: RunConfig) -> int:
         phi = product_state([_site_density(args.site_a)] * n, cfg.tol)
         psi = product_state([_site_density(args.site_b)] * n, cfg.tol)
     elif args.lumped is not None:
+        # checked before the weight vectors are allocated
+        if args.lumped > MAX_CHAIN_DIM:
+            raise err.TooLarge(f"--lumped {args.lumped} is above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
         p = qf.geometric_weights(args.lam, args.lumped)
         q = qf.geometric_weights(args.mu, args.lumped)
         chain = build_lumped_diagonal_chain(p, q)

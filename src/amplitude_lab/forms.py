@@ -26,7 +26,7 @@ from .errors import DomainError, ShapeError
 from .linalg import (
     block_diag,
     check_psd,
-    herm_eig,
+    eigh,
     hermitian_part,
     hermitize,
     min_eig,
@@ -103,15 +103,6 @@ def operator_coordinates(x: BlockOperator) -> np.ndarray:
     return np.concatenate([b.reshape(-1) for b in x.blocks])
 
 
-def operator_from_coordinates(algebra: BlockAlgebra, coords: np.ndarray) -> BlockOperator:
-    blocks = []
-    pos = 0
-    for n in algebra.block_dims:
-        blocks.append(np.array(coords[pos : pos + n * n]).reshape(n, n))
-        pos += n * n
-    return BlockOperator(algebra, tuple(blocks))
-
-
 def left_form(phi: Functional) -> PositiveForm:
     """Gram of (x, y) -> phi(x^* y) on the matrix-unit basis."""
     phi.require_positive()
@@ -158,7 +149,7 @@ def _pair_spectral(alpha: PositiveForm, beta: PositiveForm, tol: Tolerances):
     if alpha.dim != beta.dim:
         raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
     s = hermitize(alpha.gram + beta.gram)
-    w, v = herm_eig(s)
+    w, v = eigh(s)
     lam = float(np.max(np.abs(w))) if w.size else 0.0
     keep = w > tol.rank_cut(s.shape[0], lam)
     wr = w[keep]
@@ -166,7 +157,7 @@ def _pair_spectral(alpha: PositiveForm, beta: PositiveForm, tol: Tolerances):
     jmat = (np.sqrt(wr)[:, None]) * vr.conj().T
     inv_root = vr * (1.0 / np.sqrt(wr))[None, :]
     a = hermitize(inv_root.conj().T @ alpha.gram @ inv_root)
-    wa, va = herm_eig(a)
+    wa, va = eigh(a)
     wa = np.clip(wa, 0.0, 1.0)
     snap = tol.psd(1.0)
     wa = np.where(wa < snap, 0.0, wa)

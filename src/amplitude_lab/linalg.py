@@ -1,8 +1,10 @@
 """Dense Hermitian linear-algebra helpers.
 
 Every eigendecomposition in the package goes through eigh or eigvalsh
-here, so that the hermitize-before-eigh policy, the choice of LAPACK
-solver and the scale-relative tolerances are applied uniformly.  Every
+here, so that the choice of LAPACK solver and the scale-relative
+tolerances are applied uniformly.  Callers pass exactly Hermitian
+matrices: hermitized once where a matrix comes from a product or from
+outside, as is where it is Hermitian by construction.  Every
 matrix function (root, power, inverse, flow unitary) is taken from a
 spectrum by spectral_apply.
 """
@@ -40,11 +42,6 @@ def eigh(h: np.ndarray) -> Spectrum:
 def eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, on the solver eigh picks."""
     return np.linalg.eigvalsh(_real_if_exact(h))
-
-
-def herm_eig(a: np.ndarray) -> Spectrum:
-    """Eigendecomposition of the hermitized input, eigenvalues ascending."""
-    return eigh(hermitize(a))
 
 
 def hermitian_part(
@@ -120,7 +117,7 @@ def psd_function(spec: Spectrum, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
 
 def psd_sqrt(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unique PSD square root of a Hermitian PSD matrix (cuts as in psd_function)."""
-    return psd_function(herm_eig(h), np.sqrt, tol)
+    return psd_function(eigh(hermitize(h)), np.sqrt, tol)
 
 
 def unitary_power(spec: Spectrum, z: complex, cut: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .config import DEFAULT_TOL, Tolerances
 from .errors import EmptyReduction, NotFaithful, NotPositive, ShapeError
-from .linalg import herm_eig, hermitize, psd_function, unitary_power
+from .linalg import eigh, hermitize, psd_function, unitary_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +90,10 @@ class Superoperator:
         zc = complex(z)
 
         def power(h):
+            spec = eigh(hermitize(h))
             if zc.imag == 0.0 and zc.real > 0.0:
-                return psd_function(herm_eig(h), lambda w: np.power(w, zc.real), tol)
-            return unitary_power(herm_eig(h), zc, cut=0.0)
+                return psd_function(spec, lambda w: np.power(w, zc.real), tol)
+            return unitary_power(spec, zc, cut=0.0)
 
         left = tuple(power(l) for l in self.left)
         right = tuple(power(r) for r in self.right)

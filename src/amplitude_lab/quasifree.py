@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError
-from .linalg import herm_eig, hermitian_part, hermitize, min_eig
+from .linalg import eigh, hermitian_part, hermitize, min_eig
 
 __all__ = [
     "PresymplecticSpace",
@@ -141,7 +141,7 @@ def reduce(
     product is nondegenerate the input is returned with q = identity.
     """
     gram = majorizing_inner_product(s, t, space)
-    w, v = herm_eig(gram)
+    w, v = eigh(gram)
     lam = float(np.max(np.abs(w))) if w.size else 0.0
     cut = s.tol.rank_cut(space.dim, lam)
     keep = w > cut

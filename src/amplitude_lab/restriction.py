@@ -15,33 +15,45 @@ amplitude when the chain exhausts the algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
 from .amplitudes import transition_amplitude
+from .central import probability_vector
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
 from .linalg import block_diag, hermitize
 
-# Largest ambient dimension build_product_chain accepts: ten qubit sites.
-MAX_PRODUCT_DIM = 1024
+# Largest ambient dimension of a built-in chain (ten qubit sites, or 1024
+# diagonal coordinates).
+MAX_CHAIN_DIM = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class UnitalEmbedding:
-    """Unital *-embedding between block algebras in standard position."""
+    """Unital *-embedding between block algebras in standard position.
+
+    The multiplicity matrix c is read at construction and not kept: the
+    embedding stores its layout, one row (l, start, c[k][l]) per nonempty
+    section, ordered by (target block k, source block l), with the rows
+    of target block k at sections[bounds[k] : bounds[k + 1]].  Copy j of
+    section (l, start, c) puts row p of a_l at row start + p*c + j of the
+    target block, before the unitary.
+    """
 
     source: BlockAlgebra
     target: BlockAlgebra
-    multiplicity: np.ndarray = field(repr=False)
+    multiplicity: InitVar[np.ndarray]
     unitaries: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
+    sections: np.ndarray = field(init=False, repr=False)
+    bounds: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        c = np.array(self.multiplicity, dtype=int)
+    def __post_init__(self, multiplicity):
+        c = np.array(multiplicity, dtype=int)
         if c.shape != (self.target.num_blocks, self.source.num_blocks):
             raise InvalidEmbedding(
                 f"multiplicity shape {c.shape} does not match "
@@ -50,13 +62,25 @@ class UnitalEmbedding:
         if np.any(c < 0):
             raise InvalidEmbedding("multiplicities must be nonnegative")
         dims_src = np.array(self.source.block_dims)
-        for k, n in enumerate(self.target.block_dims):
-            if int(c[k] @ dims_src) != n:
-                raise InvalidEmbedding(
-                    f"target block {k}: sum of c[k][l]*m_l = {int(c[k] @ dims_src)} != {n}"
-                )
-        c.setflags(write=False)
-        object.__setattr__(self, "multiplicity", c)
+        sums = c @ dims_src
+        bad = np.flatnonzero(sums != self.target.block_dims)
+        if bad.size:
+            k = int(bad[0])
+            raise InvalidEmbedding(
+                f"target block {k}: sum of c[k][l]*m_l = {int(sums[k])} "
+                f"!= {self.target.block_dims[k]}"
+            )
+        ks, ls = np.nonzero(c)
+        copies = c[ks, ls]
+        sizes = copies * dims_src[ls]
+        # offset of each section in the concatenated target blocks, minus its block's offset
+        starts = np.cumsum(sizes) - sizes - (np.cumsum(sums) - sums)[ks]
+        sections = np.stack([ls, starts, copies], axis=1)
+        bounds = np.searchsorted(ks, np.arange(self.target.num_blocks + 1))
+        for arr in (sections, bounds):
+            arr.setflags(write=False)
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "bounds", bounds)
         if self.unitaries is not None:
             us = []
             for k, (n, u) in enumerate(zip(self.target.block_dims, self.unitaries, strict=True)):
@@ -72,30 +96,22 @@ class UnitalEmbedding:
     def _unitary(self, k: int) -> np.ndarray | None:
         return None if self.unitaries is None else self.unitaries[k]
 
-    def _section_offsets(self, k: int) -> list[tuple[int, int]]:
-        """(source block l, start offset) of each nonempty section in target block k."""
-        out = []
-        pos = 0
-        for l, m in enumerate(self.source.block_dims):
-            c = int(self.multiplicity[k, l])
-            if c > 0:
-                out.append((l, pos))
-                pos += m * c
-        return out
+    def _sections(self, k: int) -> list[list[int]]:
+        """[l, start, c] of each nonempty section of target block k, ordered by l."""
+        return self.sections[self.bounds[k] : self.bounds[k + 1]].tolist()
 
     def slot_isometries(self, k: int) -> list[tuple[int, np.ndarray]]:
-        """All copy isometries (l, V) into target block k, ordered by (l, copy)."""
+        """All copy isometries (l, V) into target block k, ordered by (l, copy).
+
+        V is a column slice of the unitary (or of the identity): copy j of
+        section (l, start, c) takes columns start + j, start + j + c, ...
+        """
         u = self._unitary(k)
-        n = self.target.block_dims[k]
+        basis = np.eye(self.target.block_dims[k], dtype=complex) if u is None else u
         out = []
-        for l, start in self._section_offsets(k):
-            m = self.source.block_dims[l]
-            c = int(self.multiplicity[k, l])
-            for j in range(c):
-                e = np.zeros((n, m), dtype=complex)
-                for p in range(m):
-                    e[start + p * c + j, p] = 1.0
-                out.append((l, e if u is None else u @ e))
+        for l, start, c in self._sections(k):
+            stop = start + self.source.block_dims[l] * c
+            out.extend((l, basis[:, start + j : stop : c]) for j in range(c))
         return out
 
     def embed(self, a: BlockOperator) -> BlockOperator:
@@ -104,11 +120,7 @@ class UnitalEmbedding:
             raise ShapeError("operator does not live on the source algebra")
         blocks = []
         for k in range(self.target.num_blocks):
-            parts = []
-            for l, _ in self._section_offsets(k):
-                c = int(self.multiplicity[k, l])
-                parts.append(np.kron(a.blocks[l], np.eye(c)))
-            mat = block_diag(*parts)
+            mat = block_diag(*(np.kron(a.blocks[l], np.eye(c)) for l, _, c in self._sections(k)))
             u = self._unitary(k)
             if u is not None:
                 mat = u @ mat @ u.conj().T
@@ -123,30 +135,29 @@ def identity_embedding(algebra: BlockAlgebra) -> UnitalEmbedding:
 def compose_embeddings(outer: UnitalEmbedding, inner: UnitalEmbedding) -> UnitalEmbedding:
     """Composite embedding outer o inner, back in standard position.
 
-    Multiplicity matrices multiply; the composite unitary is rebuilt from
-    the products of copy isometries (ordered by source block, then by
-    the outer copy, then the inner copy).
+    The copies of source block l in target block k are the products of
+    copy isometries, ordered by the outer copy and then the inner copy;
+    their count is the composite multiplicity, and the composite unitary
+    takes copy j of section l in the columns the layout gives it.
     """
     if inner.target != outer.source:
         raise InvalidEmbedding("inner target and outer source algebras differ")
-    c = outer.multiplicity @ inner.multiplicity
-    unitaries = []
-    for k, n in enumerate(outer.target.block_dims):
-        slots: dict[int, list[np.ndarray]] = {l: [] for l in range(inner.source.num_blocks)}
+    slots = []
+    for k in range(outer.target.num_blocks):
+        by_source: list[list[np.ndarray]] = [[] for _ in inner.source.block_dims]
         for j, v_out in outer.slot_isometries(k):
             for l, v_in in inner.slot_isometries(j):
-                slots[l].append(v_out @ v_in)
+                by_source[l].append(v_out @ v_in)
+        slots.append(by_source)
+    c = np.array([[len(copies) for copies in by_source] for by_source in slots], dtype=int)
+    layout = UnitalEmbedding(inner.source, outer.target, c)
+    unitaries = []
+    for k, n in enumerate(outer.target.block_dims):
         u = np.zeros((n, n), dtype=complex)
-        pos = 0
-        for l, m in enumerate(inner.source.block_dims):
-            copies = slots[l]
-            cc = len(copies)
-            assert cc == int(c[k, l])
-            for j, w in enumerate(copies):
-                # scatter w into the standard slot (section l, copy j)
-                for p in range(m):
-                    u[:, pos + p * cc + j] = w[:, p]
-            pos += m * cc
+        for l, start, cc in layout._sections(k):
+            stop = start + inner.source.block_dims[l] * cc
+            for j, w in enumerate(slots[k][l]):
+                u[:, start + j : stop : cc] = w
         unitaries.append(u)
     return UnitalEmbedding(inner.source, outer.target, c, tuple(unitaries), inner.tol)
 
@@ -163,9 +174,8 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
     for k, d in enumerate(phi.densities):
         u = emb._unitary(k)
         rot = d if u is None else u.conj().T @ d @ u
-        for l, start in emb._section_offsets(k):
+        for l, start, c in emb._sections(k):
             m = emb.source.block_dims[l]
-            c = int(emb.multiplicity[k, l])
             section = rot[start : start + m * c, start : start + m * c]
             out[l] += np.einsum("pjqj->pq", section.reshape(m, c, m, c))
     return Functional(emb.source, tuple(hermitize(d) for d in out), phi.tol)
@@ -275,13 +285,6 @@ class SubalgebraChain:
     def __len__(self) -> int:
         return len(self.algebras)
 
-    def embedding_to_ambient(self, n: int) -> UnitalEmbedding:
-        """Composite embedding A_{n+1} -> ambient (0-based index)."""
-        emb = self.final
-        for link in reversed(self.links[n:]):
-            emb = compose_embeddings(emb, link)
-        return emb
-
 
 def chain_amplitudes(phi: Functional, psi: Functional, chain: SubalgebraChain) -> list[float]:
     """Transition amplitudes of the restrictions along the chain.
@@ -310,7 +313,7 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
     A_n is the full matrix algebra on the first n sites embedded as
     a -> a (x) 1 on the rest.  The ambient dimension d_1 ... d_N, the side
     of the dense densities a product state on it carries, may not exceed
-    MAX_PRODUCT_DIM; the sites are read only until it does.
+    MAX_CHAIN_DIM; the sites are read only until it does.
     """
     dims: list[int] = []
     ambient_dim = 1
@@ -319,10 +322,10 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
             raise DomainError("site dimensions must be positive")
         dims.append(int(d))
         ambient_dim *= dims[-1]
-        if ambient_dim > MAX_PRODUCT_DIM:
+        if ambient_dim > MAX_CHAIN_DIM:
             raise TooLarge(
                 f"the first {len(dims)} sites have ambient dimension {ambient_dim}, "
-                f"above MAX_PRODUCT_DIM = {MAX_PRODUCT_DIM}"
+                f"above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}"
             )
     if not dims:
         raise DomainError("site dimensions must be positive")
@@ -348,35 +351,25 @@ def product_state(site_densities: Sequence[np.ndarray], tol: Tolerances = DEFAUL
     return Functional(BlockAlgebra((acc.shape[0],)), (acc,), tol)
 
 
-def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise DomainError(f"{name} must be a nonempty vector")
-    if not np.all(np.isfinite(p)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(p < -1e-12) or abs(float(np.sum(p)) - 1.0) > 1e-9:
-        raise DomainError(f"{name} is not a probability distribution")
-    return np.maximum(p, 0.0)
-
-
 def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> SubalgebraChain:
     """Chain of tail-lumped diagonal subalgebras of C^N.
 
     A_n keeps the first n-1 coordinates and lumps the tail into a single
     unit; restricting a diagonal state sums its tail mass.  Both weight
-    vectors are validated as distributions of the same length.
+    vectors are validated as distributions of the same length, which may
+    not exceed MAX_CHAIN_DIM.
     """
-    pv = _check_distribution(np.asarray(p), "p")
-    qv = _check_distribution(np.asarray(q), "q")
+    pv = probability_vector(p, "p")
+    qv = probability_vector(q, "q")
     if pv.size != qv.size:
         raise DomainError("p and q must have the same length")
     n_total = pv.size
+    if n_total > MAX_CHAIN_DIM:
+        raise TooLarge(f"{n_total} coordinates are above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
     algebras = tuple(BlockAlgebra((1,) * n) for n in range(1, n_total + 1))
     links = []
     for n in range(1, n_total):
-        c = np.zeros((n + 1, n), dtype=int)
-        for k in range(n):
-            c[k, k] = 1
+        c = np.eye(n + 1, n, dtype=int)
         c[n, n - 1] = 1
         links.append(UnitalEmbedding(algebras[n - 1], algebras[n], c))
     return SubalgebraChain(algebras, tuple(links), identity_embedding(algebras[-1]))

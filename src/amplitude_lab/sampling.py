@@ -6,7 +6,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
 from .config import DEFAULT_TOL
-from .linalg import eigh, herm_eig, hermitize, unitary_power
+from .linalg import eigh, hermitize, unitary_power
 from .restriction import UcpMap, UnitalEmbedding
 
 
@@ -43,10 +43,6 @@ def random_state(
         mats.append(random_psd(rng, n, rank))
     total = sum(np.trace(m).real for m in mats)
     return Functional(algebra, tuple(m / total for m in mats))
-
-
-def random_positive(rng: np.random.Generator, algebra: BlockAlgebra) -> Functional:
-    return Functional(algebra, tuple(random_psd(rng, n) for n in algebra.block_dims))
 
 
 def random_operator(rng: np.random.Generator, algebra: BlockAlgebra) -> BlockOperator:
@@ -95,7 +91,7 @@ def random_ucp(
     for n in target.block_dims:
         raw = [random_complex(rng, (s, n)) for _ in range(n_kraus)]
         total = sum(a.conj().T @ a for a in raw)
-        inv_root = unitary_power(herm_eig(total), -0.5, cut=1e-12)
+        inv_root = unitary_power(eigh(hermitize(total)), -0.5, cut=1e-12)
         families.append(tuple(a @ inv_root for a in raw))
     return UcpMap(source, target, tuple(families))
 
@@ -132,8 +128,3 @@ def bell_state(tol=DEFAULT_TOL) -> Functional:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return Functional(BlockAlgebra((4,)), (np.outer(v, v.conj()),), tol)
-
-
-def haar_rotated_state(rng: np.random.Generator, diag: np.ndarray) -> np.ndarray:
-    u = random_unitary(rng, diag.size)
-    return hermitize(u @ np.diag(diag).astype(complex) @ u.conj().T)

@@ -37,7 +37,7 @@ from .forms import (
     matrix_units,
     right_form,
 )
-from .linalg import herm_eig, hermitize, min_eig, psd_sqrt, unitary_power
+from .linalg import eigh, hermitize, min_eig, psd_sqrt, unitary_power
 from .modular import (
     kms_defect,
     modular_conjugation,
@@ -72,7 +72,7 @@ from .sampling import (
 def _spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2} for invertible PSD inputs."""
     ar = psd_sqrt(a)
-    ai = unitary_power(herm_eig(a), -0.5, cut=0.0)
+    ai = unitary_power(eigh(hermitize(a)), -0.5, cut=0.0)
     return hermitize(ar @ psd_sqrt(hermitize(ai @ b @ ai)) @ ar)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from amplitude_lab import Functional, make_algebra
 from amplitude_lab import serialize as ser
+from amplitude_lab.restriction import MAX_CHAIN_DIM
 from amplitude_lab.sampling import random_state
 
 
@@ -153,6 +154,13 @@ class TestChain:
     def test_product_chain_is_capped_by_dimension(self, args):
         # 2**11 and 2**20 exceed the 1024 cap on the ambient dimension
         res = run_cli("chain", "--product-chain", *args)
+        assert res.returncode == 6, res.stderr
+        assert json.loads(res.stdout)["error"]["type"] == "TooLarge"
+
+    @pytest.mark.parametrize("n", [MAX_CHAIN_DIM + 1, 10**9])
+    def test_lumped_chain_is_capped(self, n):
+        # refused before the weight vectors are allocated
+        res = run_cli("chain", "--lumped", str(n))
         assert res.returncode == 6, res.stderr
         assert json.loads(res.stdout)["error"]["type"] == "TooLarge"
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from amplitude_lab import (
     transition_amplitude,
     ucp_pullback,
 )
+from amplitude_lab.restriction import MAX_CHAIN_DIM
 from amplitude_lab.sampling import (
     bell_state,
     dephasing_ucp,
@@ -108,6 +110,90 @@ class TestRestrict:
             UnitalEmbedding(make_algebra([2]), make_algebra([3]), np.array([[1]]))
         with pytest.raises(InvalidEmbedding):
             UnitalEmbedding(make_algebra([2]), make_algebra([4]), np.array([[-2]]))
+
+
+def brute_force_slots(c, source_dims, unitaries, k):
+    """Copy isometries of target block k from 0/1 matrices: row start + p*c + j."""
+    n = int(c[k] @ source_dims)
+    u = np.eye(n) if unitaries is None else unitaries[k]
+    out = []
+    start = 0
+    for l, m in enumerate(source_dims):
+        ckl = int(c[k, l])
+        for j in range(ckl):
+            e = np.zeros((n, m))
+            for p in range(m):
+                e[start + p * ckl + j, p] = 1.0
+            out.append((l, u @ e))
+        start += m * ckl
+    return out
+
+
+class TestLayout:
+    @pytest.mark.parametrize("with_unitaries", [False, True])
+    def test_slot_isometries_match_brute_force(self, with_unitaries):
+        rng = np.random.default_rng(31)
+        cases = [np.array([[0, 2, 1], [1, 0, 0], [2, 1, 0]])]
+        for _ in range(8):
+            c = rng.integers(0, 3, size=(int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+            c[~c.any(axis=1), 0] = 1
+            cases.append(c)
+        for c in cases:
+            source = make_algebra(list(rng.integers(1, 4, size=c.shape[1])))
+            dims = np.array(source.block_dims)
+            target = make_algebra([int(n) for n in c @ dims])
+            us = None
+            if with_unitaries:
+                us = tuple(random_unitary(rng, n) for n in target.block_dims)
+            emb = UnitalEmbedding(source, target, c, us)
+            for k in range(target.num_blocks):
+                got = emb.slot_isometries(k)
+                want = brute_force_slots(c, dims, us, k)
+                assert [l for l, _ in got] == [l for l, _ in want]
+                for (_, v), (_, w) in zip(got, want):
+                    assert np.array_equal(v, w)
+
+    def test_sections_record_each_nonempty_section(self):
+        c = np.array([[0, 2, 1], [1, 0, 0], [2, 1, 0]])
+        source = make_algebra([2, 1, 3])
+        emb = UnitalEmbedding(source, make_algebra([5, 2, 5]), c)
+        # (source block, start offset, copies), ordered by (target block, source block)
+        assert emb.sections.tolist() == [[1, 0, 2], [2, 2, 1], [0, 0, 1], [0, 0, 2], [1, 4, 1]]
+        assert emb.bounds.tolist() == [0, 2, 3, 5]
+        assert not hasattr(emb, "multiplicity")
+
+    def test_composite_multiplicities_and_slots(self):
+        rng = np.random.default_rng(32)
+        inner_c = np.array([[1, 0], [2, 1]])
+        inner = UnitalEmbedding(
+            make_algebra([2, 1]),
+            make_algebra([2, 5]),
+            inner_c,
+            tuple(random_unitary(rng, n) for n in (2, 5)),
+        )
+        outer_c = np.array([[2, 1], [0, 1]])
+        outer = UnitalEmbedding(
+            inner.target,
+            make_algebra([9, 5]),
+            outer_c,
+            tuple(random_unitary(rng, n) for n in (9, 5)),
+        )
+        comp = compose_embeddings(outer, inner)
+        c = outer_c @ inner_c
+        dims = np.array(inner.source.block_dims)
+        layout = UnitalEmbedding(inner.source, outer.target, c)
+        assert np.array_equal(comp.sections, layout.sections)
+        for k in range(2):
+            want = [
+                (l, v_out @ v_in)
+                for j, v_out in outer.slot_isometries(k)
+                for l, v_in in inner.slot_isometries(j)
+            ]
+            want.sort(key=lambda lv: lv[0])  # stable: (l, outer copy, inner copy)
+            got = brute_force_slots(c, dims, comp.unitaries, k)
+            assert [l for l, _ in got] == [l for l, _ in want]
+            for (_, v), (_, w) in zip(got, want):
+                assert np.array_equal(v, w)
 
 
 class TestUcp:
@@ -219,7 +305,8 @@ class TestChains:
         mats = [random_density(rng, 2) for _ in range(3)]
         phi = product_state(mats)
         _, chain = build_product_chain([2, 2, 2])
-        two = restrict(phi, chain.embedding_to_ambient(1))
+        # A_2 -> A_3 composed with the identity onto the ambient
+        two = restrict(phi, compose_embeddings(chain.final, chain.links[1]))
         assert np.allclose(two.densities[0], np.kron(mats[0], mats[1]), atol=1e-12)
 
     def test_cap(self):
@@ -281,3 +368,21 @@ class TestLumpedDiagonalChain:
             build_lumped_diagonal_chain([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(DomainError):
             build_lumped_diagonal_chain([0.5, 0.5], [0.5, 0.25, 0.25])
+
+    def test_cap(self):
+        w = np.full(MAX_CHAIN_DIM + 1, 1.0 / (MAX_CHAIN_DIM + 1))
+        with pytest.raises(TooLarge):
+            build_lumped_diagonal_chain(w, w)
+
+    def test_memory_is_linear_per_link(self):
+        # a dense multiplicity matrix per link would hold about N^3/3 integers (70 MB)
+        n = 300
+        w = np.full(n, 1.0 / n)
+        tracemalloc.start()
+        try:
+            chain = build_lumped_diagonal_chain(w, w)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(chain) == n
+        assert held < 16 * 2**20

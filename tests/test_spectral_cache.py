@@ -272,10 +272,9 @@ class TestRealSolver:
         for h, dtype in ((real, np.dtype(float)), (cplx, np.dtype(complex))):
             linalg.eigh(h)
             linalg.eigvalsh(h)
-            linalg.herm_eig(h)
             linalg.min_eig(h)
             linalg.check_psd(h)
-            names = ("eigh", "eigvalsh", "eigh", "eigvalsh", "eigvalsh")
+            names = ("eigh", "eigvalsh", "eigvalsh", "eigvalsh")
             expected += [(name, dtype) for name in names]
         assert lapack_dtypes == expected
 
