@@ -14,9 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, rank_cut
 from .errors import InvalidAlgebra, NotPositive, ShapeError
-from .linalg import Spectrum, eigh, hermitian_part
+from .linalg import Spectrum, eigh, hermitian_part, is_psd
 
 
 def _square(arr: np.ndarray, n: int) -> np.ndarray:
@@ -63,9 +63,6 @@ class BlockAlgebra:
 
     def identity(self) -> "BlockOperator":
         return BlockOperator(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
-
-    def zero_operator(self) -> "BlockOperator":
-        return BlockOperator(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
 
     def zero_functional(self) -> "Functional":
         return Functional(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
@@ -177,9 +174,14 @@ class Functional:
         """Largest |eigenvalue| over all blocks; the functional's scale."""
         return max(float(np.max(np.abs(w))) for w, _ in self.spectrum())
 
+    def rank_cuts(self) -> list[float]:
+        """Per-block rank cuts on the functional's scale, scale_max()."""
+        lam = self.scale_max()
+        return [rank_cut(n, lam) for n in self.algebra.block_dims]
+
     def is_positive(self) -> bool:
-        cut = self.tol.psd(self.scale_max())
-        return not any(float(w[0]) < -cut for w, _ in self.spectrum())
+        """The one positivity test of a functional: is_psd on every block's eigenvalues."""
+        return is_psd(np.concatenate([w for w, _ in self.spectrum()]), self.tol)
 
     def require_positive(self, what: str = "functional") -> None:
         if not self.is_positive():
@@ -295,11 +297,7 @@ def _support_isometries(phi: Functional) -> tuple[np.ndarray, ...]:
     scale count toward the rank.
     """
     phi.require_positive()
-    lam = phi.scale_max()
-    return tuple(
-        v[:, w > phi.tol.rank_cut(n, lam)]
-        for n, (w, v) in zip(phi.algebra.block_dims, phi.spectrum())
-    )
+    return tuple(v[:, w > cut] for cut, (w, v) in zip(phi.rank_cuts(), phi.spectrum()))
 
 
 def support_projection(phi: Functional) -> BlockOperator:

@@ -28,7 +28,7 @@ from .linalg import min_eig, psd_function, trace_norm
 def sqrt_vector(phi: Functional) -> L2Vector:
     """Square-root vector of a positive functional, blockwise PSD root."""
     phi.require_positive()
-    roots = tuple(psd_function(spec, np.sqrt, phi.tol) for spec in phi.spectrum())
+    roots = tuple(psd_function(spec, np.sqrt) for spec in phi.spectrum())
     return L2Vector(phi.algebra, roots)
 
 
@@ -67,8 +67,12 @@ def uhlmann_fidelity(phi: Functional, psi: Functional) -> float:
     than rooting the product matrix.
     """
     _check_same_algebra(phi, psi)
+    return _root_fidelity(sqrt_vector(phi), sqrt_vector(psi))
+
+
+def _root_fidelity(root_p: L2Vector, root_q: L2Vector) -> float:
     total = 0.0
-    for rp, rq in zip(sqrt_vector(phi).blocks, sqrt_vector(psi).blocks):
+    for rp, rq in zip(root_p.blocks, root_q.blocks):
         total += trace_norm(rp @ rq)
     return total * total
 
@@ -111,13 +115,11 @@ def inequality_suite(
     positive pair; amplitude^2 <= fidelity <= amplitude needs states.
     Concavity is reported as the smallest eigenvalue of
     (t phi + (1-t) psi)^{1/2} - t phi^{1/2} - (1-t) psi^{1/2} over the
-    sampled t.
+    sampled t.  Each square root is taken once.
     """
     _check_same_algebra(phi, psi)
-    phi.require_positive()
-    psi.require_positive()
-    amp = transition_amplitude(phi, psi)
     root_p, root_q = sqrt_vector(phi), sqrt_vector(psi)
+    amp = max(root_p.inner(root_q).real, 0.0)
     diff = root_p - root_q
     total = root_p + root_q
     root_diff_sq = diff.inner(diff).real
@@ -126,9 +128,9 @@ def inequality_suite(
     lower_defect = dist - root_diff_sq
     upper_defect = np.sqrt(max(root_diff_sq, 0.0)) * root_sum - dist
 
-    is_state_pair = abs(phi.mass - 1.0) <= 1e-8 and abs(psi.mass - 1.0) <= 1e-8
+    is_state_pair = abs(phi.mass - 1.0) <= phi.tol.num and abs(psi.mass - 1.0) <= psi.tol.num
     if is_state_pair:
-        fid = uhlmann_fidelity(phi, psi)
+        fid = _root_fidelity(root_p, root_q)
         sandwich_lower = fid - amp * amp
         sandwich_upper = amp - fid
     else:

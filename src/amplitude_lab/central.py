@@ -38,7 +38,7 @@ class StateDecomposition:
         for k, comp in enumerate(self.components):
             c = float(self.weights[k] * self.radon_nikodym[k])
             densities.append(c * comp.densities[0])
-        return Functional(self.algebra, tuple(densities))
+        return Functional(self.algebra, tuple(densities), self.components[0].tol)
 
 
 def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
@@ -111,6 +111,13 @@ def amplitude_sum_check(
     omitted the central mass of the average state is used, which is
     admissible for both arguments.
     """
+    return amplitude_sum_terms(phi, psi, mu)[2]
+
+
+def amplitude_sum_terms(
+    phi: Functional, psi: Functional, mu: Sequence[float] | None = None
+) -> tuple[np.ndarray, list[float], AmplitudeSumCheck]:
+    """Weights, each block's component amplitude and the sum check; one decompose per state."""
     _check_same_algebra(phi, psi)
     if mu is None:
         avg = 0.5 * (phi + psi)
@@ -121,13 +128,15 @@ def amplitude_sum_check(
         mu = masses / total
     dp = decompose(phi, mu)
     dq = decompose(psi, mu)
+    amps = [transition_amplitude(p, q) for p, q in zip(dp.components, dq.components)]
     rhs = 0.0
-    for k in range(phi.algebra.num_blocks):
+    for k, a_k in enumerate(amps):
         scale = dp.weights[k] * np.sqrt(dp.radon_nikodym[k] * dq.radon_nikodym[k])
         if scale > 0.0:
-            rhs += scale * transition_amplitude(dp.components[k], dq.components[k])
+            rhs += scale * a_k
     lhs = transition_amplitude(phi, psi)
-    return AmplitudeSumCheck(lhs=lhs, rhs=float(rhs), defect=abs(lhs - float(rhs)))
+    check = AmplitudeSumCheck(lhs=lhs, rhs=float(rhs), defect=abs(lhs - float(rhs)))
+    return dp.weights, amps, check
 
 
 def integrate_disjoint_family(

@@ -128,7 +128,7 @@ def cmd_fidelity(args, cfg: RunConfig) -> int:
 def cmd_gmean(args, cfg: RunConfig) -> int:
     alpha = ser.form_from_json(ser.load_file(args.alpha), positive=True, tol=cfg.tol)
     beta = ser.form_from_json(ser.load_file(args.beta), positive=True, tol=cfg.tol)
-    mean = geometric_mean(alpha, beta, cfg.tol)
+    mean = geometric_mean(alpha, beta)
     if cfg.csv:
         print("i,j,re,im")
         for i in range(mean.dim):
@@ -216,18 +216,10 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
     mu = _floats(args.mu_weights, "--mu weights") if args.mu_weights else None
     phi = _load_functional(args.phi, cfg)
     psi = _load_functional(args.psi, cfg)
-    check = ct.amplitude_sum_check(phi, psi, mu)
-    if mu is None:
-        avg = 0.5 * (phi + psi)
-        weights = avg.block_masses() / avg.mass
-    else:
-        weights = np.asarray(mu, dtype=float)
-    dp = ct.decompose(phi, weights)
-    dq = ct.decompose(psi, weights)
+    weights, amps, check = ct.amplitude_sum_terms(phi, psi, mu)
     print("block,weight,component_amplitude")
-    for k in range(phi.algebra.num_blocks):
-        a_k = transition_amplitude(dp.components[k], dq.components[k])
-        print(f"{k},{_fmt(weights[k])},{_fmt(a_k)}")
+    for k, (w, a_k) in enumerate(zip(weights, amps)):
+        print(f"{k},{_fmt(w)},{_fmt(a_k)}")
     print("lhs,rhs,defect")
     print(f"{_fmt(check.lhs)},{_fmt(check.rhs)},{_fmt(check.defect)}")
     return 0
@@ -263,7 +255,7 @@ def cmd_kms(args, cfg: RunConfig) -> int:
 
 
 def cmd_qf_reduce(args, cfg: RunConfig) -> int:
-    space, s, t = ser.covariance_triple_from_json(ser.load_file(args.triple))
+    space, s, t = ser.covariance_triple_from_json(ser.load_file(args.triple), cfg.tol)
     triple = qf.reduce(space, s, t)
     payload = {
         "kernel_dim": triple.kernel_dim,
@@ -365,7 +357,7 @@ def _tolerances(raw: float | None) -> Tolerances:
         return DEFAULT_TOL
     if not (math.isfinite(raw) and raw > 0.0):
         raise err.ParseError(f"bad --tol {raw!r}: expected a finite number > 0")
-    return Tolerances(herm_scale=raw, psd_scale=raw, num=raw)
+    return Tolerances(slack=raw, num=raw)
 
 
 def main(argv=None) -> int:

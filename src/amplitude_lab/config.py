@@ -1,8 +1,9 @@
 """Numerical tolerance policy.
 
-All cutoffs are scale-relative: hermiticity and positivity slack grow with
-the largest eigenvalue magnitude of the matrix under test, and rank cuts
-follow the usual dimension * machine-epsilon * spectral-radius rule.
+All cutoffs are scale-relative.  One slack serves hermiticity, measured
+on the largest entry of the matrix under test, and positivity, measured
+on its largest |eigenvalue|; rank cuts follow the usual dimension *
+machine-epsilon * spectral-radius rule.
 """
 
 from __future__ import annotations
@@ -18,25 +19,21 @@ EPS = float(np.finfo(np.float64).eps)
 class Tolerances:
     """Scale-relative tolerance bundle used across the package.
 
-    herm_scale / psd_scale multiply (1 + lambda_max) for hermiticity and
-    positivity slack; rank cuts use dim * EPS * lambda_max scaled by
-    rank_scale; num is the generic comparison tolerance for identities
-    that hold exactly in real arithmetic.
+    slack multiplies (1 + scale) for the hermiticity and positivity
+    slack psd(scale); num is the generic comparison tolerance for
+    identities that hold exactly in real arithmetic.
     """
 
-    herm_scale: float = 1e-10
-    psd_scale: float = 1e-10
-    rank_scale: float = 1.0
+    slack: float = 1e-10
     num: float = 1e-8
 
-    def herm(self, lam_max: float) -> float:
-        return self.herm_scale * (1.0 + lam_max)
+    def psd(self, scale: float) -> float:
+        return self.slack * (1.0 + scale)
 
-    def psd(self, lam_max: float) -> float:
-        return self.psd_scale * (1.0 + lam_max)
 
-    def rank_cut(self, dim: int, lam_max: float) -> float:
-        return self.rank_scale * dim * EPS * lam_max
+def rank_cut(dim: int, lam_max: float) -> float:
+    """Eigenvalues this small, dim * EPS * lam_max, count as zero."""
+    return dim * EPS * lam_max
 
 
 DEFAULT_TOL = Tolerances()

@@ -21,15 +21,16 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_same_algebra
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, rank_cut
 from .errors import DomainError, ShapeError
 from .linalg import (
     block_diag,
     check_psd,
     eigh,
+    eigvalsh,
     hermitian_part,
     hermitize,
-    min_eig,
+    is_psd,
     psd_function,
 )
 
@@ -70,7 +71,7 @@ class PositiveForm(HermitianForm):
 
     def __post_init__(self):
         super().__post_init__()
-        check_psd(self.gram, self.tol, "Gram matrix")
+        check_psd(eigvalsh(self.gram), self.tol, "Gram matrix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +133,13 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     psi.require_positive()
     grams = []
     for sp, sq in zip(phi.spectrum(), psi.spectrum()):
-        p = psd_function(sp, lambda w: np.power(w, 1.0 - t), phi.tol)
-        q = psd_function(sq, lambda w: np.power(w, t), psi.tol)
+        p = psd_function(sp, lambda w: np.power(w, 1.0 - t))
+        q = psd_function(sq, lambda w: np.power(w, t))
         grams.append(np.kron(q, p.T))
     return PositiveForm(block_diag(*grams), phi.tol)
 
 
-def _pair_spectral(alpha: PositiveForm, beta: PositiveForm, tol: Tolerances):
+def _pair_spectral(alpha: PositiveForm, beta: PositiveForm):
     """Embedding coordinates and the snapped spectral data of the A operator.
 
     Eigenvalues of A are clipped to [0, 1] and values within the
@@ -151,7 +152,7 @@ def _pair_spectral(alpha: PositiveForm, beta: PositiveForm, tol: Tolerances):
     s = hermitize(alpha.gram + beta.gram)
     w, v = eigh(s)
     lam = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = w > tol.rank_cut(s.shape[0], lam)
+    keep = w > rank_cut(s.shape[0], lam)
     wr = w[keep]
     vr = v[:, keep]
     jmat = (np.sqrt(wr)[:, None]) * vr.conj().T
@@ -159,50 +160,42 @@ def _pair_spectral(alpha: PositiveForm, beta: PositiveForm, tol: Tolerances):
     a = hermitize(inv_root.conj().T @ alpha.gram @ inv_root)
     wa, va = eigh(a)
     wa = np.clip(wa, 0.0, 1.0)
-    snap = tol.psd(1.0)
+    snap = alpha.tol.psd(1.0)
     wa = np.where(wa < snap, 0.0, wa)
     wa = np.where(wa > 1.0 - snap, 1.0, wa)
     return jmat, wa, va
 
 
-def pair_representation(
-    alpha: PositiveForm, beta: PositiveForm, tol: Tolerances = DEFAULT_TOL
-) -> PairRepresentation:
+def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresentation:
     """Canonical representation of the unordered pair {alpha, beta}.
 
     Degenerate pairs are handled by range compression: the rank may be
     smaller than the dimension and no inverse is taken outside the range
-    of G_a + G_b.
+    of G_a + G_b.  The endpoint snap uses alpha's tolerances.
     """
-    jmat, wa, va = _pair_spectral(alpha, beta, tol)
+    jmat, wa, va = _pair_spectral(alpha, beta)
     r = wa.size
     a = hermitize((va * wa) @ va.conj().T)
     b = np.eye(r) - a
     return PairRepresentation(rank=r, jmat=jmat, a_op=a, b_op=b)
 
 
-def geometric_mean(
-    alpha: PositiveForm, beta: PositiveForm, tol: Tolerances = DEFAULT_TOL
-) -> PositiveForm:
-    """Largest Hermitian form dominated by {alpha, beta}; symmetric in the pair."""
-    jmat, wa, va = _pair_spectral(alpha, beta, tol)
+def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
+    """Largest Hermitian form dominated by {alpha, beta}, carrying alpha's tol; symmetric."""
+    jmat, wa, va = _pair_spectral(alpha, beta)
     middle = (va * np.sqrt(wa * (1.0 - wa))) @ va.conj().T
     gram = hermitize(jmat.conj().T @ middle @ jmat)
-    return PositiveForm(gram, tol)
+    return PositiveForm(gram, alpha.tol)
 
 
-def is_dominated(
-    gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm, tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) -> bool:
     """Exact block-PSD certificate for |gamma(x,y)|^2 <= alpha(x,x) beta(y,y).
 
     Equivalent to the contraction factorization G_c = G_a^{1/2} K G_b^{1/2}
-    with ||K|| <= 1.
+    with ||K|| <= 1; the block is tested by is_psd with alpha's tolerances.
     """
     if not (gamma.dim == alpha.dim == beta.dim):
         raise ShapeError("form dimensions differ")
     top = np.hstack([alpha.gram, gamma.gram])
     bottom = np.hstack([gamma.gram.conj().T, beta.gram])
-    block = np.vstack([top, bottom])
-    lam = float(np.max(np.abs(block))) if block.size else 0.0
-    return min_eig(block) >= -tol.psd(lam)
+    return is_psd(eigvalsh(np.vstack([top, bottom])), alpha.tol)

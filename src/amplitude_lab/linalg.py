@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, rank_cut
 from .errors import NotPositive
 
 Spectrum = tuple[np.ndarray, np.ndarray]
@@ -50,13 +50,13 @@ def hermitian_part(
     what: str = "matrix",
     error: type[Exception] = NotPositive,
 ) -> np.ndarray:
-    """hermitize(a), after checking max|a - a*| <= tol.herm(max|a|); else raise error.
+    """hermitize(a), after checking max|a - a*| <= tol.psd(max|a|); else raise error.
 
     a* is formed once and serves both the check and the Hermitian part,
     which is bit-identical to hermitize(a).  NaN fails the check.
     """
     ah = a.conj().T
-    if a.size and not float(np.max(np.abs(a - ah))) <= tol.herm(float(np.max(np.abs(a)))):
+    if a.size and not float(np.max(np.abs(a - ah))) <= tol.psd(float(np.max(np.abs(a)))):
         raise error(f"{what} is not Hermitian within tolerance")
     return 0.5 * (a + ah)
 
@@ -80,14 +80,15 @@ def min_eig(a: np.ndarray) -> float:
     return float(eigvalsh(hermitize(a))[0])
 
 
-def check_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> None:
-    """Raise NotPositive if any eigenvalue falls below -tau_psd."""
-    if a.size == 0:
-        return
-    w = eigvalsh(hermitize(a))
-    lam_max = float(np.max(np.abs(w)))
-    if float(w[0]) < -tol.psd(lam_max):
-        raise NotPositive(f"{what} has eigenvalue {w[0]:.3e} below -{tol.psd(lam_max):.3e}")
+def is_psd(w: np.ndarray, tol: Tolerances) -> bool:
+    """The one positivity test: no eigenvalue in w falls below -tol.psd(max|w|)."""
+    return not w.size or float(np.min(w)) >= -tol.psd(float(np.max(np.abs(w))))
+
+
+def check_psd(w: np.ndarray, tol: Tolerances, what: str = "matrix") -> None:
+    """Raise NotPositive unless is_psd(w, tol) for the eigenvalues w."""
+    if not is_psd(w, tol):
+        raise NotPositive(f"{what} is not positive semidefinite: eigenvalue {np.min(w):.3e}")
 
 
 def spectral_apply(spec: Spectrum, f) -> np.ndarray:
@@ -96,28 +97,28 @@ def spectral_apply(spec: Spectrum, f) -> np.ndarray:
     return (v * f(w)) @ v.conj().T
 
 
-def psd_function(spec: Spectrum, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def psd_function(spec: Spectrum, f) -> np.ndarray:
     """Hermitian f(h) of a PSD matrix h from its spectrum, with roundoff clamped to 0.
 
-    Negative eigenvalues within -tau_psd are clamped; anything more
-    negative raises NotPositive.  Positive eigenvalues below the rank
-    cut are zeroed as well, so exact-rank-deficient input stays exactly
-    rank deficient (fractional powers would otherwise amplify
-    eigenvalue noise to its square root).  Both cuts scale with this
-    matrix's own largest |eigenvalue|.  With f a power s, zero
-    eigenvalues map to 0 for s > 0 and to 1 at s = 0.
+    Raises nothing: callers decide positivity first, by is_psd or by
+    Functional.is_positive.  Eigenvalues below the rank cut of this
+    matrix's own largest |eigenvalue|, negative roundoff included, are
+    zeroed, so exact-rank-deficient input stays exactly rank deficient
+    (fractional powers would otherwise amplify eigenvalue noise to its
+    square root).  With f a power s, zero eigenvalues map to 0 for s > 0
+    and to 1 at s = 0.
     """
     w, v = spec
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and float(w[0]) < -tol.psd(lam_max):
-        raise NotPositive(f"matrix has eigenvalue {w[0]:.3e} below -{tol.psd(lam_max):.3e}")
-    w = np.where(w < tol.rank_cut(w.size, lam_max), 0.0, w)
+    w = np.where(w < rank_cut(w.size, lam_max), 0.0, w)
     return hermitize(spectral_apply((w, v), f))
 
 
-def psd_sqrt(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unique PSD square root of a Hermitian PSD matrix (cuts as in psd_function)."""
-    return psd_function(eigh(hermitize(h)), np.sqrt, tol)
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
+    """Unique PSD square root of a Hermitian PSD matrix; NotPositive otherwise."""
+    spec = eigh(hermitize(h))
+    check_psd(spec[0], DEFAULT_TOL)
+    return psd_function(spec, np.sqrt)
 
 
 def unitary_power(spec: Spectrum, z: complex, cut: float) -> np.ndarray:

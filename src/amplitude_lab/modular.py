@@ -22,9 +22,9 @@ from .algebra import (
     evaluate,
     is_faithful,
 )
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import EmptyReduction, NotFaithful, NotPositive, ShapeError
-from .linalg import eigh, hermitize, psd_function, unitary_power
+from .linalg import check_psd, eigh, hermitize, psd_function, unitary_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +78,12 @@ class Superoperator:
         right = tuple(l2.conj().T @ r1 for r1, l2 in zip(self.right, other.left))
         return Superoperator(self.algebra, left, right, not other.antilinear)
 
-    def power(self, z: complex, tol: Tolerances = DEFAULT_TOL) -> "Superoperator":
+    def power(self, z: complex) -> "Superoperator":
         """Power of a structured map with Hermitian PSD factors.
 
         Zero eigenvalues are admitted only for real exponents with
-        positive real part (0^z = 0); anything else needs a strictly
-        positive factor.
+        positive real part (0^z = 0), on factors that pass is_psd;
+        anything else needs a strictly positive factor.
         """
         if self.antilinear:
             raise NotPositive("powers are defined for linear positive superoperators only")
@@ -92,7 +92,8 @@ class Superoperator:
         def power(h):
             spec = eigh(hermitize(h))
             if zc.imag == 0.0 and zc.real > 0.0:
-                return psd_function(spec, lambda w: np.power(w, zc.real), tol)
+                check_psd(spec[0], DEFAULT_TOL, "superoperator factor")
+                return psd_function(spec, lambda w: np.power(w, zc.real))
             return unitary_power(spec, zc, cut=0.0)
 
         left = tuple(power(l) for l in self.left)
@@ -112,11 +113,7 @@ def _require_faithful(phi: Functional, what: str = "functional") -> None:
 
 
 def _inverse_density(phi: Functional) -> tuple[np.ndarray, ...]:
-    lam = phi.scale_max()
-    return tuple(
-        unitary_power(spec, -1.0, phi.tol.rank_cut(n, lam))
-        for n, spec in zip(phi.algebra.block_dims, phi.spectrum())
-    )
+    return tuple(unitary_power(s, -1.0, cut) for cut, s in zip(phi.rank_cuts(), phi.spectrum()))
 
 
 def relative_modular(psi: Functional, phi: Functional) -> Superoperator:
@@ -150,10 +147,8 @@ def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
 
 def _flow_at(phi: Functional, z: complex, x: BlockOperator) -> BlockOperator:
     """Flow at a complex time, x -> D^{iz} x D^{-iz}, from the cached spectrum."""
-    lam = phi.scale_max()
     blocks = []
-    for n, spec, b in zip(phi.algebra.block_dims, phi.spectrum(), x.blocks):
-        cut = phi.tol.rank_cut(n, lam)
+    for cut, spec, b in zip(phi.rank_cuts(), phi.spectrum(), x.blocks):
         blocks.append(unitary_power(spec, 1j * z, cut) @ b @ unitary_power(spec, -1j * z, cut))
     return BlockOperator(phi.algebra, tuple(blocks))
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, rank_cut
 from .errors import DomainError, InvalidCovariance, ShapeError
-from .linalg import eigh, hermitian_part, hermitize, min_eig
+from .linalg import eigh, eigvalsh, hermitian_part, is_psd
 
 __all__ = [
     "PresymplecticSpace",
@@ -44,7 +44,7 @@ class PresymplecticSpace:
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ShapeError(f"presymplectic form must be square, got {s.shape}")
         scale = float(np.max(np.abs(s))) if s.size else 0.0
-        if s.size and float(np.max(np.abs(s + s.T))) > self.tol.herm(scale):
+        if s.size and float(np.max(np.abs(s + s.T))) > self.tol.psd(scale):
             raise ShapeError("presymplectic form is not antisymmetric within tolerance")
         s = 0.5 * (s - s.T)
         s.setflags(write=False)
@@ -82,9 +82,9 @@ class CovarianceForm:
         return complex(np.conj(x) @ self.matrix @ y)
 
 
-def make_covariance(g: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CovarianceForm:
+def make_covariance(g: np.ndarray, sigma: np.ndarray) -> CovarianceForm:
     """Covariance (g + i sigma) / 2 from a real symmetric part g."""
-    return CovarianceForm(0.5 * (np.asarray(g, dtype=float) + 1j * np.asarray(sigma, dtype=float)), tol)
+    return CovarianceForm(0.5 * (np.asarray(g, dtype=float) + 1j * np.asarray(sigma, dtype=float)))
 
 
 def validate_covariance(s: CovarianceForm, space: PresymplecticSpace) -> bool:
@@ -92,8 +92,7 @@ def validate_covariance(s: CovarianceForm, space: PresymplecticSpace) -> bool:
     if s.dim != space.dim:
         raise ShapeError(f"covariance dim {s.dim} does not match space dim {space.dim}")
     m = s.matrix
-    lam = float(np.max(np.abs(m))) if m.size else 0.0
-    if min_eig(m) < -s.tol.psd(lam):
+    if not is_psd(eigvalsh(m), s.tol):
         return False
     gap = m - m.T - 1j * space.sigma
     return float(np.max(np.abs(gap))) <= s.tol.num if gap.size else True
@@ -143,8 +142,7 @@ def reduce(
     gram = majorizing_inner_product(s, t, space)
     w, v = eigh(gram)
     lam = float(np.max(np.abs(w))) if w.size else 0.0
-    cut = s.tol.rank_cut(space.dim, lam)
-    keep = w > cut
+    keep = w > rank_cut(space.dim, lam)
     kernel_dim = int(np.sum(~keep))
     if kernel_dim == 0:
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
@@ -163,8 +161,7 @@ def quasifree_character(s: CovarianceForm, x: np.ndarray) -> float:
     Invariant under reduction: the value at x equals the reduced form's
     value at qx.
     """
-    lam = float(np.max(np.abs(s.matrix))) if s.matrix.size else 0.0
-    if min_eig(s.matrix) < -s.tol.psd(lam):
+    if not is_psd(eigvalsh(s.matrix), s.tol):
         raise InvalidCovariance("covariance must be positive semidefinite")
     x = np.asarray(x, dtype=float)
     if x.shape != (s.dim,):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
-from .config import DEFAULT_TOL
+from .config import rank_cut
 from .linalg import eigh, hermitize, unitary_power
 from .restriction import UcpMap, UnitalEmbedding
 
@@ -91,7 +91,8 @@ def random_ucp(
     for n in target.block_dims:
         raw = [random_complex(rng, (s, n)) for _ in range(n_kraus)]
         total = sum(a.conj().T @ a for a in raw)
-        inv_root = unitary_power(eigh(hermitize(total)), -0.5, cut=1e-12)
+        w, v = eigh(hermitize(total))
+        inv_root = unitary_power((w, v), -0.5, rank_cut(n, float(np.max(np.abs(w)))))
         families.append(tuple(a @ inv_root for a in raw))
     return UcpMap(source, target, tuple(families))
 
@@ -123,8 +124,8 @@ def unitary_conjugation_ucp(algebra: BlockAlgebra, unitaries) -> UcpMap:
     return UcpMap(algebra, algebra, tuple(families))
 
 
-def bell_state(tol=DEFAULT_TOL) -> Functional:
+def bell_state() -> Functional:
     """Maximally entangled two-qubit state on M_4."""
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return Functional(BlockAlgebra((4,)), (np.outer(v, v.conj()),), tol)
+    return Functional(BlockAlgebra((4,)), (np.outer(v, v.conj()),))

@@ -20,6 +20,7 @@ from .algebra import (
     support_projection,
 )
 from .amplitudes import (
+    amplitude_kernel,
     inequality_suite,
     purify,
     pullback_along_quotient,
@@ -28,7 +29,9 @@ from .amplitudes import (
     transition_amplitude,
     uhlmann_fidelity,
 )
+from .config import DEFAULT_TOL
 from .forms import (
+    HermitianForm,
     PositiveForm,
     geometric_mean,
     interpolated_form,
@@ -69,6 +72,9 @@ from .sampling import (
 )
 
 
+# _spd_mean_closed_form and _kernel_gram repeat the oracles of tests/helpers.py
+# on purpose: the installed package cannot import its test suite, and those
+# test oracles stay in plain numpy so that they never share code with src/.
 def _spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2} for invertible PSD inputs."""
     ar = psd_sqrt(a)
@@ -78,8 +84,6 @@ def _spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _kernel_gram(phi: Functional, psi: Functional) -> np.ndarray:
     """Brute-force Gram of the amplitude kernel over the matrix units."""
-    from .amplitudes import amplitude_kernel
-
     units = list(matrix_units(phi.algebra))
     d = len(units)
     g = np.zeros((d, d), dtype=complex)
@@ -183,8 +187,6 @@ class _Suite:
             k = self.rng.standard_normal((d, d)) + 1j * self.rng.standard_normal((d, d))
             k /= max(np.linalg.norm(k, 2), 1.0)
             gamma = hermitize(psd_sqrt(ga) @ k @ psd_sqrt(gb))
-            from .forms import HermitianForm
-
             for _ in range(60):
                 if is_dominated(HermitianForm(gamma), alpha, beta):
                     break
@@ -510,7 +512,7 @@ class _Suite:
         return self.results
 
 
-def run_selftest(seed: int, max_dim: int = 8, tol: float = 1e-8, emit=print) -> bool:
+def run_selftest(seed: int, max_dim: int = 8, tol: float = DEFAULT_TOL.num, emit=print) -> bool:
     """Run the battery; emit one line per check; True when all pass."""
     suite = _Suite(seed, max_dim, tol)
     results = suite.run()

@@ -137,12 +137,14 @@ def sigma_to_json(sigma: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(sigma, dtype=float)]
 
 
-def covariance_triple_from_json(obj) -> tuple[PresymplecticSpace, CovarianceForm, CovarianceForm]:
+def covariance_triple_from_json(
+    obj, tol: Tolerances = DEFAULT_TOL
+) -> tuple[PresymplecticSpace, CovarianceForm, CovarianceForm]:
     if not isinstance(obj, dict) or any(k not in obj for k in ("sigma", "S", "T")):
         raise ParseError("covariance triple: expected 'sigma', 'S', and 'T' fields")
-    space = PresymplecticSpace(sigma_from_json(obj["sigma"]))
-    s = CovarianceForm(form_from_json(obj["S"]).gram)
-    t = CovarianceForm(form_from_json(obj["T"]).gram)
+    space = PresymplecticSpace(sigma_from_json(obj["sigma"]), tol)
+    s = CovarianceForm(form_from_json(obj["S"], tol=tol).gram, tol)
+    t = CovarianceForm(form_from_json(obj["T"], tol=tol).gram, tol)
     if s.dim != space.dim or t.dim != space.dim:
         raise ParseError("covariance triple: dimensions do not agree")
     return space, s, t

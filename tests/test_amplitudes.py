@@ -192,6 +192,19 @@ class TestInequalitySuite:
         assert rep.fidelity is None
         assert rep.lower_defect >= -1e-10
 
+    def test_each_square_root_is_taken_once(self, monkeypatch):
+        import amplitude_lab.amplitudes as amplitudes
+
+        calls = []
+        real = amplitudes.psd_function
+        monkeypatch.setattr(amplitudes, "psd_function", lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(12)
+        alg = make_algebra([3])
+        ts = (0.25, 0.5, 0.75)
+        rep = inequality_suite(random_state(rng, alg), random_state(rng, alg), ts)
+        assert rep.fidelity is not None
+        assert len(calls) == 2 + len(ts)
+
 
 class TestPurify:
     def test_pure_input_stays_pure(self):

@@ -218,6 +218,36 @@ class TestDecomposeAndKms:
         assert payload["kernel_dim"] == 1
         assert len(payload["sigma"]) == 2
 
+    def test_qf_reduce_reads_tol(self, tmp_path):
+        # S - S^T misses i sigma by 2e-6: outside the default num = 1e-8,
+        # inside --tol 1e-4
+        sigma = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        gram = 0.5 * (2.0 * np.eye(2) + 1j * (1.0 + 2e-6) * sigma)
+        form = {"dim": 2, "gram": ser.matrix_to_pairs(gram)}
+        path = tmp_path / "triple.json"
+        path.write_text(ser.dumps({"sigma": sigma.tolist(), "S": form, "T": form}))
+        assert run_cli("qf-reduce", str(path)).returncode == 7
+        res = run_cli("qf-reduce", str(path), "--tol", "1e-4")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["kernel_dim"] == 0
+
+    def test_decompose_decomposes_each_state_once(self, tmp_path, monkeypatch, capsys):
+        import amplitude_lab.central as central
+        from amplitude_lab.cli import main
+
+        calls = []
+        real = central.decompose
+        monkeypatch.setattr(
+            central, "decompose", lambda phi, mu=None: calls.append(1) or real(phi, mu)
+        )
+        rng = np.random.default_rng(4)
+        alg = make_algebra([2, 1])
+        a = write_functional(tmp_path / "a.json", random_state(rng, alg))
+        b = write_functional(tmp_path / "b.json", random_state(rng, alg))
+        assert main(["decompose", a, b]) == 0
+        assert len(calls) == 2
+        assert capsys.readouterr().out.splitlines()[0] == "block,weight,component_amplitude"
+
 
 class TestErrorsAndDeterminism:
     def test_parse_error_exit_code(self, tmp_path):
