@@ -14,9 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, rank_cut
+from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidAlgebra, NotPositive, ShapeError
-from .linalg import Spectrum, eigh, hermitian_part, is_psd
+from .linalg import Spectrum, eigh, hermitian_part, in_range, is_psd, spectral_apply
 
 
 def _square(arr: np.ndarray, n: int) -> np.ndarray:
@@ -128,7 +128,7 @@ class Functional:
     differences phi - psi); positivity is checked only by the operations
     that need it.
 
-    Everything computed from a density (scale, positivity, rank, support,
+    Everything computed from a density (positivity, rank, support,
     roots, powers, inverse, flow) reads one eigendecomposition per block,
     taken on first use by spectrum() and kept.  The densities are
     immutable, so it cannot go stale; arithmetic on functionals builds a
@@ -169,15 +169,6 @@ class Functional:
                 v.setflags(write=False)
             object.__setattr__(self, "_spectrum", spec)
         return self._spectrum
-
-    def scale_max(self) -> float:
-        """Largest |eigenvalue| over all blocks; the functional's scale."""
-        return max(float(np.max(np.abs(w))) for w, _ in self.spectrum())
-
-    def rank_cuts(self) -> list[float]:
-        """Per-block rank cuts on the functional's scale, scale_max()."""
-        lam = self.scale_max()
-        return [rank_cut(n, lam) for n in self.algebra.block_dims]
 
     def is_positive(self) -> bool:
         """The one positivity test of a functional: is_psd on every block's eigenvalues."""
@@ -275,29 +266,36 @@ def functional_norm(phi: Functional) -> float:
     return float(sum(np.sum(np.abs(w)) for w, _ in phi.spectrum()))
 
 
-def _block_component(phi: Functional, k: int, mass: float) -> Functional:
-    """D_k / mass as a functional on M_{n_k}, with spectrum (w / mass, v) from phi's.
+def _block_component(phi: Functional, k: int) -> tuple[Functional, float] | None:
+    """Block k's positive part over its mass m, as a functional on M_{n_k}, and m.
 
-    Dividing by a positive mass keeps the eigenvectors and the ascending
-    order, so the component needs no eigendecomposition of its own.
+    The positive part is D_k less the eigenvalues in_range drops, and m
+    = Tr D_k less their sum is its trace; a block that drops none keeps
+    D_k and m = Tr D_k.  A block of rank 0 gives None.  The component's
+    spectrum is phi's, with the dropped eigenvalues set to 0, over m:
+    that keeps the eigenvectors and the ascending order, so the
+    component needs no eigendecomposition of its own.
     """
     w, v = phi.spectrum()[k]
+    keep = in_range(w)
+    if not keep.any():
+        return None
+    d, dropped = phi.densities[k], np.where(keep, 0.0, w)
+    mass = float(np.trace(d).real) - float(np.sum(dropped))
+    if not keep.all():
+        d = d - spectral_apply((dropped, v), lambda x: x)
     algebra = BlockAlgebra((phi.algebra.block_dims[k],))
-    comp = Functional(algebra, (phi.densities[k] / mass,), phi.tol)
-    w = w / mass
+    comp = Functional(algebra, (d / mass,), phi.tol)
+    w = (w - dropped) / mass
     w.setflags(write=False)
     object.__setattr__(comp, "_spectrum", ((w, v),))
-    return comp
+    return comp, mass
 
 
 def _support_isometries(phi: Functional) -> tuple[np.ndarray, ...]:
-    """Orthonormal columns spanning the range of each density.
-
-    Eigenvalues strictly above the rank cut of the functional's global
-    scale count toward the rank.
-    """
+    """Orthonormal columns spanning the range of each density, by in_range."""
     phi.require_positive()
-    return tuple(v[:, w > cut] for cut, (w, v) in zip(phi.rank_cuts(), phi.spectrum()))
+    return tuple(v[:, in_range(w)] for w, v in phi.spectrum())
 
 
 def support_projection(phi: Functional) -> BlockOperator:
@@ -309,26 +307,17 @@ def support_projection(phi: Functional) -> BlockOperator:
 
 
 def central_support(phi: Functional) -> BlockOperator:
-    """Central projection: the identity on every block carrying mass."""
-    phi.require_positive()
-    cut = phi.tol.psd(phi.scale_max())
-    blocks = []
-    for n, (w, _) in zip(phi.algebra.block_dims, phi.spectrum()):
-        on = float(np.sum(np.abs(w))) > cut
-        blocks.append(np.eye(n, dtype=complex) if on else np.zeros((n, n), dtype=complex))
-    return BlockOperator(phi.algebra, tuple(blocks))
-
-
-def _central_pattern(phi: Functional) -> np.ndarray:
-    z = central_support(phi)
-    return np.array([bool(np.trace(b).real > 0.5) for b in z.blocks])
+    """Central cover of the support: the identity on every block of nonzero rank."""
+    blocks = tuple(
+        np.eye(v.shape[0], dtype=complex) * bool(v.shape[1]) for v in _support_isometries(phi)
+    )
+    return BlockOperator(phi.algebra, blocks)
 
 
 def classify_pair(phi: Functional, psi: Functional) -> StateRelation:
     """Disjoint (orthogonal central supports), quasi-equivalent (equal), or neither."""
     _check_same_algebra(phi, psi)
-    zp = _central_pattern(phi)
-    zq = _central_pattern(psi)
+    zp, zq = (np.array([v.shape[1] > 0 for v in _support_isometries(f)]) for f in (phi, psi))
     if not np.any(zp & zq):
         return StateRelation.DISJOINT
     if np.array_equal(zp, zq):

@@ -24,8 +24,9 @@ class StateDecomposition:
     """Weighted family of block states reassembling a functional.
 
     weights[k] * radon_nikodym[k] * components[k] summed over blocks
-    recovers the original densities.  Blocks without mass carry the
-    normalized trace as a placeholder component (their density is 0).
+    recovers each block's positive part: its density less the
+    eigenvalues linalg.in_range drops.  Blocks of rank 0 carry the
+    normalized trace as a placeholder component (their weight is 0).
     """
 
     algebra: BlockAlgebra
@@ -61,36 +62,35 @@ def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
 def decompose(phi: Functional, mu: Sequence[float] | None = None) -> StateDecomposition:
     """Split a state into block components against atomic central weights.
 
-    With mu omitted, the weights are the central masses of phi itself.
-    Explicit weights must not vanish on a block where phi carries mass.
+    A block's component is its positive part over that part's trace,
+    the block's mass.  With mu omitted, the weights are these masses
+    over their sum.  Explicit weights must not vanish on a block of
+    nonzero rank.
     """
     phi.require_positive()
-    masses = phi.block_masses()
+    parts = [_block_component(phi, k) for k in range(phi.algebra.num_blocks)]
+    masses = np.array([0.0 if part is None else part[1] for part in parts])
     total = float(np.sum(masses))
     if total <= 0.0:
         raise DomainError("cannot decompose the zero functional")
-    cut = phi.tol.psd(phi.scale_max())
     if mu is None:
         weights = masses / total
     else:
         weights = probability_vector(mu, "weight vector", phi.algebra.num_blocks)
         for k, m in enumerate(masses):
-            if m > cut and weights[k] <= 0.0:
+            if m > 0.0 and weights[k] <= 0.0:
                 raise SingularMeasure(f"weight vanishes on block {k} carrying mass {m:.3e}")
-    components = []
-    radon = np.zeros(phi.algebra.num_blocks)
-    for k, n in enumerate(phi.algebra.block_dims):
-        if masses[k] > cut:
-            components.append(_block_component(phi, k, masses[k]))
-            radon[k] = masses[k] / weights[k]
-        else:
-            trace = np.eye(n, dtype=complex) / n
-            components.append(Functional(BlockAlgebra((n,)), (trace,), phi.tol))
-            radon[k] = 0.0
+    components = tuple(
+        Functional(BlockAlgebra((n,)), (np.eye(n, dtype=complex) / n,), phi.tol)
+        if part is None
+        else part[0]
+        for n, part in zip(phi.algebra.block_dims, parts)
+    )
+    radon = np.divide(masses, weights, out=np.zeros_like(masses), where=masses > 0.0)
     return StateDecomposition(
         algebra=phi.algebra,
         weights=weights,
-        components=tuple(components),
+        components=components,
         radon_nikodym=radon,
     )
 

@@ -3,7 +3,7 @@
 All cutoffs are scale-relative.  One slack serves hermiticity, measured
 on the largest entry of the matrix under test, and positivity, measured
 on its largest |eigenvalue|; rank cuts follow the usual dimension *
-machine-epsilon * spectral-radius rule.
+machine-epsilon * spectral-radius rule, one block at a time (linalg.in_range).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_same_algebra
-from .config import DEFAULT_TOL, Tolerances, rank_cut
+from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, ShapeError
 from .linalg import (
     block_diag,
@@ -30,6 +30,7 @@ from .linalg import (
     eigvalsh,
     hermitian_part,
     hermitize,
+    in_range,
     is_psd,
     psd_function,
 )
@@ -149,10 +150,8 @@ def _pair_spectral(alpha: PositiveForm, beta: PositiveForm):
     """
     if alpha.dim != beta.dim:
         raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
-    s = hermitize(alpha.gram + beta.gram)
-    w, v = eigh(s)
-    lam = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = w > rank_cut(s.shape[0], lam)
+    w, v = eigh(alpha.gram + beta.gram)
+    keep = in_range(w)
     wr = w[keep]
     vr = v[:, keep]
     jmat = (np.sqrt(wr)[:, None]) * vr.conj().T

@@ -97,21 +97,27 @@ def spectral_apply(spec: Spectrum, f) -> np.ndarray:
     return (v * f(w)) @ v.conj().T
 
 
+def in_range(w: np.ndarray) -> np.ndarray:
+    """The one rank rule: the mask of eigenvalues in one block's spectrum w that count.
+
+    An eigenvalue counts when it exceeds rank_cut(w.size, max|w|), on the
+    block's own scale; the rest, negative roundoff included, are zero.
+    """
+    return w > rank_cut(w.size, float(np.max(np.abs(w))) if w.size else 0.0)
+
+
 def psd_function(spec: Spectrum, f) -> np.ndarray:
     """Hermitian f(h) of a PSD matrix h from its spectrum, with roundoff clamped to 0.
 
     Raises nothing: callers decide positivity first, by is_psd or by
-    Functional.is_positive.  Eigenvalues below the rank cut of this
-    matrix's own largest |eigenvalue|, negative roundoff included, are
-    zeroed, so exact-rank-deficient input stays exactly rank deficient
+    Functional.is_positive.  Eigenvalues outside in_range(w) are zeroed,
+    so exact-rank-deficient input stays exactly rank deficient
     (fractional powers would otherwise amplify eigenvalue noise to its
     square root).  With f a power s, zero eigenvalues map to 0 for s > 0
     and to 1 at s = 0.
     """
     w, v = spec
-    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    w = np.where(w < rank_cut(w.size, lam_max), 0.0, w)
-    return hermitize(spectral_apply((w, v), f))
+    return hermitize(spectral_apply((np.where(in_range(w), w, 0.0), v), f))
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
@@ -121,15 +127,15 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     return psd_function(spec, np.sqrt)
 
 
-def unitary_power(spec: Spectrum, z: complex, cut: float) -> np.ndarray:
+def unitary_power(spec: Spectrum, z: complex) -> np.ndarray:
     """h^z for Hermitian positive-definite h with spectrum spec, complex exponent z.
 
-    Eigenvalues at or below the cut raise NotPositive (callers enforce
-    faithfulness first, so the spectrum should be strictly positive).
+    A nonpositive eigenvalue raises NotPositive; functionals reach this
+    only once is_faithful has found every eigenvalue in range.
     """
     w, _ = spec
-    if w.size and float(w[0]) <= cut:
-        raise NotPositive(f"eigenvalue {w[0]:.3e} not strictly positive (cut {cut:.3e})")
+    if w.size and float(w[0]) <= 0.0:
+        raise NotPositive(f"eigenvalue {w[0]:.3e} not strictly positive")
     return spectral_apply(spec, lambda w: np.power(w.astype(complex), z))
 
 

@@ -94,7 +94,7 @@ class Superoperator:
             if zc.imag == 0.0 and zc.real > 0.0:
                 check_psd(spec[0], DEFAULT_TOL, "superoperator factor")
                 return psd_function(spec, lambda w: np.power(w, zc.real))
-            return unitary_power(spec, zc, cut=0.0)
+            return unitary_power(spec, zc)
 
         left = tuple(power(l) for l in self.left)
         right = tuple(power(r) for r in self.right)
@@ -113,7 +113,7 @@ def _require_faithful(phi: Functional, what: str = "functional") -> None:
 
 
 def _inverse_density(phi: Functional) -> tuple[np.ndarray, ...]:
-    return tuple(unitary_power(s, -1.0, cut) for cut, s in zip(phi.rank_cuts(), phi.spectrum()))
+    return tuple(unitary_power(s, -1.0) for s in phi.spectrum())
 
 
 def relative_modular(psi: Functional, phi: Functional) -> Superoperator:
@@ -148,8 +148,8 @@ def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
 def _flow_at(phi: Functional, z: complex, x: BlockOperator) -> BlockOperator:
     """Flow at a complex time, x -> D^{iz} x D^{-iz}, from the cached spectrum."""
     blocks = []
-    for cut, spec, b in zip(phi.rank_cuts(), phi.spectrum(), x.blocks):
-        blocks.append(unitary_power(spec, 1j * z, cut) @ b @ unitary_power(spec, -1j * z, cut))
+    for spec, b in zip(phi.spectrum(), x.blocks):
+        blocks.append(unitary_power(spec, 1j * z) @ b @ unitary_power(spec, -1j * z))
     return BlockOperator(phi.algebra, tuple(blocks))
 
 

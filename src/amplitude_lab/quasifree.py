@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, rank_cut
+from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError
-from .linalg import eigh, eigvalsh, hermitian_part, is_psd
+from .linalg import eigh, eigvalsh, hermitian_part, in_range, is_psd
 
 __all__ = [
     "PresymplecticSpace",
@@ -113,8 +113,7 @@ def majorizing_inner_product(
     """
     _require_valid(s, space, "first covariance")
     _require_valid(t, space, "second covariance")
-    g = 2.0 * (np.real(s.matrix) + np.real(t.matrix))
-    return 0.5 * (g + g.T)
+    return 2.0 * (np.real(s.matrix) + np.real(t.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +140,7 @@ def reduce(
     """
     gram = majorizing_inner_product(s, t, space)
     w, v = eigh(gram)
-    lam = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = w > rank_cut(space.dim, lam)
+    keep = in_range(w)
     kernel_dim = int(np.sum(~keep))
     if kernel_dim == 0:
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)

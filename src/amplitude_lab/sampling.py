@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
-from .config import rank_cut
 from .linalg import eigh, hermitize, unitary_power
 from .restriction import UcpMap, UnitalEmbedding
 
@@ -92,7 +91,7 @@ def random_ucp(
         raw = [random_complex(rng, (s, n)) for _ in range(n_kraus)]
         total = sum(a.conj().T @ a for a in raw)
         w, v = eigh(hermitize(total))
-        inv_root = unitary_power((w, v), -0.5, rank_cut(n, float(np.max(np.abs(w)))))
+        inv_root = unitary_power((w, v), -0.5)
         families.append(tuple(a @ inv_root for a in raw))
     return UcpMap(source, target, tuple(families))
 

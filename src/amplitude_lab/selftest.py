@@ -78,7 +78,7 @@ from .sampling import (
 def _spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2} for invertible PSD inputs."""
     ar = psd_sqrt(a)
-    ai = unitary_power(eigh(hermitize(a)), -0.5, cut=0.0)
+    ai = unitary_power(eigh(hermitize(a)), -0.5)
     return hermitize(ar @ psd_sqrt(hermitize(ai @ b @ ai)) @ ar)
 
 

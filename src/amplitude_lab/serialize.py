@@ -24,6 +24,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import ParseError
 from .forms import HermitianForm, PositiveForm
 from .quasifree import CovarianceForm, PresymplecticSpace
+from .restriction import SubalgebraChain, UnitalEmbedding
 
 
 def _reject_constant(name: str):
@@ -110,13 +111,18 @@ def form_to_json(form: HermitianForm) -> dict:
     return {"dim": form.dim, "gram": matrix_to_pairs(form.gram)}
 
 
-def form_from_json(obj, positive: bool = False, tol: Tolerances = DEFAULT_TOL) -> HermitianForm:
+def _gram_from_json(obj) -> np.ndarray:
+    """The Gram matrix of a form object, once its 'dim' and 'gram' fields parse."""
     if not isinstance(obj, dict) or "dim" not in obj or "gram" not in obj:
         raise ParseError("form: expected 'dim' and 'gram' fields")
     d = obj["dim"]
     if isinstance(d, bool) or not isinstance(d, int) or d < 0:
         raise ParseError(f"form: bad dimension {d!r}")
-    gram = matrix_from_pairs(obj["gram"], d, "gram")
+    return matrix_from_pairs(obj["gram"], d, "gram")
+
+
+def form_from_json(obj, positive: bool = False, tol: Tolerances = DEFAULT_TOL) -> HermitianForm:
+    gram = _gram_from_json(obj)
     return PositiveForm(gram, tol) if positive else HermitianForm(gram, tol)
 
 
@@ -143,16 +149,14 @@ def covariance_triple_from_json(
     if not isinstance(obj, dict) or any(k not in obj for k in ("sigma", "S", "T")):
         raise ParseError("covariance triple: expected 'sigma', 'S', and 'T' fields")
     space = PresymplecticSpace(sigma_from_json(obj["sigma"]), tol)
-    s = CovarianceForm(form_from_json(obj["S"], tol=tol).gram, tol)
-    t = CovarianceForm(form_from_json(obj["T"], tol=tol).gram, tol)
+    s = CovarianceForm(_gram_from_json(obj["S"]), tol)
+    t = CovarianceForm(_gram_from_json(obj["T"]), tol)
     if s.dim != space.dim or t.dim != space.dim:
         raise ParseError("covariance triple: dimensions do not agree")
     return space, s, t
 
 
 def embedding_from_json(obj, tol: Tolerances = DEFAULT_TOL):
-    from .restriction import UnitalEmbedding
-
     if not isinstance(obj, dict) or any(
         k not in obj for k in ("source", "target", "multiplicity")
     ):
@@ -186,8 +190,6 @@ def embedding_from_json(obj, tol: Tolerances = DEFAULT_TOL):
 
 
 def chain_from_json(obj, tol: Tolerances = DEFAULT_TOL):
-    from .restriction import SubalgebraChain
-
     if not isinstance(obj, dict) or any(k not in obj for k in ("algebras", "links", "final")):
         raise ParseError("chain: expected 'algebras', 'links', 'final' fields")
     algebras = tuple(algebra_from_json(a) for a in obj["algebras"])

@@ -19,6 +19,7 @@ from amplitude_lab import (
     support_projection,
     transition_amplitude,
 )
+from amplitude_lab.linalg import in_range
 from amplitude_lab.sampling import random_operator, random_psd, random_state
 
 
@@ -164,6 +165,20 @@ class TestSupportProjection:
         # p <= q as projections
         gap = q.blocks[0] - p.blocks[0]
         assert np.linalg.eigvalsh(gap)[0] >= -1e-12
+
+
+class TestRankRule:
+    def test_in_range_reads_the_block_scale_only(self):
+        w = np.array([-1e-30, 1e-37, 3e-20])
+        assert in_range(w).tolist() == [False, False, True]
+        assert np.array_equal(in_range(1e40 * w), in_range(w))
+        assert not in_range(np.zeros(3)).any()
+
+    def test_faithful_with_blocks_sixteen_decades_apart(self):
+        alg = make_algebra([1, 2])
+        phi = diag_functional(alg, [1e8], [1e-8, 2e-8])
+        assert is_faithful(phi)
+        assert np.allclose(central_support(phi).blocks[1], np.eye(2))
 
 
 class TestCentralSupportAndClassify:

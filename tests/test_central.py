@@ -9,6 +9,7 @@ from amplitude_lab import (
     Tolerances,
     amplitude_kernel,
     amplitude_sum_check,
+    central_support,
     classify_pair,
     decompose,
     integrate_disjoint_family,
@@ -115,6 +116,30 @@ class TestAmplitudeSumCheck:
             assert res.defect <= 1e-10
             values.append(res.rhs)
         assert np.ptp(values) <= 1e-10
+
+
+class TestOneRankRule:
+    """Each block's zero set is decided on its own scale, and every reader agrees."""
+
+    def test_a_small_block_is_not_disjoint_from_its_partner(self):
+        alg = make_algebra([1, 1])
+        phi = Functional(alg, (np.array([[1.0]]), np.array([[1e-12]])))
+        psi = Functional(alg, (np.array([[0.0]]), np.array([[1.0]])))
+        assert classify_pair(phi, psi) is StateRelation.NEITHER
+        assert amplitude_sum_check(phi, psi).defect <= 1e-8
+        with pytest.raises(SingularMeasure):
+            decompose(phi, [1.0, 0.0])
+
+    def test_central_support_and_decompose_agree_on_a_signed_block(self):
+        alg = make_algebra([1, 2])
+        phi = Functional(alg, (np.array([[10.0]]), np.diag([1e-9, -0.9e-9])))
+        psi = Functional(alg, (np.array([[0.5]]), np.eye(2) / 4))
+        assert np.trace(central_support(phi).blocks[1]).real == 2.0
+        dec = decompose(phi)
+        assert dec.radon_nikodym[1] > 0.0
+        # the component is the block's positive part over its trace
+        assert np.allclose(dec.components[1].densities[0], np.diag([1.0, 0.0]), atol=1e-12)
+        assert amplitude_sum_check(phi, psi).defect <= 1e-8
 
 
 class TestIntegrateDisjointFamily:

@@ -231,6 +231,29 @@ class TestDecomposeAndKms:
         assert res.returncode == 0
         assert json.loads(res.stdout)["kernel_dim"] == 0
 
+    def test_qf_reduce_non_hermitian_covariance_exits_7(self, tmp_path):
+        sigma = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        gram = 0.5 * (2.0 * np.eye(2) + 1j * sigma)
+        gram[0, 1] += 1e-3
+        form = {"dim": 2, "gram": ser.matrix_to_pairs(gram)}
+        path = tmp_path / "triple.json"
+        path.write_text(ser.dumps({"sigma": sigma.tolist(), "S": form, "T": form}))
+        res = run_cli("qf-reduce", str(path))
+        assert res.returncode == 7
+        assert json.loads(res.stdout)["error"]["type"] == "InvalidCovariance"
+
+    def test_decompose_counts_a_block_far_below_the_largest(self, tmp_path, capsys):
+        from amplitude_lab.cli import main
+
+        alg = make_algebra([1, 96])
+        phi = Functional(alg, (np.eye(1), 1e-15 * np.eye(96)))
+        psi = Functional(alg, (np.zeros((1, 1)), np.eye(96) / 96))
+        a = write_functional(tmp_path / "a.json", phi)
+        b = write_functional(tmp_path / "b.json", psi)
+        assert main(["decompose", a, b]) == 0
+        lhs, rhs, _ = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert rhs == lhs
+
     def test_decompose_decomposes_each_state_once(self, tmp_path, monkeypatch, capsys):
         import amplitude_lab.central as central
         from amplitude_lab.cli import main

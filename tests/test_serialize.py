@@ -45,6 +45,23 @@ class TestRoundTrips:
         assert space.dim == 2
         assert np.allclose(s.matrix, np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
 
+    def test_covariance_triple_checks_each_form_once(self, monkeypatch):
+        import amplitude_lab.forms as forms
+        import amplitude_lab.quasifree as quasifree
+
+        calls = []
+        real = quasifree.hermitian_part
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forms, "hermitian_part", counted)
+        monkeypatch.setattr(quasifree, "hermitian_part", counted)
+        form = {"dim": 2, "gram": [[0.5, 0.0], [0.0, 0.5], [0.0, -0.5], [0.5, 0.0]]}
+        ser.covariance_triple_from_json({"sigma": [[0.0, 1.0], [-1.0, 0.0]], "S": form, "T": form})
+        assert len(calls) == 2
+
 
 class TestRejection:
     def test_nan_constant(self):
