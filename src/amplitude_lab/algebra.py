@@ -2,8 +2,10 @@
 
 The ambient algebra is a finite direct sum of full complex matrix blocks
 M_{n_1} (+) ... (+) M_{n_m}.  Elements, functionals and square-root
-vectors all carry one complex n_k x n_k matrix per block.  Everything is
-immutable after construction and all operations are pure functions.
+vectors all carry one n_k x n_k matrix per block, stored by
+linalg.real_if_exact: float64 when its imaginary part is exactly zero,
+complex128 otherwise.  Everything is immutable after construction and
+all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidAlgebra, NotPositive, ShapeError
-from .linalg import Spectrum, eigh, hermitian_part, in_range, is_psd, spectral_apply
+from .linalg import (
+    Spectrum,
+    eigh,
+    hermitian_part,
+    in_range,
+    is_psd,
+    real_if_exact,
+    spectral_apply,
+)
 
 
 def _square(arr: np.ndarray, n: int) -> np.ndarray:
@@ -28,7 +38,7 @@ def _square(arr: np.ndarray, n: int) -> np.ndarray:
 def _frozen_blocks(blocks: Iterable[np.ndarray], dims: Sequence[int]):
     out = []
     for n, b in zip(dims, blocks, strict=True):
-        arr = _square(np.array(b, dtype=complex), n)
+        arr = _square(np.array(real_if_exact(b)), n)
         arr.setflags(write=False)
         out.append(arr)
     return tuple(out)
@@ -62,10 +72,10 @@ class BlockAlgebra:
         return int(sum(self.block_dims))
 
     def identity(self) -> "BlockOperator":
-        return BlockOperator(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
+        return BlockOperator(self, tuple(np.eye(n) for n in self.block_dims))
 
     def zero_functional(self) -> "Functional":
-        return Functional(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
+        return Functional(self, tuple(np.zeros((n, n)) for n in self.block_dims))
 
 
 def make_algebra(dims: Sequence[int]) -> BlockAlgebra:
@@ -80,7 +90,7 @@ def _check_same_algebra(a, b) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
-    """Element of a block algebra: one complex matrix per block."""
+    """Element of a block algebra: one matrix per block, real when exactly real."""
 
     algebra: BlockAlgebra
     blocks: tuple[np.ndarray, ...] = field(repr=False)
@@ -126,7 +136,9 @@ class Functional:
 
     Values are phi(x) = sum_k Tr(D_k x_k).  Densities may be signed (for
     differences phi - psi); positivity is checked only by the operations
-    that need it.
+    that need it.  A density is stored as float64 when its imaginary part
+    is exactly zero (linalg.real_if_exact), and everything computed from
+    it then runs in real arithmetic.
 
     Everything computed from a density (positivity, rank, support,
     roots, powers, inverse, flow) reads one eigendecomposition per block,
@@ -145,9 +157,9 @@ class Functional:
     def __post_init__(self):
         blocks = []
         for n, d in zip(self.algebra.block_dims, self.densities, strict=True):
-            # asarray copies only to change the dtype; the Hermitian part is a
-            # new array and kills roundoff drift before any eigendecomposition
-            h = hermitian_part(_square(np.asarray(d, dtype=complex), n), self.tol, "density block")
+            # real_if_exact copies only to change the dtype; the Hermitian part
+            # is a new array and kills roundoff drift before any eigendecomposition
+            h = hermitian_part(_square(real_if_exact(d), n), self.tol, "density block")
             h.setflags(write=False)
             blocks.append(h)
         object.__setattr__(self, "densities", tuple(blocks))
@@ -309,7 +321,7 @@ def support_projection(phi: Functional) -> BlockOperator:
 def central_support(phi: Functional) -> BlockOperator:
     """Central cover of the support: the identity on every block of nonzero rank."""
     blocks = tuple(
-        np.eye(v.shape[0], dtype=complex) * bool(v.shape[1]) for v in _support_isometries(phi)
+        np.eye(v.shape[0]) * bool(v.shape[1]) for v in _support_isometries(phi)
     )
     return BlockOperator(phi.algebra, blocks)
 

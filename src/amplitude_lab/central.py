@@ -59,6 +59,13 @@ def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _positive_parts(phi: Functional) -> tuple[list, np.ndarray]:
+    """Each block's (component, mass) pair, None for rank 0, and the masses; phi positive."""
+    phi.require_positive()
+    parts = [_block_component(phi, k) for k in range(phi.algebra.num_blocks)]
+    return parts, np.array([0.0 if part is None else part[1] for part in parts])
+
+
 def decompose(phi: Functional, mu: Sequence[float] | None = None) -> StateDecomposition:
     """Split a state into block components against atomic central weights.
 
@@ -67,9 +74,13 @@ def decompose(phi: Functional, mu: Sequence[float] | None = None) -> StateDecomp
     over their sum.  Explicit weights must not vanish on a block of
     nonzero rank.
     """
-    phi.require_positive()
-    parts = [_block_component(phi, k) for k in range(phi.algebra.num_blocks)]
-    masses = np.array([0.0 if part is None else part[1] for part in parts])
+    return _decomposition(phi, *_positive_parts(phi), mu)
+
+
+def _decomposition(
+    phi: Functional, parts: list, masses: np.ndarray, mu: Sequence[float] | None
+) -> StateDecomposition:
+    """decompose(phi, mu) from phi's _positive_parts."""
     total = float(np.sum(masses))
     if total <= 0.0:
         raise DomainError("cannot decompose the zero functional")
@@ -108,7 +119,8 @@ def amplitude_sum_check(
 
     rhs = sum_k mu_k sqrt(r_phi[k] r_psi[k]) * amplitude(phi_k, psi_k);
     the value does not depend on the admissible weight choice.  With mu
-    omitted the central mass of the average state is used, which is
+    omitted the weights are the sums of the two states' block masses,
+    the traces of their positive parts, over their total, which is
     admissible for both arguments.
     """
     return amplitude_sum_terms(phi, psi, mu)[2]
@@ -119,15 +131,16 @@ def amplitude_sum_terms(
 ) -> tuple[np.ndarray, list[float], AmplitudeSumCheck]:
     """Weights, each block's component amplitude and the sum check; one decompose per state."""
     _check_same_algebra(phi, psi)
+    parts_p, masses_p = _positive_parts(phi)
+    parts_q, masses_q = _positive_parts(psi)
     if mu is None:
-        avg = 0.5 * (phi + psi)
-        masses = avg.block_masses()
+        masses = masses_p + masses_q
         total = float(np.sum(masses))
         if total <= 0.0:
             raise DomainError("both functionals are zero")
         mu = masses / total
-    dp = decompose(phi, mu)
-    dq = decompose(psi, mu)
+    dp = _decomposition(phi, parts_p, masses_p, mu)
+    dq = _decomposition(psi, parts_q, masses_q, mu)
     amps = [transition_amplitude(p, q) for p, q in zip(dp.components, dq.components)]
     rhs = 0.0
     for k, a_k in enumerate(amps):

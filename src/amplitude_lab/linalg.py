@@ -6,7 +6,9 @@ tolerances are applied uniformly.  Callers pass exactly Hermitian
 matrices: hermitized once where a matrix comes from a product or from
 outside, as is where it is Hermitian by construction.  Every
 matrix function (root, power, inverse, flow unitary) is taken from a
-spectrum by spectral_apply.
+spectrum by spectral_apply.  real_if_exact is the one dtype rule: the
+density containers store by it and the solvers pick by it, and every
+helper here keeps the dtype it is given.
 """
 
 from __future__ import annotations
@@ -24,9 +26,18 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _real_if_exact(h: np.ndarray) -> np.ndarray:
-    """h.real when no entry of h has a nonzero imaginary part, else h itself."""
-    return h if h.imag.any() else h.real
+def real_if_exact(a) -> np.ndarray:
+    """The one dtype rule: a as float64 when no entry has a nonzero imaginary part, else complex128.
+
+    Copies only to change the dtype; an exactly real complex array gives
+    its real part, a view.  Density blocks are stored by this rule, and
+    eigh and eigvalsh pick their LAPACK solver by it.
+    """
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = a.astype(complex, copy=False)
+        return a if a.imag.any() else a.real
+    return a.astype(float, copy=False)
 
 
 def eigh(h: np.ndarray) -> Spectrum:
@@ -36,12 +47,12 @@ def eigh(h: np.ndarray) -> Spectrum:
     symmetric solver, and its eigenvectors come back real; any nonzero
     imaginary entry keeps the complex Hermitian solver.
     """
-    return np.linalg.eigh(_real_if_exact(h))
+    return np.linalg.eigh(real_if_exact(h))
 
 
 def eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, on the solver eigh picks."""
-    return np.linalg.eigvalsh(_real_if_exact(h))
+    return np.linalg.eigvalsh(real_if_exact(h))
 
 
 def hermitian_part(

@@ -141,6 +141,16 @@ class TestOneRankRule:
         assert np.allclose(dec.components[1].densities[0], np.diag([1.0, 0.0]), atol=1e-12)
         assert amplitude_sum_check(phi, psi).defect <= 1e-8
 
+    def test_default_weights_are_the_positive_part_masses(self):
+        # block 1 of phi has rank 1 but a negative trace within the positivity
+        # slack; raw block traces of the average are then not a distribution
+        alg = make_algebra([1, 2])
+        phi = Functional(alg, (np.array([[1.0]]), np.diag([1e-12, -1e-11])))
+        psi = Functional(alg, (np.array([[1.0]]), np.zeros((2, 2))))
+        assert phi.is_positive()
+        assert amplitude_sum_check(phi, psi).defect <= 1e-8
+        assert amplitude_sum_check(phi, psi, [0.5, 0.5]).defect <= 1e-8
+
 
 class TestIntegrateDisjointFamily:
     def test_single_component(self):

@@ -259,10 +259,8 @@ class TestDecomposeAndKms:
         from amplitude_lab.cli import main
 
         calls = []
-        real = central.decompose
-        monkeypatch.setattr(
-            central, "decompose", lambda phi, mu=None: calls.append(1) or real(phi, mu)
-        )
+        real = central._positive_parts
+        monkeypatch.setattr(central, "_positive_parts", lambda phi: calls.append(1) or real(phi))
         rng = np.random.default_rng(4)
         alg = make_algebra([2, 1])
         a = write_functional(tmp_path / "a.json", random_state(rng, alg))
@@ -270,6 +268,20 @@ class TestDecomposeAndKms:
         assert main(["decompose", a, b]) == 0
         assert len(calls) == 2
         assert capsys.readouterr().out.splitlines()[0] == "block,weight,component_amplitude"
+
+
+def test_cli_start_up_imports_nothing_new():
+    # amplab is one process per call, so every import it adds is paid on each
+    # call; numpy, json and argparse are loaded before the package
+    code = (
+        "import sys, numpy, json, argparse\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "import amplitude_lab.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} - before)))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert set(res.stdout.split()) == {"__future__", "amplitude_lab", "copy", "dataclasses"}
 
 
 class TestErrorsAndDeterminism:

@@ -2,7 +2,9 @@
 
 Each block is zero or a PSD block of random rank scaled by 10^u with u
 in [-8, 8], so one functional mixes blocks up to sixteen decades apart.
-The suite profile in conftest.py derandomizes the examples.
+The suite profile in conftest.py derandomizes the examples.  Real
+families also check that real storage gives the answers complex storage
+gives: a complex unitary per block makes the same pair complex.
 """
 
 import numpy as np
@@ -13,38 +15,48 @@ from amplitude_lab import (
     DEFAULT_TOL,
     Functional,
     StateRelation,
+    SubalgebraChain,
+    UnitalEmbedding,
     amplitude_sum_check,
     central_support,
+    chain_amplitudes,
     classify_pair,
+    identity_embedding,
     make_algebra,
     support_projection,
     total_rank,
     transition_amplitude,
+    uhlmann_fidelity,
 )
+from amplitude_lab.sampling import random_unitary
 
 
-def _block(n: int, rank: int, u: float, seed: int) -> np.ndarray:
+def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
     if rank == 0:
         return np.zeros((n, n), dtype=complex)
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    if real:
+        a = rng.normal(size=(n, rank))
+    else:
+        a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     b = a @ a.conj().T
     return b * (10.0**u / np.trace(b).real)
 
 
 @st.composite
-def functionals(draw, dims):
+def functionals(draw, dims, real=False):
     blocks = [
         _block(
             n,
             draw(st.integers(0, n)),
             draw(st.floats(-8.0, 8.0)),
             draw(st.integers(0, 2**32 - 1)),
+            real,
         )
         for n in dims
     ]
     if not any(b.any() for b in blocks):
-        blocks[-1] = _block(dims[-1], dims[-1], 0.0, 0)
+        blocks[-1] = _block(dims[-1], dims[-1], 0.0, 0, real)
     return Functional(make_algebra(dims), tuple(blocks))
 
 
@@ -84,3 +96,45 @@ def test_rank_does_not_see_the_scale_of_other_blocks(pair):
             densities = list(phi.densities)
             densities[k] = c * densities[k]
             assert total_rank(Functional(phi.algebra, tuple(densities))) == rank
+
+
+@st.composite
+def rotated_real_pairs(draw):
+    """A real pair, the same pair turned by a Haar unitary per block, and the unitaries."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    phi, psi = draw(functionals(dims, real=True)), draw(functionals(dims, real=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us = tuple(random_unitary(rng, n) for n in dims)
+    turned = tuple(
+        Functional(f.algebra, tuple(u @ d @ u.conj().T for u, d in zip(us, f.densities)))
+        for f in (phi, psi)
+    )
+    return (phi, psi), turned, us
+
+
+def _two_link_chain(ambient, unitaries):
+    """C -> diagonal of the ambient -> ambient, the last link turned by the unitaries."""
+    dims = ambient.block_dims
+    point, diagonal = make_algebra([1]), make_algebra([1] * sum(dims))
+    owner = np.repeat(np.arange(len(dims)), dims)
+    spread = (np.arange(len(dims))[:, None] == owner).astype(int)
+    links = (
+        UnitalEmbedding(point, diagonal, np.ones((sum(dims), 1), dtype=int)),
+        UnitalEmbedding(diagonal, ambient, spread, unitaries),
+    )
+    return SubalgebraChain((point, diagonal, ambient), links, identity_embedding(ambient))
+
+
+@given(rotated_real_pairs())
+def test_real_storage_gives_the_answers_of_complex_storage(case):
+    (phi, psi), (phi_u, psi_u), us = case
+    assert all(d.dtype == np.float64 for d in phi.densities + psi.densities)
+    bound = DEFAULT_TOL.num * max(1.0, np.sqrt(phi.mass * psi.mass))
+    assert abs(transition_amplitude(phi, psi) - transition_amplitude(phi_u, psi_u)) <= bound
+    # the fidelity is compared by its root, which has the amplitude's scale
+    root_fid = [np.sqrt(uhlmann_fidelity(*pair)) for pair in ((phi, psi), (phi_u, psi_u))]
+    assert abs(root_fid[0] - root_fid[1]) <= bound
+    assert total_rank(phi) == total_rank(phi_u)
+    plain = chain_amplitudes(phi, psi, _two_link_chain(phi.algebra, None))
+    turned = chain_amplitudes(phi_u, psi_u, _two_link_chain(phi.algebra, us))
+    assert np.max(np.abs(np.subtract(plain, turned))) <= bound

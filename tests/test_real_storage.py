@@ -1,0 +1,145 @@
+"""The one dtype rule: a block is stored as float64 when its imaginary part is exactly zero.
+
+Functional, L2Vector and BlockOperator all store by linalg.real_if_exact,
+and restriction, roots and inner products keep the dtype they are given.
+"""
+
+import numpy as np
+import pytest
+
+from amplitude_lab import (
+    BlockOperator,
+    Functional,
+    L2Vector,
+    UnitalEmbedding,
+    diagonal_state,
+    make_algebra,
+    product_state,
+    purify,
+    restrict,
+    sqrt_vector,
+    transition_amplitude,
+)
+from amplitude_lab import linalg
+from amplitude_lab import serialize as ser
+from amplitude_lab.sampling import random_state, random_unitary
+
+from helpers import eig_fn
+
+CONTAINERS = [
+    (Functional, lambda x: x.densities),
+    (L2Vector, lambda x: x.blocks),
+    (BlockOperator, lambda x: x.blocks),
+]
+
+
+def real_blocks(seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (3, 2):
+        a = rng.normal(size=(n, n))
+        out.append(a @ a.T / n)
+    return out
+
+
+@pytest.mark.parametrize("cls, blocks_of", CONTAINERS)
+class TestContainers:
+    def test_float64_input_is_stored_as_float64(self, cls, blocks_of):
+        src = real_blocks(0)
+        for got, want in zip(blocks_of(cls(make_algebra([3, 2]), tuple(src))), src):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_complex_input_with_zero_imaginary_part_is_stored_as_float64(self, cls, blocks_of):
+        src = real_blocks(1)
+        x = cls(make_algebra([3, 2]), tuple(b.astype(complex) for b in src))
+        for got, want in zip(blocks_of(x), src):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_one_nonzero_imaginary_entry_keeps_complex128(self, cls, blocks_of):
+        src = [b.astype(complex) for b in real_blocks(2)]
+        src[0][0, 1] += 1e-3j
+        src[0][1, 0] -= 1e-3j
+        x = cls(make_algebra([3, 2]), tuple(src))
+        assert [b.dtype for b in blocks_of(x)] == [np.complex128, np.float64]
+        assert np.array_equal(blocks_of(x)[0], src[0])
+
+    def test_stored_blocks_do_not_alias_the_input(self, cls, blocks_of):
+        src = real_blocks(3)
+        x = cls(make_algebra([3, 2]), tuple(src))
+        assert not any(np.shares_memory(a, b) for a, b in zip(blocks_of(x), src))
+        assert not any(b.flags.writeable for b in blocks_of(x))
+
+
+def test_real_if_exact_keeps_float64_input_as_is():
+    a = np.eye(3)
+    assert linalg.real_if_exact(a) is a
+    assert linalg.real_if_exact(np.eye(2, dtype=int)).dtype == np.float64
+
+
+def test_arithmetic_with_a_complex_scalar_applies_the_rule():
+    phi = Functional(make_algebra([2]), (np.eye(2) / 2,))
+    assert (phi * (1.0 + 0.0j)).densities[0].dtype == np.float64
+    x = BlockOperator(make_algebra([2]), (np.eye(2),))
+    assert (1j * x).blocks[0].dtype == np.complex128
+
+
+def test_product_and_diagonal_states_of_real_sites_are_real():
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    phi = product_state([plus, np.eye(2) / 2, plus])
+    assert phi.densities[0].dtype == np.float64
+    assert np.array_equal(phi.densities[0], np.kron(np.kron(plus, np.eye(2) / 2), plus).real)
+    assert all(d.dtype == np.float64 for d in diagonal_state([0.25, 0.75]).densities)
+
+
+class TestRestriction:
+    def test_real_functional_restricts_to_float64_without_a_unitary(self):
+        emb = UnitalEmbedding(make_algebra([2, 1]), make_algebra([5]), np.array([[2, 1]]))
+        a = np.random.default_rng(4).normal(size=(5, 5))
+        phi = Functional(emb.target, (a @ a.T,))
+        assert restrict(phi, emb).densities[0].dtype == np.float64
+
+    def test_complex_unitary_gives_a_complex_restriction(self):
+        rng = np.random.default_rng(5)
+        u = random_unitary(rng, 4)
+        emb = UnitalEmbedding(make_algebra([2]), make_algebra([4]), np.array([[2]]), (u,))
+        a = rng.normal(size=(4, 4))
+        phi = Functional(emb.target, (a @ a.T,))
+        got = restrict(phi, emb).densities[0]
+        assert got.dtype == np.complex128
+        rot = u.conj().T @ phi.densities[0] @ u
+        assert np.allclose(got, np.einsum("pjqj->pq", rot.reshape(2, 2, 2, 2)), atol=1e-14)
+
+
+def test_sqrt_vector_of_a_real_functional_is_real():
+    phi = Functional(make_algebra([3, 2]), tuple(real_blocks(6)))
+    root = sqrt_vector(phi)
+    assert all(b.dtype == np.float64 for b in root.blocks)
+    assert all(np.allclose(b @ b, d) for b, d in zip(root.blocks, phi.densities))
+
+
+def test_real_storage_serializes_as_complex_storage_does():
+    phi = purify(Functional(make_algebra([3]), (real_blocks(7)[0] / 3.0,)))
+    assert phi.densities[0].dtype == np.float64
+    as_complex = {
+        "algebra": ser.algebra_to_json(phi.algebra),
+        "densities": [ser.matrix_to_pairs(d.astype(complex)) for d in phi.densities],
+    }
+    text = ser.dumps(ser.functional_to_json(phi))
+    assert text == ser.dumps(as_complex)
+    back = ser.functional_from_json(ser.loads(text))
+    assert back.densities[0].dtype == np.float64
+
+
+def test_complex_states_keep_their_answers_against_real_ones():
+    rng = np.random.default_rng(8)
+    alg = make_algebra([3, 2])
+    phi = random_state(rng, alg)
+    psi = Functional(alg, tuple(real_blocks(9)))
+    assert [d.dtype for d in phi.densities] == [np.complex128] * 2
+    ref = sum(
+        np.trace(eig_fn(a, np.sqrt) @ eig_fn(b.astype(complex), np.sqrt)).real
+        for a, b in zip(phi.densities, psi.densities)
+    )
+    assert transition_amplitude(phi, psi) == pytest.approx(ref, abs=1e-12)
