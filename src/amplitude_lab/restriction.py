@@ -352,32 +352,10 @@ def product_state(site_densities: Sequence[np.ndarray], tol: Tolerances = DEFAUL
     mats = [real_if_exact(d) for d in site_densities]
     if not mats:
         raise DomainError("need at least one site density")
-    for m in mats:
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"site density shape {m.shape} is not square")
     acc = mats[0]
     for m in mats[1:]:
-        acc = _kron(acc, m)
+        acc = np.kron(acc, m)
     return Functional(BlockAlgebra((acc.shape[0],)), (acc,), tol)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two matrices, bit for bit, in one multiply per entry of the smaller.
-
-    Each multiply scales the larger factor as a whole into its strided
-    place in the result.  np.kron's broadcast product runs its innermost
-    loop over the second factor's columns instead, two of them for a
-    qubit site, which is several times slower.
-    """
-    (na, ma), (nb, mb) = a.shape, b.shape
-    out = np.empty((na, nb, ma, mb), dtype=np.result_type(a, b))
-    if b.size <= a.size:
-        for (p, q), x in np.ndenumerate(b):
-            np.multiply(a, x, out=out[:, p, :, q])
-    else:
-        for (i, j), x in np.ndenumerate(a):
-            np.multiply(x, b, out=out[i, :, j, :])
-    return out.reshape(na * nb, ma * mb)
 
 
 def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> SubalgebraChain:

@@ -281,7 +281,8 @@ def test_cli_start_up_imports_nothing_new():
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert set(res.stdout.split()) == {"__future__", "amplitude_lab", "copy", "dataclasses"}
+    # a subset, so that it does not matter which of these numpy loads already
+    assert set(res.stdout.split()) - {"amplitude_lab"} <= {"__future__", "copy", "dataclasses"}
 
 
 class TestErrorsAndDeterminism:
