@@ -18,30 +18,11 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidAlgebra, NotPositive, ShapeError
-from .linalg import (
-    Spectrum,
-    eigh,
-    hermitian_part,
-    in_range,
-    is_psd,
-    real_if_exact,
-    spectral_apply,
-)
-
-
-def _square(arr: np.ndarray, n: int) -> np.ndarray:
-    if arr.shape != (n, n):
-        raise ShapeError(f"block shape {arr.shape} does not match dimension {n}")
-    return arr
+from .linalg import Spectrum, eigh, frozen, hermitian_part, in_range, is_psd, spectral_apply
 
 
 def _frozen_blocks(blocks: Iterable[np.ndarray], dims: Sequence[int]):
-    out = []
-    for n, b in zip(dims, blocks, strict=True):
-        arr = _square(np.array(real_if_exact(b)), n)
-        arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
+    return tuple(frozen(b, (n, n), "block") for n, b in zip(dims, blocks, strict=True))
 
 
 @dataclass(frozen=True)
@@ -60,11 +41,6 @@ class BlockAlgebra:
     @property
     def num_blocks(self) -> int:
         return len(self.block_dims)
-
-    @property
-    def element_dim(self) -> int:
-        """Total complex dimension of the algebra, sum of n_k^2."""
-        return int(sum(n * n for n in self.block_dims))
 
     @property
     def space_dim(self) -> int:
@@ -155,14 +131,12 @@ class Functional:
     )
 
     def __post_init__(self):
-        blocks = []
-        for n, d in zip(self.algebra.block_dims, self.densities, strict=True):
-            # real_if_exact copies only to change the dtype; the Hermitian part
-            # is a new array and kills roundoff drift before any eigendecomposition
-            h = hermitian_part(_square(real_if_exact(d), n), self.tol, "density block")
-            h.setflags(write=False)
-            blocks.append(h)
-        object.__setattr__(self, "densities", tuple(blocks))
+        # the Hermitian part kills roundoff drift before any eigendecomposition
+        blocks = tuple(
+            hermitian_part(d, self.tol, "density block", n=n)
+            for n, d in zip(self.algebra.block_dims, self.densities, strict=True)
+        )
+        object.__setattr__(self, "densities", blocks)
 
     @property
     def mass(self) -> float:

@@ -228,7 +228,7 @@ def pullback_along_quotient(pi: QuotientMap, phi: Functional) -> Functional:
     """
     if phi.algebra != pi.image:
         raise ShapeError("functional does not live on the image algebra")
-    blocks = [np.zeros((n, n), dtype=complex) for n in pi.source.block_dims]
+    blocks = [np.zeros((n, n)) for n in pi.source.block_dims]
     for l, k in enumerate(pi.assignment):
-        blocks[k] = np.array(phi.densities[l])
+        blocks[k] = phi.densities[l]
     return Functional(pi.source, tuple(blocks), phi.tol)

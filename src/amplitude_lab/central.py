@@ -92,7 +92,7 @@ def _decomposition(
             if m > 0.0 and weights[k] <= 0.0:
                 raise SingularMeasure(f"weight vanishes on block {k} carrying mass {m:.3e}")
     components = tuple(
-        Functional(BlockAlgebra((n,)), (np.eye(n, dtype=complex) / n,), phi.tol)
+        Functional(BlockAlgebra((n,)), (np.eye(n) / n,), phi.tol)
         if part is None
         else part[0]
         for n, part in zip(phi.algebra.block_dims, parts)

@@ -56,12 +56,11 @@ SELFTEST_FAILED = 8
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Per-invocation settings: tolerances, seed, output format, caps."""
+    """Per-invocation settings: tolerances, seed, output format."""
 
     tol: Tolerances
     seed: int
     csv: bool
-    max_dim: int
 
 
 def _fmt(x: float) -> str:
@@ -96,18 +95,18 @@ def _floats(raw: str, what: str) -> list[float]:
 
 def _site_density(spec: str) -> np.ndarray:
     if spec == "pure0":
-        return np.diag([1.0, 0.0]).astype(complex)
+        return np.diag([1.0, 0.0])
     if spec == "pure1":
-        return np.diag([0.0, 1.0]).astype(complex)
+        return np.diag([0.0, 1.0])
     if spec == "plus":
-        return np.full((2, 2), 0.5, dtype=complex)
+        return np.full((2, 2), 0.5)
     if spec == "mixed":
-        return np.eye(2, dtype=complex) / 2.0
+        return np.eye(2) / 2.0
     if spec.startswith("diag:"):
         w = _floats(spec[5:], "diagonal site spec")
         if not w or any(x < 0 for x in w):
             raise err.ParseError(f"bad diagonal site spec {spec!r}")
-        return np.diag(w).astype(complex)
+        return np.diag(w)
     raise err.ParseError(f"unknown site spec {spec!r} (pure0|pure1|plus|mixed|diag:p1,p2,...)")
 
 
@@ -269,7 +268,7 @@ def cmd_qf_reduce(args, cfg: RunConfig) -> int:
 
 
 def cmd_selftest(args, cfg: RunConfig) -> int:
-    ok = run_selftest(cfg.seed, max_dim=cfg.max_dim, tol=cfg.tol.num)
+    ok = run_selftest(cfg.seed, tol=cfg.tol.num)
     return 0 if ok else SELFTEST_FAILED
 
 
@@ -279,9 +278,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, default=d(7), help="RNG seed for randomized commands")
     parser.add_argument(
         "--csv", action="store_true", default=d(False), help="emit CSV rows instead of JSON"
-    )
-    parser.add_argument(
-        "--max-dim", type=int, default=d(8), help="size cap for randomized checks"
     )
 
 
@@ -363,9 +359,7 @@ def _tolerances(raw: float | None) -> Tolerances:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            tol=_tolerances(args.tol), seed=args.seed, csv=args.csv, max_dim=args.max_dim
-        )
+        cfg = RunConfig(tol=_tolerances(args.tol), seed=args.seed, csv=args.csv)
         return args.fn(args, cfg)
     except err.AmplitudeLabError as exc:
         code = 1

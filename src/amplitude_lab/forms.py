@@ -38,18 +38,17 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Hermitian sesquilinear form on C^dim, stored as its Gram matrix."""
+    """Hermitian sesquilinear form on C^dim, stored as its Gram matrix.
+
+    The Gram matrix is stored by linalg.real_if_exact: float64 when its
+    imaginary part is exactly zero, complex128 otherwise.
+    """
 
     gram: np.ndarray = field(repr=False)
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ShapeError(f"Gram matrix must be square, got {g.shape}")
-        g = hermitian_part(g, self.tol, "Gram matrix")
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram", hermitian_part(self.gram, self.tol, "Gram matrix"))
 
     @property
     def dim(self) -> int:
@@ -95,7 +94,7 @@ def matrix_units(algebra: BlockAlgebra) -> Iterator[BlockOperator]:
     for k, n in enumerate(algebra.block_dims):
         for i in range(n):
             for j in range(n):
-                blocks = [np.zeros((m, m), dtype=complex) for m in algebra.block_dims]
+                blocks = [np.zeros((m, m)) for m in algebra.block_dims]
                 blocks[k][i, j] = 1.0
                 yield BlockOperator(algebra, tuple(blocks))
 

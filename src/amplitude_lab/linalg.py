@@ -6,8 +6,9 @@ tolerances are applied uniformly.  Callers pass exactly Hermitian
 matrices: hermitized once where a matrix comes from a product or from
 outside, as is where it is Hermitian by construction.  Every
 matrix function (root, power, inverse, flow unitary) is taken from a
-spectrum by spectral_apply.  real_if_exact is the one dtype rule: the
-density containers store by it and the solvers pick by it, and every
+spectrum by spectral_apply.  real_if_exact is the one dtype rule: every
+container stores by it, through hermitian_part (Hermitian matrices) or
+frozen (any other stored array), the solvers pick by it, and every other
 helper here keeps the dtype it is given.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances, rank_cut
-from .errors import NotPositive
+from .errors import NotPositive, ShapeError
 
 Spectrum = tuple[np.ndarray, np.ndarray]
 
@@ -56,20 +57,44 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(
-    a: np.ndarray,
+    a,
     tol: Tolerances = DEFAULT_TOL,
     what: str = "matrix",
     error: type[Exception] = NotPositive,
+    n: int | None = None,
 ) -> np.ndarray:
-    """hermitize(a), after checking max|a - a*| <= tol.psd(max|a|); else raise error.
+    """The one constructor of stored Hermitian matrices: read-only hermitize(a).
 
-    a* is formed once and serves both the check and the Hermitian part,
-    which is bit-identical to hermitize(a).  NaN fails the check.
+    a is taken by real_if_exact and must be square, of side n when n is
+    given (ShapeError), and pass max|a - a*| <= tol.psd(max|a|) (else
+    error; NaN fails).  a* is formed once and serves both the check and
+    the Hermitian part, which is a new array, bit-identical to
+    hermitize(a).
     """
+    a = real_if_exact(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or n not in (None, a.shape[0]):
+        side = "square" if n is None else f"({n}, {n})"
+        raise ShapeError(f"{what} has shape {a.shape}, expected {side}")
     ah = a.conj().T
     if a.size and not float(np.max(np.abs(a - ah))) <= tol.psd(float(np.max(np.abs(a)))):
         raise error(f"{what} is not Hermitian within tolerance")
-    return 0.5 * (a + ah)
+    h = 0.5 * (a + ah)
+    h.setflags(write=False)
+    return h
+
+
+def frozen(
+    a, shape: tuple[int, ...], what: str = "matrix", error: type[Exception] = ShapeError
+) -> np.ndarray:
+    """The one constructor of other stored arrays: a read-only copy of real_if_exact(a).
+
+    Raises error unless the copy has the given shape.
+    """
+    out = np.array(real_if_exact(a))
+    if out.shape != shape:
+        raise error(f"{what} has shape {out.shape}, expected {shape}")
+    out.setflags(write=False)
+    return out
 
 
 def block_diag(*mats: np.ndarray) -> np.ndarray:

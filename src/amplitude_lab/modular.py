@@ -24,12 +24,15 @@ from .algebra import (
 )
 from .config import DEFAULT_TOL
 from .errors import EmptyReduction, NotFaithful, NotPositive, ShapeError
-from .linalg import check_psd, eigh, hermitize, psd_function, unitary_power
+from .linalg import check_psd, eigh, frozen, hermitize, psd_function, unitary_power
 
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Structured (left, right) map on the block Hilbert-Schmidt space."""
+    """Structured (left, right) map on the block Hilbert-Schmidt space.
+
+    Each factor is stored by linalg.real_if_exact.
+    """
 
     algebra: BlockAlgebra
     left: tuple[np.ndarray, ...] = field(repr=False)
@@ -37,22 +40,15 @@ class Superoperator:
     antilinear: bool = False
 
     def __post_init__(self):
-        frozen_l, frozen_r = [], []
-        for n, l, r in zip(self.algebra.block_dims, self.left, self.right, strict=True):
-            l = np.array(l, dtype=complex)
-            r = np.array(r, dtype=complex)
-            if l.shape != (n, n) or r.shape != (n, n):
-                raise ShapeError("superoperator factor shapes do not match the algebra")
-            l.setflags(write=False)
-            r.setflags(write=False)
-            frozen_l.append(l)
-            frozen_r.append(r)
-        object.__setattr__(self, "left", tuple(frozen_l))
-        object.__setattr__(self, "right", tuple(frozen_r))
+        dims = self.algebra.block_dims
+        for side in ("left", "right"):
+            factors = zip(dims, getattr(self, side), strict=True)
+            stored = tuple(frozen(f, (n, n), f"{side} factor") for n, f in factors)
+            object.__setattr__(self, side, stored)
 
     @classmethod
     def identity(cls, algebra: BlockAlgebra) -> "Superoperator":
-        eyes = tuple(np.eye(n, dtype=complex) for n in algebra.block_dims)
+        eyes = tuple(np.eye(n) for n in algebra.block_dims)
         return cls(algebra, eyes, eyes)
 
     def apply(self, xi):
@@ -133,7 +129,7 @@ def modular_conjugation(phi: Functional) -> Superoperator:
     """Antilinear involution xi -> xi^* on each block."""
     phi.require_positive()
     _require_faithful(phi)
-    eyes = tuple(np.eye(n, dtype=complex) for n in phi.algebra.block_dims)
+    eyes = tuple(np.eye(n) for n in phi.algebra.block_dims)
     return Superoperator(phi.algebra, eyes, eyes, antilinear=True)
 
 

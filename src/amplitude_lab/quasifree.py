@@ -61,17 +61,15 @@ class CovarianceForm:
 
     Construction only enforces hermiticity; use validate_covariance to
     test positivity and the imaginary-part condition against a space.
+    The matrix is stored by linalg.real_if_exact, so a covariance with
+    sigma = 0 is float64.
     """
 
     matrix: np.ndarray = field(repr=False)
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"covariance matrix must be square, got {m.shape}")
-        m = hermitian_part(m, self.tol, "covariance matrix", InvalidCovariance)
-        m.setflags(write=False)
+        m = hermitian_part(self.matrix, self.tol, "covariance matrix", InvalidCovariance)
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -25,7 +25,7 @@ from .amplitudes import transition_amplitude
 from .central import probability_vector
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
-from .linalg import block_diag, hermitize, real_if_exact
+from .linalg import block_diag, frozen, hermitize, real_if_exact
 
 # Largest ambient dimension of a built-in chain (ten qubit sites, or 1024
 # diagonal coordinates).
@@ -41,7 +41,8 @@ class UnitalEmbedding:
     section, ordered by (target block k, source block l), with the rows
     of target block k at sections[bounds[k] : bounds[k + 1]].  Copy j of
     section (l, start, c) puts row p of a_l at row start + p*c + j of the
-    target block, before the unitary.
+    target block, before the unitary.  The unitaries are stored by
+    linalg.real_if_exact, so a real rotation is float64.
     """
 
     source: BlockAlgebra
@@ -84,12 +85,9 @@ class UnitalEmbedding:
         if self.unitaries is not None:
             us = []
             for k, (n, u) in enumerate(zip(self.target.block_dims, self.unitaries, strict=True)):
-                u = np.array(u, dtype=complex)
-                if u.shape != (n, n):
-                    raise InvalidEmbedding(f"unitary {k} has shape {u.shape}, expected ({n},{n})")
+                u = frozen(u, (n, n), f"unitary {k}", InvalidEmbedding)
                 if np.max(np.abs(u.conj().T @ u - np.eye(n))) > self.tol.num:
                     raise InvalidEmbedding(f"matrix {k} is not unitary within tolerance")
-                u.setflags(write=False)
                 us.append(u)
             object.__setattr__(self, "unitaries", tuple(us))
 
@@ -107,7 +105,7 @@ class UnitalEmbedding:
         section (l, start, c) takes columns start + j, start + j + c, ...
         """
         u = self._unitary(k)
-        basis = np.eye(self.target.block_dims[k], dtype=complex) if u is None else u
+        basis = np.eye(self.target.block_dims[k]) if u is None else u
         out = []
         for l, start, c in self._sections(k):
             stop = start + self.source.block_dims[l] * c
@@ -166,10 +164,12 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
     """Pull a functional on the target back to the source, phi o embed.
 
     Densities are partial traces over the multiplicity indices of the
-    unitarily rotated target densities; mass is preserved.  They are
-    built in the dtype of the densities and the unitaries together, so a
-    real functional restricts in real arithmetic along an embedding
-    without unitaries.
+    unitarily rotated target densities; mass is preserved.  Where a
+    block has a unitary, the rotated density u* D u is hermitized; the
+    partial traces of an exactly Hermitian matrix are exactly Hermitian,
+    so they are not.  They are built in the dtype of the densities and
+    the unitaries together, so a real functional restricts in real
+    arithmetic along real unitaries or none.
     """
     if phi.algebra != emb.target:
         raise ShapeError("functional does not live on the target algebra")
@@ -177,12 +177,12 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
     out = [np.zeros((m, m), dtype=dtype) for m in emb.source.block_dims]
     for k, d in enumerate(phi.densities):
         u = emb._unitary(k)
-        rot = d if u is None else u.conj().T @ d @ u
+        rot = d if u is None else hermitize(u.conj().T @ d @ u)
         for l, start, c in emb._sections(k):
             m = emb.source.block_dims[l]
             section = rot[start : start + m * c, start : start + m * c]
             out[l] += np.einsum("pjqj->pq", section.reshape(m, c, m, c))
-    return Functional(emb.source, tuple(hermitize(d) for d in out), phi.tol)
+    return Functional(emb.source, tuple(out), phi.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +191,8 @@ class UcpMap:
 
     kraus[k] is the family for target block k: matrices of shape
     (source space dim, N_k) with sum_i K_i^* K_i = I_{N_k}, acting as
-    Phi(a)_k = sum_i K_i^* blockdiag(a) K_i.
+    Phi(a)_k = sum_i K_i^* blockdiag(a) K_i.  Each K_i is stored by
+    linalg.real_if_exact.
     """
 
     source: BlockAlgebra
@@ -203,18 +204,14 @@ class UcpMap:
         s = self.source.space_dim
         if len(self.kraus) != self.target.num_blocks:
             raise NotUnital("one Kraus family per target block is required")
-        frozen = []
+        families = []
         for k, (n, fam) in enumerate(zip(self.target.block_dims, self.kraus, strict=True)):
-            fam = tuple(np.array(m, dtype=complex) for m in fam)
-            for m in fam:
-                if m.shape != (s, n):
-                    raise ShapeError(f"Kraus matrix shape {m.shape}, expected ({s},{n})")
-                m.setflags(write=False)
+            fam = tuple(frozen(m, (s, n), "Kraus matrix") for m in fam)
             total = sum(m.conj().T @ m for m in fam)
             if len(fam) == 0 or np.max(np.abs(total - np.eye(n))) > self.tol.num:
                 raise NotUnital(f"Kraus family for target block {k} does not sum to identity")
-            frozen.append(fam)
-        object.__setattr__(self, "kraus", tuple(frozen))
+            families.append(fam)
+        object.__setattr__(self, "kraus", tuple(families))
 
     def apply(self, a: BlockOperator) -> BlockOperator:
         """Phi(a) on the target algebra."""

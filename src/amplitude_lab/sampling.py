@@ -104,27 +104,9 @@ def dephasing_ucp(algebra: BlockAlgebra) -> UcpMap:
     for k, n in enumerate(algebra.block_dims):
         fam = []
         for i in range(n):
-            m = np.zeros((s, n), dtype=complex)
+            m = np.zeros((s, n))
             m[offsets[k] + i, i] = 1.0
             fam.append(m)
         families.append(tuple(fam))
     return UcpMap(algebra, algebra, tuple(families))
 
-
-def unitary_conjugation_ucp(algebra: BlockAlgebra, unitaries) -> UcpMap:
-    """Conjugation a -> U^* a U as a UCP map on the same algebra."""
-    s = algebra.space_dim
-    offsets = np.concatenate([[0], np.cumsum(algebra.block_dims)])
-    families = []
-    for k, (n, u) in enumerate(zip(algebra.block_dims, unitaries)):
-        m = np.zeros((s, n), dtype=complex)
-        m[offsets[k] : offsets[k] + n, :] = u
-        families.append((m,))
-    return UcpMap(algebra, algebra, tuple(families))
-
-
-def bell_state() -> Functional:
-    """Maximally entangled two-qubit state on M_4."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return Functional(BlockAlgebra((4,)), (np.outer(v, v.conj()),))

@@ -2,7 +2,7 @@
 
 Each check exercises one contract of the package on seeded random
 instances and reports a numeric witness (a max defect or a min margin).
-Identical seed and sizes give byte-identical output.
+An identical seed gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -93,15 +93,17 @@ def _kernel_gram(phi: Functional, psi: Functional) -> np.ndarray:
     return g
 
 
-def _mixed_algebras(max_dim: int) -> list[BlockAlgebra]:
-    d = max(2, min(max_dim, 4))
-    return [make_algebra([2]), make_algebra([d]), make_algebra([2, 2]), make_algebra([1, d])]
+# Largest side of the random matrices the checks draw.
+MAX_DIM = 8
+
+
+def _mixed_algebras() -> list[BlockAlgebra]:
+    return [make_algebra([2]), make_algebra([4]), make_algebra([2, 2]), make_algebra([1, 4])]
 
 
 class _Suite:
-    def __init__(self, seed: int, max_dim: int, tol: float):
+    def __init__(self, seed: int, tol: float):
         self.rng = np.random.default_rng(seed)
-        self.max_dim = max(2, int(max_dim))
         self.tol = tol
         self.results: list[tuple[str, bool, float]] = []
 
@@ -111,14 +113,14 @@ class _Suite:
     # --- algebra ---------------------------------------------------------
     def check_sqrt_roundtrip(self):
         worst = 0.0
-        for n in range(2, self.max_dim + 1):
+        for n in range(2, MAX_DIM + 1):
             h = random_psd(self.rng, n)
             worst = max(worst, float(np.max(np.abs(psd_sqrt(h) @ psd_sqrt(h) - h))))
         self.record("psd-sqrt-roundtrip", worst <= self.tol, worst)
 
     def check_support_projection(self):
         worst = 0.0
-        for alg in _mixed_algebras(self.max_dim):
+        for alg in _mixed_algebras():
             phi = random_state(self.rng, alg, rank_deficient=True)
             p = support_projection(phi)
             comp = alg.identity() - p
@@ -129,7 +131,7 @@ class _Suite:
 
     def check_evaluate_positive(self):
         margin = np.inf
-        for alg in _mixed_algebras(self.max_dim):
+        for alg in _mixed_algebras():
             phi = random_state(self.rng, alg)
             for _ in range(3):
                 x = random_operator(self.rng, alg)
@@ -140,7 +142,7 @@ class _Suite:
     def check_gmean_oracle(self):
         worst = 0.0
         for _ in range(10):
-            d = int(self.rng.integers(2, self.max_dim + 1))
+            d = int(self.rng.integers(2, MAX_DIM + 1))
             a = random_psd(self.rng, d) + 0.2 * np.eye(d)
             b = random_psd(self.rng, d) + 0.2 * np.eye(d)
             mean = geometric_mean(PositiveForm(a), PositiveForm(b))
@@ -150,7 +152,7 @@ class _Suite:
     def check_gmean_commuting(self):
         worst = 0.0
         for _ in range(5):
-            d = int(self.rng.integers(2, self.max_dim + 1))
+            d = int(self.rng.integers(2, MAX_DIM + 1))
             u = random_unitary(self.rng, d)
             wa = self.rng.uniform(0.0, 2.0, d)
             wb = self.rng.uniform(0.0, 2.0, d)
@@ -164,7 +166,7 @@ class _Suite:
     def check_gmean_symmetry(self):
         worst = 0.0
         for _ in range(5):
-            d = int(self.rng.integers(2, self.max_dim + 1))
+            d = int(self.rng.integers(2, MAX_DIM + 1))
             a = PositiveForm(random_psd(self.rng, d))
             b = PositiveForm(random_psd(self.rng, d, rank=max(1, d - 1)))
             worst = max(
@@ -176,7 +178,7 @@ class _Suite:
     def check_domination(self):
         margin = np.inf
         for _ in range(10):
-            d = int(self.rng.integers(2, self.max_dim + 1))
+            d = int(self.rng.integers(2, MAX_DIM + 1))
             ga = random_psd(self.rng, d) + 0.1 * np.eye(d)
             gb = random_psd(self.rng, d) + 0.1 * np.eye(d)
             alpha, beta = PositiveForm(ga), PositiveForm(gb)
@@ -196,7 +198,7 @@ class _Suite:
 
     def check_kernel_bridge(self):
         worst = 0.0
-        for alg in _mixed_algebras(self.max_dim):
+        for alg in _mixed_algebras():
             phi = random_state(self.rng, alg, rank_deficient=True)
             psi = random_state(self.rng, alg)
             mean = geometric_mean(left_form(phi), right_form(psi))
@@ -205,7 +207,7 @@ class _Suite:
 
     def check_interpolation_midpoint(self):
         worst = 0.0
-        for alg in _mixed_algebras(self.max_dim)[:2]:
+        for alg in _mixed_algebras()[:2]:
             phi = random_state(self.rng, alg)
             psi = random_state(self.rng, alg)
             mid = interpolated_form(phi, psi, 0.5)
@@ -216,7 +218,7 @@ class _Suite:
     # --- amplitudes ------------------------------------------------------
     def check_inequalities(self):
         margin = np.inf
-        for alg in _mixed_algebras(self.max_dim):
+        for alg in _mixed_algebras():
             phi = random_state(self.rng, alg)
             psi = random_state(self.rng, alg, rank_deficient=True)
             margin = min(margin, inequality_suite(phi, psi).min_defect())
@@ -236,7 +238,7 @@ class _Suite:
     def check_fidelity_sandwich(self):
         margin = np.inf
         for _ in range(5):
-            alg = make_algebra([int(self.rng.integers(2, self.max_dim + 1))])
+            alg = make_algebra([int(self.rng.integers(2, MAX_DIM + 1))])
             phi = random_state(self.rng, alg)
             psi = random_state(self.rng, alg)
             amp = transition_amplitude(phi, psi)
@@ -248,7 +250,7 @@ class _Suite:
     def check_modular_root(self):
         worst = 0.0
         for _ in range(5):
-            n = int(self.rng.integers(2, self.max_dim + 1))
+            n = int(self.rng.integers(2, MAX_DIM + 1))
             alg = make_algebra([n])
             phi = Functional(alg, (random_gibbs(self.rng, n),))
             psi = random_state(self.rng, alg)
@@ -261,7 +263,7 @@ class _Suite:
 
     def check_conjugation(self):
         worst = 0.0
-        n = min(self.max_dim, 4)
+        n = 4
         alg = make_algebra([n, 2])
         phi = Functional(alg, (random_gibbs(self.rng, n), random_gibbs(self.rng, 2)))
         j = modular_conjugation(phi)
@@ -277,7 +279,7 @@ class _Suite:
 
     def check_kms(self):
         worst = 0.0
-        for n in range(2, min(self.max_dim, 6) + 1):
+        for n in range(2, 7):
             alg = make_algebra([n])
             phi = Functional(alg, (random_gibbs(self.rng, n),))
             x = random_operator(self.rng, alg)
@@ -298,7 +300,7 @@ class _Suite:
 
     def check_flow_invariance(self):
         worst = 0.0
-        n = min(self.max_dim, 5)
+        n = 5
         alg = make_algebra([n])
         phi = Functional(alg, (random_gibbs(self.rng, n),))
         y = random_operator(self.rng, alg)
@@ -323,7 +325,7 @@ class _Suite:
 
     # --- restriction -----------------------------------------------------
     def check_product_chain(self):
-        sites = min(self.max_dim, 5)
+        sites = 5
         _, chain = build_product_chain([2] * sites)
         phi = product_state([np.diag([1.0, 0.0])] * sites)
         psi = product_state([np.eye(2) / 2.0] * sites)
@@ -347,7 +349,7 @@ class _Suite:
     def check_ucp_monotone(self):
         margin = np.inf
         src = make_algebra([2, 3])
-        tgt = make_algebra([min(self.max_dim, 4)])
+        tgt = make_algebra([4])
         for _ in range(5):
             channel = random_ucp(self.rng, src, tgt)
             phi = random_state(self.rng, tgt)
@@ -512,9 +514,9 @@ class _Suite:
         return self.results
 
 
-def run_selftest(seed: int, max_dim: int = 8, tol: float = DEFAULT_TOL.num, emit=print) -> bool:
+def run_selftest(seed: int, tol: float = DEFAULT_TOL.num, emit=print) -> bool:
     """Run the battery; emit one line per check; True when all pass."""
-    suite = _Suite(seed, max_dim, tol)
+    suite = _Suite(seed, tol)
     results = suite.run()
     all_ok = True
     for idx, (name, ok, witness) in enumerate(results, start=1):

@@ -1,13 +1,13 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and builders for the test suite.
 
-These stay independent of the code paths they check: the closed-form
-SPD mean uses plain eigendecompositions, and the kernel Gram is a brute
-force double loop over matrix units.
+The oracles stay independent of the code paths they check: the
+closed-form SPD mean uses plain eigendecompositions, and the kernel Gram
+is a brute force double loop over matrix units.
 """
 
 import numpy as np
 
-from amplitude_lab import amplitude_kernel, matrix_units
+from amplitude_lab import BlockAlgebra, Functional, UcpMap, amplitude_kernel, matrix_units
 
 
 def eig_fn(h: np.ndarray, fn) -> np.ndarray:
@@ -36,3 +36,22 @@ def kernel_gram(phi, psi) -> np.ndarray:
 
 def min_eigval(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
+
+
+def unitary_conjugation_ucp(algebra: BlockAlgebra, unitaries) -> UcpMap:
+    """Conjugation a -> U^* a U as a UCP map on the same algebra."""
+    s = algebra.space_dim
+    offsets = np.concatenate([[0], np.cumsum(algebra.block_dims)])
+    families = []
+    for k, (n, u) in enumerate(zip(algebra.block_dims, unitaries)):
+        m = np.zeros((s, n), dtype=complex)
+        m[offsets[k] : offsets[k] + n, :] = u
+        families.append((m,))
+    return UcpMap(algebra, algebra, tuple(families))
+
+
+def bell_state() -> Functional:
+    """Maximally entangled two-qubit state on M_4."""
+    v = np.zeros(4)
+    v[0] = v[3] = 1.0 / np.sqrt(2.0)
+    return Functional(BlockAlgebra((4,)), (np.outer(v, v),))

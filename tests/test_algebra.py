@@ -31,11 +31,9 @@ class TestMakeAlgebra:
     def test_single_block(self):
         alg = make_algebra([2])
         assert alg.block_dims == (2,)
-        assert alg.element_dim == 4
 
     def test_direct_sum_dimension(self):
         alg = make_algebra([2, 3])
-        assert alg.element_dim == 13
         assert alg.space_dim == 5
 
     def test_commutative(self):

@@ -150,9 +150,9 @@ class TestChain:
         assert np.allclose(values, 2.0 ** (-0.5 * np.arange(1, 5)), atol=1e-9)
         assert lines[-1].endswith(",")
 
-    @pytest.mark.parametrize("args", [("11",), ("20", "--max-dim", "20")])
+    @pytest.mark.parametrize("args", [("11",)])
     def test_product_chain_is_capped_by_dimension(self, args):
-        # 2**11 and 2**20 exceed the 1024 cap on the ambient dimension
+        # 2**11 exceeds the 1024 cap on the ambient dimension
         res = run_cli("chain", "--product-chain", *args)
         assert res.returncode == 6, res.stderr
         assert json.loads(res.stdout)["error"]["type"] == "TooLarge"
@@ -339,11 +339,3 @@ class TestErrorsAndDeterminism:
         b = write_functional(tmp_path / "b.json", psi)
         res = run_cli("amp", a, b)
         assert res.returncode == 3
-
-    def test_selftest_deterministic(self):
-        first = run_cli("selftest", "--seed", "7", "--max-dim", "4")
-        second = run_cli("selftest", "--seed", "7", "--max-dim", "4")
-        assert first.returncode == 0
-        assert second.returncode == 0
-        assert first.stdout == second.stdout
-        assert "summary: PASS" in first.stdout

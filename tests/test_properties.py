@@ -4,7 +4,8 @@ Each block is zero or a PSD block of random rank scaled by 10^u with u
 in [-8, 8], so one functional mixes blocks up to sixteen decades apart.
 The suite profile in conftest.py derandomizes the examples.  Real
 families also check that real storage gives the answers complex storage
-gives: a complex unitary per block makes the same pair complex.
+gives: a complex unitary per block makes the same pair complex, and a
+Haar unitary makes a real pair of Gram matrices complex.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from amplitude_lab import (
     DEFAULT_TOL,
     Functional,
+    PositiveForm,
     StateRelation,
     SubalgebraChain,
     UnitalEmbedding,
@@ -21,7 +23,9 @@ from amplitude_lab import (
     central_support,
     chain_amplitudes,
     classify_pair,
+    geometric_mean,
     identity_embedding,
+    is_dominated,
     make_algebra,
     support_projection,
     total_rank,
@@ -138,3 +142,36 @@ def test_real_storage_gives_the_answers_of_complex_storage(case):
     plain = chain_amplitudes(phi, psi, _two_link_chain(phi.algebra, None))
     turned = chain_amplitudes(phi_u, psi_u, _two_link_chain(phi.algebra, us))
     assert np.max(np.abs(np.subtract(plain, turned))) <= bound
+
+
+@st.composite
+def rotated_real_grams(draw):
+    """Real PSD Grams on C^n of random ranks (the first nonzero) and scales, and a Haar unitary."""
+    n = draw(st.integers(1, 5))
+    grams = [
+        _block(
+            n,
+            draw(st.integers(low, n)),
+            draw(st.floats(-2.0, 2.0)),
+            draw(st.integers(0, 2**32 - 1)),
+            real=True,
+        )
+        for low in (1, 0)
+    ]
+    return grams, random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+
+
+@given(rotated_real_grams())
+def test_real_grams_give_the_mean_and_domination_of_their_rotations(case):
+    (ga, gb), u = case
+    real = [PositiveForm(g) for g in (ga, gb)]
+    turned = [PositiveForm(u @ g @ u.conj().T) for g in (ga, gb)]
+    assert all(f.gram.dtype == np.float64 for f in real)
+    mean, mean_u = geometric_mean(*real), geometric_mean(*turned)
+    assert mean.gram.dtype == np.float64
+    bound = DEFAULT_TOL.num * max(1.0, float(np.max(np.abs(ga + gb))))
+    assert np.max(np.abs(u @ mean.gram @ u.conj().T - mean_u.gram)) <= bound
+    assert is_dominated(mean, *real) and is_dominated(mean_u, *turned)
+    # the sum is dominated only by a zero pair, which the first Gram never is
+    assert not is_dominated(real[0] + real[1], *real)
+    assert not is_dominated(turned[0] + turned[1], *turned)

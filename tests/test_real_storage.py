@@ -1,7 +1,9 @@
-"""The one dtype rule: a block is stored as float64 when its imaginary part is exactly zero.
+"""The one dtype rule: a stored array is float64 when its imaginary part is exactly zero.
 
-Functional, L2Vector and BlockOperator all store by linalg.real_if_exact,
-and restriction, roots and inner products keep the dtype they are given.
+Every container stores by linalg.real_if_exact: Functional, L2Vector,
+BlockOperator, the forms, covariances, Superoperator factors, embedding
+unitaries and Kraus matrices.  Restriction, roots and inner products
+keep the dtype they are given.
 """
 
 import numpy as np
@@ -9,9 +11,15 @@ import pytest
 
 from amplitude_lab import (
     BlockOperator,
+    CovarianceForm,
     Functional,
+    HermitianForm,
     L2Vector,
+    PositiveForm,
+    Superoperator,
+    UcpMap,
     UnitalEmbedding,
+    compose_embeddings,
     diagonal_state,
     make_algebra,
     product_state,
@@ -72,6 +80,101 @@ class TestContainers:
         assert not any(b.flags.writeable for b in blocks_of(x))
 
 
+def _symmetric(rng, n):
+    """Exactly symmetric positive definite matrix."""
+    a = rng.normal(size=(n, n))
+    g = a @ a.T / n + np.eye(n)
+    return 0.5 * (g + g.T)
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+
+def _hermitian_imag(arrays):
+    """The first matrix with an imaginary pair at (0, 1), (1, 0): still Hermitian."""
+    a = arrays[0].astype(complex)
+    a[0, 1] += 1e-3j
+    a[1, 0] -= 1e-3j
+    return [a, *arrays[1:]]
+
+
+def _row_phase(arrays):
+    """The first matrix with row 0 times i: a unitary or an isometry stays one."""
+    a = arrays[0].astype(complex)
+    a[0] *= 1j
+    return [a, *arrays[1:]]
+
+
+# name: (inputs from a seed, container from inputs, its stored arrays, one imaginary entry)
+STORED = {
+    "HermitianForm": (
+        lambda rng: [_symmetric(rng, 3)],
+        lambda ms: HermitianForm(ms[0]),
+        lambda f: [f.gram],
+        _hermitian_imag,
+    ),
+    "PositiveForm": (
+        lambda rng: [_symmetric(rng, 3)],
+        lambda ms: PositiveForm(ms[0]),
+        lambda f: [f.gram],
+        _hermitian_imag,
+    ),
+    "CovarianceForm": (
+        lambda rng: [_symmetric(rng, 3)],
+        lambda ms: CovarianceForm(ms[0]),
+        lambda c: [c.matrix],
+        _hermitian_imag,
+    ),
+    "Superoperator": (
+        lambda rng: [rng.normal(size=(n, n)) for n in (3, 2, 3, 2)],
+        lambda ms: Superoperator(make_algebra([3, 2]), tuple(ms[:2]), tuple(ms[2:])),
+        lambda op: [*op.left, *op.right],
+        _row_phase,
+    ),
+    "UnitalEmbedding.unitaries": (
+        lambda rng: [_orthogonal(rng, 3), _orthogonal(rng, 2)],
+        lambda us: UnitalEmbedding(
+            make_algebra([1, 2]), make_algebra([3, 2]), np.array([[1, 1], [0, 1]]), tuple(us)
+        ),
+        lambda emb: list(emb.unitaries),
+        _row_phase,
+    ),
+    "UcpMap.kraus": (
+        lambda rng: [_orthogonal(rng, 3)[:, :2], _orthogonal(rng, 3)[:, :1]],
+        lambda ks: UcpMap(make_algebra([2, 1]), make_algebra([2, 1]), ((ks[0],), (ks[1],))),
+        lambda ucp: [m for fam in ucp.kraus for m in fam],
+        _row_phase,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STORED)
+class TestStoredArrays:
+    def test_exactly_real_input_is_stored_as_float64(self, name):
+        inputs, build, stored, _ = STORED[name]
+        src = inputs(np.random.default_rng(11))
+        for given in (src, [a.astype(complex) for a in src]):
+            got = stored(build(given))
+            assert [a.dtype for a in got] == [np.float64] * len(src)
+            assert all(np.array_equal(a, b) for a, b in zip(got, src))
+            assert not any(a.flags.writeable for a in got)
+
+    def test_the_callers_arrays_stay_writeable(self, name):
+        inputs, build, _, _ = STORED[name]
+        src = inputs(np.random.default_rng(12))
+        build(src)
+        assert all(a.flags.writeable for a in src)
+
+    def test_one_imaginary_entry_keeps_complex128(self, name):
+        inputs, build, stored, with_imag = STORED[name]
+        src = with_imag(inputs(np.random.default_rng(13)))
+        got = stored(build(src))
+        assert got[0].dtype == np.complex128
+        assert np.array_equal(got[0], src[0])
+        assert all(a.dtype == np.float64 for a in got[1:])
+
+
 def test_real_if_exact_keeps_float64_input_as_is():
     a = np.eye(3)
     assert linalg.real_if_exact(a) is a
@@ -99,6 +202,28 @@ class TestRestriction:
         a = np.random.default_rng(4).normal(size=(5, 5))
         phi = Functional(emb.target, (a @ a.T,))
         assert restrict(phi, emb).densities[0].dtype == np.float64
+
+    def test_real_rotation_gives_a_real_restriction(self):
+        rng = np.random.default_rng(14)
+        q = _orthogonal(rng, 4)
+        emb = UnitalEmbedding(make_algebra([2]), make_algebra([4]), np.array([[2]]), (q,))
+        phi = Functional(emb.target, (_symmetric(rng, 4),))
+        got = restrict(phi, emb).densities[0]
+        assert emb.unitaries[0].dtype == got.dtype == np.float64
+        rot = q.T @ phi.densities[0] @ q
+        assert np.allclose(got, np.einsum("pjqj->pq", rot.reshape(2, 2, 2, 2)), atol=1e-14)
+
+    def test_composite_of_links_without_unitaries_gives_a_real_restriction(self):
+        c = np.array([[1, 1], [0, 1]])
+        inner = UnitalEmbedding(make_algebra([1, 1]), make_algebra([2, 1]), c)
+        outer = UnitalEmbedding(make_algebra([2, 1]), make_algebra([5]), np.array([[2, 1]]))
+        composite = compose_embeddings(outer, inner)
+        assert all(u.dtype == np.float64 for u in composite.unitaries)
+        phi = Functional(outer.target, (_symmetric(np.random.default_rng(15), 5),))
+        got = restrict(phi, composite)
+        assert all(d.dtype == np.float64 for d in got.densities)
+        for a, b in zip(got.densities, restrict(restrict(phi, outer), inner).densities):
+            assert np.allclose(a, b, atol=1e-14)
 
     def test_complex_unitary_gives_a_complex_restriction(self):
         rng = np.random.default_rng(5)

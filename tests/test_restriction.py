@@ -28,7 +28,6 @@ from amplitude_lab import (
 )
 from amplitude_lab.restriction import MAX_CHAIN_DIM
 from amplitude_lab.sampling import (
-    bell_state,
     dephasing_ucp,
     random_density,
     random_embedding,
@@ -36,8 +35,9 @@ from amplitude_lab.sampling import (
     random_state,
     random_ucp,
     random_unitary,
-    unitary_conjugation_ucp,
 )
+
+from helpers import bell_state, unitary_conjugation_ucp
 
 
 def tensor_embedding(m: int, copies: int) -> UnitalEmbedding:
