@@ -189,7 +189,21 @@ def manifest() -> list[tuple[list[str], list[str]]]:
         (["qf-reduce", "inputs/triple_not_hermitian.json"], []),
         (["chain", "inputs/spec_not_unitary.json"], []),
     ]
-    return [(argv + tol, zeros) for argv, zeros in cases for tol in ([], ["--tol", "1e-6"])]
+    for k in ("real", "cplx"):
+        phi, psi = f"inputs/phi_{k}.json", f"inputs/psi_{k}.json"
+        cases += [
+            (["amp", "--csv", phi, psi], []),
+            (["fidelity", "--csv", phi, psi], []),
+            (["purify", "--csv", f"inputs/single_{k}.json"], []),
+            (["kms-check", "--csv", phi], ["max_defect"]),
+        ]
+    tolerated = [(argv + tol, zeros) for argv, zeros in cases for tol in ([], ["--tol", "1e-6"])]
+    # the top-level flags, given before the subcommand
+    phi, psi = "inputs/phi_real.json", "inputs/psi_real.json"
+    return tolerated + [
+        (["--tol", "1e-6", "--csv", "amp", phi, psi], []),
+        (["--seed", "3", "kms-check", phi, "--trials", "2"], ["max_defect", "max_defects"]),
+    ]
 
 
 def run(argv: list[str]) -> tuple[int, str]:
