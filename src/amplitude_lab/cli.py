@@ -12,7 +12,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
@@ -54,15 +54,6 @@ EXIT_CODES = [
 SELFTEST_FAILED = 8
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation settings: tolerances, seed, output format."""
-
-    tol: Tolerances
-    seed: int
-    csv: bool
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
@@ -71,15 +62,15 @@ def _emit_json(obj) -> None:
     print(ser.dumps(obj))
 
 
-def _emit_scalar(name: str, value: float, cfg: RunConfig) -> None:
-    if cfg.csv:
-        print(f"{name},{_fmt(value)}")
-    else:
-        _emit_json({name: float(value)})
+def _emit_matrix(m: np.ndarray) -> None:
+    """CSV rows i,j,re,im of a matrix, row-major."""
+    print("i,j,re,im")
+    for (i, j), z in np.ndenumerate(m):
+        print(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
 
 
-def _load_functional(path: str, cfg: RunConfig):
-    return ser.functional_from_json(ser.load_file(path), cfg.tol)
+def _load_functional(path: str, tol: Tolerances):
+    return ser.functional_from_json(ser.load_file(path), tol)
 
 
 def _floats(raw: str, what: str) -> list[float]:
@@ -110,66 +101,44 @@ def _site_density(spec: str) -> np.ndarray:
     raise err.ParseError(f"unknown site spec {spec!r} (pure0|pure1|plus|mixed|diag:p1,p2,...)")
 
 
-def cmd_amp(args, cfg: RunConfig) -> int:
-    phi = _load_functional(args.phi, cfg)
-    psi = _load_functional(args.psi, cfg)
-    _emit_scalar("amplitude", transition_amplitude(phi, psi), cfg)
+def cmd_scalar(args) -> int:
+    """amp and fidelity: args.quantity of the two functionals, printed as args.output."""
+    phi = _load_functional(args.phi, args.tol)
+    psi = _load_functional(args.psi, args.tol)
+    value = args.quantity(phi, psi)
+    if args.csv:
+        print(f"{args.output},{_fmt(value)}")
+    else:
+        _emit_json({args.output: float(value)})
     return 0
 
 
-def cmd_fidelity(args, cfg: RunConfig) -> int:
-    phi = _load_functional(args.phi, cfg)
-    psi = _load_functional(args.psi, cfg)
-    _emit_scalar("fidelity", uhlmann_fidelity(phi, psi), cfg)
-    return 0
-
-
-def cmd_gmean(args, cfg: RunConfig) -> int:
-    alpha = ser.form_from_json(ser.load_file(args.alpha), positive=True, tol=cfg.tol)
-    beta = ser.form_from_json(ser.load_file(args.beta), positive=True, tol=cfg.tol)
+def cmd_gmean(args) -> int:
+    alpha = ser.form_from_json(ser.load_file(args.alpha), args.tol)
+    beta = ser.form_from_json(ser.load_file(args.beta), args.tol)
     mean = geometric_mean(alpha, beta)
-    if cfg.csv:
-        print("i,j,re,im")
-        for i in range(mean.dim):
-            for j in range(mean.dim):
-                z = mean.gram[i, j]
-                print(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
+    if args.csv:
+        _emit_matrix(mean.gram)
     else:
         _emit_json(ser.form_to_json(mean))
     return 0
 
 
-def cmd_purify(args, cfg: RunConfig) -> int:
-    phi = _load_functional(args.phi, cfg)
-    big = purify(phi)
-    if cfg.csv:
-        print("i,j,re,im")
-        d = big.densities[0]
-        for i in range(d.shape[0]):
-            for j in range(d.shape[1]):
-                print(f"{i},{j},{_fmt(d[i, j].real)},{_fmt(d[i, j].imag)}")
+def cmd_purify(args) -> int:
+    big = purify(_load_functional(args.phi, args.tol))
+    if args.csv:
+        _emit_matrix(big.densities[0])
     else:
         _emit_json(ser.functional_to_json(big))
     return 0
 
 
-def cmd_ineq(args, cfg: RunConfig) -> int:
-    phi = _load_functional(args.phi, cfg)
-    psi = _load_functional(args.psi, cfg)
+def cmd_ineq(args) -> int:
+    phi = _load_functional(args.phi, args.tol)
+    psi = _load_functional(args.psi, args.tol)
     rep = inequality_suite(phi, psi)
-    payload = {
-        "amplitude": rep.amplitude,
-        "fidelity": rep.fidelity,
-        "root_difference_sq": rep.root_difference_sq,
-        "predual_distance": rep.predual_distance,
-        "root_sum_norm": rep.root_sum_norm,
-        "lower_defect": rep.lower_defect,
-        "upper_defect": rep.upper_defect,
-        "sandwich_lower_defect": rep.sandwich_lower_defect,
-        "sandwich_upper_defect": rep.sandwich_upper_defect,
-        "concavity_min_eig": rep.concavity_min_eig,
-    }
-    if cfg.csv:
+    payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "concavity_ts"}
+    if args.csv:
         print("quantity,value")
         for k, v in payload.items():
             print(f"{k},{'' if v is None else _fmt(v)}")
@@ -178,20 +147,20 @@ def cmd_ineq(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_chain(args, cfg: RunConfig) -> int:
+def cmd_chain(args) -> int:
     if args.spec is not None:
         obj = ser.load_file(args.spec)
         if not isinstance(obj, dict) or any(k not in obj for k in ("phi", "psi", "chain")):
             raise err.ParseError("chain spec: expected 'phi', 'psi', 'chain' fields")
-        phi = ser.functional_from_json(obj["phi"], cfg.tol)
-        psi = ser.functional_from_json(obj["psi"], cfg.tol)
-        chain = ser.chain_from_json(obj["chain"], cfg.tol)
+        phi = ser.functional_from_json(obj["phi"], args.tol)
+        psi = ser.functional_from_json(obj["psi"], args.tol)
+        chain = ser.chain_from_json(obj["chain"], args.tol)
     elif args.product_chain is not None:
         n = args.product_chain
         # sites are generated lazily, so a huge N stops at the dimension cap
         _, chain = build_product_chain(itertools.repeat(2, n))
-        phi = product_state([_site_density(args.site_a)] * n, cfg.tol)
-        psi = product_state([_site_density(args.site_b)] * n, cfg.tol)
+        phi = product_state([_site_density(args.site_a)] * n, args.tol)
+        psi = product_state([_site_density(args.site_b)] * n, args.tol)
     elif args.lumped is not None:
         # checked before the weight vectors are allocated
         if args.lumped > MAX_CHAIN_DIM:
@@ -199,8 +168,8 @@ def cmd_chain(args, cfg: RunConfig) -> int:
         p = qf.geometric_weights(args.lam, args.lumped)
         q = qf.geometric_weights(args.mu, args.lumped)
         chain = build_lumped_diagonal_chain(p, q)
-        phi = diagonal_state(p, cfg.tol)
-        psi = diagonal_state(q, cfg.tol)
+        phi = diagonal_state(p, args.tol)
+        psi = diagonal_state(q, args.tol)
     else:
         raise err.ParseError("chain: give a spec file, --product-chain, or --lumped")
     amps = chain_amplitudes(phi, psi, chain)
@@ -211,10 +180,10 @@ def cmd_chain(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_decompose(args, cfg: RunConfig) -> int:
+def cmd_decompose(args) -> int:
     mu = _floats(args.mu_weights, "--mu weights") if args.mu_weights else None
-    phi = _load_functional(args.phi, cfg)
-    psi = _load_functional(args.psi, cfg)
+    phi = _load_functional(args.phi, args.tol)
+    psi = _load_functional(args.psi, args.tol)
     weights, amps, check = ct.amplitude_sum_terms(phi, psi, mu)
     print("block,weight,component_amplitude")
     for k, (w, a_k) in enumerate(zip(weights, amps)):
@@ -224,12 +193,12 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_kms(args, cfg: RunConfig) -> int:
+def cmd_kms(args) -> int:
     times = _floats(args.times, "--times")
     if args.trials < 1:
         raise err.ParseError(f"--trials must be at least 1, got {args.trials}")
-    phi = _load_functional(args.state, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    phi = _load_functional(args.state, args.tol)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for t in times:
         worst = 0.0
@@ -238,7 +207,7 @@ def cmd_kms(args, cfg: RunConfig) -> int:
             y = random_operator(rng, phi.algebra)
             worst = max(worst, kms_defect(phi, x, y, t))
         rows.append((t, worst))
-    if cfg.csv:
+    if args.csv:
         print("t,max_defect")
         for t, d in rows:
             print(f"{_fmt(t)},{_fmt(d)}")
@@ -253,8 +222,8 @@ def cmd_kms(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_qf_reduce(args, cfg: RunConfig) -> int:
-    space, s, t = ser.covariance_triple_from_json(ser.load_file(args.triple), cfg.tol)
+def cmd_qf_reduce(args) -> int:
+    space, s, t = ser.covariance_triple_from_json(ser.load_file(args.triple), args.tol)
     triple = qf.reduce(space, s, t)
     payload = {
         "kernel_dim": triple.kernel_dim,
@@ -267,8 +236,8 @@ def cmd_qf_reduce(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_selftest(args, cfg: RunConfig) -> int:
-    ok = run_selftest(cfg.seed, tol=cfg.tol.num)
+def cmd_selftest(args) -> int:
+    ok = run_selftest(args.seed, tol=args.tol.num)
     return 0 if ok else SELFTEST_FAILED
 
 
@@ -291,15 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("amp", help="transition amplitude of two functionals", parents=[common])
-    p.add_argument("phi")
-    p.add_argument("psi")
-    p.set_defaults(fn=cmd_amp)
-
-    p = sub.add_parser("fidelity", help="Uhlmann transition probability", parents=[common])
-    p.add_argument("phi")
-    p.add_argument("psi")
-    p.set_defaults(fn=cmd_fidelity)
+    for command, output, quantity, help_ in (
+        ("amp", "amplitude", transition_amplitude, "transition amplitude of two functionals"),
+        ("fidelity", "fidelity", uhlmann_fidelity, "Uhlmann transition probability"),
+    ):
+        p = sub.add_parser(command, help=help_, parents=[common])
+        p.add_argument("phi")
+        p.add_argument("psi")
+        p.set_defaults(fn=cmd_scalar, output=output, quantity=quantity)
 
     p = sub.add_parser("gmean", help="geometric mean of two positive forms", parents=[common])
     p.add_argument("alpha")
@@ -359,8 +327,10 @@ def _tolerances(raw: float | None) -> Tolerances:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(tol=_tolerances(args.tol), seed=args.seed, csv=args.csv)
-        return args.fn(args, cfg)
+        args.tol = _tolerances(args.tol)
+        if args.seed < 0:
+            raise err.ParseError(f"bad --seed {args.seed}: expected an integer >= 0")
+        return args.fn(args)
     except err.AmplitudeLabError as exc:
         code = 1
         for klass, c in EXIT_CODES:

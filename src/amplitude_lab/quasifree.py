@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError
-from .linalg import eigh, eigvalsh, hermitian_part, in_range, is_psd
+from .linalg import eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
 
 __all__ = [
     "PresymplecticSpace",
@@ -40,7 +40,9 @@ class PresymplecticSpace:
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        s = np.array(self.sigma, dtype=float)
+        s = real_if_exact(self.sigma)
+        if np.iscomplexobj(s):
+            raise ShapeError("presymplectic form must be real, got a nonzero imaginary part")
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ShapeError(f"presymplectic form must be square, got {s.shape}")
         scale = float(np.max(np.abs(s))) if s.size else 0.0

@@ -478,39 +478,10 @@ class _Suite:
         self.record("quotient-pullback-invariance", worst <= self.tol, worst)
 
     def run(self):
-        checks = [
-            self.check_sqrt_roundtrip,
-            self.check_support_projection,
-            self.check_evaluate_positive,
-            self.check_gmean_oracle,
-            self.check_gmean_commuting,
-            self.check_gmean_symmetry,
-            self.check_domination,
-            self.check_kernel_bridge,
-            self.check_interpolation_midpoint,
-            self.check_inequalities,
-            self.check_purification_square,
-            self.check_fidelity_sandwich,
-            self.check_modular_root,
-            self.check_conjugation,
-            self.check_kms,
-            self.check_kms_counterexample,
-            self.check_flow_invariance,
-            self.check_support_reduce,
-            self.check_product_chain,
-            self.check_chain_monotone,
-            self.check_ucp_monotone,
-            self.check_dephasing,
-            self.check_tower,
-            self.check_embedding_ucp_agrees,
-            self.check_central_sum,
-            self.check_integrate_roundtrip,
-            self.check_qf_reduction,
-            self.check_thermal_chain,
-            self.check_quotient_invariance,
-        ]
-        for chk in checks:
-            chk()
+        """Every check_* method, in definition order."""
+        for name, check in vars(_Suite).items():
+            if name.startswith("check_"):
+                check(self)
         return self.results
 
 

@@ -121,9 +121,8 @@ def _gram_from_json(obj) -> np.ndarray:
     return matrix_from_pairs(obj["gram"], d, "gram")
 
 
-def form_from_json(obj, positive: bool = False, tol: Tolerances = DEFAULT_TOL) -> HermitianForm:
-    gram = _gram_from_json(obj)
-    return PositiveForm(gram, tol) if positive else HermitianForm(gram, tol)
+def form_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> PositiveForm:
+    return PositiveForm(_gram_from_json(obj), tol)
 
 
 def sigma_from_json(obj) -> np.ndarray:

@@ -271,6 +271,39 @@ def test_criterion_8_quotient_and_ucp():
     report(8, "quotient and UCP", "min_monotonicity_margin", worst_mono)
 
 
+SELFTEST_CHECKS = [
+    "psd-sqrt-roundtrip",
+    "support-projection-annihilates",
+    "evaluate-positive-on-squares",
+    "gmean-closed-form-oracle",
+    "gmean-commuting-case",
+    "gmean-symmetry",
+    "gmean-variational-bound",
+    "amplitude-kernel-bridge",
+    "interpolation-midpoint",
+    "inequality-defects",
+    "purification-square-law",
+    "fidelity-sandwich",
+    "relative-modular-root",
+    "modular-conjugation",
+    "kms-boundary-identity",
+    "kms-foreign-flow-detected",
+    "flow-invariance",
+    "support-reduce-evaluation",
+    "product-chain-closed-form",
+    "chain-monotone",
+    "ucp-pullback-monotone",
+    "dephasing-example",
+    "restriction-tower",
+    "embedding-vs-ucp-restrict",
+    "central-sum-formula",
+    "integrate-decompose-roundtrip",
+    "qf-reduction-invariance",
+    "thermal-amplitude-limit",
+    "quotient-pullback-invariance",
+]
+
+
 def test_criterion_9_selftest_determinism():
     def run():
         return subprocess.run(
@@ -282,5 +315,8 @@ def test_criterion_9_selftest_determinism():
     second = run()
     assert first.returncode == 0
     assert first.stdout == second.stdout
-    assert first.stdout  # nonempty
+    lines = first.stdout.decode().splitlines()
+    # the battery: the check_* methods of selftest._Suite, in definition order
+    assert [line.split()[2].rstrip(":") for line in lines[:-1]] == SELFTEST_CHECKS
+    assert lines[-1] == f"selftest summary: PASS ({len(SELFTEST_CHECKS)} checks)"
     report(9, "selftest determinism", "bytes", float(len(first.stdout)))

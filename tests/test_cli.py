@@ -320,6 +320,15 @@ class TestErrorsAndDeterminism:
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stdout)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("command", ["kms-check", "selftest"])
+    def test_negative_seed_is_a_parse_error(self, qubit_pair, command):
+        # numpy's default_rng rejected it with a traceback and exit 1
+        state = [qubit_pair[1]] if command == "kms-check" else []
+        res = run_cli(command, *state, "--seed", "-1")
+        assert res.returncode == 2, res.stderr
+        error = json.loads(res.stdout)["error"]
+        assert error["type"] == "ParseError" and "--seed" in error["message"]
+
     def test_missing_file(self):
         res = run_cli("amp", "/nonexistent/a.json", "/nonexistent/b.json")
         assert res.returncode == 2

@@ -29,6 +29,18 @@ def standard_sigma(pairs: int, extra_zeros: int = 0) -> np.ndarray:
     return s
 
 
+class TestPresymplecticSpace:
+    def test_sigma_with_an_imaginary_part_is_rejected(self):
+        with pytest.raises(ShapeError, match="real"):
+            PresymplecticSpace(np.array([[0, 1 + 1j], [-1 - 1j, 0]]))
+
+    def test_exactly_real_complex_sigma_is_stored_as_float64(self):
+        sigma = standard_sigma(1)
+        space = PresymplecticSpace(sigma.astype(complex))
+        assert space.sigma.dtype == np.float64
+        assert np.array_equal(space.sigma, sigma)
+
+
 class TestValidateCovariance:
     def test_vacuum_form(self):
         sigma = standard_sigma(1)

@@ -25,7 +25,7 @@ class TestRoundTrips:
         from amplitude_lab.sampling import random_psd
 
         form = PositiveForm(random_psd(np.random.default_rng(1), 3))
-        back = ser.form_from_json(ser.form_to_json(form), positive=True)
+        back = ser.form_from_json(ser.form_to_json(form))
         assert np.max(np.abs(back.gram - form.gram)) <= 1e-12
 
     def test_emitted_json_reparses_equal(self):
