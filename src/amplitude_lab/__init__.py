@@ -42,7 +42,7 @@ from .central import (
     decompose,
     integrate_disjoint_family,
 )
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, tolerances, using
 from .errors import (
     AmplitudeLabError,
     DomainError,

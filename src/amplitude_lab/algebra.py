@@ -5,7 +5,8 @@ M_{n_1} (+) ... (+) M_{n_m}.  Elements, functionals and square-root
 vectors all carry one n_k x n_k matrix per block, stored by
 linalg.real_if_exact: float64 when its imaginary part is exactly zero,
 complex128 otherwise.  Everything is immutable after construction and
-all operations are pure functions.
+all operations are pure functions of their arguments and the tolerances
+in force (config.tolerances).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidAlgebra, NotPositive, ShapeError
 from .linalg import Spectrum, eigh, frozen, hermitian_part, in_range, is_psd, spectral_apply
 
@@ -125,7 +125,6 @@ class Functional:
 
     algebra: BlockAlgebra
     densities: tuple[np.ndarray, ...] = field(repr=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
     _spectrum: tuple[Spectrum, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -133,7 +132,7 @@ class Functional:
     def __post_init__(self):
         # the Hermitian part kills roundoff drift before any eigendecomposition
         blocks = tuple(
-            hermitian_part(d, self.tol, "density block", n=n)
+            hermitian_part(d, "density block", n=n)
             for n, d in zip(self.algebra.block_dims, self.densities, strict=True)
         )
         object.__setattr__(self, "densities", blocks)
@@ -158,7 +157,7 @@ class Functional:
 
     def is_positive(self) -> bool:
         """The one positivity test of a functional: is_psd on every block's eigenvalues."""
-        return is_psd(np.concatenate([w for w, _ in self.spectrum()]), self.tol)
+        return is_psd(np.concatenate([w for w, _ in self.spectrum()]))
 
     def require_positive(self, what: str = "functional") -> None:
         if not self.is_positive():
@@ -169,18 +168,14 @@ class Functional:
 
     def __add__(self, other: "Functional") -> "Functional":
         _check_same_algebra(self, other)
-        return Functional(
-            self.algebra, tuple(a + b for a, b in zip(self.densities, other.densities)), self.tol
-        )
+        return Functional(self.algebra, tuple(a + b for a, b in zip(self.densities, other.densities)))
 
     def __sub__(self, other: "Functional") -> "Functional":
         _check_same_algebra(self, other)
-        return Functional(
-            self.algebra, tuple(a - b for a, b in zip(self.densities, other.densities)), self.tol
-        )
+        return Functional(self.algebra, tuple(a - b for a, b in zip(self.densities, other.densities)))
 
     def __mul__(self, c: float) -> "Functional":
-        return Functional(self.algebra, tuple(c * d for d in self.densities), self.tol)
+        return Functional(self.algebra, tuple(c * d for d in self.densities))
 
     __rmul__ = __mul__
 
@@ -271,7 +266,7 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float] | None
     if not keep.all():
         d = d - spectral_apply((dropped, v), lambda x: x)
     algebra = BlockAlgebra((phi.algebra.block_dims[k],))
-    comp = Functional(algebra, (d / mass,), phi.tol)
+    comp = Functional(algebra, (d / mass,))
     w = (w - dropped) / mass
     w.setflags(write=False)
     object.__setattr__(comp, "_spectrum", ((w, v),))

@@ -21,7 +21,8 @@ from .algebra import (
     _check_same_algebra,
     functional_norm,
 )
-from .errors import NotFactor, NotQuotient, ShapeError
+from .config import MAX_CHAIN_DIM, tolerances
+from .errors import NotFactor, NotQuotient, ShapeError, TooLarge
 from .linalg import min_eig, psd_function, trace_norm
 
 
@@ -128,8 +129,7 @@ def inequality_suite(
     lower_defect = dist - root_diff_sq
     upper_defect = np.sqrt(max(root_diff_sq, 0.0)) * root_sum - dist
 
-    is_state_pair = abs(phi.mass - 1.0) <= phi.tol.num and abs(psi.mass - 1.0) <= psi.tol.num
-    if is_state_pair:
+    if max(abs(phi.mass - 1.0), abs(psi.mass - 1.0)) <= tolerances().num:
         fid = _root_fidelity(root_p, root_q)
         sandwich_lower = fid - amp * amp
         sandwich_upper = amp - fid
@@ -166,12 +166,16 @@ def purify(phi: Functional) -> Functional:
     (column-stacking vec).  Evaluating it on purification_op(a, b)
     reproduces Tr(D^{1/2} a D^{1/2} b); for states the amplitude between
     two purifications is the squared amplitude of the original pair.
+    The doubled side n^2 may not exceed MAX_CHAIN_DIM (TooLarge).
     """
     if phi.algebra.num_blocks != 1:
         raise NotFactor("purification needs a functional on a single matrix block")
+    n = phi.algebra.block_dims[0]
+    if n * n > MAX_CHAIN_DIM:
+        raise TooLarge(f"purification side {n}^2 = {n * n} is above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
     v = sqrt_vector(phi).blocks[0].flatten(order="F")
     density = np.outer(v, v.conj())
-    return Functional(BlockAlgebra((v.size,)), (density,), phi.tol)
+    return Functional(BlockAlgebra((v.size,)), (density,))
 
 
 def purification_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,4 +235,4 @@ def pullback_along_quotient(pi: QuotientMap, phi: Functional) -> Functional:
     blocks = [np.zeros((n, n)) for n in pi.source.block_dims]
     for l, k in enumerate(pi.assignment):
         blocks[k] = phi.densities[l]
-    return Functional(pi.source, tuple(blocks), phi.tol)
+    return Functional(pi.source, tuple(blocks))

@@ -39,7 +39,7 @@ class StateDecomposition:
         for k, comp in enumerate(self.components):
             c = float(self.weights[k] * self.radon_nikodym[k])
             densities.append(c * comp.densities[0])
-        return Functional(self.algebra, tuple(densities), self.components[0].tol)
+        return Functional(self.algebra, tuple(densities))
 
 
 def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
@@ -92,9 +92,7 @@ def _decomposition(
             if m > 0.0 and weights[k] <= 0.0:
                 raise SingularMeasure(f"weight vanishes on block {k} carrying mass {m:.3e}")
     components = tuple(
-        Functional(BlockAlgebra((n,)), (np.eye(n) / n,), phi.tol)
-        if part is None
-        else part[0]
+        Functional(BlockAlgebra((n,)), (np.eye(n) / n,)) if part is None else part[0]
         for n, part in zip(phi.algebra.block_dims, parts)
     )
     radon = np.divide(masses, weights, out=np.zeros_like(masses), where=masses > 0.0)
@@ -171,4 +169,4 @@ def integrate_disjoint_family(
         dims.extend(comp.algebra.block_dims)
         densities.extend(w * d for d in comp.densities)
     algebra = BlockAlgebra(tuple(dims))
-    return algebra, Functional(algebra, tuple(densities), components[0].tol)
+    return algebra, Functional(algebra, tuple(densities))

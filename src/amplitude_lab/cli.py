@@ -21,11 +21,10 @@ from . import errors as err
 from . import quasifree as qf
 from . import serialize as ser
 from .amplitudes import inequality_suite, purify, transition_amplitude, uhlmann_fidelity
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, MAX_CHAIN_DIM, Tolerances, using
 from .forms import geometric_mean
 from .modular import kms_defect
 from .restriction import (
-    MAX_CHAIN_DIM,
     build_lumped_diagonal_chain,
     build_product_chain,
     chain_amplitudes,
@@ -69,8 +68,8 @@ def _emit_matrix(m: np.ndarray) -> None:
         print(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
 
 
-def _load_functional(path: str, tol: Tolerances):
-    return ser.functional_from_json(ser.load_file(path), tol)
+def _load_functional(path: str):
+    return ser.functional_from_json(ser.load_file(path))
 
 
 def _floats(raw: str, what: str) -> list[float]:
@@ -103,8 +102,8 @@ def _site_density(spec: str) -> np.ndarray:
 
 def cmd_scalar(args) -> int:
     """amp and fidelity: args.quantity of the two functionals, printed as args.output."""
-    phi = _load_functional(args.phi, args.tol)
-    psi = _load_functional(args.psi, args.tol)
+    phi = _load_functional(args.phi)
+    psi = _load_functional(args.psi)
     value = args.quantity(phi, psi)
     if args.csv:
         print(f"{args.output},{_fmt(value)}")
@@ -114,8 +113,8 @@ def cmd_scalar(args) -> int:
 
 
 def cmd_gmean(args) -> int:
-    alpha = ser.form_from_json(ser.load_file(args.alpha), args.tol)
-    beta = ser.form_from_json(ser.load_file(args.beta), args.tol)
+    alpha = ser.form_from_json(ser.load_file(args.alpha))
+    beta = ser.form_from_json(ser.load_file(args.beta))
     mean = geometric_mean(alpha, beta)
     if args.csv:
         _emit_matrix(mean.gram)
@@ -125,7 +124,7 @@ def cmd_gmean(args) -> int:
 
 
 def cmd_purify(args) -> int:
-    big = purify(_load_functional(args.phi, args.tol))
+    big = purify(_load_functional(args.phi))
     if args.csv:
         _emit_matrix(big.densities[0])
     else:
@@ -134,8 +133,8 @@ def cmd_purify(args) -> int:
 
 
 def cmd_ineq(args) -> int:
-    phi = _load_functional(args.phi, args.tol)
-    psi = _load_functional(args.psi, args.tol)
+    phi = _load_functional(args.phi)
+    psi = _load_functional(args.psi)
     rep = inequality_suite(phi, psi)
     payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "concavity_ts"}
     if args.csv:
@@ -152,15 +151,15 @@ def cmd_chain(args) -> int:
         obj = ser.load_file(args.spec)
         if not isinstance(obj, dict) or any(k not in obj for k in ("phi", "psi", "chain")):
             raise err.ParseError("chain spec: expected 'phi', 'psi', 'chain' fields")
-        phi = ser.functional_from_json(obj["phi"], args.tol)
-        psi = ser.functional_from_json(obj["psi"], args.tol)
-        chain = ser.chain_from_json(obj["chain"], args.tol)
+        phi = ser.functional_from_json(obj["phi"])
+        psi = ser.functional_from_json(obj["psi"])
+        chain = ser.chain_from_json(obj["chain"])
     elif args.product_chain is not None:
         n = args.product_chain
         # sites are generated lazily, so a huge N stops at the dimension cap
         _, chain = build_product_chain(itertools.repeat(2, n))
-        phi = product_state([_site_density(args.site_a)] * n, args.tol)
-        psi = product_state([_site_density(args.site_b)] * n, args.tol)
+        phi = product_state([_site_density(args.site_a)] * n)
+        psi = product_state([_site_density(args.site_b)] * n)
     elif args.lumped is not None:
         # checked before the weight vectors are allocated
         if args.lumped > MAX_CHAIN_DIM:
@@ -168,8 +167,8 @@ def cmd_chain(args) -> int:
         p = qf.geometric_weights(args.lam, args.lumped)
         q = qf.geometric_weights(args.mu, args.lumped)
         chain = build_lumped_diagonal_chain(p, q)
-        phi = diagonal_state(p, args.tol)
-        psi = diagonal_state(q, args.tol)
+        phi = diagonal_state(p)
+        psi = diagonal_state(q)
     else:
         raise err.ParseError("chain: give a spec file, --product-chain, or --lumped")
     amps = chain_amplitudes(phi, psi, chain)
@@ -182,8 +181,8 @@ def cmd_chain(args) -> int:
 
 def cmd_decompose(args) -> int:
     mu = _floats(args.mu_weights, "--mu weights") if args.mu_weights else None
-    phi = _load_functional(args.phi, args.tol)
-    psi = _load_functional(args.psi, args.tol)
+    phi = _load_functional(args.phi)
+    psi = _load_functional(args.psi)
     weights, amps, check = ct.amplitude_sum_terms(phi, psi, mu)
     print("block,weight,component_amplitude")
     for k, (w, a_k) in enumerate(zip(weights, amps)):
@@ -197,7 +196,7 @@ def cmd_kms(args) -> int:
     times = _floats(args.times, "--times")
     if args.trials < 1:
         raise err.ParseError(f"--trials must be at least 1, got {args.trials}")
-    phi = _load_functional(args.state, args.tol)
+    phi = _load_functional(args.state)
     rng = np.random.default_rng(args.seed)
     rows = []
     for t in times:
@@ -223,7 +222,7 @@ def cmd_kms(args) -> int:
 
 
 def cmd_qf_reduce(args) -> int:
-    space, s, t = ser.covariance_triple_from_json(ser.load_file(args.triple), args.tol)
+    space, s, t = ser.covariance_triple_from_json(ser.load_file(args.triple))
     triple = qf.reduce(space, s, t)
     payload = {
         "kernel_dim": triple.kernel_dim,
@@ -237,17 +236,23 @@ def cmd_qf_reduce(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    ok = run_selftest(args.seed, tol=args.tol.num)
+    ok = run_selftest(args.seed)
     return 0 if ok else SELFTEST_FAILED
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--tol", type=float, default=d(None), help="override the base tolerance")
-    parser.add_argument("--seed", type=int, default=d(7), help="RNG seed for randomized commands")
-    parser.add_argument(
-        "--csv", action="store_true", default=d(False), help="emit CSV rows instead of JSON"
-    )
+# name: (default, argparse options).  Every command reads --tol; a command
+# reads --seed and --csv only where they change its output.
+_FLAGS = {
+    "tol": (None, {"type": float, "help": "override the base tolerance"}),
+    "seed": (7, {"type": int, "help": "RNG seed of kms-check and selftest (default 7)"}),
+    "csv": (False, {"action": "store_true", "help": "emit CSV rows instead of JSON"}),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    """The named flags, left out of the parsed arguments unless given."""
+    for name in names:
+        parser.add_argument(f"--{name}", default=argparse.SUPPRESS, **_FLAGS[name][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,35 +260,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="amplab",
         description="Transition amplitudes and geometric means on block matrix algebras.",
     )
-    _add_common(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
+    _add_flags(parser, _FLAGS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, output, quantity, help_ in (
+    def command(name: str, fn, help_: str, flags: tuple[str, ...] = ()):
+        p = sub.add_parser(name, help=help_)
+        _add_flags(p, ("tol", *flags))
+        p.set_defaults(fn=fn, flags=("tol", *flags))
+        return p
+
+    for name, output, quantity, help_ in (
         ("amp", "amplitude", transition_amplitude, "transition amplitude of two functionals"),
         ("fidelity", "fidelity", uhlmann_fidelity, "Uhlmann transition probability"),
     ):
-        p = sub.add_parser(command, help=help_, parents=[common])
+        p = command(name, cmd_scalar, help_, ("csv",))
         p.add_argument("phi")
         p.add_argument("psi")
-        p.set_defaults(fn=cmd_scalar, output=output, quantity=quantity)
+        p.set_defaults(output=output, quantity=quantity)
 
-    p = sub.add_parser("gmean", help="geometric mean of two positive forms", parents=[common])
+    p = command("gmean", cmd_gmean, "geometric mean of two positive forms", ("csv",))
     p.add_argument("alpha")
     p.add_argument("beta")
-    p.set_defaults(fn=cmd_gmean)
 
-    p = sub.add_parser("purify", help="rank-one purification of a single-block state", parents=[common])
+    p = command("purify", cmd_purify, "rank-one purification of a single-block state", ("csv",))
     p.add_argument("phi")
-    p.set_defaults(fn=cmd_purify)
 
-    p = sub.add_parser("ineq", help="norm and fidelity inequality report", parents=[common])
+    p = command("ineq", cmd_ineq, "norm and fidelity inequality report", ("csv",))
     p.add_argument("phi")
     p.add_argument("psi")
-    p.set_defaults(fn=cmd_ineq)
 
-    p = sub.add_parser("chain", help="restriction chain amplitudes (CSV)", parents=[common])
+    p = command("chain", cmd_chain, "restriction chain amplitudes (CSV)")
     p.add_argument("spec", nargs="?", default=None, help="JSON chain spec file")
     p.add_argument("--product-chain", type=int, default=None, metavar="N")
     p.add_argument("--site-a", default="pure0")
@@ -291,28 +297,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lumped", type=int, default=None, metavar="N")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=0.25)
-    p.set_defaults(fn=cmd_chain)
 
-    p = sub.add_parser("decompose", help="central decomposition and sum formula (CSV)", parents=[common])
+    p = command("decompose", cmd_decompose, "central decomposition and sum formula (CSV)")
     p.add_argument("phi")
     p.add_argument("psi")
     p.add_argument("--mu", dest="mu_weights", default=None, help="comma-separated weights")
-    p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("kms-check", help="KMS boundary defect over a time grid", parents=[common])
+    p = command("kms-check", cmd_kms, "KMS boundary defect over a time grid", ("seed", "csv"))
     p.add_argument("state")
     p.add_argument("--times", default="-2,-1,0,1,2")
     p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(fn=cmd_kms)
 
-    p = sub.add_parser("qf-reduce", help="reduce a covariance triple", parents=[common])
+    p = command("qf-reduce", cmd_qf_reduce, "reduce a covariance triple")
     p.add_argument("triple")
-    p.set_defaults(fn=cmd_qf_reduce)
 
-    p = sub.add_parser("selftest", help="deterministic invariant battery", parents=[common])
-    p.set_defaults(fn=cmd_selftest)
-
+    command("selftest", cmd_selftest, "deterministic invariant battery", ("seed",))
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parsed arguments with the flag defaults; a flag the command does not read exits 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, (default, _) in _FLAGS.items():
+        if name in args and name not in args.flags:
+            parser.error(f"unrecognized arguments: --{name} ({args.command} does not read it)")
+        setattr(args, name, getattr(args, name, default))
+    return args
 
 
 def _tolerances(raw: float | None) -> Tolerances:
@@ -325,12 +336,12 @@ def _tolerances(raw: float | None) -> Tolerances:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
-        args.tol = _tolerances(args.tol)
-        if args.seed < 0:
-            raise err.ParseError(f"bad --seed {args.seed}: expected an integer >= 0")
-        return args.fn(args)
+        with using(_tolerances(args.tol)):
+            if args.seed < 0:
+                raise err.ParseError(f"bad --seed {args.seed}: expected an integer >= 0")
+            return args.fn(args)
     except err.AmplitudeLabError as exc:
         code = 1
         for klass, c in EXIT_CODES:

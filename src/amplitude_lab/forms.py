@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_same_algebra
-from .config import DEFAULT_TOL, Tolerances
+from .config import tolerances
 from .errors import DomainError, ShapeError
 from .linalg import (
     block_diag,
@@ -45,10 +45,9 @@ class HermitianForm:
     """
 
     gram: np.ndarray = field(repr=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gram", hermitian_part(self.gram, self.tol, "Gram matrix"))
+        object.__setattr__(self, "gram", hermitian_part(self.gram, "Gram matrix"))
 
     @property
     def dim(self) -> int:
@@ -58,10 +57,10 @@ class HermitianForm:
         return complex(np.conj(x) @ self.gram @ y)
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        return type(self)(self.gram + other.gram, self.tol)
+        return type(self)(self.gram + other.gram)
 
     def __mul__(self, c: float) -> "HermitianForm":
-        return type(self)(c * self.gram, self.tol)
+        return type(self)(c * self.gram)
 
     __rmul__ = __mul__
 
@@ -71,7 +70,7 @@ class PositiveForm(HermitianForm):
 
     def __post_init__(self):
         super().__post_init__()
-        check_psd(eigvalsh(self.gram), self.tol, "Gram matrix")
+        check_psd(eigvalsh(self.gram), "Gram matrix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +107,14 @@ def left_form(phi: Functional) -> PositiveForm:
     """Gram of (x, y) -> phi(x^* y) on the matrix-unit basis."""
     phi.require_positive()
     grams = [np.kron(np.eye(n), d.T) for n, d in zip(phi.algebra.block_dims, phi.densities)]
-    return PositiveForm(block_diag(*grams), phi.tol)
+    return PositiveForm(block_diag(*grams))
 
 
 def right_form(phi: Functional) -> PositiveForm:
     """Gram of (x, y) -> phi(y x^*) on the matrix-unit basis."""
     phi.require_positive()
     grams = [np.kron(d, np.eye(n)) for n, d in zip(phi.algebra.block_dims, phi.densities)]
-    return PositiveForm(block_diag(*grams), phi.tol)
+    return PositiveForm(block_diag(*grams))
 
 
 def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveForm:
@@ -136,7 +135,7 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
         p = psd_function(sp, lambda w: np.power(w, 1.0 - t))
         q = psd_function(sq, lambda w: np.power(w, t))
         grams.append(np.kron(q, p.T))
-    return PositiveForm(block_diag(*grams), phi.tol)
+    return PositiveForm(block_diag(*grams))
 
 
 def _pair_spectral(alpha: PositiveForm, beta: PositiveForm):
@@ -158,7 +157,7 @@ def _pair_spectral(alpha: PositiveForm, beta: PositiveForm):
     a = hermitize(inv_root.conj().T @ alpha.gram @ inv_root)
     wa, va = eigh(a)
     wa = np.clip(wa, 0.0, 1.0)
-    snap = alpha.tol.psd(1.0)
+    snap = tolerances().psd(1.0)
     wa = np.where(wa < snap, 0.0, wa)
     wa = np.where(wa > 1.0 - snap, 1.0, wa)
     return jmat, wa, va
@@ -169,7 +168,7 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
 
     Degenerate pairs are handled by range compression: the rank may be
     smaller than the dimension and no inverse is taken outside the range
-    of G_a + G_b.  The endpoint snap uses alpha's tolerances.
+    of G_a + G_b.
     """
     jmat, wa, va = _pair_spectral(alpha, beta)
     r = wa.size
@@ -179,21 +178,21 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
 
 
 def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
-    """Largest Hermitian form dominated by {alpha, beta}, carrying alpha's tol; symmetric."""
+    """Largest Hermitian form dominated by {alpha, beta}; symmetric in the pair."""
     jmat, wa, va = _pair_spectral(alpha, beta)
     middle = (va * np.sqrt(wa * (1.0 - wa))) @ va.conj().T
     gram = hermitize(jmat.conj().T @ middle @ jmat)
-    return PositiveForm(gram, alpha.tol)
+    return PositiveForm(gram)
 
 
 def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) -> bool:
     """Exact block-PSD certificate for |gamma(x,y)|^2 <= alpha(x,x) beta(y,y).
 
     Equivalent to the contraction factorization G_c = G_a^{1/2} K G_b^{1/2}
-    with ||K|| <= 1; the block is tested by is_psd with alpha's tolerances.
+    with ||K|| <= 1; the block is tested by is_psd.
     """
     if not (gamma.dim == alpha.dim == beta.dim):
         raise ShapeError("form dimensions differ")
     top = np.hstack([alpha.gram, gamma.gram])
     bottom = np.hstack([gamma.gram.conj().T, beta.gram])
-    return is_psd(eigvalsh(np.vstack([top, bottom])), alpha.tol)
+    return is_psd(eigvalsh(np.vstack([top, bottom])))

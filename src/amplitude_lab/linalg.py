@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, rank_cut
+from .config import rank_cut, tolerances
 from .errors import NotPositive, ShapeError
 
 Spectrum = tuple[np.ndarray, np.ndarray]
@@ -57,17 +57,13 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(
-    a,
-    tol: Tolerances = DEFAULT_TOL,
-    what: str = "matrix",
-    error: type[Exception] = NotPositive,
-    n: int | None = None,
+    a, what: str = "matrix", error: type[Exception] = NotPositive, n: int | None = None
 ) -> np.ndarray:
     """The one constructor of stored Hermitian matrices: read-only hermitize(a).
 
     a is taken by real_if_exact and must be square, of side n when n is
-    given (ShapeError), and pass max|a - a*| <= tol.psd(max|a|) (else
-    error; NaN fails).  a* is formed once and serves both the check and
+    given (ShapeError), and pass max|a - a*| <= tolerances().psd(max|a|)
+    (else error; NaN fails).  a* is formed once and serves both the check and
     the Hermitian part, which is a new array, bit-identical to
     hermitize(a).
     """
@@ -76,7 +72,7 @@ def hermitian_part(
         side = "square" if n is None else f"({n}, {n})"
         raise ShapeError(f"{what} has shape {a.shape}, expected {side}")
     ah = a.conj().T
-    if a.size and not float(np.max(np.abs(a - ah))) <= tol.psd(float(np.max(np.abs(a)))):
+    if a.size and not float(np.max(np.abs(a - ah))) <= tolerances().psd(float(np.max(np.abs(a)))):
         raise error(f"{what} is not Hermitian within tolerance")
     h = 0.5 * (a + ah)
     h.setflags(write=False)
@@ -116,14 +112,14 @@ def min_eig(a: np.ndarray) -> float:
     return float(eigvalsh(hermitize(a))[0])
 
 
-def is_psd(w: np.ndarray, tol: Tolerances) -> bool:
-    """The one positivity test: no eigenvalue in w falls below -tol.psd(max|w|)."""
-    return not w.size or float(np.min(w)) >= -tol.psd(float(np.max(np.abs(w))))
+def is_psd(w: np.ndarray) -> bool:
+    """The one positivity test: no eigenvalue in w falls below -tolerances().psd(max|w|)."""
+    return not w.size or float(np.min(w)) >= -tolerances().psd(float(np.max(np.abs(w))))
 
 
-def check_psd(w: np.ndarray, tol: Tolerances, what: str = "matrix") -> None:
-    """Raise NotPositive unless is_psd(w, tol) for the eigenvalues w."""
-    if not is_psd(w, tol):
+def check_psd(w: np.ndarray, what: str = "matrix") -> None:
+    """Raise NotPositive unless is_psd(w) for the eigenvalues w."""
+    if not is_psd(w):
         raise NotPositive(f"{what} is not positive semidefinite: eigenvalue {np.min(w):.3e}")
 
 
@@ -159,7 +155,7 @@ def psd_function(spec: Spectrum, f) -> np.ndarray:
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Unique PSD square root of a Hermitian PSD matrix; NotPositive otherwise."""
     spec = eigh(hermitize(h))
-    check_psd(spec[0], DEFAULT_TOL)
+    check_psd(spec[0])
     return psd_function(spec, np.sqrt)
 
 

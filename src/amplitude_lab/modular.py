@@ -22,7 +22,6 @@ from .algebra import (
     evaluate,
     is_faithful,
 )
-from .config import DEFAULT_TOL
 from .errors import EmptyReduction, NotFaithful, NotPositive, ShapeError
 from .linalg import check_psd, eigh, frozen, hermitize, psd_function, unitary_power
 
@@ -88,7 +87,7 @@ class Superoperator:
         def power(h):
             spec = eigh(hermitize(h))
             if zc.imag == 0.0 and zc.real > 0.0:
-                check_psd(spec[0], DEFAULT_TOL, "superoperator factor")
+                check_psd(spec[0], "superoperator factor")
                 return psd_function(spec, lambda w: np.power(w, zc.real))
             return unitary_power(spec, zc)
 
@@ -218,7 +217,7 @@ def support_reduce(phi: Functional) -> SupportReduction:
     if not dims:
         raise EmptyReduction("zero functional has empty support")
     algebra = BlockAlgebra(tuple(dims))
-    reduced = Functional(algebra, tuple(densities), phi.tol)
+    reduced = Functional(algebra, tuple(densities))
     return SupportReduction(
         algebra=algebra,
         functional=reduced,

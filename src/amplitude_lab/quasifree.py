@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError
 from .linalg import eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
 
@@ -37,7 +37,6 @@ class PresymplecticSpace:
     """Real vector space with an antisymmetric bilinear form."""
 
     sigma: np.ndarray = field(repr=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         s = real_if_exact(self.sigma)
@@ -46,7 +45,7 @@ class PresymplecticSpace:
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ShapeError(f"presymplectic form must be square, got {s.shape}")
         scale = float(np.max(np.abs(s))) if s.size else 0.0
-        if s.size and float(np.max(np.abs(s + s.T))) > self.tol.psd(scale):
+        if s.size and float(np.max(np.abs(s + s.T))) > tolerances().psd(scale):
             raise ShapeError("presymplectic form is not antisymmetric within tolerance")
         s = 0.5 * (s - s.T)
         s.setflags(write=False)
@@ -68,10 +67,9 @@ class CovarianceForm:
     """
 
     matrix: np.ndarray = field(repr=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        m = hermitian_part(self.matrix, self.tol, "covariance matrix", InvalidCovariance)
+        m = hermitian_part(self.matrix, "covariance matrix", InvalidCovariance)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -92,10 +90,10 @@ def validate_covariance(s: CovarianceForm, space: PresymplecticSpace) -> bool:
     if s.dim != space.dim:
         raise ShapeError(f"covariance dim {s.dim} does not match space dim {space.dim}")
     m = s.matrix
-    if not is_psd(eigvalsh(m), s.tol):
+    if not is_psd(eigvalsh(m)):
         return False
     gap = m - m.T - 1j * space.sigma
-    return float(np.max(np.abs(gap))) <= s.tol.num if gap.size else True
+    return float(np.max(np.abs(gap))) <= tolerances().num if gap.size else True
 
 
 def _require_valid(s: CovarianceForm, space: PresymplecticSpace, name: str) -> None:
@@ -146,11 +144,9 @@ def reduce(
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
     q = np.real(v[:, keep]).T
     sigma_red = q @ space.sigma @ q.T
-    s_red = CovarianceForm(q @ s.matrix @ q.T, s.tol)
-    t_red = CovarianceForm(q @ t.matrix @ q.T, t.tol)
-    return ReducedTriple(
-        PresymplecticSpace(sigma_red, space.tol), s_red, t_red, q, kernel_dim
-    )
+    s_red = CovarianceForm(q @ s.matrix @ q.T)
+    t_red = CovarianceForm(q @ t.matrix @ q.T)
+    return ReducedTriple(PresymplecticSpace(sigma_red), s_red, t_red, q, kernel_dim)
 
 
 def quasifree_character(s: CovarianceForm, x: np.ndarray) -> float:
@@ -159,7 +155,7 @@ def quasifree_character(s: CovarianceForm, x: np.ndarray) -> float:
     Invariant under reduction: the value at x equals the reduced form's
     value at qx.
     """
-    if not is_psd(eigvalsh(s.matrix), s.tol):
+    if not is_psd(eigvalsh(s.matrix)):
         raise InvalidCovariance("covariance must be positive semidefinite")
     x = np.asarray(x, dtype=float)
     if x.shape != (s.dim,):

@@ -23,13 +23,9 @@ import numpy as np
 from .algebra import BlockAlgebra, BlockOperator, Functional
 from .amplitudes import transition_amplitude
 from .central import probability_vector
-from .config import DEFAULT_TOL, Tolerances
+from .config import MAX_CHAIN_DIM, tolerances
 from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
 from .linalg import block_diag, frozen, hermitize, real_if_exact
-
-# Largest ambient dimension of a built-in chain (ten qubit sites, or 1024
-# diagonal coordinates).
-MAX_CHAIN_DIM = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +45,6 @@ class UnitalEmbedding:
     target: BlockAlgebra
     multiplicity: InitVar[np.ndarray]
     unitaries: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
     sections: np.ndarray = field(init=False, repr=False)
     bounds: np.ndarray = field(init=False, repr=False)
 
@@ -86,7 +81,7 @@ class UnitalEmbedding:
             us = []
             for k, (n, u) in enumerate(zip(self.target.block_dims, self.unitaries, strict=True)):
                 u = frozen(u, (n, n), f"unitary {k}", InvalidEmbedding)
-                if np.max(np.abs(u.conj().T @ u - np.eye(n))) > self.tol.num:
+                if np.max(np.abs(u.conj().T @ u - np.eye(n))) > tolerances().num:
                     raise InvalidEmbedding(f"matrix {k} is not unitary within tolerance")
                 us.append(u)
             object.__setattr__(self, "unitaries", tuple(us))
@@ -157,7 +152,7 @@ def compose_embeddings(outer: UnitalEmbedding, inner: UnitalEmbedding) -> Unital
             for j, w in enumerate(slots[k][l]):
                 u[:, start + j : stop : cc] = w
         unitaries.append(u)
-    return UnitalEmbedding(inner.source, outer.target, c, tuple(unitaries), inner.tol)
+    return UnitalEmbedding(inner.source, outer.target, c, tuple(unitaries))
 
 
 def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
@@ -182,7 +177,7 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
             m = emb.source.block_dims[l]
             section = rot[start : start + m * c, start : start + m * c]
             out[l] += np.einsum("pjqj->pq", section.reshape(m, c, m, c))
-    return Functional(emb.source, tuple(out), phi.tol)
+    return Functional(emb.source, tuple(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +193,6 @@ class UcpMap:
     source: BlockAlgebra
     target: BlockAlgebra
     kraus: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.source.space_dim
@@ -208,7 +202,7 @@ class UcpMap:
         for k, (n, fam) in enumerate(zip(self.target.block_dims, self.kraus, strict=True)):
             fam = tuple(frozen(m, (s, n), "Kraus matrix") for m in fam)
             total = sum(m.conj().T @ m for m in fam)
-            if len(fam) == 0 or np.max(np.abs(total - np.eye(n))) > self.tol.num:
+            if len(fam) == 0 or np.max(np.abs(total - np.eye(n))) > tolerances().num:
                 raise NotUnital(f"Kraus family for target block {k} does not sum to identity")
             families.append(fam)
         object.__setattr__(self, "kraus", tuple(families))
@@ -236,7 +230,7 @@ def embedding_as_ucp(emb: UnitalEmbedding) -> UcpMap:
             kmat[offsets[l] : offsets[l + 1], :] = v.conj().T
             fam.append(kmat)
         families.append(tuple(fam))
-    return UcpMap(emb.source, emb.target, tuple(families), emb.tol)
+    return UcpMap(emb.source, emb.target, tuple(families))
 
 
 def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
@@ -259,7 +253,7 @@ def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
     for n in channel.source.block_dims:
         out.append(hermitize(acc[pos : pos + n, pos : pos + n]))
         pos += n
-    return Functional(channel.source, tuple(out), psi.tol)
+    return Functional(channel.source, tuple(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +335,7 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
     return ambient, chain
 
 
-def product_state(site_densities: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Functional:
+def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
     """Tensor product functional on the single-block algebra of all sites.
 
     Sites are taken by linalg.real_if_exact, so real sites give a real product.
@@ -352,7 +346,7 @@ def product_state(site_densities: Sequence[np.ndarray], tol: Tolerances = DEFAUL
     acc = mats[0]
     for m in mats[1:]:
         acc = np.kron(acc, m)
-    return Functional(BlockAlgebra((acc.shape[0],)), (acc,), tol)
+    return Functional(BlockAlgebra((acc.shape[0],)), (acc,))
 
 
 def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> SubalgebraChain:
@@ -379,8 +373,8 @@ def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> Subal
     return SubalgebraChain(algebras, tuple(links), identity_embedding(algebras[-1]))
 
 
-def diagonal_state(weights: Sequence[float], tol: Tolerances = DEFAULT_TOL) -> Functional:
+def diagonal_state(weights: Sequence[float]) -> Functional:
     """State on C^N with the given diagonal weights."""
     w = np.asarray(weights, dtype=float)
     algebra = BlockAlgebra((1,) * w.size)
-    return Functional(algebra, tuple(np.array([[x]]) for x in w), tol)
+    return Functional(algebra, tuple(np.array([[x]]) for x in w))

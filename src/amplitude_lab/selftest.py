@@ -29,7 +29,7 @@ from .amplitudes import (
     transition_amplitude,
     uhlmann_fidelity,
 )
-from .config import DEFAULT_TOL
+from .config import tolerances
 from .forms import (
     HermitianForm,
     PositiveForm,
@@ -102,9 +102,9 @@ def _mixed_algebras() -> list[BlockAlgebra]:
 
 
 class _Suite:
-    def __init__(self, seed: int, tol: float):
+    def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
-        self.tol = tol
+        self.tol = tolerances().num
         self.results: list[tuple[str, bool, float]] = []
 
     def record(self, name: str, ok: bool, witness: float) -> None:
@@ -485,9 +485,9 @@ class _Suite:
         return self.results
 
 
-def run_selftest(seed: int, tol: float = DEFAULT_TOL.num, emit=print) -> bool:
-    """Run the battery; emit one line per check; True when all pass."""
-    suite = _Suite(seed, tol)
+def run_selftest(seed: int, emit=print) -> bool:
+    """Run the battery under tolerances(); emit one line per check; True when all pass."""
+    suite = _Suite(seed)
     results = suite.run()
     all_ok = True
     for idx, (name, ok, witness) in enumerate(results, start=1):

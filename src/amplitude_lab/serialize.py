@@ -20,7 +20,6 @@ from typing import Any
 import numpy as np
 
 from .algebra import BlockAlgebra, Functional, make_algebra
-from .config import DEFAULT_TOL, Tolerances
 from .errors import ParseError
 from .forms import HermitianForm, PositiveForm
 from .quasifree import CovarianceForm, PresymplecticSpace
@@ -93,7 +92,7 @@ def functional_to_json(phi: Functional) -> dict:
     }
 
 
-def functional_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> Functional:
+def functional_from_json(obj) -> Functional:
     if not isinstance(obj, dict) or "algebra" not in obj or "densities" not in obj:
         raise ParseError("functional: expected 'algebra' and 'densities' fields")
     algebra = algebra_from_json(obj["algebra"])
@@ -104,7 +103,7 @@ def functional_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> Functional:
         matrix_from_pairs(d, n, f"density block {k}")
         for k, (n, d) in enumerate(zip(algebra.block_dims, dens))
     )
-    return Functional(algebra, mats, tol)
+    return Functional(algebra, mats)
 
 
 def form_to_json(form: HermitianForm) -> dict:
@@ -121,8 +120,8 @@ def _gram_from_json(obj) -> np.ndarray:
     return matrix_from_pairs(obj["gram"], d, "gram")
 
 
-def form_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> PositiveForm:
-    return PositiveForm(_gram_from_json(obj), tol)
+def form_from_json(obj) -> PositiveForm:
+    return PositiveForm(_gram_from_json(obj))
 
 
 def sigma_from_json(obj) -> np.ndarray:
@@ -142,20 +141,18 @@ def sigma_to_json(sigma: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(sigma, dtype=float)]
 
 
-def covariance_triple_from_json(
-    obj, tol: Tolerances = DEFAULT_TOL
-) -> tuple[PresymplecticSpace, CovarianceForm, CovarianceForm]:
+def covariance_triple_from_json(obj) -> tuple[PresymplecticSpace, CovarianceForm, CovarianceForm]:
     if not isinstance(obj, dict) or any(k not in obj for k in ("sigma", "S", "T")):
         raise ParseError("covariance triple: expected 'sigma', 'S', and 'T' fields")
-    space = PresymplecticSpace(sigma_from_json(obj["sigma"]), tol)
-    s = CovarianceForm(_gram_from_json(obj["S"]), tol)
-    t = CovarianceForm(_gram_from_json(obj["T"]), tol)
+    space = PresymplecticSpace(sigma_from_json(obj["sigma"]))
+    s = CovarianceForm(_gram_from_json(obj["S"]))
+    t = CovarianceForm(_gram_from_json(obj["T"]))
     if s.dim != space.dim or t.dim != space.dim:
         raise ParseError("covariance triple: dimensions do not agree")
     return space, s, t
 
 
-def embedding_from_json(obj, tol: Tolerances = DEFAULT_TOL):
+def embedding_from_json(obj):
     if not isinstance(obj, dict) or any(
         k not in obj for k in ("source", "target", "multiplicity")
     ):
@@ -185,15 +182,15 @@ def embedding_from_json(obj, tol: Tolerances = DEFAULT_TOL):
             matrix_from_pairs(u, n, f"unitary {k}")
             for k, (n, u) in enumerate(zip(target.block_dims, us))
         )
-    return UnitalEmbedding(source, target, c, unitaries, tol)
+    return UnitalEmbedding(source, target, c, unitaries)
 
 
-def chain_from_json(obj, tol: Tolerances = DEFAULT_TOL):
+def chain_from_json(obj):
     if not isinstance(obj, dict) or any(k not in obj for k in ("algebras", "links", "final")):
         raise ParseError("chain: expected 'algebras', 'links', 'final' fields")
     algebras = tuple(algebra_from_json(a) for a in obj["algebras"])
-    links = tuple(embedding_from_json(e, tol) for e in obj["links"])
-    final = embedding_from_json(obj["final"], tol)
+    links = tuple(embedding_from_json(e) for e in obj["links"])
+    final = embedding_from_json(obj["final"])
     return SubalgebraChain(algebras, links, final)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from amplitude_lab import (
     NotFactor,
     NotQuotient,
     QuotientMap,
+    TooLarge,
     amplitude_kernel,
     evaluate,
     geometric_mean,
@@ -285,6 +288,19 @@ class TestPurify:
         phi = random_state(rng, make_algebra([2, 2]))
         with pytest.raises(NotFactor):
             purify(phi)
+
+    def test_side_above_the_cap_is_refused_before_it_is_built(self):
+        # 33^2 = 1089 is above MAX_CHAIN_DIM: the outer product alone would
+        # be a 1089 x 1089 complex matrix, 19 MB
+        phi = random_state(np.random.default_rng(16), make_algebra([33]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                purify(phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestQuotientPullback:

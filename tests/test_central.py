@@ -6,7 +6,6 @@ from amplitude_lab import (
     Functional,
     SingularMeasure,
     StateRelation,
-    Tolerances,
     amplitude_kernel,
     amplitude_sum_check,
     central_support,
@@ -71,13 +70,6 @@ class TestDecompose:
         back = decompose(phi, mu).reassemble()
         for a, b in zip(back.densities, phi.densities):
             assert np.max(np.abs(a - b)) <= 1e-12
-
-    def test_reassembly_keeps_the_tolerances(self):
-        rng = np.random.default_rng(3)
-        alg = make_algebra([2, 1])
-        tol = Tolerances(num=1e-6)
-        phi = Functional(alg, random_state(rng, alg).densities, tol)
-        assert decompose(phi).reassemble().tol is tol
 
 
 class TestAmplitudeSumCheck:

@@ -90,6 +90,14 @@ class TestPurifyAndGmean:
         mean = ser.form_from_json(json.loads(res.stdout))
         assert np.allclose(mean.gram, np.diag([2.0, 3.0]))
 
+    def test_purify_above_the_cap_exits_6(self, tmp_path, capsys):
+        from amplitude_lab.cli import main
+
+        # side 33^2 = 1089 is above MAX_CHAIN_DIM
+        phi = random_state(np.random.default_rng(1), make_algebra([33]))
+        assert main(["purify", write_functional(tmp_path / "phi.json", phi)]) == 6
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "TooLarge"
+
 
 class TestChain:
     def test_product_chain_csv(self):
@@ -283,6 +291,50 @@ def test_cli_start_up_imports_nothing_new():
     assert res.returncode == 0, res.stderr
     # a subset, so that it does not matter which of these numpy loads already
     assert set(res.stdout.split()) - {"amplitude_lab"} <= {"__future__", "copy", "dataclasses"}
+
+
+class TestFlags:
+    # a flag the command does not read; the file arguments are never opened
+    UNREAD = [
+        ("qf-reduce", ["triple.json"], "--csv"),
+        ("selftest", [], "--csv"),
+        ("amp", ["phi.json", "psi.json"], "--seed"),
+        ("chain", ["--lumped", "3"], "--csv"),
+        ("chain", ["--lumped", "3"], "--seed"),
+        ("decompose", ["phi.json", "psi.json"], "--csv"),
+        ("purify", ["phi.json"], "--seed"),
+    ]
+
+    @staticmethod
+    def _flag_args(flag):
+        return [flag] if flag == "--csv" else [flag, "5"]
+
+    @pytest.mark.parametrize("command, rest, flag", UNREAD)
+    def test_unread_flag_after_the_command_exits_2(self, command, rest, flag, capsys):
+        from amplitude_lab.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self._flag_args(flag), *rest])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, rest, flag", UNREAD)
+    def test_unread_flag_before_the_command_exits_2(self, command, rest, flag, capsys):
+        from amplitude_lab.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([*self._flag_args(flag), command, *rest])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_read_flags_are_accepted_in_either_position(self, qubit_pair, before, capsys):
+        from amplitude_lab.cli import main
+
+        flags = ["--seed", "3", "--csv", "--tol", "1e-6"]
+        argv = ["kms-check", qubit_pair[1], "--trials", "1"]
+        assert main(flags + argv if before else argv + flags) == 0
+        assert capsys.readouterr().out.startswith("t,max_defect\n")
 
 
 class TestErrorsAndDeterminism:

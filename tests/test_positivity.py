@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from amplitude_lab import (
-    DEFAULT_TOL,
     CovarianceForm,
     Functional,
     NotPositive,
@@ -51,9 +50,9 @@ class TestFunctionalPositivity:
 class TestMatrixPositivity:
     def test_slack_follows_the_largest_abs_eigenvalue(self):
         # slack 1e-10 * (1 + 4) = 5e-10
-        assert is_psd(np.array([-4.9e-10, 4.0]), DEFAULT_TOL)
-        assert not is_psd(np.array([-5.1e-10, 4.0]), DEFAULT_TOL)
-        assert is_psd(np.array([]), DEFAULT_TOL)
+        assert is_psd(np.array([-4.9e-10, 4.0]))
+        assert not is_psd(np.array([-5.1e-10, 4.0]))
+        assert is_psd(np.array([]))
 
     def test_covariance_scale_is_spectral_not_entrywise(self):
         # largest entry ~1, largest eigenvalue ~4: -3e-10 is inside the slack

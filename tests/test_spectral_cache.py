@@ -32,7 +32,7 @@ from amplitude_lab import (
     uhlmann_fidelity,
 )
 from amplitude_lab import linalg
-from amplitude_lab.config import Tolerances
+from amplitude_lab.config import Tolerances, using
 from amplitude_lab.sampling import (
     random_complex,
     random_gibbs,
@@ -360,15 +360,17 @@ class TestOneValidationPass:
         assert np.array_equal(restrict(phi, emb).densities[0], partial)
 
     def test_restrict_passes_the_tightest_hermiticity_check(self):
-        # restrict hermitizes its partial traces, so their roundoff asymmetry
-        # never meets the check, whatever tolerance the functional carries
+        # restrict hermitizes the rotated density u* D u, so its roundoff
+        # asymmetry never meets the check, whatever tolerances are in force
         rng = np.random.default_rng(27)
         m, c = 3, 2
         tight = Tolerances(slack=1e-300, num=1e-300)
         u = random_unitary(rng, m * c)
         emb = UnitalEmbedding(make_algebra([m]), make_algebra([m * c]), np.array([[c]]), (u,))
-        phi = Functional(emb.target, random_state(rng, emb.target).densities, tight)
-        assert restrict(phi, emb).tol is tight
+        densities = random_state(rng, emb.target).densities
+        with using(tight):
+            phi = Functional(emb.target, densities)
+            assert restrict(phi, emb).algebra == emb.source
 
     @pytest.mark.parametrize(
         "build, error",
