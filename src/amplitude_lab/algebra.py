@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidAlgebra, NotPositive, ShapeError
 from .linalg import Spectrum, eigh, frozen, hermitian_part, in_range, is_psd, spectral_apply
-
-
-def _frozen_blocks(blocks: Iterable[np.ndarray], dims: Sequence[int]):
-    return tuple(frozen(b, (n, n), "block") for n, b in zip(dims, blocks, strict=True))
 
 
 @dataclass(frozen=True)
@@ -59,47 +55,50 @@ def make_algebra(dims: Sequence[int]) -> BlockAlgebra:
     return BlockAlgebra(tuple(dims))
 
 
-def _check_same_algebra(a, b) -> None:
-    if a.algebra != b.algebra:
-        raise ShapeError(f"algebra mismatch: {a.algebra.block_dims} vs {b.algebra.block_dims}")
+def _check_algebra(algebra: BlockAlgebra, *xs) -> None:
+    """The one algebra check: ShapeError unless every x lives on algebra."""
+    for x in xs:
+        if x.algebra != algebra:
+            raise ShapeError(f"algebra mismatch: {algebra.block_dims} vs {x.algebra.block_dims}")
 
 
 @dataclass(frozen=True, eq=False)
-class BlockOperator:
-    """Element of a block algebra: one matrix per block, real when exactly real."""
+class _BlockTuple:
+    """One matrix per block of an algebra, stored by linalg.frozen, with blockwise + - *."""
 
     algebra: BlockAlgebra
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _frozen_blocks(self.blocks, self.algebra.block_dims))
+        factors = zip(self.algebra.block_dims, self.blocks, strict=True)
+        object.__setattr__(self, "blocks", tuple(frozen(b, (n, n), "block") for n, b in factors))
 
-    def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.algebra, tuple(b.conj().T for b in self.blocks))
+    def adjoint(self):
+        return type(self)(self.algebra, tuple(b.conj().T for b in self.blocks))
 
-    def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        _check_same_algebra(self, other)
-        return BlockOperator(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+    def __add__(self, other):
+        _check_algebra(self.algebra, other)
+        return type(self)(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
 
-    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        _check_same_algebra(self, other)
-        return BlockOperator(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+    def __sub__(self, other):
+        _check_algebra(self.algebra, other)
+        return type(self)(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
-    def __mul__(self, c: complex) -> "BlockOperator":
-        return BlockOperator(self.algebra, tuple(c * b for b in self.blocks))
+    def __mul__(self, c: complex):
+        return type(self)(self.algebra, tuple(c * b for b in self.blocks))
 
     __rmul__ = __mul__
 
+
+class BlockOperator(_BlockTuple):
+    """Element of a block algebra: one matrix per block, real when exactly real."""
+
     def __matmul__(self, other):
-        if isinstance(other, BlockOperator):
-            _check_same_algebra(self, other)
-            return BlockOperator(
-                self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks))
-            )
-        if isinstance(other, L2Vector):
-            _check_same_algebra(self, other)
-            return L2Vector(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
-        return NotImplemented
+        """Operator @ operator is an operator, operator @ vector a vector."""
+        if not isinstance(other, _BlockTuple):
+            return NotImplemented
+        _check_algebra(self.algebra, other)
+        return type(other)(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
     def norm(self) -> float:
         """Operator (spectral) norm, the max over blocks."""
@@ -159,19 +158,19 @@ class Functional:
         """The one positivity test of a functional: is_psd on every block's eigenvalues."""
         return is_psd(np.concatenate([w for w, _ in self.spectrum()]))
 
-    def require_positive(self, what: str = "functional") -> None:
+    def require_positive(self) -> None:
         if not self.is_positive():
-            raise NotPositive(f"{what} is not positive semidefinite within tolerance")
+            raise NotPositive("functional is not positive semidefinite within tolerance")
 
     def block_masses(self) -> np.ndarray:
         return np.array([float(np.trace(d).real) for d in self.densities])
 
     def __add__(self, other: "Functional") -> "Functional":
-        _check_same_algebra(self, other)
+        _check_algebra(self.algebra, other)
         return Functional(self.algebra, tuple(a + b for a, b in zip(self.densities, other.densities)))
 
     def __sub__(self, other: "Functional") -> "Functional":
-        _check_same_algebra(self, other)
+        _check_algebra(self.algebra, other)
         return Functional(self.algebra, tuple(a - b for a, b in zip(self.densities, other.densities)))
 
     def __mul__(self, c: float) -> "Functional":
@@ -180,22 +179,15 @@ class Functional:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
-class L2Vector:
+class L2Vector(_BlockTuple):
     """Vector in the Hilbert-Schmidt standard space of a block algebra.
 
     Inner product <xi|eta> = sum_k Tr(xi_k^* eta_k), conjugate-linear in
     the first argument.
     """
 
-    algebra: BlockAlgebra
-    blocks: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _frozen_blocks(self.blocks, self.algebra.block_dims))
-
     def inner(self, other: "L2Vector") -> complex:
-        _check_same_algebra(self, other)
+        _check_algebra(self.algebra, other)
         return complex(
             sum(np.sum(a.conj() * b) for a, b in zip(self.blocks, other.blocks))
         )
@@ -203,27 +195,12 @@ class L2Vector:
     def norm(self) -> float:
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
-    def adjoint(self) -> "L2Vector":
-        return L2Vector(self.algebra, tuple(b.conj().T for b in self.blocks))
-
-    def __add__(self, other: "L2Vector") -> "L2Vector":
-        _check_same_algebra(self, other)
-        return L2Vector(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
-
-    def __sub__(self, other: "L2Vector") -> "L2Vector":
-        _check_same_algebra(self, other)
-        return L2Vector(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
-
-    def __mul__(self, c: complex) -> "L2Vector":
-        return L2Vector(self.algebra, tuple(c * b for b in self.blocks))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
-        if isinstance(other, BlockOperator):
-            _check_same_algebra(self, other)
-            return L2Vector(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
-        return NotImplemented
+        """Vector @ operator is a vector."""
+        if not isinstance(other, BlockOperator):
+            return NotImplemented
+        _check_algebra(self.algebra, other)
+        return L2Vector(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
 
 class StateRelation(enum.Enum):
@@ -234,7 +211,7 @@ class StateRelation(enum.Enum):
 
 def evaluate(phi: Functional, x: BlockOperator) -> complex:
     """Value phi(x) = sum_k Tr(D_k x_k)."""
-    _check_same_algebra(phi, x)
+    _check_algebra(phi.algebra, x)
     return complex(sum(np.trace(d @ b) for d, b in zip(phi.densities, x.blocks)))
 
 
@@ -297,7 +274,7 @@ def central_support(phi: Functional) -> BlockOperator:
 
 def classify_pair(phi: Functional, psi: Functional) -> StateRelation:
     """Disjoint (orthogonal central supports), quasi-equivalent (equal), or neither."""
-    _check_same_algebra(phi, psi)
+    _check_algebra(phi.algebra, psi)
     zp, zq = (np.array([v.shape[1] > 0 for v in _support_isometries(f)]) for f in (phi, psi))
     if not np.any(zp & zq):
         return StateRelation.DISJOINT

@@ -9,7 +9,6 @@ sum_i sqrt(p_i q_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -18,11 +17,11 @@ from .algebra import (
     BlockOperator,
     Functional,
     L2Vector,
-    _check_same_algebra,
+    _check_algebra,
     functional_norm,
 )
 from .config import MAX_CHAIN_DIM, tolerances
-from .errors import NotFactor, NotQuotient, ShapeError, TooLarge
+from .errors import NotFactor, NotQuotient, TooLarge
 from .linalg import min_eig, psd_function, trace_norm
 
 
@@ -39,7 +38,7 @@ def transition_amplitude(phi: Functional, psi: Functional) -> float:
     Symmetric in the arguments and contained in [0, sqrt(phi(1) psi(1))].
     Tiny negative roundoff is clamped to zero.
     """
-    _check_same_algebra(phi, psi)
+    _check_algebra(phi.algebra, psi)
     return max(sqrt_vector(phi).inner(sqrt_vector(psi)).real, 0.0)
 
 
@@ -51,9 +50,7 @@ def amplitude_kernel(
     At x = y = 1 this is the transition amplitude; for x = y the value
     is real and nonnegative.
     """
-    _check_same_algebra(phi, psi)
-    _check_same_algebra(phi, x)
-    _check_same_algebra(phi, y)
+    _check_algebra(phi.algebra, psi, x, y)
     root_p, root_q = sqrt_vector(phi), sqrt_vector(psi)
     total = 0.0 + 0.0j
     for rp, rq, xb, yb in zip(root_p.blocks, root_q.blocks, x.blocks, y.blocks):
@@ -67,7 +64,7 @@ def uhlmann_fidelity(phi: Functional, psi: Functional) -> float:
     Computed from singular values of the root product, which is stabler
     than rooting the product matrix.
     """
-    _check_same_algebra(phi, psi)
+    _check_algebra(phi.algebra, psi)
     return _root_fidelity(sqrt_vector(phi), sqrt_vector(psi))
 
 
@@ -97,7 +94,6 @@ class InequalityReport:
     sandwich_lower_defect: float | None
     sandwich_upper_defect: float | None
     concavity_min_eig: float
-    concavity_ts: tuple[float, ...]
 
     def min_defect(self) -> float:
         vals = [self.lower_defect, self.upper_defect, self.concavity_min_eig]
@@ -106,19 +102,17 @@ class InequalityReport:
         return min(vals)
 
 
-def inequality_suite(
-    phi: Functional, psi: Functional, ts: Sequence[float] = (0.25, 0.5, 0.75)
-) -> InequalityReport:
+def inequality_suite(phi: Functional, psi: Functional) -> InequalityReport:
     """Check the norm chain, the fidelity sandwich, and root concavity.
 
     The chain ||phi^{1/2} - psi^{1/2}||^2 <= ||phi - psi|| <=
     ||phi^{1/2} - psi^{1/2}|| ||phi^{1/2} + psi^{1/2}|| holds for any
     positive pair; amplitude^2 <= fidelity <= amplitude needs states.
     Concavity is reported as the smallest eigenvalue of
-    (t phi + (1-t) psi)^{1/2} - t phi^{1/2} - (1-t) psi^{1/2} over the
-    sampled t.  Each square root is taken once.
+    (t phi + (1-t) psi)^{1/2} - t phi^{1/2} - (1-t) psi^{1/2} over
+    t = 1/4, 1/2, 3/4.  Each square root is taken once.
     """
-    _check_same_algebra(phi, psi)
+    _check_algebra(phi.algebra, psi)
     root_p, root_q = sqrt_vector(phi), sqrt_vector(psi)
     amp = max(root_p.inner(root_q).real, 0.0)
     diff = root_p - root_q
@@ -139,7 +133,7 @@ def inequality_suite(
         sandwich_upper = None
 
     conc = np.inf
-    for t in ts:
+    for t in (0.25, 0.5, 0.75):
         root_mix = sqrt_vector(t * phi + (1.0 - t) * psi)
         for rm, rp, rq in zip(root_mix.blocks, root_p.blocks, root_q.blocks):
             conc = min(conc, min_eig(rm - t * rp - (1.0 - t) * rq))
@@ -155,7 +149,6 @@ def inequality_suite(
         sandwich_lower_defect=sandwich_lower,
         sandwich_upper_defect=sandwich_upper,
         concavity_min_eig=float(conc),
-        concavity_ts=tuple(ts),
     )
 
 
@@ -219,8 +212,7 @@ class QuotientMap:
 
     def apply(self, x: BlockOperator) -> BlockOperator:
         """Image pi(x): image block l is the selected source block."""
-        if x.algebra != self.source:
-            raise ShapeError("operator does not live on the source algebra")
+        _check_algebra(self.source, x)
         return BlockOperator(self.image, tuple(x.blocks[k] for k in self.assignment))
 
 
@@ -230,8 +222,7 @@ def pullback_along_quotient(pi: QuotientMap, phi: Functional) -> Functional:
     Densities land on the selected source blocks, zero elsewhere;
     transition amplitudes are preserved exactly.
     """
-    if phi.algebra != pi.image:
-        raise ShapeError("functional does not live on the image algebra")
+    _check_algebra(pi.image, phi)
     blocks = [np.zeros((n, n)) for n in pi.source.block_dims]
     for l, k in enumerate(pi.assignment):
         blocks[k] = phi.densities[l]

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import BlockAlgebra, Functional, _block_component, _check_same_algebra
+from .algebra import BlockAlgebra, Functional, _block_component, _check_algebra
 from .amplitudes import transition_amplitude
 from .errors import DomainError, SingularMeasure
 
@@ -128,7 +128,7 @@ def amplitude_sum_terms(
     phi: Functional, psi: Functional, mu: Sequence[float] | None = None
 ) -> tuple[np.ndarray, list[float], AmplitudeSumCheck]:
     """Weights, each block's component amplitude and the sum check; one decompose per state."""
-    _check_same_algebra(phi, psi)
+    _check_algebra(phi.algebra, psi)
     parts_p, masses_p = _positive_parts(phi)
     parts_q, masses_q = _positive_parts(psi)
     if mu is None:

@@ -12,7 +12,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def cmd_ineq(args) -> int:
     phi = _load_functional(args.phi)
     psi = _load_functional(args.psi)
     rep = inequality_suite(phi, psi)
-    payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "concavity_ts"}
+    payload = asdict(rep)
     if args.csv:
         print("quantity,value")
         for k, v in payload.items():
@@ -227,8 +227,8 @@ def cmd_qf_reduce(args) -> int:
     payload = {
         "kernel_dim": triple.kernel_dim,
         "sigma": ser.sigma_to_json(triple.space.sigma),
-        "S": {"dim": triple.s_form.dim, "gram": ser.matrix_to_pairs(triple.s_form.matrix)},
-        "T": {"dim": triple.t_form.dim, "gram": ser.matrix_to_pairs(triple.t_form.matrix)},
+        "S": ser.form_to_json(triple.s_form),
+        "T": ser.form_to_json(triple.t_form),
         "quotient": ser.sigma_to_json(triple.quotient),
     }
     _emit_json(payload)

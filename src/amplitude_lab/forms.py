@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import BlockAlgebra, BlockOperator, Functional, _check_same_algebra
+from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .config import tolerances
 from .errors import DomainError, ShapeError
 from .linalg import (
@@ -127,7 +127,7 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"interpolation parameter {t} outside [0, 1]")
-    _check_same_algebra(phi, psi)
+    _check_algebra(phi.algebra, psi)
     phi.require_positive()
     psi.require_positive()
     grams = []

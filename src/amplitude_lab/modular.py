@@ -17,12 +17,12 @@ from .algebra import (
     BlockAlgebra,
     BlockOperator,
     Functional,
-    _check_same_algebra,
+    _check_algebra,
     _support_isometries,
     evaluate,
     is_faithful,
 )
-from .errors import EmptyReduction, NotFaithful, NotPositive, ShapeError
+from .errors import EmptyReduction, NotFaithful, NotPositive
 from .linalg import check_psd, eigh, frozen, hermitize, psd_function, unitary_power
 
 
@@ -52,7 +52,7 @@ class Superoperator:
 
     def apply(self, xi):
         """Apply to a BlockOperator or L2Vector, returning the same type."""
-        _check_same_algebra(self, xi)
+        _check_algebra(self.algebra, xi)
         if self.antilinear:
             blocks = tuple(
                 l @ b.conj().T @ r for l, b, r in zip(self.left, xi.blocks, self.right)
@@ -63,7 +63,7 @@ class Superoperator:
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other; antilinear composed with antilinear is linear."""
-        _check_same_algebra(self, other)
+        _check_algebra(self.algebra, other)
         if not self.antilinear:
             left = tuple(l1 @ l2 for l1, l2 in zip(self.left, other.left))
             right = tuple(r2 @ r1 for r1, r2 in zip(self.right, other.right))
@@ -117,7 +117,7 @@ def relative_modular(psi: Functional, phi: Functional) -> Superoperator:
     Positive as an operator on the Hilbert-Schmidt space; its square
     root maps x D_phi^{1/2} to D_psi^{1/2} x.
     """
-    _check_same_algebra(psi, phi)
+    _check_algebra(psi.algebra, phi)
     phi.require_positive()
     psi.require_positive()
     _require_faithful(phi, "second argument")
@@ -134,7 +134,7 @@ def modular_conjugation(phi: Functional) -> Superoperator:
 
 def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
     """Automorphism x -> D^{it} x D^{-it} generated by a faithful functional."""
-    _check_same_algebra(phi, x)
+    _check_algebra(phi.algebra, x)
     phi.require_positive()
     _require_faithful(phi)
     return _flow_at(phi, complex(t), x)
@@ -162,11 +162,9 @@ def kms_defect(
     faithful functional as `flow` checks phi against a foreign flow (the
     defect is then strictly positive unless the densities commute).
     """
-    _check_same_algebra(phi, x)
-    _check_same_algebra(phi, y)
-    phi.require_positive()
     generator = phi if flow is None else flow
-    _check_same_algebra(phi, generator)
+    _check_algebra(phi.algebra, x, y, generator)
+    phi.require_positive()
     generator.require_positive()
     _require_faithful(generator, "flow generator")
     y_shifted = _flow_at(generator, t - 1j, y)
@@ -188,8 +186,7 @@ class SupportReduction:
 
     def compress(self, x: BlockOperator) -> BlockOperator:
         """Compress an element of the original algebra to the support."""
-        if x.algebra != self.source:
-            raise ShapeError("operator does not live on the original algebra")
+        _check_algebra(self.source, x)
         blocks = tuple(
             v.conj().T @ x.blocks[k] @ v for k, v in zip(self.kept_blocks, self.isometries)
         )

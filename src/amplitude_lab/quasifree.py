@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError
+from .forms import HermitianForm
 from .linalg import eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
 
 __all__ = [
@@ -56,28 +57,23 @@ class PresymplecticSpace:
         return self.sigma.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceForm:
-    """Hermitian sesquilinear form S(x, y) = x_bar^T S y on C^dim.
+class CovarianceForm(HermitianForm):
+    """Hermitian form S(x, y) = x_bar^T S y on C^dim, a covariance candidate.
 
     Construction only enforces hermiticity; use validate_covariance to
     test positivity and the imaginary-part condition against a space.
-    The matrix is stored by linalg.real_if_exact, so a covariance with
-    sigma = 0 is float64.
+    The Gram matrix is stored by linalg.real_if_exact, so a covariance
+    with sigma = 0 is float64.
     """
 
-    matrix: np.ndarray = field(repr=False)
-
     def __post_init__(self):
-        m = hermitian_part(self.matrix, "covariance matrix", InvalidCovariance)
-        object.__setattr__(self, "matrix", m)
+        m = hermitian_part(self.gram, "covariance matrix", InvalidCovariance)
+        object.__setattr__(self, "gram", m)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.conj(x) @ self.matrix @ y)
+    def matrix(self) -> np.ndarray:
+        """The Gram matrix, under its earlier name."""
+        return self.gram
 
 
 def make_covariance(g: np.ndarray, sigma: np.ndarray) -> CovarianceForm:
@@ -89,7 +85,7 @@ def validate_covariance(s: CovarianceForm, space: PresymplecticSpace) -> bool:
     """True iff s is PSD and s - s^T = i sigma within tolerance."""
     if s.dim != space.dim:
         raise ShapeError(f"covariance dim {s.dim} does not match space dim {space.dim}")
-    m = s.matrix
+    m = s.gram
     if not is_psd(eigvalsh(m)):
         return False
     gap = m - m.T - 1j * space.sigma
@@ -111,7 +107,7 @@ def majorizing_inner_product(
     """
     _require_valid(s, space, "first covariance")
     _require_valid(t, space, "second covariance")
-    return 2.0 * (np.real(s.matrix) + np.real(t.matrix))
+    return 2.0 * (np.real(s.gram) + np.real(t.gram))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +140,8 @@ def reduce(
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
     q = np.real(v[:, keep]).T
     sigma_red = q @ space.sigma @ q.T
-    s_red = CovarianceForm(q @ s.matrix @ q.T)
-    t_red = CovarianceForm(q @ t.matrix @ q.T)
+    s_red = CovarianceForm(q @ s.gram @ q.T)
+    t_red = CovarianceForm(q @ t.gram @ q.T)
     return ReducedTriple(PresymplecticSpace(sigma_red), s_red, t_red, q, kernel_dim)
 
 
@@ -155,7 +151,7 @@ def quasifree_character(s: CovarianceForm, x: np.ndarray) -> float:
     Invariant under reduction: the value at x equals the reduced form's
     value at qx.
     """
-    if not is_psd(eigvalsh(s.matrix)):
+    if not is_psd(eigvalsh(s.gram)):
         raise InvalidCovariance("covariance must be positive semidefinite")
     x = np.asarray(x, dtype=float)
     if x.shape != (s.dim,):

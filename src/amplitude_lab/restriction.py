@@ -20,11 +20,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import BlockAlgebra, BlockOperator, Functional
+from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
 from .config import MAX_CHAIN_DIM, tolerances
-from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
+from .errors import DomainError, InvalidEmbedding, NotUnital, TooLarge
 from .linalg import block_diag, frozen, hermitize, real_if_exact
 
 
@@ -109,8 +109,7 @@ class UnitalEmbedding:
 
     def embed(self, a: BlockOperator) -> BlockOperator:
         """Image of a source element under the embedding."""
-        if a.algebra != self.source:
-            raise ShapeError("operator does not live on the source algebra")
+        _check_algebra(self.source, a)
         blocks = []
         for k in range(self.target.num_blocks):
             mat = block_diag(*(np.kron(a.blocks[l], np.eye(c)) for l, _, c in self._sections(k)))
@@ -166,8 +165,7 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
     the unitaries together, so a real functional restricts in real
     arithmetic along real unitaries or none.
     """
-    if phi.algebra != emb.target:
-        raise ShapeError("functional does not live on the target algebra")
+    _check_algebra(emb.target, phi)
     dtype = np.result_type(*phi.densities, *(emb.unitaries or ()))
     out = [np.zeros((m, m), dtype=dtype) for m in emb.source.block_dims]
     for k, d in enumerate(phi.densities):
@@ -209,8 +207,7 @@ class UcpMap:
 
     def apply(self, a: BlockOperator) -> BlockOperator:
         """Phi(a) on the target algebra."""
-        if a.algebra != self.source:
-            raise ShapeError("operator does not live on the source algebra")
+        _check_algebra(self.source, a)
         big = block_diag(*a.blocks)
         blocks = tuple(
             sum(m.conj().T @ big @ m for m in fam) for fam in self.kraus
@@ -240,8 +237,7 @@ def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
     positivity and total mass are preserved, and the transition
     amplitude of a pair can only grow under the pullback.
     """
-    if psi.algebra != channel.target:
-        raise ShapeError("functional does not live on the target algebra")
+    _check_algebra(channel.target, psi)
     psi.require_positive()
     s = channel.source.space_dim
     acc = np.zeros((s, s), dtype=complex)
@@ -290,8 +286,7 @@ def chain_amplitudes(phi: Functional, psi: Functional, chain: SubalgebraChain) -
     stepwise from the top, which agrees with restricting along the
     composite embeddings.
     """
-    if phi.algebra != chain.ambient or psi.algebra != chain.ambient:
-        raise ShapeError("functionals must live on the ambient algebra")
+    _check_algebra(chain.ambient, phi, psi)
     amps = []
     p, q = restrict(phi, chain.final), restrict(psi, chain.final)
     amps.append(transition_amplitude(p, q))

@@ -25,8 +25,8 @@ def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.
     return hermitize(a @ a.conj().T)
 
 
-def random_density(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
-    d = random_psd(rng, n, rank)
+def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
+    d = random_psd(rng, n)
     return d / np.trace(d).real
 
 
@@ -60,35 +60,26 @@ def random_embedding(
     rng: np.random.Generator,
     source: BlockAlgebra,
     num_target_blocks: int = 1,
-    max_copies: int = 2,
-    with_unitaries: bool = True,
 ) -> UnitalEmbedding:
-    """Random unital embedding out of the given source algebra."""
+    """Random unital embedding out of the given source algebra, up to 2 copies per block."""
     r = source.num_blocks
     c = np.zeros((num_target_blocks, r), dtype=int)
     for k in range(num_target_blocks):
-        c[k] = rng.integers(0, max_copies + 1, size=r)
+        c[k] = rng.integers(0, 3, size=r)
         if not np.any(c[k]):
             c[k, int(rng.integers(0, r))] = 1
     dims = (c @ np.array(source.block_dims)).astype(int)
     target = BlockAlgebra(tuple(int(n) for n in dims))
-    unitaries = None
-    if with_unitaries:
-        unitaries = tuple(random_unitary(rng, n) for n in target.block_dims)
+    unitaries = tuple(random_unitary(rng, n) for n in target.block_dims)
     return UnitalEmbedding(source, target, c, unitaries)
 
 
-def random_ucp(
-    rng: np.random.Generator,
-    source: BlockAlgebra,
-    target: BlockAlgebra,
-    n_kraus: int = 3,
-) -> UcpMap:
-    """Random unital CP map source -> target (Kraus normalization)."""
+def random_ucp(rng: np.random.Generator, source: BlockAlgebra, target: BlockAlgebra) -> UcpMap:
+    """Random unital CP map source -> target, three Kraus operators per target block."""
     s = source.space_dim
     families = []
     for n in target.block_dims:
-        raw = [random_complex(rng, (s, n)) for _ in range(n_kraus)]
+        raw = [random_complex(rng, (s, n)) for _ in range(3)]
         total = sum(a.conj().T @ a for a in raw)
         w, v = eigh(hermitize(total))
         inv_root = unitary_power((w, v), -0.5)

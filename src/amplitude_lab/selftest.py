@@ -485,14 +485,14 @@ class _Suite:
         return self.results
 
 
-def run_selftest(seed: int, emit=print) -> bool:
-    """Run the battery under tolerances(); emit one line per check; True when all pass."""
+def run_selftest(seed: int) -> bool:
+    """Run the battery under tolerances(); print one line per check; True when all pass."""
     suite = _Suite(seed)
     results = suite.run()
     all_ok = True
     for idx, (name, ok, witness) in enumerate(results, start=1):
         status = "PASS" if ok else "FAIL"
-        emit(f"selftest {idx:02d} {name}: {status} witness={witness:.9g}")
+        print(f"selftest {idx:02d} {name}: {status} witness={witness:.9g}")
         all_ok = all_ok and ok
-    emit(f"selftest summary: {'PASS' if all_ok else 'FAIL'} ({len(results)} checks)")
+    print(f"selftest summary: {'PASS' if all_ok else 'FAIL'} ({len(results)} checks)")
     return all_ok

@@ -204,7 +204,7 @@ class TestInequalitySuite:
         rng = np.random.default_rng(12)
         alg = make_algebra([3])
         ts = (0.25, 0.5, 0.75)
-        rep = inequality_suite(random_state(rng, alg), random_state(rng, alg), ts)
+        rep = inequality_suite(random_state(rng, alg), random_state(rng, alg))
         assert rep.fidelity is not None
         assert len(calls) == 2 + len(ts)
 

@@ -96,7 +96,7 @@ class TestRestrict:
     def test_composite_embed_agrees(self):
         rng = np.random.default_rng(5)
         src = make_algebra([2])
-        inner = random_embedding(rng, src, num_target_blocks=2, max_copies=2)
+        inner = random_embedding(rng, src, num_target_blocks=2)
         outer = random_embedding(rng, inner.target, num_target_blocks=1)
         comp = compose_embeddings(outer, inner)
         a = random_operator(rng, src)
