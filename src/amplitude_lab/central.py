@@ -16,7 +16,9 @@ import numpy as np
 
 from .algebra import BlockAlgebra, Functional, _block_component, _check_algebra
 from .amplitudes import transition_amplitude
+from .config import tolerances
 from .errors import DomainError, SingularMeasure
+from .linalg import is_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +47,9 @@ class StateDecomposition:
 def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
     """p as a float vector clipped at 0, once it is checked to be a distribution.
 
-    Entries must be finite and >= -1e-12 and sum to 1 within 1e-9; the
-    vector must be nonempty, and of the given length when one is given.
+    Entries must be finite and pass linalg.is_psd, and their sum must lie
+    within tolerances().num of 1; the vector must be nonempty, and of the
+    given length when one is given.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0 or length not in (None, p.size):
@@ -54,7 +57,7 @@ def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
         raise DomainError(f"{name} must be a nonempty vector{of_length}")
     if not np.all(np.isfinite(p)):
         raise DomainError(f"{name} must be finite")
-    if np.any(p < -1e-12) or abs(float(np.sum(p)) - 1.0) > 1e-9:
+    if not is_psd(p) or abs(float(np.sum(p)) - 1.0) > tolerances().num:
         raise DomainError(f"{name} is not a probability distribution")
     return np.maximum(p, 0.0)
 

@@ -180,7 +180,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    mu = _floats(args.mu_weights, "--mu weights") if args.mu_weights else None
+    mu = None if args.mu_weights is None else _floats(args.mu_weights, "--mu weights")
     phi = _load_functional(args.phi)
     psi = _load_functional(args.psi)
     weights, amps, check = ct.amplitude_sum_terms(phi, psi, mu)

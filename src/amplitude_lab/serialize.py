@@ -188,6 +188,8 @@ def embedding_from_json(obj):
 def chain_from_json(obj):
     if not isinstance(obj, dict) or any(k not in obj for k in ("algebras", "links", "final")):
         raise ParseError("chain: expected 'algebras', 'links', 'final' fields")
+    if not isinstance(obj["algebras"], list) or not isinstance(obj["links"], list):
+        raise ParseError("chain: 'algebras' and 'links' must be lists")
     algebras = tuple(algebra_from_json(a) for a in obj["algebras"])
     links = tuple(embedding_from_json(e) for e in obj["links"])
     final = embedding_from_json(obj["final"])

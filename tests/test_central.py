@@ -217,3 +217,14 @@ class TestIntegrateDisjointFamily:
 def _root(d):
     w, v = np.linalg.eigh(d)
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+
+
+class TestProbabilityVector:
+    def test_entries_are_tested_by_is_psd(self):
+        # the literal -1e-12 rejected a roundoff entry that is_psd accepts
+        from amplitude_lab.central import probability_vector
+
+        p = probability_vector([1.0 + 1e-11, -1e-11], "p")
+        assert np.array_equal(p, [1.0 + 1e-11, 0.0])
+        with pytest.raises(DomainError):
+            probability_vector([1.0 + 1e-9, -1e-9], "p")

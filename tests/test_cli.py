@@ -400,3 +400,29 @@ class TestErrorsAndDeterminism:
         b = write_functional(tmp_path / "b.json", psi)
         res = run_cli("amp", a, b)
         assert res.returncode == 3
+
+    def test_empty_mu_is_a_parse_error(self, qubit_pair, capsys):
+        # an empty --mu was taken as no --mu, and the default weights were used
+        from amplitude_lab.cli import main
+
+        assert main(["decompose", *qubit_pair, "--mu", ""]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError" and "--mu" in error["message"]
+
+    def test_chain_links_must_be_a_list(self, tmp_path, capsys):
+        # "links": {} was read as an empty list of links
+        from amplitude_lab.cli import main
+
+        phi = Functional(make_algebra([2]), (np.eye(2) / 2,))
+        one = {"blocks": [2]}
+        chain = {
+            "algebras": [one],
+            "links": {},
+            "final": {"source": one, "target": one, "multiplicity": [[1]]},
+        }
+        state = ser.functional_to_json(phi)
+        spec = {"phi": state, "psi": state, "chain": chain}
+        path = tmp_path / "spec.json"
+        path.write_text(ser.dumps(spec))
+        assert main(["chain", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"

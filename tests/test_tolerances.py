@@ -126,3 +126,29 @@ def test_no_object_or_function_carries_its_own_tolerances():
                 if "tol" in inspect.signature(f).parameters and w != "amplitude_lab.config.using"
             ]
     assert found == []
+
+
+def test_chain_monotone_witness_is_a_measurement_not_the_tolerance():
+    # the witness was min(..., tol - end defect): 1e-8 at the default, 1e-6 under 1e-6
+    from amplitude_lab.selftest import _Suite
+
+    results = []
+    for tol in (DEFAULT_TOL, Tolerances(slack=1e-6, num=1e-6)):
+        with using(tol):
+            suite = _Suite(1)
+            suite.check_chain_monotone()
+        results.append(suite.results)
+    assert results[0] == results[1]
+    assert results[0][0][1]
+
+
+def test_weight_vectors_read_the_tolerances_in_force(tmp_path, capsys):
+    # probability_vector compared the sum with the literal 1e-9, whatever --tol said
+    phi = Functional(make_algebra([1, 1]), (np.array([[0.5]]), np.array([[0.5]])))
+    path = tmp_path / "phi.json"
+    path.write_text(ser.dumps(ser.functional_to_json(phi)))
+    a = str(path)
+    # the weights sum to 1 + 1e-7
+    assert main(["decompose", a, a, "--mu", "0.5,0.5000001"]) == 6
+    assert main(["--tol", "1e-6", "decompose", a, a, "--mu", "0.5,0.5000001"]) == 0
+    capsys.readouterr()
