@@ -25,18 +25,18 @@ rng = np.random.default_rng(23)
 alg = make_algebra([3])
 phi = Functional(alg, (random_gibbs(rng, 3),))
 
-# the relative modular operator at equal arguments, and its square root
-delta = relative_modular(phi, phi)
+# the square root of the relative modular operator at equal arguments
+delta_half = relative_modular(phi, phi, 0.5)
 x = random_operator(rng, alg)
 root = sqrt_vector(phi)
-lhs = delta.power(0.5).apply(x @ root)
+lhs = delta_half.apply(x @ root)
 rhs = root @ x
 print("Delta^(1/2) maps x phi^(1/2) to phi^(1/2) x:")
 print("  max gap =", (lhs - rhs).norm())
 
 # modular conjugation is the antilinear adjoint map; J Delta^(1/2) = S
 j = modular_conjugation(phi)
-s_op = j.compose(delta.power(0.5))
+s_op = j.compose(delta_half)
 print("S = J Delta^(1/2) maps x phi^(1/2) to x* phi^(1/2):")
 print("  max gap =", (s_op.apply(x @ root) - x.adjoint() @ root).norm())
 

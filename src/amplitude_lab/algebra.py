@@ -18,7 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidAlgebra, NotPositive, ShapeError
-from .linalg import Spectrum, eigh, frozen, hermitian_part, in_range, is_psd, spectral_apply
+from .linalg import (
+    Spectrum,
+    eigh,
+    eigvalsh,
+    frozen,
+    hermitian_part,
+    in_range,
+    is_psd,
+    spectral_apply,
+)
 
 
 @dataclass(frozen=True)
@@ -77,10 +86,14 @@ class _BlockTuple:
         return type(self)(self.algebra, tuple(b.conj().T for b in self.blocks))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         _check_algebra(self.algebra, other)
         return type(self)(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         _check_algebra(self.algebra, other)
         return type(self)(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
@@ -166,10 +179,14 @@ class Functional:
         return np.array([float(np.trace(d).real) for d in self.densities])
 
     def __add__(self, other: "Functional") -> "Functional":
+        if not isinstance(other, Functional):
+            return NotImplemented
         _check_algebra(self.algebra, other)
         return Functional(self.algebra, tuple(a + b for a, b in zip(self.densities, other.densities)))
 
     def __sub__(self, other: "Functional") -> "Functional":
+        if not isinstance(other, Functional):
+            return NotImplemented
         _check_algebra(self.algebra, other)
         return Functional(self.algebra, tuple(a - b for a, b in zip(self.densities, other.densities)))
 
@@ -219,9 +236,10 @@ def functional_norm(phi: Functional) -> float:
     """Dual norm on the predual: the sum of blockwise trace norms.
 
     Densities may be signed, so this computes ||phi - psi|| when applied
-    to a difference.
+    to a difference.  It needs eigenvalues only, so it takes eigvalsh per
+    block and neither reads nor fills the spectrum phi keeps.
     """
-    return float(sum(np.sum(np.abs(w)) for w, _ in phi.spectrum()))
+    return float(sum(np.sum(np.abs(eigvalsh(d))) for d in phi.densities))
 
 
 def _block_component(phi: Functional, k: int) -> tuple[Functional, float] | None:

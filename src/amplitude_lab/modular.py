@@ -4,7 +4,8 @@ Superoperators act on the block Hilbert-Schmidt space.  The structured
 representation (L, R) means xi -> L xi R for linear maps; antilinear
 maps act as xi -> L xi^* R, i.e. the adjoint xi^* = conj(xi)^T is the
 antilinear core (this is the documented conjugation convention, chosen
-so the modular conjugation is the structured pair (I, I)).
+so the modular conjugation is the structured pair (I, I)).  Every power
+of a density is read from a held spectrum by one function, _delta.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from .algebra import (
     BlockAlgebra,
     BlockOperator,
     Functional,
+    L2Vector,
     _check_algebra,
-    _support_isometries,
     evaluate,
     is_faithful,
 )
 from .errors import EmptyReduction, NotFaithful, NotPositive
-from .linalg import check_psd, eigh, frozen, hermitize, psd_function, unitary_power
+from .linalg import Spectrum, frozen, in_range, psd_function, unitary_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,17 +53,17 @@ class Superoperator:
 
     def apply(self, xi):
         """Apply to a BlockOperator or L2Vector, returning the same type."""
+        if not isinstance(xi, (BlockOperator, L2Vector)):
+            raise TypeError(f"cannot apply a superoperator to {type(xi).__name__}")
         _check_algebra(self.algebra, xi)
-        if self.antilinear:
-            blocks = tuple(
-                l @ b.conj().T @ r for l, b, r in zip(self.left, xi.blocks, self.right)
-            )
-        else:
-            blocks = tuple(l @ b @ r for l, b, r in zip(self.left, xi.blocks, self.right))
+        cores = (b.conj().T for b in xi.blocks) if self.antilinear else xi.blocks
+        blocks = tuple(l @ b @ r for l, b, r in zip(self.left, cores, self.right))
         return type(xi)(xi.algebra, blocks)
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other; antilinear composed with antilinear is linear."""
+        if not isinstance(other, Superoperator):
+            raise TypeError(f"cannot compose a superoperator with {type(other).__name__}")
         _check_algebra(self.algebra, other)
         if not self.antilinear:
             left = tuple(l1 @ l2 for l1, l2 in zip(self.left, other.left))
@@ -72,28 +73,6 @@ class Superoperator:
         left = tuple(l1 @ r2.conj().T for l1, r2 in zip(self.left, other.right))
         right = tuple(l2.conj().T @ r1 for r1, l2 in zip(self.right, other.left))
         return Superoperator(self.algebra, left, right, not other.antilinear)
-
-    def power(self, z: complex) -> "Superoperator":
-        """Power of a structured map with Hermitian PSD factors.
-
-        Zero eigenvalues are admitted only for real exponents with
-        positive real part (0^z = 0), on factors that pass is_psd;
-        anything else needs a strictly positive factor.
-        """
-        if self.antilinear:
-            raise NotPositive("powers are defined for linear positive superoperators only")
-        zc = complex(z)
-
-        def power(h):
-            spec = eigh(hermitize(h))
-            if zc.imag == 0.0 and zc.real > 0.0:
-                check_psd(spec[0], "superoperator factor")
-                return psd_function(spec, lambda w: np.power(w, zc.real))
-            return unitary_power(spec, zc)
-
-        left = tuple(power(l) for l in self.left)
-        right = tuple(power(r) for r in self.right)
-        return Superoperator(self.algebra, left, right)
 
     def to_matrices(self) -> tuple[np.ndarray, ...]:
         """Dense n_k^2 x n_k^2 blocks acting on column-stacked vectorizations."""
@@ -107,21 +86,34 @@ def _require_faithful(phi: Functional, what: str = "functional") -> None:
         raise NotFaithful(f"{what} is not faithful; support_reduce it first")
 
 
-def _inverse_density(phi: Functional) -> tuple[np.ndarray, ...]:
-    return tuple(unitary_power(s, -1.0) for s in phi.spectrum())
+def _power(spec: Spectrum, z: complex) -> np.ndarray:
+    """D^z of a PSD block: unitary_power at full rank, else psd_function for real z > 0."""
+    if in_range(spec[0]).all():
+        return unitary_power(spec, z)
+    if z.imag != 0.0 or z.real <= 0.0:
+        raise NotFaithful(f"first argument is not faithful; its power needs a real z > 0, not {z}")
+    return psd_function(spec, lambda w: np.power(w, z.real))
 
 
-def relative_modular(psi: Functional, phi: Functional) -> Superoperator:
-    """Relative modular operator xi -> D_psi xi D_phi^{-1}.
+def _delta(psi: Functional, phi: Functional, z: complex) -> Superoperator:
+    """Delta^z from held spectra, for psi, phi checked positive and phi checked faithful."""
+    left = tuple(_power(s, z) for s in psi.spectrum())
+    right = tuple(unitary_power(s, -z) for s in phi.spectrum())
+    return Superoperator(phi.algebra, left, right)
 
-    Positive as an operator on the Hilbert-Schmidt space; its square
-    root maps x D_phi^{1/2} to D_psi^{1/2} x.
+
+def relative_modular(psi: Functional, phi: Functional, z: complex = 1.0) -> Superoperator:
+    """Power Delta^z of the relative modular operator, xi -> D_psi^z xi D_phi^{-z}.
+
+    Delta is positive on the Hilbert-Schmidt space, and Delta^{1/2} maps
+    x D_phi^{1/2} to D_psi^{1/2} x.  phi must be faithful; a singular psi
+    admits only a real z > 0 (else NotFaithful).
     """
     _check_algebra(psi.algebra, phi)
     phi.require_positive()
     psi.require_positive()
     _require_faithful(phi, "second argument")
-    return Superoperator(phi.algebra, tuple(psi.densities), _inverse_density(phi))
+    return _delta(psi, phi, complex(z))
 
 
 def modular_conjugation(phi: Functional) -> Superoperator:
@@ -133,19 +125,11 @@ def modular_conjugation(phi: Functional) -> Superoperator:
 
 
 def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
-    """Automorphism x -> D^{it} x D^{-it} generated by a faithful functional."""
+    """Automorphism x -> D^{it} x D^{-it} generated by a faithful functional: Delta_phi^{it} x."""
     _check_algebra(phi.algebra, x)
     phi.require_positive()
     _require_faithful(phi)
-    return _flow_at(phi, complex(t), x)
-
-
-def _flow_at(phi: Functional, z: complex, x: BlockOperator) -> BlockOperator:
-    """Flow at a complex time, x -> D^{iz} x D^{-iz}, from the cached spectrum."""
-    blocks = []
-    for spec, b in zip(phi.spectrum(), x.blocks):
-        blocks.append(unitary_power(spec, 1j * z) @ b @ unitary_power(spec, -1j * z))
-    return BlockOperator(phi.algebra, tuple(blocks))
+    return _delta(phi, phi, 1j * complex(t)).apply(x)
 
 
 def kms_defect(
@@ -167,10 +151,8 @@ def kms_defect(
     phi.require_positive()
     generator.require_positive()
     _require_faithful(generator, "flow generator")
-    y_shifted = _flow_at(generator, t - 1j, y)
-    y_flowed = _flow_at(generator, complex(t), y)
-    lhs = evaluate(phi, x @ y_shifted)
-    rhs = evaluate(phi, y_flowed @ x)
+    lhs = evaluate(phi, x @ _delta(generator, generator, 1j * (t - 1j)).apply(y))
+    rhs = evaluate(phi, _delta(generator, generator, 1j * complex(t)).apply(y) @ x)
     return abs(lhs - rhs)
 
 
@@ -194,31 +176,24 @@ class SupportReduction:
 
 
 def support_reduce(phi: Functional) -> SupportReduction:
-    """Compress every block to the range of its density.
+    """Compress every block to the range of its density, read from the held spectrum.
 
-    Rank-zero blocks are dropped; the compressed functional is faithful
-    and evaluation is preserved on compressed elements.
+    Rank-zero blocks are dropped.  A kept block's isometry v holds the
+    eigenvectors in_range keeps, and its reduced density is diag of their
+    eigenvalues, which v* D v equals up to roundoff.  The compressed
+    functional is faithful and evaluation is preserved on compressed
+    elements.
     """
-    isometries = []
-    kept = []
-    dims = []
-    densities = []
-    for k, (v, d) in enumerate(zip(_support_isometries(phi), phi.densities)):
-        r = v.shape[1]
-        if r == 0:
-            continue
-        isometries.append(v)
-        kept.append(k)
-        dims.append(r)
-        densities.append(hermitize(v.conj().T @ d @ v))
-    if not dims:
+    phi.require_positive()
+    kept, isometries, densities = [], [], []
+    for k, (w, v) in enumerate(phi.spectrum()):
+        keep = in_range(w)
+        if keep.any():
+            kept.append(k)
+            isometries.append(v[:, keep])
+            densities.append(np.diag(w[keep]))
+    if not kept:
         raise EmptyReduction("zero functional has empty support")
-    algebra = BlockAlgebra(tuple(dims))
+    algebra = BlockAlgebra(tuple(len(d) for d in densities))
     reduced = Functional(algebra, tuple(densities))
-    return SupportReduction(
-        algebra=algebra,
-        functional=reduced,
-        isometries=tuple(isometries),
-        kept_blocks=tuple(kept),
-        source=phi.algebra,
-    )
+    return SupportReduction(algebra, reduced, tuple(isometries), tuple(kept), phi.algebra)

@@ -1,3 +1,6 @@
+import itertools
+import operator
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from amplitude_lab import (
     is_pure,
     make_algebra,
     psd_sqrt,
+    sqrt_vector,
     support_projection,
     transition_amplitude,
 )
@@ -326,3 +330,15 @@ def test_only_the_algebra_module_compares_algebras():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_sums_and_differences_of_two_kinds_raise_type_error():
+    # an element plus a standard-space vector returned the left operand's type,
+    # and a functional plus an element failed with AttributeError
+    alg = make_algebra([2])
+    phi = diag_functional(alg, [0.75, 0.25])
+    kinds = (alg.identity(), sqrt_vector(phi), phi)
+    for left, right in itertools.permutations(kinds, 2):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(left, right)

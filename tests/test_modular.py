@@ -22,7 +22,7 @@ from amplitude_lab import (
     support_reduce,
     transition_amplitude,
 )
-from amplitude_lab.sampling import random_gibbs, random_operator, random_state
+from amplitude_lab.sampling import random_gibbs, random_operator, random_psd, random_state
 
 
 def qubit_gibbs():
@@ -64,6 +64,20 @@ class TestRelativeModular:
         # singular first argument is fine
         relative_modular(pure, tau)
 
+    def test_singular_first_argument_takes_only_a_real_positive_power(self):
+        # the old .power(1j) on such psi raised NotPositive or returned a
+        # unitary, depending on the sign of roundoff in the zero eigenvalues
+        alg = make_algebra([4])
+        tau = Functional(alg, (np.eye(4) / 4,))
+        for seed in range(40):
+            d = random_psd(np.random.default_rng(seed), 4, rank=2)
+            psi = Functional(alg, (d / np.trace(d).real,))
+            for z in (1j, 0, -0.5):
+                with pytest.raises(NotFaithful, match="first argument"):
+                    relative_modular(psi, tau, z)
+            left = relative_modular(psi, tau, 0.5).left[0]
+            assert np.max(np.abs(left @ left - psi.densities[0])) <= 1e-12
+
     def test_positive_on_hs_space(self):
         rng = np.random.default_rng(1)
         alg = make_algebra([3])
@@ -78,7 +92,7 @@ class TestRelativeModular:
         alg = make_algebra([3])
         phi = Functional(alg, (random_gibbs(rng, 3),))
         psi = random_state(rng, alg, rank_deficient=True)
-        delta_half = relative_modular(psi, phi).power(0.5)
+        delta_half = relative_modular(psi, phi, 0.5)
         x = random_operator(rng, alg)
         lhs = delta_half.apply(x @ sqrt_vector(phi))
         rhs = sqrt_vector(psi) @ x
@@ -131,7 +145,7 @@ class TestModularConjugation:
         rng = np.random.default_rng(7)
         alg = make_algebra([3])
         phi = Functional(alg, (random_gibbs(rng, 3),))
-        s = modular_conjugation(phi).compose(relative_modular(phi, phi).power(0.5))
+        s = modular_conjugation(phi).compose(relative_modular(phi, phi, 0.5))
         x = random_operator(rng, alg)
         lhs = s.apply(x @ sqrt_vector(phi))
         rhs = x.adjoint() @ sqrt_vector(phi)
@@ -283,7 +297,7 @@ class TestBridges:
         alg = make_algebra([2])
         phi = Functional(alg, (random_gibbs(rng, 2),))
         psi = random_state(rng, alg)
-        delta_half = relative_modular(psi, phi).power(0.5)
+        delta_half = relative_modular(psi, phi, 0.5)
         units = list(matrix_units(alg))
         root = sqrt_vector(phi)
         d = len(units)
@@ -316,9 +330,18 @@ class TestBridges:
         rng = np.random.default_rng(19)
         alg = make_algebra([2])
         phi = Functional(alg, (random_gibbs(rng, 2),))
-        delta = relative_modular(phi, phi)
         x = random_operator(rng, alg)
-        assert (delta.power(0.0).apply(x) - x).norm() <= 1e-12
+        assert (relative_modular(phi, phi, 0.0).apply(x) - x).norm() <= 1e-12
+
+    def test_apply_and_compose_take_only_their_own_kinds(self):
+        alg, phi = qubit_gibbs()
+        j = modular_conjugation(phi)
+        for bad in (phi, np.eye(2), 1.0):
+            with pytest.raises(TypeError):
+                j.apply(bad)
+        for bad in (phi, alg.identity(), np.eye(2)):
+            with pytest.raises(TypeError):
+                j.compose(bad)
 
     def test_identity_superoperator(self):
         alg = make_algebra([2, 3])

@@ -1,8 +1,8 @@
 """One positivity rule: linalg.is_psd on the largest-|eigenvalue| scale.
 
 A functional is positive exactly when Functional.is_positive() says so;
-psd_function only clamps, and the raw-matrix entry points psd_sqrt and
-Superoperator.power test the spectrum they hold.
+psd_function only clamps, and the raw-matrix entry point psd_sqrt tests
+the spectrum it holds.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from amplitude_lab import (
     Functional,
     NotPositive,
     PresymplecticSpace,
-    Superoperator,
     interpolated_form,
     make_algebra,
     psd_sqrt,
@@ -68,9 +67,3 @@ class TestMatrixPositivity:
     def test_psd_sqrt_rejects_negative(self):
         with pytest.raises(NotPositive):
             psd_sqrt(np.diag([1.0, -0.5]))
-
-    def test_superoperator_power_rejects_negative_factor(self):
-        alg = make_algebra([2])
-        op = Superoperator(alg, (np.diag([1.0, -0.5]),), (np.eye(2),))
-        with pytest.raises(NotPositive):
-            op.power(0.5)

@@ -32,7 +32,7 @@ from amplitude_lab import (
     transition_amplitude,
     uhlmann_fidelity,
 )
-from amplitude_lab.sampling import random_unitary
+from amplitude_lab.sampling import random_complex, random_unitary
 
 
 def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
@@ -175,3 +175,21 @@ def test_real_grams_give_the_mean_and_domination_of_their_rotations(case):
     # the sum is dominated only by a zero pair, which the first Gram never is
     assert not is_dominated(real[0] + real[1], *real)
     assert not is_dominated(turned[0] + turned[1], *turned)
+
+
+@st.composite
+def faithful_first_grams(draw):
+    """A faithful Gram and a Gram of any rank on C^n, n in 2..8, with entries up to about 26."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = [random_complex(rng, (n, r)) for r in (n, draw(st.integers(0, n)))]
+    return [a @ a.conj().T for a in factors]
+
+
+@given(faithful_first_grams())
+def test_the_mean_passes_andos_maximality_certificate(grams):
+    # M = G_a # G_b is the largest M with [[G_a, M], [M, G_b]] >= 0; with G_a
+    # faithful its Schur complement G_b - M G_a^{-1} M is 0 (Ando, LAA 26 (1979) 203)
+    ga, gb = grams
+    m = geometric_mean(PositiveForm(ga), PositiveForm(gb)).gram
+    assert np.max(np.abs(gb - m @ np.linalg.solve(ga, m))) <= 1e-8

@@ -6,6 +6,9 @@ eigh, so they do not read the cache they check, nor take the real
 symmetric solver that real densities get.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,12 +28,15 @@ from amplitude_lab import (
     kms_defect,
     make_algebra,
     modular_flow,
+    relative_modular,
     restrict,
     support_projection,
+    support_reduce,
     total_rank,
     transition_amplitude,
     uhlmann_fidelity,
 )
+import amplitude_lab
 from amplitude_lab import linalg
 from amplitude_lab.config import Tolerances, using
 from amplitude_lab.sampling import (
@@ -121,8 +127,47 @@ class TestEighCounts:
         psi.spectrum()
         del eigh_calls[:]
         diff = phi - psi
-        functional_norm(diff)
+        diff.spectrum()
         assert eigh_calls == [(3, 3), (2, 2)]
+
+    def test_functional_norm_takes_eigenvalues_only(self, lapack_dtypes):
+        phi, psi = fresh_pair(4, [3, 2])
+        diff = phi - psi
+        norm = functional_norm(diff)
+        assert [name for name, _ in lapack_dtypes] == ["eigvalsh", "eigvalsh"]
+        assert diff._spectrum is None
+        ref = sum(np.sum(np.abs(np.linalg.eigvalsh(d))) for d in diff.densities)
+        assert norm == pytest.approx(ref, abs=1e-14)
+
+    def test_relative_modular_reads_both_held_spectra(self, lapack_dtypes):
+        # Superoperator.power re-diagonalised both factors: 4 eigh here for Delta^{1/2}
+        rng = np.random.default_rng(25)
+        alg = make_algebra([4, 2])
+        phi, psi = (
+            Functional(alg, (0.5 * random_gibbs(rng, 4), 0.5 * random_gibbs(rng, 2)))
+            for _ in range(2)
+        )
+        phi.spectrum()
+        psi.spectrum()
+        del lapack_dtypes[:]
+        zs = (0.5, 1.0, 1j, -0.25)
+        deltas = [relative_modular(psi, phi, z) for z in zs]
+        assert lapack_dtypes == []
+        for z, delta in zip(zs, deltas):
+            pairs = zip(delta.left, delta.right, psi.densities, phi.densities)
+            for left, right, dq, dp in pairs:
+                assert np.max(np.abs(left - eig_fn(dq, lambda w: (w + 0j) ** z))) <= 1e-12
+                assert np.max(np.abs(right - eig_fn(dp, lambda w: (w + 0j) ** -z))) <= 1e-12
+
+    def test_support_reduce_reads_the_held_spectrum(self, lapack_dtypes):
+        phi = random_state(np.random.default_rng(26), make_algebra([4, 3, 2]), rank_deficient=True)
+        phi.spectrum()
+        del lapack_dtypes[:]
+        red = support_reduce(phi)
+        assert lapack_dtypes == []
+        for k, v, d in zip(red.kept_blocks, red.isometries, red.functional.densities):
+            assert np.array_equal(d, np.diag(np.diag(d)))
+            assert np.max(np.abs(v.conj().T @ phi.densities[k] @ v - d)) <= 1e-14
 
 
     def test_amplitude_sum_check_reads_the_parent_spectra(self, eigh_calls):
@@ -387,3 +432,35 @@ class TestOneValidationPass:
         g[0, 2] += 1e-6
         with pytest.raises(error, match="not Hermitian within tolerance"):
             build(g)
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_only_linalg_names_an_eigensolver():
+    # linalg's eigh, eigvalsh and trace_norm are the one hook that can count
+    # solver calls; modular.py reads held spectra and imports no solver at all
+    solvers = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+    found = []
+    for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in solvers:
+                if _dotted(node).split(".")[0] in ("np", "numpy", "scipy"):
+                    found.append(f"{path.name}:{node.lineno} {_dotted(node)}")
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if (node.module or "").split(".")[0] in ("numpy", "scipy"):
+                    if names & (solvers | {"linalg"}):
+                        found.append(f"{path.name}:{node.lineno} from {node.module}")
+                elif path.name == "modular.py" and names & {"eigh", "eigvalsh"}:
+                    found.append(f"{path.name}:{node.lineno} imports a solver")
+    assert found == []
