@@ -58,6 +58,7 @@ from .errors import (
     ParseError,
     ShapeError,
     SingularMeasure,
+    SolverFailed,
     TooLarge,
 )
 from .forms import (

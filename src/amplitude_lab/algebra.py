@@ -12,6 +12,7 @@ in force (config.tolerances).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,10 +74,15 @@ def _check_algebra(algebra: BlockAlgebra, *xs) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _BlockTuple:
-    """One matrix per block of an algebra, stored by linalg.frozen, with blockwise + - *."""
+    """One matrix per block of an algebra, stored by linalg.frozen, with blockwise + - *.
+
+    The scalar rule, Functional's and HermitianForm's too: * takes a Python or numpy
+    number only, and with __array_ufunc__ = None an ndarray is a TypeError in either order.
+    """
 
     algebra: BlockAlgebra
     blocks: tuple[np.ndarray, ...] = field(repr=False)
+    __array_ufunc__ = None
 
     def __post_init__(self):
         factors = zip(self.algebra.block_dims, self.blocks, strict=True)
@@ -98,6 +104,8 @@ class _BlockTuple:
         return type(self)(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __mul__(self, c: complex):
+        if not isinstance(c, numbers.Number):
+            return NotImplemented
         return type(self)(self.algebra, tuple(c * b for b in self.blocks))
 
     __rmul__ = __mul__
@@ -140,6 +148,7 @@ class Functional:
     _spectrum: tuple[Spectrum, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    __array_ufunc__ = None
 
     def __post_init__(self):
         # the Hermitian part kills roundoff drift before any eigendecomposition
@@ -160,11 +169,7 @@ class Functional:
         v is real for a block whose imaginary part is exactly zero.
         """
         if self._spectrum is None:
-            spec = tuple(eigh(d) for d in self.densities)
-            for w, v in spec:
-                w.setflags(write=False)
-                v.setflags(write=False)
-            object.__setattr__(self, "_spectrum", spec)
+            _hold_spectrum(self, tuple(eigh(d) for d in self.densities))
         return self._spectrum
 
     def is_positive(self) -> bool:
@@ -191,9 +196,20 @@ class Functional:
         return Functional(self.algebra, tuple(a - b for a, b in zip(self.densities, other.densities)))
 
     def __mul__(self, c: float) -> "Functional":
+        if not isinstance(c, numbers.Number):
+            return NotImplemented
         return Functional(self.algebra, tuple(c * d for d in self.densities))
 
     __rmul__ = __mul__
+
+
+def _hold_spectrum(phi: Functional, spec: tuple[Spectrum, ...]) -> None:
+    """Make spec, read-only, the spectrum phi keeps: spectrum()'s eigh, or the spectrum a
+    constructor knows of the densities it builds, which are then never diagonalised."""
+    for w, v in spec:
+        w.setflags(write=False)
+        v.setflags(write=False)
+    object.__setattr__(phi, "_spectrum", spec)
 
 
 class L2Vector(_BlockTuple):
@@ -262,9 +278,7 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float] | None
         d = d - spectral_apply((dropped, v), lambda x: x)
     algebra = BlockAlgebra((phi.algebra.block_dims[k],))
     comp = Functional(algebra, (d / mass,))
-    w = (w - dropped) / mass
-    w.setflags(write=False)
-    object.__setattr__(comp, "_spectrum", ((w, v),))
+    _hold_spectrum(comp, (((w - dropped) / mass, v),))
     return comp, mass
 
 

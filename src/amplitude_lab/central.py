@@ -145,7 +145,10 @@ def amplitude_sum_terms(
     amps = [transition_amplitude(p, q) for p, q in zip(dp.components, dq.components)]
     rhs = 0.0
     for k, a_k in enumerate(amps):
-        scale = dp.weights[k] * np.sqrt(dp.radon_nikodym[k] * dq.radon_nikodym[k])
+        rp, rq = float(dp.radon_nikodym[k]), float(dq.radon_nikodym[k])
+        # rp * rq is inf for a block of tiny weight; only then two roots (equal up to the last bit)
+        root = np.sqrt(rp * rq) if rp * rq < np.inf else np.sqrt(rp) * np.sqrt(rq)
+        scale = dp.weights[k] * root
         if scale > 0.0:
             rhs += scale * a_k
     lhs = transition_amplitude(phi, psi)

@@ -49,6 +49,7 @@ EXIT_CODES = [
     (err.NotUnital, 7),
     (err.NotFactor, 7),
     (err.InvalidCovariance, 7),
+    (err.SolverFailed, 9),
 ]
 SELFTEST_FAILED = 8
 

@@ -59,3 +59,7 @@ class TooLarge(AmplitudeLabError):
 
 class ParseError(AmplitudeLabError):
     """Malformed JSON input (bad schema, NaN/Inf, wrong lengths)."""
+
+
+class SolverFailed(AmplitudeLabError):
+    """LAPACK did not converge, on finite input too large or too badly scaled for it."""

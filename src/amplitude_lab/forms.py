@@ -15,6 +15,7 @@ the largest Hermitian form dominated by the pair.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -45,6 +46,7 @@ class HermitianForm:
     """
 
     gram: np.ndarray = field(repr=False)
+    __array_ufunc__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "gram", hermitian_part(self.gram, "Gram matrix"))
@@ -60,6 +62,8 @@ class HermitianForm:
         return type(self)(self.gram + other.gram)
 
     def __mul__(self, c: float) -> "HermitianForm":
+        if not isinstance(c, numbers.Number):
+            return NotImplemented
         return type(self)(c * self.gram)
 
     __rmul__ = __mul__

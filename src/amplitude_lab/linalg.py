@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import rank_cut, tolerances
-from .errors import NotPositive, ShapeError
+from .errors import NotPositive, ShapeError, SolverFailed
 
 Spectrum = tuple[np.ndarray, np.ndarray]
 
@@ -48,12 +48,21 @@ def eigh(h: np.ndarray) -> Spectrum:
     symmetric solver, and its eigenvectors come back real; any nonzero
     imaginary entry keeps the complex Hermitian solver.
     """
-    return np.linalg.eigh(real_if_exact(h))
+    return _lapack("eigh", real_if_exact(h))
 
 
 def eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, on the solver eigh picks."""
-    return np.linalg.eigvalsh(real_if_exact(h))
+    return _lapack("eigvalsh", real_if_exact(h))
+
+
+def _lapack(name: str, a: np.ndarray, **kwargs):
+    """numpy.linalg.<name>(a), the one solver hook; LAPACK's failure to converge is SolverFailed
+    (a try costs nothing until it raises, where a finiteness scan costs every call)."""
+    try:
+        return getattr(np.linalg, name)(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailed(f"{name} of a {a.shape} matrix: {exc}") from exc
 
 
 def hermitian_part(
@@ -175,4 +184,4 @@ def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
     if a.size == 0:
         return 0.0
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    return float(np.sum(_lapack("svd", a, compute_uv=False)))

@@ -20,6 +20,7 @@ from .algebra import (
     Functional,
     L2Vector,
     _check_algebra,
+    _hold_spectrum,
     evaluate,
     is_faithful,
 )
@@ -180,20 +181,21 @@ def support_reduce(phi: Functional) -> SupportReduction:
 
     Rank-zero blocks are dropped.  A kept block's isometry v holds the
     eigenvectors in_range keeps, and its reduced density is diag of their
-    eigenvalues, which v* D v equals up to roundoff.  The compressed
-    functional is faithful and evaluation is preserved on compressed
-    elements.
+    eigenvalues w, which v* D v equals up to roundoff; it keeps (w, I) as
+    its spectrum.  The compressed functional is faithful and evaluation is
+    preserved on compressed elements.
     """
     phi.require_positive()
-    kept, isometries, densities = [], [], []
+    kept, isometries, spectra = [], [], []
     for k, (w, v) in enumerate(phi.spectrum()):
         keep = in_range(w)
         if keep.any():
             kept.append(k)
             isometries.append(v[:, keep])
-            densities.append(np.diag(w[keep]))
+            spectra.append((w[keep], np.eye(int(keep.sum()))))
     if not kept:
         raise EmptyReduction("zero functional has empty support")
-    algebra = BlockAlgebra(tuple(len(d) for d in densities))
-    reduced = Functional(algebra, tuple(densities))
+    algebra = BlockAlgebra(tuple(len(w) for w, _ in spectra))
+    reduced = Functional(algebra, tuple(np.diag(w) for w, _ in spectra))
+    _hold_spectrum(reduced, tuple(spectra))
     return SupportReduction(algebra, reduced, tuple(isometries), tuple(kept), phi.algebra)

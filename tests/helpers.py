@@ -1,13 +1,13 @@
 """Shared oracles and builders for the test suite.
 
 The oracles stay independent of the code paths they check: the
-closed-form SPD mean uses plain eigendecompositions, and the kernel Gram
-is a brute force double loop over matrix units.
+closed-form SPD mean uses plain eigendecompositions.  The paper's
+identities themselves are the functions of amplitude_lab.selftest.
 """
 
 import numpy as np
 
-from amplitude_lab import BlockAlgebra, Functional, UcpMap, amplitude_kernel, matrix_units
+from amplitude_lab import BlockAlgebra, Functional, UcpMap
 
 
 def eig_fn(h: np.ndarray, fn) -> np.ndarray:
@@ -21,17 +21,6 @@ def spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ai = eig_fn(a, lambda w: 1.0 / np.sqrt(w))
     mid = eig_fn(ai @ b @ ai, lambda w: np.sqrt(np.maximum(w, 0.0)))
     return ar @ mid @ ar
-
-
-def kernel_gram(phi, psi) -> np.ndarray:
-    """Gram of the amplitude kernel over the matrix-unit basis, brute force."""
-    units = list(matrix_units(phi.algebra))
-    d = len(units)
-    g = np.zeros((d, d), dtype=complex)
-    for i, u in enumerate(units):
-        for j, v in enumerate(units):
-            g[i, j] = amplitude_kernel(phi, psi, u, v)
-    return g
 
 
 def min_eigval(h: np.ndarray) -> float:

