@@ -145,10 +145,8 @@ def amplitude_sum_terms(
     amps = [transition_amplitude(p, q) for p, q in zip(dp.components, dq.components)]
     rhs = 0.0
     for k, a_k in enumerate(amps):
-        rp, rq = float(dp.radon_nikodym[k]), float(dq.radon_nikodym[k])
-        # rp * rq is inf for a block of tiny weight; only then two roots (equal up to the last bit)
-        root = np.sqrt(rp * rq) if rp * rq < np.inf else np.sqrt(rp) * np.sqrt(rq)
-        scale = dp.weights[k] * root
+        # one root per factor: their product overflows for a tiny weight, underflows for a tiny mass
+        scale = dp.weights[k] * np.sqrt(dp.radon_nikodym[k]) * np.sqrt(dq.radon_nikodym[k])
         if scale > 0.0:
             rhs += scale * a_k
     lhs = transition_amplitude(phi, psi)

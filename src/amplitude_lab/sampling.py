@@ -75,11 +75,12 @@ def random_embedding(
 
 
 def random_ucp(rng: np.random.Generator, source: BlockAlgebra, target: BlockAlgebra) -> UcpMap:
-    """Random unital CP map source -> target, three Kraus operators per target block."""
+    """Random unital CP map source -> target; a target block of side n gets
+    max(3, ceil(n / source.space_dim)) Kraus operators, enough to span C^n."""
     s = source.space_dim
     families = []
     for n in target.block_dims:
-        raw = [random_complex(rng, (s, n)) for _ in range(3)]
+        raw = [random_complex(rng, (s, n)) for _ in range(max(3, -(-n // s)))]
         total = sum(a.conj().T @ a for a in raw)
         w, v = eigh(hermitize(total))
         inv_root = unitary_power((w, v), -0.5)

@@ -96,10 +96,11 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def commuting_mean_gap(u: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
     """max|A # B - U diag(sqrt(wa wb)) U*| for A = U diag(wa) U* and B = U diag(wb) U*."""
-    a, b, expect = (
-        hermitize(u @ np.diag(w).astype(complex) @ u.conj().T) for w in (wa, wb, np.sqrt(wa * wb))
-    )
-    return _gap(geometric_mean(PositiveForm(a), PositiveForm(b)).gram, expect)
+    a = hermitize(u @ np.diag(wa).astype(complex) @ u.conj().T)
+    b = hermitize(u @ np.diag(wb).astype(complex) @ u.conj().T)
+    expect = hermitize(u @ np.diag(np.sqrt(wa * wb)).astype(complex) @ u.conj().T)
+    mean = geometric_mean(PositiveForm(a), PositiveForm(b))
+    return _gap(mean.gram, expect)
 
 
 def ando_defect(ga: np.ndarray, gb: np.ndarray) -> float:
@@ -169,14 +170,16 @@ def ucp_gain(channel: UcpMap, phi: Functional, psi: Functional) -> float:
 
 def quotient_gap(pi: QuotientMap, phi: Functional, psi: Functional) -> float:
     """|A(phi o pi, psi o pi) - A(phi, psi)|: a quotient pullback keeps the amplitude."""
-    pull = pullback_along_quotient
-    return abs(transition_amplitude(pull(pi, phi), pull(pi, psi)) - transition_amplitude(phi, psi))
+    pulled_phi = pullback_along_quotient(pi, phi)
+    pulled_psi = pullback_along_quotient(pi, psi)
+    return abs(transition_amplitude(pulled_phi, pulled_psi) - transition_amplitude(phi, psi))
 
 
 def thermal_gap(lam: float, mu: float, n: int) -> float:
     """|A - thermal_amplitude(lam, mu)| for the diagonal states of n geometric weights each;
     A is the last entry of their lumped chain, which ends at the amplitude."""
-    phi, psi = (diagonal_state(qf.geometric_weights(x, n)) for x in (lam, mu))
+    phi = diagonal_state(qf.geometric_weights(lam, n))
+    psi = diagonal_state(qf.geometric_weights(mu, n))
     return abs(transition_amplitude(phi, psi) - qf.thermal_amplitude(lam, mu))
 
 
@@ -217,14 +220,18 @@ class _Suite:
 
     # --- algebra ---------------------------------------------------------
     def check_sqrt_roundtrip(self):
-        hs = (random_psd(self.rng, n) for n in range(2, MAX_DIM + 1))
-        self.defect("psd-sqrt-roundtrip", (_gap(psd_sqrt(h) @ psd_sqrt(h), h) for h in hs))
+        values = []
+        for n in range(2, MAX_DIM + 1):
+            h = random_psd(self.rng, n)
+            values.append(_gap(psd_sqrt(h) @ psd_sqrt(h), h))
+        self.defect("psd-sqrt-roundtrip", values)
 
     def check_support_projection(self):
         values = []
         for alg in _mixed_algebras():
             phi = random_state(self.rng, alg, rank_deficient=True)
-            comp = alg.identity() - support_projection(phi)
+            p = support_projection(phi)
+            comp = alg.identity() - p
             for _ in range(3):
                 x = random_operator(self.rng, alg)
                 values.append(abs(evaluate(phi, comp @ x @ comp)))
@@ -269,8 +276,11 @@ class _Suite:
         self.defect("gmean-symmetry", values)
 
     def check_domination(self):
-        """Ando's certificate; a pair with rank G_a < rank G_b, whose Schur complement
-        is not 0, has its mean checked with is_dominated instead."""
+        """Ando's maximality certificate (ando_defect) on faithful pairs.
+
+        With rank G_a < rank G_b the Schur complement is not 0, so the
+        mean of such a pair is checked with is_dominated instead.
+        """
         values = []
         for _ in range(10):
             d = self._dim()
@@ -279,8 +289,10 @@ class _Suite:
             values.append(ando_defect(ga, gb))
             # rank d - 1 < rank G_b; a d x d draw keeps the later checks' random inputs
             a = random_complex(self.rng, (d, d))[:, 1:]
-            low, beta = PositiveForm(a @ a.conj().T), PositiveForm(gb)
-            values.append(0.0 if is_dominated(geometric_mean(low, beta), low, beta) else np.inf)
+            low = PositiveForm(a @ a.conj().T)
+            beta = PositiveForm(gb)
+            dominated = is_dominated(geometric_mean(low, beta), low, beta)
+            values.append(0.0 if dominated else np.inf)
         self.defect("gmean-variational-bound", values)
 
     def check_kernel_bridge(self):
@@ -293,8 +305,11 @@ class _Suite:
 
     # --- amplitudes ------------------------------------------------------
     def check_inequalities(self):
-        suites = (inequality_suite(*self._pair(alg, second=True)) for alg in _mixed_algebras())
-        self.margin("inequality-defects", (rep.min_defect() for rep in suites))
+        values = []
+        for alg in _mixed_algebras():
+            phi, psi = self._pair(alg, second=True)
+            values.append(inequality_suite(phi, psi).min_defect())
+        self.margin("inequality-defects", values)
 
     def check_purification_square(self):
         values = [purification_defect(*self._pair(make_algebra([n]), second=True)) for n in (2, 3)]
@@ -312,21 +327,27 @@ class _Suite:
             alg = make_algebra([n])
             phi = Functional(alg, (random_gibbs(self.rng, n),))
             psi = random_state(self.rng, alg)
+            delta_half = relative_modular(psi, phi, 0.5)
             x = random_operator(self.rng, alg)
-            lhs = relative_modular(psi, phi, 0.5).apply(x @ sqrt_vector(phi))
-            values.append((lhs - sqrt_vector(psi) @ x).norm())
+            lhs = delta_half.apply(x @ sqrt_vector(phi))
+            rhs = sqrt_vector(psi) @ x
+            values.append((lhs - rhs).norm())
         self.defect("relative-modular-root", values)
 
     def check_conjugation(self):
-        alg = make_algebra([4, 2])
-        phi = Functional(alg, (random_gibbs(self.rng, 4), random_gibbs(self.rng, 2)))
+        n = 4
+        alg = make_algebra([n, 2])
+        phi = Functional(alg, (random_gibbs(self.rng, n), random_gibbs(self.rng, 2)))
         j = modular_conjugation(phi)
         xi = random_operator(self.rng, alg)
         eta = random_operator(self.rng, alg)
-        xiv, etav = xi @ sqrt_vector(phi), eta @ sqrt_vector(phi)
-        inner_gap = abs(j.apply(xiv).inner(j.apply(etav)) - etav.inner(xiv))
-        twice = map(_gap, j.apply(j.apply(xi)).blocks, xi.blocks)
-        self.defect("modular-conjugation", [*twice, inner_gap])
+        twice = j.apply(j.apply(xi))
+        values = [_gap(a, b) for a, b in zip(twice.blocks, xi.blocks)]
+        v = sqrt_vector(phi)
+        xiv, etav = xi @ v, eta @ v
+        inner_j = j.apply(xiv).inner(j.apply(etav))
+        values.append(abs(inner_j - etav.inner(xiv)))
+        self.defect("modular-conjugation", values)
 
     def check_kms(self):
         values = []
@@ -335,7 +356,8 @@ class _Suite:
             phi = Functional(alg, (random_gibbs(self.rng, n),))
             x = random_operator(self.rng, alg)
             y = random_operator(self.rng, alg)
-            values += [kms_defect(phi, x, y, t) for t in (-2.0, -0.5, 0.0, 1.0, 2.0)]
+            for t in (-2.0, -0.5, 0.0, 1.0, 2.0):
+                values.append(kms_defect(phi, x, y, t))
         self.defect("kms-boundary-identity", values)
 
     def check_kms_counterexample(self):
@@ -343,32 +365,40 @@ class _Suite:
         self.record("kms-foreign-flow-detected", defect >= 1e-3, defect)
 
     def check_flow_invariance(self):
-        alg = make_algebra([5])
-        phi = Functional(alg, (random_gibbs(self.rng, 5),))
+        values = []
+        n = 5
+        alg = make_algebra([n])
+        phi = Functional(alg, (random_gibbs(self.rng, n),))
         y = random_operator(self.rng, alg)
-        flowed = (evaluate(phi, modular_flow(phi, t, y)) for t in (-1.5, 0.3, 2.0))
-        self.defect("flow-invariance", (abs(v - evaluate(phi, y)) for v in flowed))
+        for t in (-1.5, 0.3, 2.0):
+            values.append(abs(evaluate(phi, modular_flow(phi, t, y)) - evaluate(phi, y)))
+        self.defect("flow-invariance", values)
 
     def check_support_reduce(self):
         alg = make_algebra([3, 2])
         phi = random_state(self.rng, alg, rank_deficient=True)
         red = support_reduce(phi)
         p = support_projection(phi)
-        # evaluation agrees on compressed elements of the support corner
-        xs = (random_operator(self.rng, alg) for _ in range(3))
-        values = (evaluate(red.functional, red.compress(p @ x @ p)) - evaluate(phi, x) for x in xs)
-        self.defect("support-reduce-evaluation", map(abs, values))
+        values = []
+        for _ in range(3):
+            x = random_operator(self.rng, alg)
+            # evaluation agrees on compressed elements of the support corner
+            values.append(abs(evaluate(red.functional, red.compress(p @ x @ p)) - evaluate(phi, x)))
+        self.defect("support-reduce-evaluation", values)
 
     # --- restriction -----------------------------------------------------
     def check_product_chain(self):
         self.defect("product-chain-closed-form", [product_chain_gap(5)])
 
     def check_chain_monotone(self):
-        ambient, chain = build_product_chain([2] * 3)
-        self.margin("chain-monotone", [chain_margin(*self._pair(ambient), chain) for _ in range(5)])
+        sites = 3
+        ambient, chain = build_product_chain([2] * sites)
+        values = [chain_margin(*self._pair(ambient), chain) for _ in range(5)]
+        self.margin("chain-monotone", values)
 
     def check_ucp_monotone(self):
-        src, tgt = make_algebra([2, 3]), make_algebra([4])
+        src = make_algebra([2, 3])
+        tgt = make_algebra([4])
         values = [ucp_gain(random_ucp(self.rng, src, tgt), *self._pair(tgt)) for _ in range(5)]
         self.margin("ucp-pullback-monotone", values)
 
@@ -379,7 +409,8 @@ class _Suite:
         psi = Functional(alg, (np.full((2, 2), 0.5, dtype=complex),))
         before = transition_amplitude(phi, psi)
         after = transition_amplitude(ucp_pullback(chan, phi), ucp_pullback(chan, psi))
-        self.defect("dephasing-example", [abs(before - 0.5) + abs(after - np.sqrt(0.5))])
+        gap = abs(before - 0.5) + abs(after - np.sqrt(0.5))
+        self.defect("dephasing-example", [gap])
 
     def check_tower(self):
         src = make_algebra([2])
@@ -388,24 +419,29 @@ class _Suite:
         phi = random_state(self.rng, outer.target)
         two_step = restrict(restrict(phi, outer), inner)
         composite = restrict(phi, compose_embeddings(outer, inner))
-        self.defect("restriction-tower", map(_gap, two_step.densities, composite.densities))
+        values = [_gap(a, b) for a, b in zip(two_step.densities, composite.densities)]
+        self.defect("restriction-tower", values)
 
     def check_embedding_ucp_agrees(self):
-        emb = random_embedding(self.rng, make_algebra([2, 1]), num_target_blocks=2)
+        src = make_algebra([2, 1])
+        emb = random_embedding(self.rng, src, num_target_blocks=2)
         phi = random_state(self.rng, emb.target)
         via_embed = restrict(phi, emb)
         via_ucp = ucp_pullback(embedding_as_ucp(emb), phi)
-        self.defect("embedding-vs-ucp-restrict", map(_gap, via_embed.densities, via_ucp.densities))
+        values = [_gap(a, b) for a, b in zip(via_embed.densities, via_ucp.densities)]
+        self.defect("embedding-vs-ucp-restrict", values)
 
     # --- central ---------------------------------------------------------
     def check_central_sum(self):
         alg = make_algebra([2, 3, 1])
         values = []
         for _ in range(5):
-            phi, psi = self._pair(alg)
+            phi = random_state(self.rng, alg)
+            psi = random_state(self.rng, alg)
             values.append(ct.amplitude_sum_check(phi, psi).defect)
             mu = self.rng.uniform(0.2, 1.0, alg.num_blocks)
-            values.append(ct.amplitude_sum_check(phi, psi, mu / mu.sum()).defect)
+            mu /= mu.sum()
+            values.append(ct.amplitude_sum_check(phi, psi, mu).defect)
         self.defect("central-sum-formula", values)
 
     def check_integrate_roundtrip(self):
@@ -414,31 +450,44 @@ class _Suite:
             Functional(make_algebra([3]), (random_density(self.rng, 3),)),
         ]
         mu = np.array([0.4, 0.6])
-        _, whole = ct.integrate_disjoint_family(comps, mu)
+        algebra, whole = ct.integrate_disjoint_family(comps, mu)
         dec = ct.decompose(whole)
         values = [_gap(dec.weights, mu)]
-        values += [_gap(d.densities[0], c.densities[0]) for d, c in zip(dec.components, comps)]
-        values += map(_gap, dec.reassemble().densities, whole.densities)
+        for k, comp in enumerate(comps):
+            values.append(_gap(dec.components[k].densities[0], comp.densities[0]))
+        back = dec.reassemble()
+        for a, b in zip(back.densities, whole.densities):
+            values.append(_gap(a, b))
         self.defect("integrate-decompose-roundtrip", values)
 
     # --- quasifree -------------------------------------------------------
     def check_qf_reduction(self):
-        sigma = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        sigma = np.zeros((3, 3))
+        sigma[0, 1], sigma[1, 0] = 1.0, -1.0
+        space = qf.PresymplecticSpace(sigma)
         s = qf.make_covariance(np.diag([1.0, 1.0, 0.0]), sigma)
-        triple = qf.reduce(qf.PresymplecticSpace(sigma), s, s)
+        triple = qf.reduce(space, s, s)
         ok = triple.kernel_dim == 1 and qf.validate_covariance(triple.s_form, triple.space)
-        chi = qf.quasifree_character
-        xs = (self.rng.standard_normal(3) for _ in range(3))
-        values = [abs(chi(s, x) - chi(triple.s_form, triple.quotient @ x)) for x in xs]
-        self.defect("qf-reduction-invariance", [*values, 0.0 if ok else np.inf])
+        # a wrong kernel or an invalid reduced covariance records an infinite defect
+        values = [0.0 if ok else np.inf]
+        for _ in range(3):
+            x = self.rng.standard_normal(3)
+            values.append(
+                abs(
+                    qf.quasifree_character(s, x)
+                    - qf.quasifree_character(triple.s_form, triple.quotient @ x)
+                )
+            )
+        self.defect("qf-reduction-invariance", values)
 
     def check_thermal_chain(self):
         self.defect("thermal-amplitude-limit", [thermal_gap(0.3, 0.6, 150)], bound=1e-6)
 
     # --- quotient --------------------------------------------------------
     def check_quotient_invariance(self):
+        source = make_algebra([2, 3, 2])
         image = make_algebra([3, 2])
-        pi = QuotientMap(make_algebra([2, 3, 2]), image, (1, 2))
+        pi = QuotientMap(source, image, (1, 2))
         values = [quotient_gap(pi, *self._pair(image)) for _ in range(5)]
         self.defect("quotient-pullback-invariance", values)
 
@@ -452,9 +501,12 @@ class _Suite:
 
 def run_selftest(seed: int) -> bool:
     """Run the battery under tolerances(); print one line per check; True when all pass."""
-    results = _Suite(seed).run()
+    suite = _Suite(seed)
+    results = suite.run()
+    all_ok = True
     for idx, (name, ok, witness) in enumerate(results, start=1):
-        print(f"selftest {idx:02d} {name}: {'PASS' if ok else 'FAIL'} witness={witness:.9g}")
-    all_ok = all(ok for _, ok, _ in results)
+        status = "PASS" if ok else "FAIL"
+        print(f"selftest {idx:02d} {name}: {status} witness={witness:.9g}")
+        all_ok = all_ok and ok
     print(f"selftest summary: {'PASS' if all_ok else 'FAIL'} ({len(results)} checks)")
     return all_ok

@@ -263,14 +263,19 @@ class TestDecomposeAndKms:
         assert rhs == lhs
 
     def test_decompose_of_a_tiny_weight_prints_no_inf(self, tmp_path, capsys):
-        # the sum check took sqrt(rp * rq) of two Radon-Nikodym factors of 1e155,
-        # which overflowed: rhs and defect printed inf with exit 0
+        # the sum check took sqrt(rp * rq) of two Radon-Nikodym factors: for factors of
+        # 1e155 the product overflowed (rhs and defect printed inf), for 1e-170 it
+        # underflowed (rhs printed 0, defect 1e-170), both with exit 0
         from amplitude_lab.cli import main
 
         phi = Functional(make_algebra([1, 1]), (np.array([[1e155]]), np.array([[1.0]])))
         a = write_functional(tmp_path / "a.json", phi)
         assert main(["decompose", a, a]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "1e+155,1e+155,0"
+        tiny = Functional(make_algebra([1]), (np.array([[1e-170]]),))
+        b = write_functional(tmp_path / "b.json", tiny)
+        assert main(["decompose", b, b]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1e-170,1e-170,0"
 
     def test_qf_reduce_solver_failure_exits_9(self, tmp_path, capsys):
         # a finite Gram entry of 1e308 ended in numpy's LinAlgError traceback, exit 1

@@ -262,6 +262,17 @@ class TestUcp:
         img = chan.apply(src.identity())
         assert np.max(np.abs(img.blocks[0] - np.eye(3))) <= 1e-10
 
+    def test_random_ucp_spans_a_target_block_wider_than_three_sources(self):
+        # three Kraus operators of shape (1, 4) cannot span C^4: the draw raised NotPositive
+        rng = np.random.default_rng(3)
+        src = make_algebra([1])
+        tgt = make_algebra([4])
+        for _ in range(20):
+            chan = random_ucp(rng, src, tgt)
+            assert len(chan.kraus[0]) == 4
+            img = chan.apply(src.identity())
+            assert np.max(np.abs(img.blocks[0] - np.eye(4))) <= 1e-10
+
 
 class TestChains:
     def test_product_chain_closed_form(self):
