@@ -74,10 +74,10 @@ def _check_algebra(algebra: BlockAlgebra, *xs) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _BlockTuple:
-    """One matrix per block of an algebra, stored by linalg.frozen, with blockwise + - *.
+    """One matrix per block of an algebra, stored by _stored (linalg.frozen), with blockwise + - *.
 
-    The scalar rule, Functional's and HermitianForm's too: * takes a Python or numpy
-    number only, and with __array_ufunc__ = None an ndarray is a TypeError in either order.
+    The scalar rule, HermitianForm's too: * takes a Python or numpy number only, and
+    with __array_ufunc__ = None an ndarray is a TypeError in either order.
     """
 
     algebra: BlockAlgebra
@@ -86,7 +86,11 @@ class _BlockTuple:
 
     def __post_init__(self):
         factors = zip(self.algebra.block_dims, self.blocks, strict=True)
-        object.__setattr__(self, "blocks", tuple(frozen(b, (n, n), "block") for n, b in factors))
+        object.__setattr__(self, "blocks", tuple(self._stored(b, n) for n, b in factors))
+
+    @staticmethod
+    def _stored(b, n: int) -> np.ndarray:
+        return frozen(b, (n, n), "block")
 
     def adjoint(self):
         return type(self)(self.algebra, tuple(b.conj().T for b in self.blocks))
@@ -116,7 +120,7 @@ class BlockOperator(_BlockTuple):
 
     def __matmul__(self, other):
         """Operator @ operator is an operator, operator @ vector a vector."""
-        if not isinstance(other, _BlockTuple):
+        if not isinstance(other, (BlockOperator, L2Vector)):
             return NotImplemented
         _check_algebra(self.algebra, other)
         return type(other)(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
@@ -127,7 +131,7 @@ class BlockOperator(_BlockTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class Functional:
+class Functional(_BlockTuple):
     """Linear functional with one Hermitian density matrix per block.
 
     Values are phi(x) = sum_k Tr(D_k x_k).  Densities may be signed (for
@@ -143,20 +147,18 @@ class Functional:
     new Functional, which starts without one.
     """
 
-    algebra: BlockAlgebra
-    densities: tuple[np.ndarray, ...] = field(repr=False)
     _spectrum: tuple[Spectrum, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    __array_ufunc__ = None
 
-    def __post_init__(self):
+    @staticmethod
+    def _stored(d, n: int) -> np.ndarray:
         # the Hermitian part kills roundoff drift before any eigendecomposition
-        blocks = tuple(
-            hermitian_part(d, "density block", n=n)
-            for n, d in zip(self.algebra.block_dims, self.densities, strict=True)
-        )
-        object.__setattr__(self, "densities", blocks)
+        return hermitian_part(d, "density block", n=n)
+
+    @property
+    def densities(self) -> tuple[np.ndarray, ...]:
+        return self.blocks
 
     @property
     def mass(self) -> float:
@@ -182,25 +184,6 @@ class Functional:
 
     def block_masses(self) -> np.ndarray:
         return np.array([float(np.trace(d).real) for d in self.densities])
-
-    def __add__(self, other: "Functional") -> "Functional":
-        if not isinstance(other, Functional):
-            return NotImplemented
-        _check_algebra(self.algebra, other)
-        return Functional(self.algebra, tuple(a + b for a, b in zip(self.densities, other.densities)))
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        if not isinstance(other, Functional):
-            return NotImplemented
-        _check_algebra(self.algebra, other)
-        return Functional(self.algebra, tuple(a - b for a, b in zip(self.densities, other.densities)))
-
-    def __mul__(self, c: float) -> "Functional":
-        if not isinstance(c, numbers.Number):
-            return NotImplemented
-        return Functional(self.algebra, tuple(c * d for d in self.densities))
-
-    __rmul__ = __mul__
 
 
 def _hold_spectrum(phi: Functional, spec: tuple[Spectrum, ...]) -> None:

@@ -62,4 +62,4 @@ class ParseError(AmplitudeLabError):
 
 
 class SolverFailed(AmplitudeLabError):
-    """LAPACK did not converge, on finite input too large or too badly scaled for it."""
+    """A solver did not converge on, or could not resolve, finite input too large or badly scaled."""

@@ -5,12 +5,14 @@ block, row-major within each block, so Gram matrices are reproducible
 bit for bit.  A form gamma is evaluated as gamma(x, y) = x_bar^T G y on
 coordinate vectors (conjugate-linear in the first argument).
 
-The mean of two positive forms is computed through the canonical
-commuting representation of the pair: with S = G_a + G_b and r = rank S,
-the embedding j sends coordinates to S^{1/2} restricted to range
+The left and right forms are interpolated_form at t = 0 and t = 1.  The
+mean of two positive forms is read from the canonical commuting
+representation of the pair: with S = G_a + G_b and r = rank S, the
+embedding j sends coordinates to S^{1/2} restricted to range
 coordinates, the operator A is the compression of S^{-1/2} G_a S^{-1/2}
 to the range, and B = I - A.  The mean's Gram is J* (A(I-A))^{1/2} J,
-the largest Hermitian form dominated by the pair.
+the largest Hermitian form dominated by the pair.  No tolerance reaches
+its arithmetic; the tolerances in force only validate.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
-from .config import tolerances
+from .config import rank_cut
 from .errors import DomainError, ShapeError
 from .linalg import (
+    Spectrum,
     block_diag,
     check_psd,
     eigh,
@@ -34,6 +37,7 @@ from .linalg import (
     in_range,
     is_psd,
     psd_function,
+    spectral_apply,
 )
 
 
@@ -81,15 +85,22 @@ class PositiveForm(HermitianForm):
 class PairRepresentation:
     """Canonical commuting representation of a pair of positive forms.
 
-    jmat holds the coordinates of the embedding (rank x dim); a_op and
-    b_op are commuting PSD operators on the range with a_op + b_op = I
-    and J* a_op J = G_a, J* b_op J = G_b.
+    jmat holds the coordinates of the embedding (rank x dim) and spectrum
+    the spectrum (w, v) of A on the range, w in [0, 1]; a_op = A and b_op
+    = I - A are commuting PSD operators with J* A J = G_a and J* B J = G_b.
     """
 
     rank: int
     jmat: np.ndarray = field(repr=False)
-    a_op: np.ndarray = field(repr=False)
-    b_op: np.ndarray = field(repr=False)
+    spectrum: Spectrum = field(repr=False)
+
+    @property
+    def a_op(self) -> np.ndarray:
+        return hermitize(spectral_apply(self.spectrum, lambda w: w))
+
+    @property
+    def b_op(self) -> np.ndarray:
+        return np.eye(self.rank) - self.a_op
 
 
 def matrix_units(algebra: BlockAlgebra) -> Iterator[BlockOperator]:
@@ -108,17 +119,13 @@ def operator_coordinates(x: BlockOperator) -> np.ndarray:
 
 
 def left_form(phi: Functional) -> PositiveForm:
-    """Gram of (x, y) -> phi(x^* y) on the matrix-unit basis."""
-    phi.require_positive()
-    grams = [np.kron(np.eye(n), d.T) for n, d in zip(phi.algebra.block_dims, phi.densities)]
-    return PositiveForm(block_diag(*grams))
+    """Gram of (x, y) -> phi(x^* y) on the matrix-unit basis: interpolated_form at t = 0."""
+    return interpolated_form(phi, phi, 0.0)
 
 
 def right_form(phi: Functional) -> PositiveForm:
-    """Gram of (x, y) -> phi(y x^*) on the matrix-unit basis."""
-    phi.require_positive()
-    grams = [np.kron(d, np.eye(n)) for n, d in zip(phi.algebra.block_dims, phi.densities)]
-    return PositiveForm(block_diag(*grams))
+    """Gram of (x, y) -> phi(y x^*) on the matrix-unit basis: interpolated_form at t = 1."""
+    return interpolated_form(phi, phi, 1.0)
 
 
 def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveForm:
@@ -126,8 +133,8 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
 
     Fractional powers come from each density's cached spectrum with the
     clamped cuts of psd_function; the zero eigenvalue maps to 0 for
-    positive exponents and to 1 at exponent 0, so t = 0 and t = 1
-    reproduce the left and right forms exactly.
+    positive exponents and to 1 at exponent 0, so the unused factor at
+    t = 0 (the left form) and t = 1 (the right form) is the identity.
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"interpolation parameter {t} outside [0, 1]")
@@ -142,13 +149,16 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     return PositiveForm(block_diag(*grams))
 
 
-def _pair_spectral(alpha: PositiveForm, beta: PositiveForm):
-    """Embedding coordinates and the snapped spectral data of the A operator.
+def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresentation:
+    """Canonical representation of the unordered pair {alpha, beta}.
 
-    Eigenvalues of A are clipped to [0, 1] and values within the
-    roundoff window of the endpoints are snapped to exactly 0 or 1:
-    rank-deficient directions carry exact endpoint eigenvalues, and the
-    half-power of the mean would amplify their noise to its square root.
+    Degenerate pairs are handled by range compression: the rank may be
+    smaller than the dimension and no inverse is taken outside the range
+    of S = G_a + G_b.  Eigenvalues of A are clipped to [0, 1] and snapped
+    to an endpoint within rank_cut(4 dim, cond S), cond S on the range:
+    S's eigh, the two products and A's eigh each put up to dim * EPS *
+    cond S of roundoff on A, and the mean's half-power would amplify the
+    noise of a rank-deficient direction's exact endpoint to its root.
     """
     if alpha.dim != beta.dim:
         raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
@@ -156,37 +166,21 @@ def _pair_spectral(alpha: PositiveForm, beta: PositiveForm):
     keep = in_range(w)
     wr = w[keep]
     vr = v[:, keep]
-    jmat = (np.sqrt(wr)[:, None]) * vr.conj().T
+    jmat = np.sqrt(wr)[:, None] * vr.conj().T
     inv_root = vr * (1.0 / np.sqrt(wr))[None, :]
-    a = hermitize(inv_root.conj().T @ alpha.gram @ inv_root)
-    wa, va = eigh(a)
+    wa, va = eigh(hermitize(inv_root.conj().T @ alpha.gram @ inv_root))
+    snap = rank_cut(4 * alpha.dim, float(wr[-1] / wr[0])) if wr.size else 0.0
     wa = np.clip(wa, 0.0, 1.0)
-    snap = tolerances().psd(1.0)
     wa = np.where(wa < snap, 0.0, wa)
     wa = np.where(wa > 1.0 - snap, 1.0, wa)
-    return jmat, wa, va
-
-
-def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresentation:
-    """Canonical representation of the unordered pair {alpha, beta}.
-
-    Degenerate pairs are handled by range compression: the rank may be
-    smaller than the dimension and no inverse is taken outside the range
-    of G_a + G_b.
-    """
-    jmat, wa, va = _pair_spectral(alpha, beta)
-    r = wa.size
-    a = hermitize((va * wa) @ va.conj().T)
-    b = np.eye(r) - a
-    return PairRepresentation(rank=r, jmat=jmat, a_op=a, b_op=b)
+    return PairRepresentation(rank=wr.size, jmat=jmat, spectrum=(wa, va))
 
 
 def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
-    """Largest Hermitian form dominated by {alpha, beta}; symmetric in the pair."""
-    jmat, wa, va = _pair_spectral(alpha, beta)
-    middle = (va * np.sqrt(wa * (1.0 - wa))) @ va.conj().T
-    gram = hermitize(jmat.conj().T @ middle @ jmat)
-    return PositiveForm(gram)
+    """Largest Hermitian form dominated by {alpha, beta}, J* (A(I-A))^{1/2} J; symmetric."""
+    rep = pair_representation(alpha, beta)
+    middle = spectral_apply(rep.spectrum, lambda a: np.sqrt(a * (1.0 - a)))
+    return PositiveForm(hermitize(rep.jmat.conj().T @ middle @ rep.jmat))
 
 
 def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) -> bool:

@@ -23,8 +23,8 @@ Spectrum = tuple[np.ndarray, np.ndarray]
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (a + a*) / 2."""
-    return 0.5 * (a + a.conj().T)
+    """Return the Hermitian part (a + a*) / 2, halved before the sum so no finite a overflows."""
+    return 0.5 * a + 0.5 * a.conj().T
 
 
 def real_if_exact(a) -> np.ndarray:
@@ -83,7 +83,7 @@ def hermitian_part(
     ah = a.conj().T
     if a.size and not float(np.max(np.abs(a - ah))) <= tolerances().psd(float(np.max(np.abs(a)))):
         raise error(f"{what} is not Hermitian within tolerance")
-    h = 0.5 * (a + ah)
+    h = 0.5 * a + 0.5 * ah
     h.setflags(write=False)
     return h
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import tolerances
-from .errors import DomainError, InvalidCovariance, ShapeError
+from .config import rank_cut, tolerances
+from .errors import DomainError, InvalidCovariance, ShapeError, SolverFailed
 from .forms import HermitianForm
 from .linalg import eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
 
@@ -105,9 +105,14 @@ def majorizing_inner_product(
     Dominates the real parts of both covariances; its kernel is the
     degenerate directions that reduction removes.
     """
+    return 4.0 * _mean_real_part(s, t, space)
+
+
+def _mean_real_part(s: CovarianceForm, t: CovarianceForm, space: PresymplecticSpace) -> np.ndarray:
+    """(Re S + Re T) / 2 of a valid pair, halved before the sum so that no finite pair overflows."""
     _require_valid(s, space, "first covariance")
     _require_valid(t, space, "second covariance")
-    return 2.0 * (np.real(s.gram) + np.real(t.gram))
+    return 0.5 * np.real(s.gram) + 0.5 * np.real(t.gram)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +136,19 @@ def reduce(
     kernels of S, T, and sigma), and the reduced covariances are again
     valid for the reduced presymplectic form.  When the majorizing
     product is nondegenerate the input is returned with q = identity.
+    SolverFailed when the cut drops a direction sigma pairs: an
+    eigenvalue too far below the largest to be told from 0.
     """
-    gram = majorizing_inner_product(s, t, space)
-    w, v = eigh(gram)
+    w, v = eigh(_mean_real_part(s, t, space))
     keep = in_range(w)
     kernel_dim = int(np.sum(~keep))
     if kernel_dim == 0:
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
+    # sigma vanishes on the kernel up to the roundoff of eigh and this product, dim * EPS * cond
+    cond = float(w[keep][-1] / w[keep][0]) if keep.any() else 1.0
+    leak = float(np.max(np.abs(space.sigma @ v[:, ~keep])))
+    if leak > rank_cut(2 * space.dim, cond * float(np.max(np.abs(space.sigma)))):
+        raise SolverFailed(f"majorizing product too badly scaled: sigma {leak:.3e} on its kernel")
     q = np.real(v[:, keep]).T
     sigma_red = q @ space.sigma @ q.T
     s_red = CovarianceForm(q @ s.gram @ q.T)

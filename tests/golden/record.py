@@ -7,10 +7,12 @@ Run from the repository root:
 It writes the input files under tests/golden/inputs/ with a numpy-only
 generator (nothing here calls amplitude_lab.sampling, so a change to the
 library's samplers cannot move them), runs every invocation of manifest()
-twice, as written and with --tol 1e-6, through amplitude_lab.cli.main in
-process from tests/golden/, and writes expected.json: per invocation its
-argv, the labels of its quantities that are 0 in exact arithmetic, its
-exit code and its stdout.
+through amplitude_lab.cli.main in process from tests/golden/, each file
+command twice, as written and with --tol 1e-6, and `selftest` at five
+seeds with and without it, and writes expected.json: per invocation its
+argv, the labels of its quantities that are 0 in exact arithmetic (for
+`selftest`, the checks whose witness is a defect), its exit code and its
+stdout.
 
 Regenerating the files is a test-data change: do it only in a change that
 says why.
@@ -200,10 +202,31 @@ def manifest() -> list[tuple[list[str], list[str]]]:
     tolerated = [(argv + tol, zeros) for argv, zeros in cases for tol in ([], ["--tol", "1e-6"])]
     # the top-level flags, given before the subcommand
     phi, psi = "inputs/phi_real.json", "inputs/psi_real.json"
+    defects = selftest_defects()
     return tolerated + [
         (["--tol", "1e-6", "--csv", "amp", phi, psi], []),
         (["--seed", "3", "kms-check", phi, "--trials", "2"], ["max_defect", "max_defects"]),
+    ] + [
+        (["selftest", "--seed", str(seed)] + tol, defects)
+        for seed in (1, 3, 7, 11, 42)
+        for tol in ([], ["--tol", "1e-6"])
     ]
+
+
+def selftest_defects() -> list[str]:
+    """The selftest checks whose witness is a defect, 0 in exact arithmetic: those that
+    record through _Suite.defect, listed by running the battery once."""
+    from amplitude_lab.selftest import _Suite
+
+    names = []
+
+    class Listing(_Suite):
+        def defect(self, name, values, bound=None):
+            names.append(name)
+            super().defect(name, values, bound)
+
+    Listing(0).run()
+    return names
 
 
 def run(argv: list[str]) -> tuple[int, str]:

@@ -257,6 +257,14 @@ class TestFunctionalValidation:
         with pytest.raises(NotPositive):
             support_projection(delta)
 
+    def test_hermitian_parts_of_1e308_are_finite(self):
+        # (a + a*) / 2 overflowed to inf before it halved
+        from amplitude_lab import HermitianForm
+
+        big = np.diag([1e308, 1.0])
+        assert np.array_equal(HermitianForm(big).gram, big)
+        assert Functional(make_algebra([2]), (big,)).mass == 1e308
+
     def test_immutable(self):
         alg = make_algebra([2])
         phi = diag_functional(alg, [0.5, 0.5])

@@ -6,9 +6,11 @@ through amplitude_lab.cli.main from tests/golden/, so input paths are
 relative.  Exit codes and non-numeric text must match exactly.  A number
 recorded as x must be matched within tol * max(1, |x|), with tol the
 invocation's num tolerance (its --tol, else DEFAULT_TOL.num).  A quantity
-that is 0 in exact arithmetic (a defect, named by its JSON key, CSV column
-or CSV row label in the record's "zeros") only needs to lie within tol on
-both sides, since its digits are roundoff.
+that is 0 in exact arithmetic (a defect, named by its JSON key, CSV column,
+CSV row label or selftest check name in the record's "zeros") only needs
+to lie within tol on both sides, since its digits are roundoff.  A
+selftest line's text and status must match exactly and its witness is a
+number.
 """
 
 import json
@@ -24,10 +26,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDS = json.loads((GOLDEN / "expected.json").read_text())
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 KEY = re.compile(r'"(\w+)":')
+CHECK = re.compile(r"(selftest \d+ ([\w-]+): \w+ witness=)(\S+)")
 
 
 def _line_tokens(line: str, header: list[str]):
     """(line with numbers replaced by #, [(label, value)], header for the next line)."""
+    check = CHECK.fullmatch(line)
+    if check:
+        return check.group(1) + "#", [(check.group(2), float(check.group(3)))], header
     if line.startswith("{"):
         nums = []
         for m in NUMBER.finditer(line):
@@ -92,3 +98,12 @@ def test_comparator_applies_the_tolerance_rule():
     assert compare("x,1e-16\n", "x,-3e-15\n", 1e-8, zeros=["x"]) == []
     assert compare("x,1e-16\n", "x,0.5\n", 1e-8, zeros=["x"]) != []
     assert compare("lhs,rhs,defect\n1,1,0\n", "lhs,rhs,defect\n1,1,-0\n", 1e-8) == []
+    check = "selftest 08 amplitude-kernel-bridge: {} witness={}\n"
+    bridge = check.format("PASS", "8.8817842e-16")
+    zeros = ["amplitude-kernel-bridge"]
+    assert compare(bridge, check.format("PASS", "3.05311332e-15"), 1e-8, zeros) == []
+    assert compare(bridge, check.format("FAIL", "8.8817842e-16"), 1e-8, zeros) != []
+    assert compare(bridge, check.format("PASS", "0.5"), 1e-8, zeros) != []
+    assert compare(bridge, check.format("PASS", "3.05311332e-15"), 1e-8) == []
+    margin = "selftest 03 evaluate-positive-on-squares: PASS witness=2.80806254\n"
+    assert compare(margin, margin.replace("2.808", "2.809"), 1e-8) != []

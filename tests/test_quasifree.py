@@ -149,6 +149,15 @@ class TestReduce:
             y = rng.standard_normal(4)
             assert s(x, y) == pytest.approx(triple.s_form(triple.quotient @ x, triple.quotient @ y))
 
+    def test_entries_of_1e308_reduce_without_overflow(self):
+        # 2 (Re S + Re T) overflowed to inf, and eigh of it gave NaNs without raising
+        sigma = standard_sigma(1, extra_zeros=1)
+        space = PresymplecticSpace(sigma)
+        s = make_covariance(np.diag([1e308, 1e308, 0.0]), sigma)
+        triple = reduce_covariance(space, s, s)
+        assert triple.kernel_dim == 1
+        assert np.all(np.isfinite(triple.s_form.gram))
+
     def test_idempotent(self):
         sigma = standard_sigma(1, extra_zeros=1)
         space = PresymplecticSpace(sigma)

@@ -4,11 +4,13 @@ Every check reads config.tolerances() when it runs; no object or
 function carries a tolerance of its own.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,14 +74,29 @@ def test_positivity_is_decided_by_the_value_in_force_when_it_is_asked():
 
 
 def test_geometric_mean_is_symmetric_under_loose_tolerances():
-    # the endpoint snap read the first argument's own slack, so the two
-    # orders snapped A's eigenvalue 0.01 (to 0) and 0.99 (not at all)
+    # the endpoint snap once read the positivity slack, so under 1e-2 the
+    # mean lost A's genuine eigenvalue 0.01 (or 0.99) and gave diag(1, 0)
     with using(Tolerances(slack=1e-2)):
         a = PositiveForm(np.diag([1.0, 0.01]))
         b = PositiveForm(np.diag([1.0, 0.99]))
         ab, ba = geometric_mean(a, b).gram, geometric_mean(b, a).gram
-    assert np.array_equal(ab, ba)
-    assert np.allclose(ab, np.diag([1.0, 0.0]))
+    for mean in (ab, ba):
+        assert np.allclose(mean, np.diag([1.0, np.sqrt(0.0099)]))
+
+
+def test_gmean_output_does_not_read_the_tolerances(tmp_path, capsys):
+    # --tol 1e-6 snapped A's eigenvalue 1e-7 to 0 and printed a last entry of 0
+    paths = []
+    for name, gram in (("a", np.diag([1.0, 1e-7])), ("b", np.eye(2))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(ser.dumps(ser.form_to_json(PositiveForm(gram))))
+        paths.append(str(path))
+    outs = []
+    for flags in ([], ["--tol", "1e-6"]):
+        assert main([*flags, "gmean", "--csv", *paths]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[1].splitlines()[-1] == "1,1,0.000316227766,0"
 
 
 @pytest.mark.parametrize(
@@ -152,3 +169,33 @@ def test_weight_vectors_read_the_tolerances_in_force(tmp_path, capsys):
     assert main(["decompose", a, a, "--mu", "0.5,0.5000001"]) == 6
     assert main(["--tol", "1e-6", "decompose", a, a, "--mu", "0.5,0.5000001"]) == 0
     capsys.readouterr()
+
+
+def test_only_validation_reads_the_tolerances():
+    # a tolerance decides whether an input is accepted, never what is computed
+    # from it: the mean's endpoint snap read the positivity slack, so --tol moved
+    # gmean's output; forms.py reads none at all
+    names = {"tolerances", "Tolerances", "DEFAULT_TOL", "using"}
+    sites, in_forms = set(), []
+    for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tolerances":
+                    sites.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                if path.name == "forms.py" and (
+                    getattr(node, "id", None) in names
+                    or isinstance(node, ast.alias) and node.name in names
+                ):
+                    in_forms.append(f"forms.py:{node.lineno}")
+    assert sites == {
+        "linalg.hermitian_part",
+        "linalg.is_psd",
+        "central.probability_vector",
+        "amplitudes.inequality_suite",
+        "quasifree.PresymplecticSpace",
+        "quasifree.validate_covariance",
+        "restriction.UnitalEmbedding",
+        "restriction.UcpMap",
+        "selftest._Suite",
+    }
+    assert in_forms == []
