@@ -154,11 +154,11 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
 
     Degenerate pairs are handled by range compression: the rank may be
     smaller than the dimension and no inverse is taken outside the range
-    of S = G_a + G_b.  Eigenvalues of A are clipped to [0, 1] and snapped
-    to an endpoint within rank_cut(4 dim, cond S), cond S on the range:
-    S's eigh, the two products and A's eigh each put up to dim * EPS *
-    cond S of roundoff on A, and the mean's half-power would amplify the
-    noise of a rank-deficient direction's exact endpoint to its root.
+    of S = G_a + G_b.  With X = S^{-1/2}, an eigenvalue a of A = X* G_a X
+    (eigenvector v) snaps to its nearer endpoint, lest the mean's root lift
+    an exact endpoint's noise, within the roundoff measured on the pair,
+    capped at 1/2: |a + b - 1| for b = v* X* G_b X v, plus rank_cut(2 dim,
+    |v|* |X|* (|G_a| + |G_b|) |X| |v|), the products' entrywise bound.
     """
     if alpha.dim != beta.dim:
         raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
@@ -169,7 +169,11 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
     jmat = np.sqrt(wr)[:, None] * vr.conj().T
     inv_root = vr * (1.0 / np.sqrt(wr))[None, :]
     wa, va = eigh(hermitize(inv_root.conj().T @ alpha.gram @ inv_root))
-    snap = rank_cut(4 * alpha.dim, float(wr[-1] / wr[0])) if wr.size else 0.0
+    y = inv_root @ va
+    wb = np.einsum("ij,ij->j", y.conj(), beta.gram @ y).real
+    spread = np.abs(inv_root) @ np.abs(va)
+    bound = np.einsum("ij,ij->j", spread, (np.abs(alpha.gram) + np.abs(beta.gram)) @ spread)
+    snap = np.minimum(np.abs(wa + wb - 1.0) + rank_cut(2 * alpha.dim, bound), 0.5)
     wa = np.clip(wa, 0.0, 1.0)
     wa = np.where(wa < snap, 0.0, wa)
     wa = np.where(wa > 1.0 - snap, 1.0, wa)

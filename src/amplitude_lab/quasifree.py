@@ -103,16 +103,12 @@ def majorizing_inner_product(
     """Real PSD Gram (x|y) = 2 Re S(x,y) + 2 Re T(x,y) on the real space.
 
     Dominates the real parts of both covariances; its kernel is the
-    degenerate directions that reduction removes.
+    degenerate directions that reduction removes.  Entries above about
+    4e307 overflow to inf; reduce diagonalises its quarter instead.
     """
-    return 4.0 * _mean_real_part(s, t, space)
-
-
-def _mean_real_part(s: CovarianceForm, t: CovarianceForm, space: PresymplecticSpace) -> np.ndarray:
-    """(Re S + Re T) / 2 of a valid pair, halved before the sum so that no finite pair overflows."""
     _require_valid(s, space, "first covariance")
     _require_valid(t, space, "second covariance")
-    return 0.5 * np.real(s.gram) + 0.5 * np.real(t.gram)
+    return 2.0 * (np.real(s.gram) + np.real(t.gram))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +135,10 @@ def reduce(
     SolverFailed when the cut drops a direction sigma pairs: an
     eigenvalue too far below the largest to be told from 0.
     """
-    w, v = eigh(_mean_real_part(s, t, space))
+    _require_valid(s, space, "first covariance")
+    _require_valid(t, space, "second covariance")
+    # the majorizing product's quarter, halved before the sum so that no finite pair overflows
+    w, v = eigh(0.5 * np.real(s.gram) + 0.5 * np.real(t.gram))
     keep = in_range(w)
     kernel_dim = int(np.sum(~keep))
     if kernel_dim == 0:

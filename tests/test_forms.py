@@ -145,6 +145,30 @@ class TestGeometricMean:
         beta = PositiveForm(np.diag([0.0, 1.0]))
         assert np.max(np.abs(geometric_mean(alpha, beta).gram)) <= 1e-12
 
+    def test_a_faithful_state_with_a_small_eigenvalue_keeps_its_mean(self):
+        # A's eigenvalue eps on e01 is exact; a snap wider than this pair's roundoff drops it
+        alg = make_algebra([2])
+        for eps in (1e-9, 1e-12, 3e-15):
+            phi = Functional(alg, (np.diag([1.0 - eps, eps]),))
+            mean = geometric_mean(left_form(phi), right_form(phi)).gram
+            root = np.sqrt((1.0 - eps) * eps)
+            assert mean[1, 1] == pytest.approx(root, rel=1e-12, abs=0.0)
+            # on e10, a = 1 - eps and 1 - a cancels (ROADMAP item 9)
+            assert abs(mean[2, 2] - root) <= 1e-8
+            assert np.max(np.abs(interpolated_form(phi, phi, 0.5).gram - mean)) <= 1e-8
+
+    def test_no_snap_reaches_an_interior_eigenvalue(self):
+        # cond S is 3.3e14; A's eigenvalues 1/2 on e00 and e11 stay 1/2
+        alg = make_algebra([2])
+        phi = Functional(alg, (np.diag([1.0 - 3e-15, 3e-15]),))
+        alpha, beta = left_form(phi), right_form(phi)
+        one = operator_coordinates(alg.identity())
+        assert geometric_mean(alpha, beta)(one, one) == pytest.approx(1.0, abs=1e-14)
+        rep = pair_representation(alpha, beta)
+        j = rep.jmat
+        assert np.max(np.abs(j.conj().T @ rep.a_op @ j - alpha.gram)) <= 1e-14
+        assert np.max(np.abs(j.conj().T @ rep.b_op @ j - beta.gram)) <= 1e-14
+
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -254,14 +278,16 @@ class TestInterpolatedForm:
         alg = make_algebra([2, 2])
         phi = random_state(rng, alg, rank_deficient=True)
         psi = random_state(rng, alg, rank_deficient=True)
-        assert np.allclose(interpolated_form(phi, psi, 0.0).gram, left_form(phi).gram)
+        # left_form is this same call, so the oracle is evaluation on the matrix units
+        assert np.allclose(interpolated_form(phi, psi, 0.0).gram, brute_force_left_gram(phi))
 
     def test_right_endpoint(self):
         rng = np.random.default_rng(13)
         alg = make_algebra([3])
         phi = random_state(rng, alg)
         psi = random_state(rng, alg, rank_deficient=True)
-        assert np.allclose(interpolated_form(phi, psi, 1.0).gram, right_form(psi).gram)
+        # the rank-deficient psi checks that psi^0 on its kernel is 1
+        assert np.allclose(interpolated_form(phi, psi, 1.0).gram, brute_force_right_gram(psi))
 
     def test_midpoint_is_geometric_mean(self):
         rng = np.random.default_rng(14)
