@@ -22,13 +22,13 @@ from .algebra import (
 )
 from .config import MAX_CHAIN_DIM, tolerances
 from .errors import NotFactor, NotQuotient, TooLarge
-from .linalg import min_eig, psd_function, trace_norm
+from .linalg import min_eig, power, trace_norm
 
 
 def sqrt_vector(phi: Functional) -> L2Vector:
     """Square-root vector of a positive functional, blockwise PSD root."""
     phi.require_positive()
-    roots = tuple(psd_function(spec, np.sqrt) for spec in phi.spectrum())
+    roots = tuple(power(spec, 0.5) for spec in phi.spectrum())
     return L2Vector(phi.algebra, roots)
 
 

@@ -10,9 +10,10 @@ mean of two positive forms is read from the canonical commuting
 representation of the pair: with S = G_a + G_b and r = rank S, the
 embedding j sends coordinates to S^{1/2} restricted to range
 coordinates, the operator A is the compression of S^{-1/2} G_a S^{-1/2}
-to the range, and B = I - A.  The mean's Gram is J* (A(I-A))^{1/2} J,
-the largest Hermitian form dominated by the pair.  No tolerance reaches
-its arithmetic; the tolerances in force only validate.
+to the range, and B = I - A, its eigenvalues measured on the pair (1 - a
+loses digits near a = 1).  The mean's Gram is J* (AB)^{1/2} J, the
+largest Hermitian form dominated by the pair.  No tolerance reaches its
+arithmetic; the tolerances in force only validate.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import (
     hermitize,
     in_range,
     is_psd,
-    psd_function,
+    power,
     spectral_apply,
 )
 
@@ -85,14 +86,16 @@ class PositiveForm(HermitianForm):
 class PairRepresentation:
     """Canonical commuting representation of a pair of positive forms.
 
-    jmat holds the coordinates of the embedding (rank x dim) and spectrum
-    the spectrum (w, v) of A on the range, w in [0, 1]; a_op = A and b_op
-    = I - A are commuting PSD operators with J* A J = G_a and J* B J = G_b.
+    jmat holds the coordinates of the embedding (rank x dim), spectrum
+    the spectrum (w, v) of A on the range, w in [0, 1], and b the
+    eigenvalues of B = I - A on v, in [0, 1]; a_op = A and b_op = B are
+    commuting PSD operators with J* A J = G_a and J* B J = G_b.
     """
 
     rank: int
     jmat: np.ndarray = field(repr=False)
     spectrum: Spectrum = field(repr=False)
+    b: np.ndarray = field(repr=False)
 
     @property
     def a_op(self) -> np.ndarray:
@@ -100,7 +103,7 @@ class PairRepresentation:
 
     @property
     def b_op(self) -> np.ndarray:
-        return np.eye(self.rank) - self.a_op
+        return hermitize(spectral_apply((self.b, self.spectrum[1]), lambda w: w))
 
 
 def matrix_units(algebra: BlockAlgebra) -> Iterator[BlockOperator]:
@@ -131,10 +134,10 @@ def right_form(phi: Functional) -> PositiveForm:
 def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveForm:
     """Gram of (x, y) -> sum_k Tr(D_phi^(1-t) x^* D_psi^t y) for t in [0, 1].
 
-    Fractional powers come from each density's cached spectrum with the
-    clamped cuts of psd_function; the zero eigenvalue maps to 0 for
-    positive exponents and to 1 at exponent 0, so the unused factor at
-    t = 0 (the left form) and t = 1 (the right form) is the identity.
+    Fractional powers come from each density's cached spectrum by
+    linalg.power; the zero eigenvalue maps to 0 for positive exponents and
+    to 1 at exponent 0, so the unused factor at t = 0 (the left form) and
+    t = 1 (the right form) is the identity.
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"interpolation parameter {t} outside [0, 1]")
@@ -143,8 +146,8 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     psi.require_positive()
     grams = []
     for sp, sq in zip(phi.spectrum(), psi.spectrum()):
-        p = psd_function(sp, lambda w: np.power(w, 1.0 - t))
-        q = psd_function(sq, lambda w: np.power(w, t))
+        p = power(sp, 1.0 - t)
+        q = power(sq, t)
         grams.append(np.kron(q, p.T))
     return PositiveForm(block_diag(*grams))
 
@@ -158,7 +161,8 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
     (eigenvector v) snaps to its nearer endpoint, lest the mean's root lift
     an exact endpoint's noise, within the roundoff measured on the pair,
     capped at 1/2: |a + b - 1| for b = v* X* G_b X v, plus rank_cut(2 dim,
-    |v|* |X|* (|G_a| + |G_b|) |X| |v|), the products' entrywise bound.
+    |v|* |X|* (|G_a| + |G_b|) |X| |v|), the products' entrywise bound.  B's
+    eigenvalue is that b, clipped to [0, 1] and snapped with a.
     """
     if alpha.dim != beta.dim:
         raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
@@ -174,16 +178,16 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
     spread = np.abs(inv_root) @ np.abs(va)
     bound = np.einsum("ij,ij->j", spread, (np.abs(alpha.gram) + np.abs(beta.gram)) @ spread)
     snap = np.minimum(np.abs(wa + wb - 1.0) + rank_cut(2 * alpha.dim, bound), 0.5)
-    wa = np.clip(wa, 0.0, 1.0)
-    wa = np.where(wa < snap, 0.0, wa)
-    wa = np.where(wa > 1.0 - snap, 1.0, wa)
-    return PairRepresentation(rank=wr.size, jmat=jmat, spectrum=(wa, va))
+    ends = [wa < snap, wa > 1.0 - snap]
+    wa = np.select(ends, [0.0, 1.0], np.clip(wa, 0.0, 1.0))
+    wb = np.select(ends, [1.0, 0.0], np.clip(wb, 0.0, 1.0))
+    return PairRepresentation(rank=wr.size, jmat=jmat, spectrum=(wa, va), b=wb)
 
 
 def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
-    """Largest Hermitian form dominated by {alpha, beta}, J* (A(I-A))^{1/2} J; symmetric."""
+    """Largest Hermitian form dominated by {alpha, beta}, J* (AB)^{1/2} J; symmetric."""
     rep = pair_representation(alpha, beta)
-    middle = spectral_apply(rep.spectrum, lambda a: np.sqrt(a * (1.0 - a)))
+    middle = spectral_apply(rep.spectrum, lambda a: np.sqrt(a * rep.b))
     return PositiveForm(hermitize(rep.jmat.conj().T @ middle @ rep.jmat))
 
 

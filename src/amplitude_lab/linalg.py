@@ -5,11 +5,11 @@ here, so that the choice of LAPACK solver and the scale-relative
 tolerances are applied uniformly.  Callers pass exactly Hermitian
 matrices: hermitized once where a matrix comes from a product or from
 outside, as is where it is Hermitian by construction.  Every
-matrix function (root, power, inverse, flow unitary) is taken from a
-spectrum by spectral_apply.  real_if_exact is the one dtype rule: every
-container stores by it, through hermitian_part (Hermitian matrices) or
-frozen (any other stored array), the solvers pick by it, and every other
-helper here keeps the dtype it is given.
+matrix function is taken from a spectrum by spectral_apply, and every
+power (root, inverse, flow unitary) by power.  real_if_exact is the one
+dtype rule: every container stores by it, through hermitian_part
+(Hermitian matrices) or frozen (any other stored array), the solvers
+pick by it, and every other helper here keeps the dtype it is given.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import rank_cut, tolerances
-from .errors import NotPositive, ShapeError, SolverFailed
+from .errors import NotFaithful, NotPositive, ShapeError, SolverFailed
 
 Spectrum = tuple[np.ndarray, np.ndarray]
 
@@ -147,37 +147,31 @@ def in_range(w: np.ndarray) -> np.ndarray:
     return w > rank_cut(w.size, float(np.max(np.abs(w))) if w.size else 0.0)
 
 
-def psd_function(spec: Spectrum, f) -> np.ndarray:
-    """Hermitian f(h) of a PSD matrix h from its spectrum, with roundoff clamped to 0.
+def power(spec: Spectrum, z: complex) -> np.ndarray:
+    """h^z from the spectrum (w, v) of h: the one power of a held spectrum.
 
-    Raises nothing: callers decide positivity first, by is_psd or by
-    Functional.is_positive.  Eigenvalues outside in_range(w) are zeroed,
-    so exact-rank-deficient input stays exactly rank deficient
-    (fractional powers would otherwise amplify eigenvalue noise to its
-    square root).  With f a power s, zero eigenvalues map to 0 for s > 0
-    and to 1 at s = 0.
+    For a real z >= 0, eigenvalues outside in_range(w) count as 0, so
+    exact-rank-deficient input stays exactly rank deficient (fractional
+    powers would otherwise amplify eigenvalue noise to its root): they map
+    to 0 for z > 0 and to 1 at z = 0.  Any other z needs every eigenvalue
+    in range, else NotFaithful.  A real z (an imaginary part of 0 counts as
+    real) gives the hermitized power in real arithmetic, and a non-real z
+    the complex power.
     """
     w, v = spec
-    return hermitize(spectral_apply((np.where(in_range(w), w, 0.0), v), f))
+    z, keep = complex(z), in_range(w)
+    if (z.imag != 0.0 or z.real < 0.0) and not keep.all():
+        raise NotFaithful(f"power {z} of a singular spectrum")
+    if z.imag != 0.0:
+        return spectral_apply(spec, lambda w: np.power(w.astype(complex), z))
+    return hermitize(spectral_apply((np.where(keep, w, 0.0), v), lambda w: np.power(w, z.real)))
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Unique PSD square root of a Hermitian PSD matrix; NotPositive otherwise."""
     spec = eigh(hermitize(h))
     check_psd(spec[0])
-    return psd_function(spec, np.sqrt)
-
-
-def unitary_power(spec: Spectrum, z: complex) -> np.ndarray:
-    """h^z for Hermitian positive-definite h with spectrum spec, complex exponent z.
-
-    A nonpositive eigenvalue raises NotPositive; functionals reach this
-    only once is_faithful has found every eigenvalue in range.
-    """
-    w, _ = spec
-    if w.size and float(w[0]) <= 0.0:
-        raise NotPositive(f"eigenvalue {w[0]:.3e} not strictly positive")
-    return spectral_apply(spec, lambda w: np.power(w.astype(complex), z))
+    return power(spec, 0.5)
 
 
 def trace_norm(a: np.ndarray) -> float:

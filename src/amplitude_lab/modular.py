@@ -25,7 +25,7 @@ from .algebra import (
     is_faithful,
 )
 from .errors import EmptyReduction, NotFaithful, NotPositive
-from .linalg import Spectrum, frozen, in_range, psd_function, unitary_power
+from .linalg import frozen, in_range, power
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,19 +87,10 @@ def _require_faithful(phi: Functional, what: str = "functional") -> None:
         raise NotFaithful(f"{what} is not faithful; support_reduce it first")
 
 
-def _power(spec: Spectrum, z: complex) -> np.ndarray:
-    """D^z of a PSD block: unitary_power at full rank, else psd_function for real z > 0."""
-    if in_range(spec[0]).all():
-        return unitary_power(spec, z)
-    if z.imag != 0.0 or z.real <= 0.0:
-        raise NotFaithful(f"first argument is not faithful; its power needs a real z > 0, not {z}")
-    return psd_function(spec, lambda w: np.power(w, z.real))
-
-
 def _delta(psi: Functional, phi: Functional, z: complex) -> Superoperator:
     """Delta^z from held spectra, for psi, phi checked positive and phi checked faithful."""
-    left = tuple(_power(s, z) for s in psi.spectrum())
-    right = tuple(unitary_power(s, -z) for s in phi.spectrum())
+    left = tuple(power(s, z) for s in psi.spectrum())
+    right = tuple(power(s, -z) for s in phi.spectrum())
     return Superoperator(phi.algebra, left, right)
 
 
@@ -114,7 +105,10 @@ def relative_modular(psi: Functional, phi: Functional, z: complex = 1.0) -> Supe
     phi.require_positive()
     psi.require_positive()
     _require_faithful(phi, "second argument")
-    return _delta(psi, phi, complex(z))
+    z = complex(z)
+    if z.imag != 0.0 or z.real <= 0.0:
+        _require_faithful(psi, "first argument")
+    return _delta(psi, phi, z)
 
 
 def modular_conjugation(phi: Functional) -> Superoperator:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
-from .linalg import eigh, hermitize, unitary_power
+from .linalg import eigh, hermitize, power
 from .restriction import UcpMap, UnitalEmbedding
 
 
@@ -83,7 +83,7 @@ def random_ucp(rng: np.random.Generator, source: BlockAlgebra, target: BlockAlge
         raw = [random_complex(rng, (s, n)) for _ in range(max(3, -(-n // s)))]
         total = sum(a.conj().T @ a for a in raw)
         w, v = eigh(hermitize(total))
-        inv_root = unitary_power((w, v), -0.5)
+        inv_root = power((w, v), -0.5)
         families.append(tuple(a @ inv_root for a in raw))
     return UcpMap(source, target, tuple(families))
 

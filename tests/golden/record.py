@@ -221,9 +221,9 @@ def selftest_defects() -> list[str]:
     names = []
 
     class Listing(_Suite):
-        def defect(self, name, values, bound=None):
+        def defect(self, name, values):
             names.append(name)
-            super().defect(name, values, bound)
+            super().defect(name, values)
 
     Listing(0).run()
     return names

@@ -15,6 +15,13 @@ def eig_fn(h: np.ndarray, fn) -> np.ndarray:
     return (v * fn(w)) @ v.conj().T
 
 
+def clamped_power(w: np.ndarray, v: np.ndarray, fn) -> np.ndarray:
+    """Hermitized v fn(w) v* with eigenvalues up to len(w) * eps * max|w| taken as 0."""
+    cut = len(w) * np.finfo(float).eps * np.max(np.abs(w), initial=0.0)
+    m = (v * fn(np.where(w > cut, w, 0.0))) @ v.conj().T
+    return 0.5 * m + 0.5 * m.conj().T
+
+
 def spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}, invertible inputs."""
     ar = eig_fn(a, np.sqrt)

@@ -194,8 +194,8 @@ class TestInequalitySuite:
         import amplitude_lab.amplitudes as amplitudes
 
         calls = []
-        real = amplitudes.psd_function
-        monkeypatch.setattr(amplitudes, "psd_function", lambda *a: calls.append(1) or real(*a))
+        real = amplitudes.power
+        monkeypatch.setattr(amplitudes, "power", lambda *a: calls.append(1) or real(*a))
         rng = np.random.default_rng(12)
         alg = make_algebra([3])
         ts = (0.25, 0.5, 0.75)

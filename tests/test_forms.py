@@ -19,6 +19,7 @@ from amplitude_lab import (
     right_form,
 )
 from amplitude_lab.sampling import random_psd, random_state
+from amplitude_lab.selftest import bridge_gap
 
 from helpers import min_eigval, spd_mean_closed_form
 
@@ -146,16 +147,25 @@ class TestGeometricMean:
         assert np.max(np.abs(geometric_mean(alpha, beta).gram)) <= 1e-12
 
     def test_a_faithful_state_with_a_small_eigenvalue_keeps_its_mean(self):
-        # A's eigenvalue eps on e01 is exact; a snap wider than this pair's roundoff drops it
+        # A's eigenvalue eps on e01 is exact; a snap wider than this pair's roundoff drops it.
+        # On e10, a = 1 - eps, and B's measured eigenvalue eps is kept where 1 - a would cancel
         alg = make_algebra([2])
         for eps in (1e-9, 1e-12, 3e-15):
             phi = Functional(alg, (np.diag([1.0 - eps, eps]),))
             mean = geometric_mean(left_form(phi), right_form(phi)).gram
             root = np.sqrt((1.0 - eps) * eps)
             assert mean[1, 1] == pytest.approx(root, rel=1e-12, abs=0.0)
-            # on e10, a = 1 - eps and 1 - a cancels (ROADMAP item 9)
-            assert abs(mean[2, 2] - root) <= 1e-8
-            assert np.max(np.abs(interpolated_form(phi, phi, 0.5).gram - mean)) <= 1e-8
+            assert mean[2, 2] == pytest.approx(root, rel=1e-12, abs=0.0)
+            assert np.max(np.abs(interpolated_form(phi, phi, 0.5).gram - mean)) <= 1e-14
+
+    def test_masses_far_apart_keep_the_mean_and_the_bridge(self):
+        # a = s / (s + 1) lies within 1e-12 of 1, where sqrt(a (1 - a)) lost six digits
+        mean = geometric_mean(PositiveForm(1e12 * np.eye(2)), PositiveForm(np.eye(2))).gram
+        assert np.max(np.abs(mean - 1e6 * np.eye(2))) <= 1e-12 * 1e6
+        alg = make_algebra([3])
+        phi = Functional(alg, (1e12 * np.diag([0.5, 0.3, 0.2]),))
+        psi = Functional(alg, (np.eye(3) / 3,))
+        assert bridge_gap(phi, psi) <= 1e-12 * np.sqrt(phi.mass * psi.mass)
 
     def test_no_snap_reaches_an_interior_eigenvalue(self):
         # cond S is 3.3e14; A's eigenvalues 1/2 on e00 and e11 stay 1/2

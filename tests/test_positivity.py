@@ -1,7 +1,7 @@
 """One positivity rule: linalg.is_psd on the largest-|eigenvalue| scale.
 
 A functional is positive exactly when Functional.is_positive() says so;
-psd_function only clamps, and the raw-matrix entry point psd_sqrt tests
+linalg.power only clamps, and the raw-matrix entry point psd_sqrt tests
 the spectrum it holds.
 """
 
@@ -20,7 +20,7 @@ from amplitude_lab import (
     transition_amplitude,
     validate_covariance,
 )
-from amplitude_lab.linalg import eigh, is_psd, psd_function
+from amplitude_lab.linalg import eigh, is_psd, power
 
 
 def small_block_roundoff():
@@ -60,9 +60,10 @@ class TestMatrixPositivity:
         assert validate_covariance(CovarianceForm(ones - 3e-10 * np.eye(4)), space)
         assert not validate_covariance(CovarianceForm(ones - 6e-10 * np.eye(4)), space)
 
-    def test_psd_function_clamps_without_raising(self):
-        root = psd_function(eigh(np.diag([1.0, -0.5])), np.sqrt)
-        assert np.array_equal(root, np.diag([1.0, 0.0]))
+    def test_power_clamps_without_raising(self):
+        spec = eigh(np.diag([1.0, -0.5]))
+        assert np.array_equal(power(spec, 0.5), np.diag([1.0, 0.0]))
+        assert np.array_equal(power(spec, 0.0), np.eye(2))
 
     def test_psd_sqrt_rejects_negative(self):
         with pytest.raises(NotPositive):

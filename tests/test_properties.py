@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from amplitude_lab import (
     DEFAULT_TOL,
     Functional,
+    NotFaithful,
     PositiveForm,
     QuotientMap,
     StateRelation,
@@ -39,6 +40,7 @@ from amplitude_lab import (
     uhlmann_fidelity,
     using,
 )
+from amplitude_lab.linalg import in_range, power
 from amplitude_lab.sampling import random_complex, random_ucp, random_unitary
 from amplitude_lab.selftest import (
     ando_defect,
@@ -49,6 +51,8 @@ from amplitude_lab.selftest import (
     sandwich_margin,
     ucp_gain,
 )
+
+from helpers import clamped_power
 
 
 def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
@@ -193,6 +197,25 @@ def test_rank_does_not_see_the_scale_of_other_blocks(pair):
             densities = list(phi.densities)
             densities[k] = c * densities[k]
             assert total_rank(Functional(phi.algebra, tuple(densities))) == rank
+
+
+@given(pairs(), st.floats(0.0, 2.0))
+def test_power_is_the_clamped_power_and_needs_a_faithful_spectrum_below_zero(pair, z):
+    for w, v in pair[0].spectrum():
+        eye, top = np.eye(len(w)), float(np.max(np.abs(w)))
+        assert np.array_equal(power((w, v), 0.5), clamped_power(w, v, np.sqrt))
+        gap = np.max(np.abs(power((w, v), z) - clamped_power(w, v, lambda x: x**z)))
+        assert gap <= 1e-13 * top**z
+        assert np.max(np.abs(power((w, v), 0.0) - eye)) <= 1e-14
+        if not in_range(w).all():
+            for bad in (-z - 0.5, z + 1j):
+                with pytest.raises(NotFaithful):
+                    power((w, v), bad)
+            continue
+        roundoff = 1e-13 * (top / float(np.min(w))) ** z
+        assert np.max(np.abs(power((w, v), z) @ power((w, v), -z) - eye)) <= roundoff
+        flow = power((w, v), 1j * z)
+        assert np.max(np.abs(flow @ flow.conj().T - eye)) <= 1e-13
 
 
 @st.composite

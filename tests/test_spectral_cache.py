@@ -475,3 +475,20 @@ def test_only_linalg_names_an_eigensolver():
                 elif path.name == "modular.py" and names & {"eigh", "eigvalsh"}:
                     found.append(f"{path.name}:{node.lineno} imports a solver")
     assert found == []
+
+
+def test_only_linalg_names_np_power():
+    # linalg.power is the one power of a held spectrum; a second np.power is a
+    # second rule for the eigenvalues a power clamps or refuses
+    found = []
+    for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "power":
+                if _dotted(node).split(".")[0] in ("np", "numpy"):
+                    found.append(f"{path.name}:{node.lineno} {_dotted(node)}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                if any(alias.name == "power" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno} from {node.module}")
+    assert found == []
