@@ -1,15 +1,16 @@
 """Command-line front end: JSON in, JSON or CSV out, deterministic.
 
 One binary with subcommands.  All numeric output is printed with nine
-significant digits; CSV uses dot decimals and comma separators.  Module
-errors map to distinct exit codes (see EXIT_CODES); on error a single
-machine-readable JSON object is printed.
+significant digits by serialize's one number format, which refuses inf
+and NaN; CSV uses dot decimals and comma separators, and every row is
+formatted before the first is printed.  Module errors map to distinct
+exit codes (see EXIT_CODES); on error a single machine-readable JSON
+object is all of stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from dataclasses import asdict
@@ -33,6 +34,7 @@ from .restriction import (
 )
 from .sampling import random_operator
 from .selftest import run_selftest
+from .serialize import _fmt
 
 EXIT_CODES = [
     (err.ParseError, 2),
@@ -54,19 +56,14 @@ EXIT_CODES = [
 SELFTEST_FAILED = 8
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
-
-
 def _emit_json(obj) -> None:
     print(ser.dumps(obj))
 
 
 def _emit_matrix(m: np.ndarray) -> None:
     """CSV rows i,j,re,im of a matrix, row-major."""
-    print("i,j,re,im")
-    for (i, j), z in np.ndenumerate(m):
-        print(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
+    rows = [f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}" for (i, j), z in np.ndenumerate(m)]
+    print("\n".join(["i,j,re,im", *rows]))
 
 
 def _load_functional(path: str):
@@ -139,9 +136,8 @@ def cmd_ineq(args) -> int:
     rep = inequality_suite(phi, psi)
     payload = asdict(rep)
     if args.csv:
-        print("quantity,value")
-        for k, v in payload.items():
-            print(f"{k},{'' if v is None else _fmt(v)}")
+        rows = [f"{k},{'' if v is None else _fmt(v)}" for k, v in payload.items()]
+        print("\n".join(["quantity,value", *rows]))
     else:
         _emit_json(payload)
     return 0
@@ -149,16 +145,11 @@ def cmd_ineq(args) -> int:
 
 def cmd_chain(args) -> int:
     if args.spec is not None:
-        obj = ser.load_file(args.spec)
-        if not isinstance(obj, dict) or any(k not in obj for k in ("phi", "psi", "chain")):
-            raise err.ParseError("chain spec: expected 'phi', 'psi', 'chain' fields")
-        phi = ser.functional_from_json(obj["phi"])
-        psi = ser.functional_from_json(obj["psi"])
-        chain = ser.chain_from_json(obj["chain"])
+        phi, psi, chain = ser.chain_spec_from_json(ser.load_file(args.spec))
     elif args.product_chain is not None:
         n = args.product_chain
-        # sites are generated lazily, so a huge N stops at the dimension cap
-        _, chain = build_product_chain(itertools.repeat(2, n))
+        # sites are generated lazily, with no C-sized count, so any N stops at the dimension cap
+        _, chain = build_product_chain(2 for _ in range(n))
         phi = product_state([_site_density(args.site_a)] * n)
         psi = product_state([_site_density(args.site_b)] * n)
     elif args.lumped is not None:
@@ -173,10 +164,9 @@ def cmd_chain(args) -> int:
     else:
         raise err.ParseError("chain: give a spec file, --product-chain, or --lumped")
     amps = chain_amplitudes(phi, psi, chain)
-    print("n,a_n,defect")
-    for i, a in enumerate(amps, start=1):
-        defect = "" if i == len(amps) else _fmt(amps[i - 1] - amps[i])
-        print(f"{i},{_fmt(a)},{defect}")
+    defects = [_fmt(a - b) for a, b in zip(amps, amps[1:])] + [""]
+    rows = [f"{i},{_fmt(a)},{d}" for i, (a, d) in enumerate(zip(amps, defects), start=1)]
+    print("\n".join(["n,a_n,defect", *rows]))
     return 0
 
 
@@ -185,11 +175,9 @@ def cmd_decompose(args) -> int:
     phi = _load_functional(args.phi)
     psi = _load_functional(args.psi)
     weights, amps, check = ct.amplitude_sum_terms(phi, psi, mu)
-    print("block,weight,component_amplitude")
-    for k, (w, a_k) in enumerate(zip(weights, amps)):
-        print(f"{k},{_fmt(w)},{_fmt(a_k)}")
-    print("lhs,rhs,defect")
-    print(f"{_fmt(check.lhs)},{_fmt(check.rhs)},{_fmt(check.defect)}")
+    rows = [f"{k},{_fmt(w)},{_fmt(a_k)}" for k, (w, a_k) in enumerate(zip(weights, amps))]
+    sums = f"{_fmt(check.lhs)},{_fmt(check.rhs)},{_fmt(check.defect)}"
+    print("\n".join(["block,weight,component_amplitude", *rows, "lhs,rhs,defect", sums]))
     return 0
 
 
@@ -201,16 +189,15 @@ def cmd_kms(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for t in times:
-        worst = 0.0
+        defects = []
         for _ in range(args.trials):
             x = random_operator(rng, phi.algebra)
             y = random_operator(rng, phi.algebra)
-            worst = max(worst, kms_defect(phi, x, y, t))
-        rows.append((t, worst))
+            defects.append(kms_defect(phi, x, y, t))
+        # np.max keeps a NaN defect, which the output format refuses (exit 9)
+        rows.append((t, float(np.max(defects))))
     if args.csv:
-        print("t,max_defect")
-        for t, d in rows:
-            print(f"{_fmt(t)},{_fmt(d)}")
+        print("\n".join(["t,max_defect", *(f"{_fmt(t)},{_fmt(d)}" for t, d in rows)]))
     else:
         _emit_json(
             {

@@ -57,7 +57,14 @@ class UnitalEmbedding:
             )
         if np.any(c < 0):
             raise InvalidEmbedding("multiplicities must be nonnegative")
+        covered = c.any(axis=0)
+        if not covered.all():
+            l = int(np.argmin(covered))
+            raise InvalidEmbedding(f"source block {l} has no copy in any target block")
         dims_src = np.array(self.source.block_dims)
+        # the int64 sums below are exact under this bound; no layout past it could be built
+        if int(c.max()) * max(self.source.block_dims) * self.source.num_blocks >= 2**63:
+            raise TooLarge("multiplicity sums c[k][l]*m_l may pass 2^63")
         sums = c @ dims_src
         bad = np.flatnonzero(sums != self.target.block_dims)
         if bad.size:

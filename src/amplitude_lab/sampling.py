@@ -61,13 +61,15 @@ def random_embedding(
     source: BlockAlgebra,
     num_target_blocks: int = 1,
 ) -> UnitalEmbedding:
-    """Random unital embedding out of the given source algebra, up to 2 copies per block."""
+    """Random unital embedding out of source: up to 2 copies per target block, at least 1 in all."""
     r = source.num_blocks
     c = np.zeros((num_target_blocks, r), dtype=int)
     for k in range(num_target_blocks):
         c[k] = rng.integers(0, 3, size=r)
         if not np.any(c[k]):
             c[k, int(rng.integers(0, r))] = 1
+    for l in np.flatnonzero(~c.any(axis=0)):
+        c[int(rng.integers(0, num_target_blocks)), l] = 1
     dims = (c @ np.array(source.block_dims)).astype(int)
     target = BlockAlgebra(tuple(int(n) for n in dims))
     unitaries = tuple(random_unitary(rng, n) for n in target.block_dims)

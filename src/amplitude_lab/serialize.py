@@ -6,48 +6,93 @@ Schema (documented in the README):
 - functional:  {"algebra": <algebra>, "densities": [<matrix>, ...]}
 - form:        {"dim": d, "gram": <matrix>}
 - covariance triple: {"sigma": [[...], ...], "S": <form>, "T": <form>}
+- chain spec:  {"phi": <functional>, "psi": <functional>, "chain": <chain>}
 
 A complex matrix is a flat row-major list of [re, im] pairs; sigma is a
-nested list of real rows.  Parsers reject NaN and infinities.
+nested list of real rows.  Every value is read by one of four readers:
+an object's fields, an integer, a finite number and a list of rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any
 
 import numpy as np
 
 from .algebra import BlockAlgebra, Functional, make_algebra
-from .errors import ParseError
+from .errors import ParseError, SolverFailed
 from .forms import HermitianForm, PositiveForm
 from .quasifree import CovarianceForm, PresymplecticSpace
 from .restriction import SubalgebraChain, UnitalEmbedding
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _reject_constant(name: str):
     raise ParseError(f"non-finite constant {name!r} in JSON input")
 
 
-def loads(text: str) -> Any:
+def loads(text: str | bytes) -> Any:
+    """JSON text (bytes as UTF-8); every way it fails to decode is one ParseError:
+    invalid JSON or UTF-8, too many digits, nesting past the recursion limit."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def load_file(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return loads(fh.read())
 
 
-def _as_finite(x, what: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"{what}: expected a number, got {x!r}")
-    if not math.isfinite(x):
-        raise ParseError(f"{what}: non-finite value {x!r}")
+def _fields(obj, what: str, names: tuple[str, ...]) -> tuple:
+    """The named fields of a JSON object, in the order named."""
+    if not isinstance(obj, dict) or any(k not in obj for k in names):
+        raise ParseError(f"{what}: expected an object with fields {', '.join(map(repr, names))}")
+    return tuple(obj[k] for k in names)
+
+
+def _integer(x, what: str, lo: int = 0) -> int:
+    """An integer, not a bool, from lo that fits int64."""
+    if isinstance(x, bool) or not isinstance(x, int) or not lo <= x < 2**63:
+        raise ParseError(f"{what}: expected an integer from {lo} to 2^63 - 1")
+    return x
+
+
+def _number(x, what: str) -> float:
+    """A finite number; an integer is compared exactly with the float range before float()."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not -_FLOAT_MAX <= x <= _FLOAT_MAX:
+        raise ParseError(f"{what}: expected a finite number within the float range")
     return float(x)
+
+
+def _rows(obj, what: str, entry, count=None, width=None, noun: str = "rows") -> list[list]:
+    """count rows (at least one when None) of width entries (as many as rows
+    when None), each entry read by entry(x, what)."""
+    n = len(obj) if isinstance(obj, list) else -1
+    if n != count if count is not None else n < 1:
+        need = "a nonempty list of" if count is None else count
+        raise ParseError(f"{what}: expected {need} {noun}")
+    width = n if width is None else width
+    out = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != width:
+            raise ParseError(f"{what}: row {i} must be a list of {width} entries")
+        out.append([entry(x, f"{what} row {i}") for x in row])
+    return out
+
+
+def _fmt(x: float) -> str:
+    """The one number format of the output, 9 significant digits; inf and NaN are SolverFailed."""
+    if not math.isfinite(x):
+        raise SolverFailed(f"non-finite result {float(x)!r}: finite input too large")
+    return f"{float(x):.9g}"
 
 
 def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
@@ -57,14 +102,16 @@ def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
 
 
 def matrix_from_pairs(pairs, n: int, what: str) -> np.ndarray:
-    if not isinstance(pairs, list) or len(pairs) != n * n:
-        raise ParseError(f"{what}: expected {n * n} complex pairs")
-    out = np.empty(n * n, dtype=complex)
-    for i, p in enumerate(pairs):
-        if not isinstance(p, list) or len(p) != 2:
-            raise ParseError(f"{what}: entry {i} is not an [re, im] pair")
-        out[i] = complex(_as_finite(p[0], what), _as_finite(p[1], what))
-    return out.reshape(n, n)
+    rows = _rows(pairs, what, _number, n * n, 2, "complex pairs")
+    return np.array(rows, dtype=float).reshape(n * n, 2).view(complex).reshape(n, n)
+
+
+def _per_block(mats, algebra: BlockAlgebra, what: str) -> tuple[np.ndarray, ...]:
+    """One matrix per block of the algebra, each a list of [re, im] pairs."""
+    if not isinstance(mats, list) or len(mats) != algebra.num_blocks:
+        raise ParseError(f"{what}: one matrix per block of {algebra.block_dims} is required")
+    dims = algebra.block_dims
+    return tuple(matrix_from_pairs(m, n, f"{what} {k}") for k, (n, m) in enumerate(zip(dims, mats)))
 
 
 def algebra_to_json(algebra: BlockAlgebra) -> dict:
@@ -72,17 +119,10 @@ def algebra_to_json(algebra: BlockAlgebra) -> dict:
 
 
 def algebra_from_json(obj) -> BlockAlgebra:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise ParseError("algebra: expected an object with a 'blocks' field")
-    blocks = obj["blocks"]
+    (blocks,) = _fields(obj, "algebra", ("blocks",))
     if not isinstance(blocks, list) or not blocks:
         raise ParseError("algebra: 'blocks' must be a nonempty list")
-    dims = []
-    for b in blocks:
-        if isinstance(b, bool) or not isinstance(b, int) or b < 1:
-            raise ParseError(f"algebra: bad block dimension {b!r}")
-        dims.append(b)
-    return make_algebra(dims)
+    return make_algebra([_integer(b, f"algebra: block {k}", 1) for k, b in enumerate(blocks)])
 
 
 def functional_to_json(phi: Functional) -> dict:
@@ -93,17 +133,9 @@ def functional_to_json(phi: Functional) -> dict:
 
 
 def functional_from_json(obj) -> Functional:
-    if not isinstance(obj, dict) or "algebra" not in obj or "densities" not in obj:
-        raise ParseError("functional: expected 'algebra' and 'densities' fields")
-    algebra = algebra_from_json(obj["algebra"])
-    dens = obj["densities"]
-    if not isinstance(dens, list) or len(dens) != algebra.num_blocks:
-        raise ParseError("functional: one density per block is required")
-    mats = tuple(
-        matrix_from_pairs(d, n, f"density block {k}")
-        for k, (n, d) in enumerate(zip(algebra.block_dims, dens))
-    )
-    return Functional(algebra, mats)
+    algebra, dens = _fields(obj, "functional", ("algebra", "densities"))
+    algebra = algebra_from_json(algebra)
+    return Functional(algebra, _per_block(dens, algebra, "density block"))
 
 
 def form_to_json(form: HermitianForm) -> dict:
@@ -112,12 +144,8 @@ def form_to_json(form: HermitianForm) -> dict:
 
 def _gram_from_json(obj) -> np.ndarray:
     """The Gram matrix of a form object, once its 'dim' and 'gram' fields parse."""
-    if not isinstance(obj, dict) or "dim" not in obj or "gram" not in obj:
-        raise ParseError("form: expected 'dim' and 'gram' fields")
-    d = obj["dim"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise ParseError(f"form: bad dimension {d!r}")
-    return matrix_from_pairs(obj["gram"], d, "gram")
+    d, gram = _fields(obj, "form", ("dim", "gram"))
+    return matrix_from_pairs(gram, _integer(d, "form: 'dim'"), "gram")
 
 
 def form_from_json(obj) -> PositiveForm:
@@ -125,16 +153,7 @@ def form_from_json(obj) -> PositiveForm:
 
 
 def sigma_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("sigma: expected a nonempty list of rows")
-    d = len(obj)
-    out = np.zeros((d, d))
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != d:
-            raise ParseError(f"sigma: row {i} must have {d} entries")
-        for j, x in enumerate(row):
-            out[i, j] = _as_finite(x, f"sigma[{i}][{j}]")
-    return out
+    return np.array(_rows(obj, "sigma", _number), dtype=float)
 
 
 def sigma_to_json(sigma: np.ndarray) -> list:
@@ -142,64 +161,44 @@ def sigma_to_json(sigma: np.ndarray) -> list:
 
 
 def covariance_triple_from_json(obj) -> tuple[PresymplecticSpace, CovarianceForm, CovarianceForm]:
-    if not isinstance(obj, dict) or any(k not in obj for k in ("sigma", "S", "T")):
-        raise ParseError("covariance triple: expected 'sigma', 'S', and 'T' fields")
-    space = PresymplecticSpace(sigma_from_json(obj["sigma"]))
-    s = CovarianceForm(_gram_from_json(obj["S"]))
-    t = CovarianceForm(_gram_from_json(obj["T"]))
+    sigma, s, t = _fields(obj, "covariance triple", ("sigma", "S", "T"))
+    space = PresymplecticSpace(sigma_from_json(sigma))
+    s = CovarianceForm(_gram_from_json(s))
+    t = CovarianceForm(_gram_from_json(t))
     if s.dim != space.dim or t.dim != space.dim:
         raise ParseError("covariance triple: dimensions do not agree")
     return space, s, t
 
 
 def embedding_from_json(obj):
-    if not isinstance(obj, dict) or any(
-        k not in obj for k in ("source", "target", "multiplicity")
-    ):
-        raise ParseError("embedding: expected 'source', 'target', 'multiplicity' fields")
-    source = algebra_from_json(obj["source"])
-    target = algebra_from_json(obj["target"])
-    mult = obj["multiplicity"]
-    if (
-        not isinstance(mult, list)
-        or not mult
-        or any(not isinstance(row, list) for row in mult)
-        or len({len(row) for row in mult}) != 1
-    ):
-        raise ParseError("embedding: 'multiplicity' must be a rectangular list of integer rows")
-    c = np.zeros((len(mult), len(mult[0])), dtype=int)
-    for i, row in enumerate(mult):
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ParseError(f"embedding: multiplicity[{i}][{j}] must be an integer")
-            c[i, j] = x
-    unitaries = None
-    if obj.get("unitaries") is not None:
-        us = obj["unitaries"]
-        if not isinstance(us, list) or len(us) != target.num_blocks:
-            raise ParseError("embedding: one unitary per target block is required")
-        unitaries = tuple(
-            matrix_from_pairs(u, n, f"unitary {k}")
-            for k, (n, u) in enumerate(zip(target.block_dims, us))
-        )
+    source, target, mult = _fields(obj, "embedding", ("source", "target", "multiplicity"))
+    source = algebra_from_json(source)
+    target = algebra_from_json(target)
+    c = _rows(mult, "embedding: 'multiplicity'", _integer, target.num_blocks, source.num_blocks)
+    us = obj.get("unitaries")
+    unitaries = None if us is None else _per_block(us, target, "unitary")
     return UnitalEmbedding(source, target, c, unitaries)
 
 
 def chain_from_json(obj):
-    if not isinstance(obj, dict) or any(k not in obj for k in ("algebras", "links", "final")):
-        raise ParseError("chain: expected 'algebras', 'links', 'final' fields")
-    if not isinstance(obj["algebras"], list) or not isinstance(obj["links"], list):
+    algebras, links, final = _fields(obj, "chain", ("algebras", "links", "final"))
+    if not isinstance(algebras, list) or not isinstance(links, list):
         raise ParseError("chain: 'algebras' and 'links' must be lists")
-    algebras = tuple(algebra_from_json(a) for a in obj["algebras"])
-    links = tuple(embedding_from_json(e) for e in obj["links"])
-    final = embedding_from_json(obj["final"])
-    return SubalgebraChain(algebras, links, final)
+    algebras = tuple(algebra_from_json(a) for a in algebras)
+    links = tuple(embedding_from_json(e) for e in links)
+    return SubalgebraChain(algebras, links, embedding_from_json(final))
+
+
+def chain_spec_from_json(obj) -> tuple[Functional, Functional, SubalgebraChain]:
+    """The (phi, psi, chain) of a chain spec, the input of `amplab chain spec.json`."""
+    phi, psi, chain = _fields(obj, "chain spec", ("phi", "psi", "chain"))
+    return functional_from_json(phi), functional_from_json(psi), chain_from_json(chain)
 
 
 def round9(obj):
     """Recursively round floats to 9 significant digits for stable output."""
     if isinstance(obj, float):
-        return float(f"{obj:.9g}")
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -208,5 +207,5 @@ def round9(obj):
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, 9 significant digits."""
-    return json.dumps(round9(obj), sort_keys=True)
+    """Deterministic JSON text: sorted keys, 9 significant digits, no NaN or infinity."""
+    return json.dumps(round9(obj), sort_keys=True, allow_nan=False)

@@ -137,6 +137,7 @@ class TestLayout:
         for _ in range(8):
             c = rng.integers(0, 3, size=(int(rng.integers(1, 4)), int(rng.integers(1, 4))))
             c[~c.any(axis=1), 0] = 1
+            c[0, ~c.any(axis=0)] = 1
             cases.append(c)
         for c in cases:
             source = make_algebra(list(rng.integers(1, 4, size=c.shape[1])))
