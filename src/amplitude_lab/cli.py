@@ -92,10 +92,10 @@ def _site_density(spec: str) -> np.ndarray:
         return np.eye(2) / 2.0
     if spec.startswith("diag:"):
         w = _floats(spec[5:], "diagonal site spec")
-        if not w or any(x < 0 for x in w):
-            raise err.ParseError(f"bad diagonal site spec {spec!r}")
+        if len(w) != 2 or any(x < 0 for x in w):
+            raise err.ParseError(f"bad diagonal site spec {spec!r}: expected two weights >= 0")
         return np.diag(w)
-    raise err.ParseError(f"unknown site spec {spec!r} (pure0|pure1|plus|mixed|diag:p1,p2,...)")
+    raise err.ParseError(f"unknown site spec {spec!r} (pure0|pure1|plus|mixed|diag:p0,p1)")
 
 
 def cmd_scalar(args) -> int:
@@ -148,10 +148,10 @@ def cmd_chain(args) -> int:
         phi, psi, chain = ser.chain_spec_from_json(ser.load_file(args.spec))
     elif args.product_chain is not None:
         n = args.product_chain
+        densities = [_site_density(args.site_a), _site_density(args.site_b)]
         # sites are generated lazily, with no C-sized count, so any N stops at the dimension cap
         _, chain = build_product_chain(2 for _ in range(n))
-        phi = product_state([_site_density(args.site_a)] * n)
-        psi = product_state([_site_density(args.site_b)] * n)
+        phi, psi = (product_state([d] * n) for d in densities)
     elif args.lumped is not None:
         # checked before the weight vectors are allocated
         if args.lumped > MAX_CHAIN_DIM:

@@ -63,9 +63,6 @@ class HermitianForm:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.conj(x) @ self.gram @ y)
 
-    def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        return type(self)(self.gram + other.gram)
-
     def __mul__(self, c: float) -> "HermitianForm":
         if not isinstance(c, numbers.Number):
             return NotImplemented
@@ -164,20 +161,24 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
     |v|* |X|* (|G_a| + |G_b|) |X| |v|), the products' entrywise bound.  B's
     eigenvalue is that b, clipped to [0, 1] and snapped with a.
     """
-    if alpha.dim != beta.dim:
-        raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
-    w, v = eigh(alpha.gram + beta.gram)
+    return _pair(alpha.gram, beta.gram)
+
+
+def _pair(ga: np.ndarray, gb: np.ndarray) -> PairRepresentation:
+    """pair_representation of the forms with the Gram matrices ga and gb."""
+    if ga.shape != gb.shape:
+        raise ShapeError(f"form dimensions differ: {len(ga)} vs {len(gb)}")
+    w, x = eigh(ga + gb)
     keep = in_range(w)
-    wr = w[keep]
-    vr = v[:, keep]
-    jmat = np.sqrt(wr)[:, None] * vr.conj().T
-    inv_root = vr * (1.0 / np.sqrt(wr))[None, :]
-    wa, va = eigh(hermitize(inv_root.conj().T @ alpha.gram @ inv_root))
-    y = inv_root @ va
-    wb = np.einsum("ij,ij->j", y.conj(), beta.gram @ y).real
-    spread = np.abs(inv_root) @ np.abs(va)
-    bound = np.einsum("ij,ij->j", spread, (np.abs(alpha.gram) + np.abs(beta.gram)) @ spread)
-    snap = np.minimum(np.abs(wa + wb - 1.0) + rank_cut(2 * alpha.dim, bound), 0.5)
+    wr, x = w[keep], x[:, keep]
+    jmat = np.sqrt(wr)[:, None] * x.conj().T
+    x *= 1.0 / np.sqrt(wr)  # in place: the kept eigenvectors become X = S^{-1/2}
+    wa, va = eigh(hermitize(x.conj().T @ ga @ x))
+    y = x @ va
+    wb = np.einsum("ij,ij->j", y.conj(), gb @ y).real
+    spread = np.abs(x) @ np.abs(va)
+    bound = np.einsum("ij,ij->j", spread, (np.abs(ga) + np.abs(gb)) @ spread)
+    snap = np.minimum(np.abs(wa + wb - 1.0) + rank_cut(2 * ga.shape[0], bound), 0.5)
     ends = [wa < snap, wa > 1.0 - snap]
     wa = np.select(ends, [0.0, 1.0], np.clip(wa, 0.0, 1.0))
     wb = np.select(ends, [1.0, 0.0], np.clip(wb, 0.0, 1.0))
@@ -185,10 +186,18 @@ def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresen
 
 
 def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
-    """Largest Hermitian form dominated by {alpha, beta}, J* (AB)^{1/2} J; symmetric."""
-    rep = pair_representation(alpha, beta)
+    """Largest Hermitian form dominated by {alpha, beta}, J* (AB)^{1/2} J; symmetric.
+
+    Each Gram is divided by 4^k, the largest power of 4 not above its
+    largest entry, exactly; the scaled pair's mean times 2^(k_alpha + k_beta)
+    is jointly homogeneous to roundoff, and no sum of two Grams overflows.
+    """
+    ks = [(np.frexp(np.max(np.abs(f.gram), initial=0.0))[1] - 1) // 2 for f in (alpha, beta)]
+    rep = _pair(alpha.gram / np.ldexp(1.0, 2 * ks[0]), beta.gram / np.ldexp(1.0, 2 * ks[1]))
     middle = spectral_apply(rep.spectrum, lambda a: np.sqrt(a * rep.b))
-    return PositiveForm(hermitize(rep.jmat.conj().T @ middle @ rep.jmat))
+    mean = hermitize(rep.jmat.conj().T @ middle @ rep.jmat)
+    mean *= np.ldexp(1.0, ks[0] + ks[1])
+    return PositiveForm(mean)
 
 
 def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) -> bool:

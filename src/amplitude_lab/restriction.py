@@ -15,6 +15,7 @@ amplitude when the chain exhausts the algebra.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,8 +25,8 @@ from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
 from .config import MAX_CHAIN_DIM, tolerances
-from .errors import DomainError, InvalidEmbedding, NotUnital, TooLarge
-from .linalg import block_diag, frozen, hermitize, real_if_exact
+from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
+from .linalg import frozen, hermitize, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,16 +116,13 @@ class UnitalEmbedding:
         return out
 
     def embed(self, a: BlockOperator) -> BlockOperator:
-        """Image of a source element under the embedding."""
+        """Image of a source element: the sum of V a_l V* over the copy isometries (l, V)."""
         _check_algebra(self.source, a)
-        blocks = []
-        for k in range(self.target.num_blocks):
-            mat = block_diag(*(np.kron(a.blocks[l], np.eye(c)) for l, _, c in self._sections(k)))
-            u = self._unitary(k)
-            if u is not None:
-                mat = u @ mat @ u.conj().T
-            blocks.append(mat)
-        return BlockOperator(self.target, tuple(blocks))
+        blocks = tuple(
+            sum(v @ a.blocks[l] @ v.conj().T for l, v in self.slot_isometries(k))
+            for k in range(self.target.num_blocks)
+        )
+        return BlockOperator(self.target, blocks)
 
 
 def identity_embedding(algebra: BlockAlgebra) -> UnitalEmbedding:
@@ -187,76 +185,69 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
 
 @dataclass(frozen=True, eq=False)
 class UcpMap:
-    """Unital completely positive map between block algebras, in Kraus form.
+    """Unital completely positive map between block algebras, in block-local Kraus form.
 
-    kraus[k] is the family for target block k: matrices of shape
-    (source space dim, N_k) with sum_i K_i^* K_i = I_{N_k}, acting as
-    Phi(a)_k = sum_i K_i^* blockdiag(a) K_i.  Each K_i is stored by
-    linalg.real_if_exact.
+    kraus[k] is the family for target block k: pieces (l, K) of a source
+    block l and a matrix K of shape (m_l, N_k), with sum K^* K = I_{N_k}
+    over the family, acting as Phi(a)_k = sum K^* a_l K.  A Kraus operator
+    on the whole source space is its row blocks, one piece per source
+    block.  Each K is stored by linalg.real_if_exact.
     """
 
     source: BlockAlgebra
     target: BlockAlgebra
-    kraus: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    kraus: tuple[tuple[tuple[int, np.ndarray], ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        s = self.source.space_dim
+        dims, sources = self.source.block_dims, range(self.source.num_blocks)
         if len(self.kraus) != self.target.num_blocks:
             raise NotUnital("one Kraus family per target block is required")
         families = []
         for k, (n, fam) in enumerate(zip(self.target.block_dims, self.kraus, strict=True)):
-            fam = tuple(frozen(m, (s, n), "Kraus matrix") for m in fam)
-            total = sum(m.conj().T @ m for m in fam)
-            if len(fam) == 0 or np.max(np.abs(total - np.eye(n))) > tolerances().num:
+            pieces = []
+            for i, piece in enumerate(fam):
+                what = f"Kraus piece {i} of target block {k}"
+                pair = isinstance(piece, (tuple, list)) and len(piece) == 2
+                l, m = piece if pair else (None, None)
+                if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l not in sources:
+                    raise ShapeError(f"{what} names no source block")
+                pieces.append((int(l), frozen(m, (dims[l], n), what)))
+            total = sum(m.conj().T @ m for _, m in pieces)
+            if not pieces or np.max(np.abs(total - np.eye(n))) > tolerances().num:
                 raise NotUnital(f"Kraus family for target block {k} does not sum to identity")
-            families.append(fam)
+            families.append(tuple(pieces))
         object.__setattr__(self, "kraus", tuple(families))
 
     def apply(self, a: BlockOperator) -> BlockOperator:
         """Phi(a) on the target algebra."""
         _check_algebra(self.source, a)
-        big = block_diag(*a.blocks)
-        blocks = tuple(
-            sum(m.conj().T @ big @ m for m in fam) for fam in self.kraus
-        )
+        blocks = tuple(sum(m.conj().T @ a.blocks[l] @ m for l, m in fam) for fam in self.kraus)
         return BlockOperator(self.target, blocks)
 
 
 def embedding_as_ucp(emb: UnitalEmbedding) -> UcpMap:
-    """The embedding viewed as a UCP map (Kraus family of copy isometries)."""
-    s = emb.source.space_dim
-    offsets = np.concatenate([[0], np.cumsum(emb.source.block_dims)])
-    families = []
-    for k in range(emb.target.num_blocks):
-        fam = []
-        for l, v in emb.slot_isometries(k):
-            kmat = np.zeros((s, emb.target.block_dims[k]), dtype=complex)
-            kmat[offsets[l] : offsets[l + 1], :] = v.conj().T
-            fam.append(kmat)
-        families.append(tuple(fam))
-    return UcpMap(emb.source, emb.target, tuple(families))
+    """The embedding viewed as a UCP map: the pieces (l, V*) of its copy isometries."""
+    families = tuple(
+        tuple((l, v.conj().T) for l, v in emb.slot_isometries(k))
+        for k in range(emb.target.num_blocks)
+    )
+    return UcpMap(emb.source, emb.target, families)
 
 
 def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
     """Pull a positive functional on the target back along a UCP map.
 
-    The density is sum_i K_i D K_i^* cut down to the source blocks;
+    Source block l has the density sum K D_k K^* over the pieces (l, K);
     positivity and total mass are preserved, and the transition
     amplitude of a pair can only grow under the pullback.
     """
     _check_algebra(channel.target, psi)
     psi.require_positive()
-    s = channel.source.space_dim
-    acc = np.zeros((s, s), dtype=complex)
+    out = [np.zeros((m, m), dtype=complex) for m in channel.source.block_dims]
     for fam, d in zip(channel.kraus, psi.densities):
-        for m in fam:
-            acc += m @ d @ m.conj().T
-    out = []
-    pos = 0
-    for n in channel.source.block_dims:
-        out.append(hermitize(acc[pos : pos + n, pos : pos + n]))
-        pos += n
-    return Functional(channel.source, tuple(out))
+        for l, m in fam:
+            out[l] += m @ d @ m.conj().T
+    return Functional(channel.source, tuple(hermitize(x) for x in out))
 
 
 @dataclass(frozen=True, eq=False)

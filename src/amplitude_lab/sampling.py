@@ -78,29 +78,23 @@ def random_embedding(
 
 def random_ucp(rng: np.random.Generator, source: BlockAlgebra, target: BlockAlgebra) -> UcpMap:
     """Random unital CP map source -> target; a target block of side n gets
-    max(3, ceil(n / source.space_dim)) Kraus operators, enough to span C^n."""
+    max(3, ceil(n / source.space_dim)) Kraus operators, enough to span C^n,
+    each drawn on the whole source space and cut into its row blocks."""
     s = source.space_dim
+    cuts = np.cumsum(source.block_dims)[:-1]
     families = []
     for n in target.block_dims:
         raw = [random_complex(rng, (s, n)) for _ in range(max(3, -(-n // s)))]
         total = sum(a.conj().T @ a for a in raw)
         w, v = eigh(hermitize(total))
         inv_root = power((w, v), -0.5)
-        families.append(tuple(a @ inv_root for a in raw))
+        families.append(tuple(p for a in raw for p in enumerate(np.split(a @ inv_root, cuts))))
     return UcpMap(source, target, tuple(families))
 
 
 def dephasing_ucp(algebra: BlockAlgebra) -> UcpMap:
-    """Blockwise dephasing in the standard basis (projections as Kraus ops)."""
-    s = algebra.space_dim
-    offsets = np.concatenate([[0], np.cumsum(algebra.block_dims)])
-    families = []
-    for k, n in enumerate(algebra.block_dims):
-        fam = []
-        for i in range(n):
-            m = np.zeros((s, n))
-            m[offsets[k] + i, i] = 1.0
-            fam.append(m)
-        families.append(tuple(fam))
-    return UcpMap(algebra, algebra, tuple(families))
-
+    """Blockwise dephasing in the standard basis (rank-one projections as Kraus pieces)."""
+    families = tuple(
+        tuple((k, np.diag(e)) for e in np.eye(n)) for k, n in enumerate(algebra.block_dims)
+    )
+    return UcpMap(algebra, algebra, families)

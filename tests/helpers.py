@@ -35,15 +35,9 @@ def min_eigval(h: np.ndarray) -> float:
 
 
 def unitary_conjugation_ucp(algebra: BlockAlgebra, unitaries) -> UcpMap:
-    """Conjugation a -> U^* a U as a UCP map on the same algebra."""
-    s = algebra.space_dim
-    offsets = np.concatenate([[0], np.cumsum(algebra.block_dims)])
-    families = []
-    for k, (n, u) in enumerate(zip(algebra.block_dims, unitaries)):
-        m = np.zeros((s, n), dtype=complex)
-        m[offsets[k] : offsets[k] + n, :] = u
-        families.append((m,))
-    return UcpMap(algebra, algebra, tuple(families))
+    """Conjugation a -> U^* a U as a UCP map on the same algebra: one piece (k, U_k) per block."""
+    families = tuple(((k, u),) for k, u in enumerate(unitaries))
+    return UcpMap(algebra, algebra, families)
 
 
 def bell_state() -> Functional:

@@ -88,6 +88,13 @@ class TestLeftRightForms:
         assert direct == pytest.approx(via_gram)
 
 
+def test_forms_have_no_sum():
+    # the sum of forms of two sides raised numpy's ValueError, and form + 1 an AttributeError
+    for other in (HermitianForm(np.eye(3)), 1):
+        with pytest.raises(TypeError):
+            HermitianForm(np.eye(2)) + other
+
+
 class TestPairRepresentation:
     def test_identity_pair(self):
         alpha = PositiveForm(np.eye(3))
@@ -166,6 +173,14 @@ class TestGeometricMean:
         phi = Functional(alg, (1e12 * np.diag([0.5, 0.3, 0.2]),))
         psi = Functional(alg, (np.eye(3) / 3,))
         assert bridge_gap(phi, psi) <= 1e-12 * np.sqrt(phi.mass * psi.mass)
+
+    def test_grams_near_the_float_range_keep_their_mean(self):
+        # G_a + G_b overflowed, and gmean of diag(1e308, 1) against itself printed the zero form
+        g = PositiveForm(np.diag([1e308, 1.0]))
+        with np.errstate(over="raise"):
+            mean = geometric_mean(g, g).gram
+        assert mean[0, 0] == pytest.approx(1e308, rel=1e-15)
+        assert np.max(np.abs(mean - g.gram)) <= 1e-15 * 1e308
 
     def test_no_snap_reaches_an_interior_eigenvalue(self):
         # cond S is 3.3e14; A's eigenvalues 1/2 on e00 and e11 stay 1/2

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,19 @@ def test_product_chain_past_int64_stops_at_the_cap():
     code, out = run(["chain", "--product-chain", str(2**63)])
     assert code == 6
     assert out == run(["chain", "--product-chain", "11"])[1]
+
+
+@pytest.mark.parametrize("spec", ["diag:0.5,0.3,0.2", "diag:1", "diag:0.5,-0.5"])
+def test_a_site_spec_is_a_qubit_read_before_any_product(spec):
+    # three weights built a 3^N-sided product state before "algebra mismatch" (139 MB at N = 7)
+    tracemalloc.start()
+    try:
+        code, out = run(["chain", "--product-chain", "7", "--site-a", spec, "--site-b", "mixed"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and error_of(out)["type"] == "ParseError"
+    assert peak < 2**20
 
 
 class TestEmbeddingsEmbed:

@@ -13,7 +13,7 @@ only, and a bound relative to the pair's scale.
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from amplitude_lab import (
@@ -162,6 +162,13 @@ def test_quotient_pullbacks_keep_the_amplitude(pair):
 # an expected failure needs no shrinking
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(pairs())
+# blocks of phi 1e14 apart: the mean loses the 1e-7 summand whole, 7 times the bound
+@example(
+    (
+        Functional(make_algebra([4, 1]), (_block(4, 4, 7.0, 18), _block(1, 1, -7.0, 118))),
+        Functional(make_algebra([4, 1]), (_block(4, 4, 0.0, 218), _block(1, 1, 0.0, 318))),
+    )
+)
 def test_interpolation_midpoint_is_the_geometric_mean(pair):
     phi, psi = pair
     assert midpoint_gap(phi, psi) <= DEFAULT_TOL.num * _scale(phi, psi)
@@ -289,8 +296,8 @@ def test_real_grams_give_the_mean_and_domination_of_their_rotations(case):
     assert np.max(np.abs(u @ mean.gram @ u.conj().T - mean_u.gram)) <= bound
     assert is_dominated(mean, *real) and is_dominated(mean_u, *turned)
     # the sum is dominated only by a zero pair, which the first Gram never is
-    assert not is_dominated(real[0] + real[1], *real)
-    assert not is_dominated(turned[0] + turned[1], *turned)
+    for f, g in (real, turned):
+        assert not is_dominated(PositiveForm(f.gram + g.gram), f, g)
 
 
 @st.composite
@@ -300,6 +307,24 @@ def faithful_first_grams(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factors = [random_complex(rng, (n, r)) for r in (n, draw(st.integers(0, n)))]
     return [a @ a.conj().T for a in factors]
+
+
+@st.composite
+def faithful_grams(draw):
+    """Two faithful complex Wishart Grams on C^n, n in 2..6."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [a @ a.conj().T for a in (random_complex(rng, (n, n)) for _ in range(2))]
+
+
+@given(faithful_grams(), st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
+def test_the_mean_is_jointly_homogeneous(grams, u, v):
+    a, b = grams
+    s, t = 10.0**u, 10.0**v
+    mean = geometric_mean(PositiveForm(a), PositiveForm(b)).gram
+    scaled = geometric_mean(PositiveForm(s * a), PositiveForm(t * b)).gram
+    root = np.sqrt(s * t)
+    assert np.max(np.abs(scaled - root * mean)) <= DEFAULT_TOL.num * root * np.max(np.abs(mean))
 
 
 @given(faithful_first_grams())

@@ -141,9 +141,17 @@ STORED = {
         _row_phase,
     ),
     "UcpMap.kraus": (
-        lambda rng: [_orthogonal(rng, 3)[:, :2], _orthogonal(rng, 3)[:, :1]],
-        lambda ks: UcpMap(make_algebra([2, 1]), make_algebra([2, 1]), ((ks[0],), (ks[1],))),
-        lambda ucp: [m for fam in ucp.kraus for m in fam],
+        # the row blocks (on source blocks 0 and 1) of two isometries into C^3
+        lambda rng: [
+            *np.split(_orthogonal(rng, 3)[:, :2], [2]),
+            *np.split(_orthogonal(rng, 3)[:, :1], [2]),
+        ],
+        lambda ks: UcpMap(
+            make_algebra([2, 1]),
+            make_algebra([2, 1]),
+            (((0, ks[0]), (1, ks[1])), ((0, ks[2]), (1, ks[3]))),
+        ),
+        lambda ucp: [m for fam in ucp.kraus for _, m in fam],
         _row_phase,
     ),
 }

@@ -9,6 +9,7 @@ from amplitude_lab import (
     Functional,
     InvalidEmbedding,
     NotUnital,
+    ShapeError,
     TooLarge,
     UcpMap,
     UnitalEmbedding,
@@ -251,7 +252,7 @@ class TestUcp:
     def test_unitality_enforced(self):
         src = make_algebra([2])
         tgt = make_algebra([2])
-        bad = (np.eye(2, dtype=complex) * 0.5,)
+        bad = ((0, np.eye(2, dtype=complex) * 0.5),)
         with pytest.raises(NotUnital):
             UcpMap(src, tgt, (bad,))
 
@@ -273,6 +274,36 @@ class TestUcp:
             assert len(chan.kraus[0]) == 4
             img = chan.apply(src.identity())
             assert np.max(np.abs(img.blocks[0] - np.eye(4))) <= 1e-10
+
+    def test_pullback_is_the_adjoint_of_apply(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            src = make_algebra(rng.integers(1, 4, size=rng.integers(1, 4)))
+            tgt = make_algebra(rng.integers(1, 4, size=rng.integers(1, 4)))
+            chan = random_ucp(rng, src, tgt)
+            psi = random_state(rng, tgt)
+            a = random_operator(rng, src)
+            lhs = evaluate(ucp_pullback(chan, psi), a)
+            assert abs(lhs - evaluate(psi, chan.apply(a))) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_embedding_as_ucp_applies_as_embed(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            src = make_algebra(rng.integers(1, 4, size=rng.integers(1, 4)))
+            emb = random_embedding(rng, src, num_target_blocks=int(rng.integers(1, 4)))
+            x = random_operator(rng, src)
+            for got, want in zip(embedding_as_ucp(emb).apply(x).blocks, emb.embed(x).blocks):
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "piece",
+        [*((l, np.eye(2)) for l in (2, -1, True, 0.0)), np.eye(2), (1, np.eye(2))],
+        ids=["past-the-blocks", "negative", "bool", "float", "bare-matrix", "wrong-shape"],
+    )
+    def test_a_piece_naming_no_source_block_or_of_the_wrong_shape_is_a_shape_error(self, piece):
+        src, tgt = make_algebra([2, 1]), make_algebra([2])
+        with pytest.raises(ShapeError):
+            UcpMap(src, tgt, ((piece,),))
 
 
 class TestChains:
