@@ -3,7 +3,8 @@
 Two positive sesquilinear forms have a canonical commuting
 representation; the mean is the largest Hermitian form dominated by the
 pair.  The script shows the closed-form agreement on commuting and
-invertible pairs, the domination certificate, and the interpolation
+invertible pairs, the mean of a direct sum taken summand by summand,
+Ando's certificate, the domination certificate, and the interpolation
 family whose midpoint ties the mean to transition amplitudes.
 """
 
@@ -17,11 +18,11 @@ from amplitude_lab import (
     is_dominated,
     left_form,
     make_algebra,
-    pair_representation,
     psd_sqrt,
     right_form,
 )
 from amplitude_lab.sampling import random_psd, random_state
+from amplitude_lab.selftest import ando_defect
 
 rng = np.random.default_rng(11)
 
@@ -38,12 +39,18 @@ print("\nmean with the identity reproduces the square root:")
 print(np.real(mean.gram))
 print("  max gap vs psd_sqrt:", np.max(np.abs(mean.gram - psd_sqrt(g))))
 
-# the canonical representation: commuting PSD A, B with A + B = I
-rep = pair_representation(PositiveForm(random_psd(rng, 4)), PositiveForm(random_psd(rng, 4)))
-print("\ncanonical pair representation on a random 4x4 pair:")
-print("  rank =", rep.rank)
-print("  ||AB - BA|| =", np.max(np.abs(rep.a_op @ rep.b_op - rep.b_op @ rep.a_op)))
-print("  spectrum of A in [0,1]:", np.round(np.linalg.eigvalsh(rep.a_op), 6))
+# the mean of a direct sum is the direct sum of the means: each diagonal
+# block of exact zeros is its own pair, on its own scale
+g = PositiveForm(np.diag([1e308, 1.0]))
+print("\ndiag(1e308, 1) # itself keeps the summand 1, 308 decades below the other:")
+print("  mean =", np.real(np.diag(geometric_mean(g, g).gram)), "(expect [1e308, 1])")
+
+# Ando's certificate: M = A # B is the largest M with [[A, M], [M, B]] >= 0,
+# and for a faithful A it satisfies M A^{-1} M = B
+ga = random_psd(rng, 4) + 0.1 * np.eye(4)
+gb = random_psd(rng, 4, rank=2)
+print("\nAndo's certificate on a faithful 4x4 A and a rank-2 B:")
+print("  max|M A^-1 M - B| =", ando_defect(ga, gb))
 
 # variational characterization: dominated forms never exceed the mean
 ga = random_psd(rng, 3) + 0.1 * np.eye(3)

@@ -63,7 +63,6 @@ from .errors import (
 )
 from .forms import (
     HermitianForm,
-    PairRepresentation,
     PositiveForm,
     geometric_mean,
     interpolated_form,
@@ -71,7 +70,6 @@ from .forms import (
     left_form,
     matrix_units,
     operator_coordinates,
-    pair_representation,
     right_form,
 )
 from .linalg import hermitize, psd_sqrt, trace_norm

@@ -5,15 +5,17 @@ block, row-major within each block, so Gram matrices are reproducible
 bit for bit.  A form gamma is evaluated as gamma(x, y) = x_bar^T G y on
 coordinate vectors (conjugate-linear in the first argument).
 
-The left and right forms are interpolated_form at t = 0 and t = 1.  The
-mean of two positive forms is read from the canonical commuting
-representation of the pair: with S = G_a + G_b and r = rank S, the
-embedding j sends coordinates to S^{1/2} restricted to range
-coordinates, the operator A is the compression of S^{-1/2} G_a S^{-1/2}
-to the range, and B = I - A, its eigenvalues measured on the pair (1 - a
-loses digits near a = 1).  The mean's Gram is J* (AB)^{1/2} J, the
-largest Hermitian form dominated by the pair.  No tolerance reaches its
-arithmetic; the tolerances in force only validate.
+The left and right forms are interpolated_form at t = 0 and t = 1.  A
+form's summands are the diagonal blocks of its Gram's exact-nonzero
+pattern (linalg.diagonal_blocks), and its spectra are taken summand by
+summand.  The mean of two positive forms is the direct sum of the means
+of their joint summands (Kubo & Ando), each read from the canonical
+commuting representation of its pair: with S = G_a + G_b, the embedding
+j sends coordinates to S^{1/2} restricted to range coordinates, the
+operator A is the compression of S^{-1/2} G_a S^{-1/2} to the range, and
+B = I - A, its eigenvalues measured on the pair (1 - a loses digits near
+a = 1).  The mean's Gram is J* (AB)^{1/2} J, the largest Hermitian form
+dominated by the pair.  No tolerance reaches its arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     Spectrum,
     block_diag,
     check_psd,
+    diagonal_blocks,
     eigh,
     eigvalsh,
     hermitian_part,
@@ -72,35 +75,12 @@ class HermitianForm:
 
 
 class PositiveForm(HermitianForm):
-    """Hermitian form with positive semidefinite Gram matrix."""
+    """Hermitian form with positive semidefinite Gram matrix, checked summand by summand."""
 
     def __post_init__(self):
         super().__post_init__()
-        check_psd(eigvalsh(self.gram), "Gram matrix")
-
-
-@dataclass(frozen=True, eq=False)
-class PairRepresentation:
-    """Canonical commuting representation of a pair of positive forms.
-
-    jmat holds the coordinates of the embedding (rank x dim), spectrum
-    the spectrum (w, v) of A on the range, w in [0, 1], and b the
-    eigenvalues of B = I - A on v, in [0, 1]; a_op = A and b_op = B are
-    commuting PSD operators with J* A J = G_a and J* B J = G_b.
-    """
-
-    rank: int
-    jmat: np.ndarray = field(repr=False)
-    spectrum: Spectrum = field(repr=False)
-    b: np.ndarray = field(repr=False)
-
-    @property
-    def a_op(self) -> np.ndarray:
-        return hermitize(spectral_apply(self.spectrum, lambda w: w))
-
-    @property
-    def b_op(self) -> np.ndarray:
-        return hermitize(spectral_apply((self.b, self.spectrum[1]), lambda w: w))
+        g = self.gram
+        check_psd(np.concatenate([eigvalsh(g[b, b]) for b in diagonal_blocks(g)]), "Gram matrix")
 
 
 def matrix_units(algebra: BlockAlgebra) -> Iterator[BlockOperator]:
@@ -149,25 +129,19 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     return PositiveForm(block_diag(*grams))
 
 
-def pair_representation(alpha: PositiveForm, beta: PositiveForm) -> PairRepresentation:
-    """Canonical representation of the unordered pair {alpha, beta}.
+def _pair(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, Spectrum, np.ndarray]:
+    """The canonical representation (J, (a, v), b) of the pair of Grams ga and gb.
 
-    Degenerate pairs are handled by range compression: the rank may be
-    smaller than the dimension and no inverse is taken outside the range
-    of S = G_a + G_b.  With X = S^{-1/2}, an eigenvalue a of A = X* G_a X
-    (eigenvector v) snaps to its nearer endpoint, lest the mean's root lift
-    an exact endpoint's noise, within the roundoff measured on the pair,
-    capped at 1/2: |a + b - 1| for b = v* X* G_b X v, plus rank_cut(2 dim,
-    |v|* |X|* (|G_a| + |G_b|) |X| |v|), the products' entrywise bound.  B's
-    eigenvalue is that b, clipped to [0, 1] and snapped with a.
+    J (rank x dim) embeds the coordinates, and A, B = I - A commute with
+    spectra (a, v) and (b, v) in [0, 1], J* A J = G_a and J* B J = G_b.  No
+    inverse is taken outside the range of S = G_a + G_b.  With X = S^{-1/2},
+    an eigenvalue a of A = X* G_a X (eigenvector v) snaps to its nearer
+    endpoint, lest the mean's root lift an exact endpoint's noise, within
+    the roundoff measured on the pair, capped at 1/2: |a + b - 1| for
+    b = v* X* G_b X v, plus rank_cut(2 dim, |v|* |X|* (|G_a| + |G_b|) |X| |v|),
+    the products' entrywise bound.  B's eigenvalue is that b, clipped to
+    [0, 1] and snapped with a.
     """
-    return _pair(alpha.gram, beta.gram)
-
-
-def _pair(ga: np.ndarray, gb: np.ndarray) -> PairRepresentation:
-    """pair_representation of the forms with the Gram matrices ga and gb."""
-    if ga.shape != gb.shape:
-        raise ShapeError(f"form dimensions differ: {len(ga)} vs {len(gb)}")
     w, x = eigh(ga + gb)
     keep = in_range(w)
     wr, x = w[keep], x[:, keep]
@@ -182,21 +156,26 @@ def _pair(ga: np.ndarray, gb: np.ndarray) -> PairRepresentation:
     ends = [wa < snap, wa > 1.0 - snap]
     wa = np.select(ends, [0.0, 1.0], np.clip(wa, 0.0, 1.0))
     wb = np.select(ends, [1.0, 0.0], np.clip(wb, 0.0, 1.0))
-    return PairRepresentation(rank=wr.size, jmat=jmat, spectrum=(wa, va), b=wb)
+    return jmat, (wa, va), wb
 
 
 def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
     """Largest Hermitian form dominated by {alpha, beta}, J* (AB)^{1/2} J; symmetric.
 
-    Each Gram is divided by 4^k, the largest power of 4 not above its
-    largest entry, exactly; the scaled pair's mean times 2^(k_alpha + k_beta)
-    is jointly homogeneous to roundoff, and no sum of two Grams overflows.
+    The mean of a direct sum is the sum of the means: on each joint summand
+    each Gram is divided by 4^k, the largest power of 4 not above its largest
+    entry, exactly, and the scaled pair's mean times 2^(k_alpha + k_beta),
+    jointly homogeneous to roundoff, is written in place; no sum overflows.
     """
-    ks = [(np.frexp(np.max(np.abs(f.gram), initial=0.0))[1] - 1) // 2 for f in (alpha, beta)]
-    rep = _pair(alpha.gram / np.ldexp(1.0, 2 * ks[0]), beta.gram / np.ldexp(1.0, 2 * ks[1]))
-    middle = spectral_apply(rep.spectrum, lambda a: np.sqrt(a * rep.b))
-    mean = hermitize(rep.jmat.conj().T @ middle @ rep.jmat)
-    mean *= np.ldexp(1.0, ks[0] + ks[1])
+    if alpha.dim != beta.dim:
+        raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
+    mean = np.zeros_like(alpha.gram, dtype=np.result_type(alpha.gram, beta.gram))
+    for b in diagonal_blocks(alpha.gram, beta.gram):
+        ga, gb = alpha.gram[b, b], beta.gram[b, b]
+        ks = [(np.frexp(np.max(np.abs(g), initial=0.0))[1] - 1) // 2 for g in (ga, gb)]
+        jmat, spec, wb = _pair(ga / np.ldexp(1.0, 2 * ks[0]), gb / np.ldexp(1.0, 2 * ks[1]))
+        middle = spectral_apply(spec, lambda a: np.sqrt(a * wb))
+        mean[b, b] = hermitize(jmat.conj().T @ middle @ jmat) * np.ldexp(1.0, ks[0] + ks[1])
     return PositiveForm(mean)
 
 
@@ -204,10 +183,14 @@ def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) 
     """Exact block-PSD certificate for |gamma(x,y)|^2 <= alpha(x,x) beta(y,y).
 
     Equivalent to the contraction factorization G_c = G_a^{1/2} K G_b^{1/2}
-    with ||K|| <= 1; the block is tested by is_psd.
+    with ||K|| <= 1: [[G_a, G_c], [G_c*, G_b]] on each joint summand of the
+    three Grams, its eigenvalues tested together by is_psd.
     """
     if not (gamma.dim == alpha.dim == beta.dim):
         raise ShapeError("form dimensions differ")
-    top = np.hstack([alpha.gram, gamma.gram])
-    bottom = np.hstack([gamma.gram.conj().T, beta.gram])
-    return is_psd(eigvalsh(np.vstack([top, bottom])))
+    ga, gc, gb = alpha.gram, gamma.gram, beta.gram
+    w = [
+        eigvalsh(np.block([[ga[b, b], gc[b, b]], [gc[b, b].conj().T, gb[b, b]]]))
+        for b in diagonal_blocks(ga, gc, gb)
+    ]
+    return is_psd(np.concatenate(w))

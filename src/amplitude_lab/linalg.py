@@ -147,6 +147,22 @@ def in_range(w: np.ndarray) -> np.ndarray:
     return w > rank_cut(w.size, float(np.max(np.abs(w))) if w.size else 0.0)
 
 
+def diagonal_blocks(*mats: np.ndarray) -> list[slice]:
+    """The one direct-sum rule: the contiguous diagonal blocks of the matrices' joint pattern.
+
+    A block ends after k where every m[:k+1, k+1:] is exactly 0, with no
+    tolerance.  There is always one block at least, empty for side 0.
+    """
+    n = len(mats[0])
+    nonzero = mats[0] != 0
+    for m in mats[1:]:
+        nonzero |= m != 0
+    # reach[k]: the last column with a nonzero entry in rows 0..k
+    reach = np.maximum.accumulate((nonzero * np.arange(n)).max(axis=1, initial=0))
+    bounds = [0, *(np.flatnonzero(reach[:-1] < np.arange(1, n)) + 1).tolist(), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def power(spec: Spectrum, z: complex) -> np.ndarray:
     """h^z from the spectrum (w, v) of h: the one power of a held spectrum.
 

@@ -24,7 +24,7 @@ from .algebra import (
     evaluate,
     is_faithful,
 )
-from .errors import EmptyReduction, NotFaithful, NotPositive
+from .errors import EmptyReduction, NotFaithful
 from .linalg import frozen, in_range, power
 
 
@@ -46,11 +46,6 @@ class Superoperator:
             factors = zip(dims, getattr(self, side), strict=True)
             stored = tuple(frozen(f, (n, n), f"{side} factor") for n, f in factors)
             object.__setattr__(self, side, stored)
-
-    @classmethod
-    def identity(cls, algebra: BlockAlgebra) -> "Superoperator":
-        eyes = tuple(np.eye(n) for n in algebra.block_dims)
-        return cls(algebra, eyes, eyes)
 
     def apply(self, xi):
         """Apply to a BlockOperator or L2Vector, returning the same type."""
@@ -74,12 +69,6 @@ class Superoperator:
         left = tuple(l1 @ r2.conj().T for l1, r2 in zip(self.left, other.right))
         right = tuple(l2.conj().T @ r1 for r1, l2 in zip(self.right, other.left))
         return Superoperator(self.algebra, left, right, not other.antilinear)
-
-    def to_matrices(self) -> tuple[np.ndarray, ...]:
-        """Dense n_k^2 x n_k^2 blocks acting on column-stacked vectorizations."""
-        if self.antilinear:
-            raise NotPositive("dense export is defined for linear maps only")
-        return tuple(np.kron(r.T, l) for l, r in zip(self.left, self.right))
 
 
 def _require_faithful(phi: Functional, what: str = "functional") -> None:

@@ -17,7 +17,9 @@ import numpy as np
 from .config import rank_cut, tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError, SolverFailed
 from .forms import HermitianForm
-from .linalg import eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
+from .linalg import (
+    diagonal_blocks, eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
+)
 
 __all__ = [
     "PresymplecticSpace",
@@ -132,22 +134,33 @@ def reduce(
     kernels of S, T, and sigma), and the reduced covariances are again
     valid for the reduced presymplectic form.  When the majorizing
     product is nondegenerate the input is returned with q = identity.
-    SolverFailed when the cut drops a direction sigma pairs: an
-    eigenvalue too far below the largest to be told from 0.
+    The kernel is found one diagonal block (linalg.diagonal_blocks) of the
+    product at a time, each block ranked on its own scale, and sorted by
+    eigenvalue.  SolverFailed when the cut drops a direction sigma pairs:
+    an eigenvalue too far below the largest of its block to be told from 0.
     """
     _require_valid(s, space, "first covariance")
     _require_valid(t, space, "second covariance")
     # the majorizing product's quarter, halved before the sum so that no finite pair overflows
-    w, v = eigh(0.5 * np.real(s.gram) + 0.5 * np.real(t.gram))
-    keep = in_range(w)
+    m = 0.5 * np.real(s.gram) + 0.5 * np.real(t.gram)
+    w, v, keep = np.zeros(space.dim), np.zeros_like(m), np.zeros(space.dim, dtype=bool)
+    for b in diagonal_blocks(m):
+        wb, vb = w[b], v[b, b] = eigh(m[b, b])
+        keep[b] = kept = in_range(wb)
+        if kept.all():
+            continue
+        # sigma vanishes on the block's kernel up to the roundoff of eigh, dim * EPS * its cond
+        cond = float(wb[kept][-1] / wb[kept][0]) if kept.any() else 1.0
+        leak = float(np.max(np.abs(space.sigma[:, b] @ vb[:, ~kept])))
+        if leak > rank_cut(2 * space.dim, cond * float(np.max(np.abs(space.sigma)))):
+            raise SolverFailed(
+                f"majorizing product too badly scaled: sigma {leak:.3e} on its kernel"
+            )
+    order = np.argsort(w, kind="stable")
+    v, keep = v[:, order], keep[order]
     kernel_dim = int(np.sum(~keep))
     if kernel_dim == 0:
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
-    # sigma vanishes on the kernel up to the roundoff of eigh and this product, dim * EPS * cond
-    cond = float(w[keep][-1] / w[keep][0]) if keep.any() else 1.0
-    leak = float(np.max(np.abs(space.sigma @ v[:, ~keep])))
-    if leak > rank_cut(2 * space.dim, cond * float(np.max(np.abs(space.sigma)))):
-        raise SolverFailed(f"majorizing product too badly scaled: sigma {leak:.3e} on its kernel")
     q = np.real(v[:, keep]).T
     sigma_red = q @ space.sigma @ q.T
     s_red = CovarianceForm(q @ s.gram @ q.T)

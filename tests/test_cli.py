@@ -90,6 +90,26 @@ class TestPurifyAndGmean:
         mean = ser.form_from_json(json.loads(res.stdout))
         assert np.allclose(mean.gram, np.diag([2.0, 3.0]))
 
+    def test_gmean_takes_each_summand_on_its_own_scale(self, tmp_path, capsys):
+        # one pair computation on the whole Gram printed diag(1e308, 0)
+        from amplitude_lab.cli import main
+
+        g = '{"dim": 2, "gram": [[1e+308, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}'
+        (tmp_path / "g.json").write_text(g)
+        assert main(["gmean", str(tmp_path / "g.json"), str(tmp_path / "g.json")]) == 0
+        assert capsys.readouterr().out == g + "\n"
+
+    def test_gmean_of_side_zero_and_of_two_sides(self, tmp_path, capsys):
+        from amplitude_lab.cli import main
+
+        empty, one = tmp_path / "empty.json", tmp_path / "one.json"
+        empty.write_text('{"dim": 0, "gram": []}')
+        one.write_text('{"dim": 1, "gram": [[1.0, 0.0]]}')
+        assert main(["gmean", str(empty), str(empty)]) == 0
+        assert capsys.readouterr().out == '{"dim": 0, "gram": []}\n'
+        assert main(["gmean", str(empty), str(one)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShapeError"
+
     def test_purify_above_the_cap_exits_6(self, tmp_path, capsys):
         from amplitude_lab.cli import main
 
@@ -277,21 +297,33 @@ class TestDecomposeAndKms:
         assert main(["decompose", b, b]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "1e-170,1e-170,0"
 
-    def test_qf_reduce_solver_failure_exits_9(self, tmp_path, capsys):
-        # a finite Gram entry of 1e308 ended in numpy's LinAlgError traceback, exit 1;
-        # once no sum overflows, the rank cut cannot tell S's eigenvalue 1 beside 1e308
-        # from 0 and drops a direction sigma pairs: kernel_dim 2 where it is 1
+    @staticmethod
+    def _qf_triple(path, s_real):
+        """A triple file: sigma pairs coordinates 0 and 1, T = diag(1, 1, 0), both + i sigma / 2."""
+        sigma = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        grams = (("S", s_real), ("T", np.diag([1.0, 1.0, 0.0])))
+        forms = {k: {"dim": 3, "gram": ser.matrix_to_pairs(g + 0.5j * sigma)} for k, g in grams}
+        path.write_text(ser.dumps({"sigma": sigma.tolist(), **forms}))
+        return str(path)
+
+    def test_qf_reduce_ranks_each_coordinate_block_on_its_own_scale(self, tmp_path, capsys):
+        # S[1, 1] = 1e308: the rank cut of the whole quarter could not tell T's eigenvalue 1
+        # from 0 and dropped a direction sigma pairs, exit 9; each block is ranked alone now
         from amplitude_lab.cli import main
 
-        sigma = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        t = np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        s = t.copy()
-        s[1, 1] = 1e308
-        forms = {k: {"dim": 3, "gram": ser.matrix_to_pairs(g)} for k, g in (("S", s), ("T", t))}
-        path = tmp_path / "triple.json"
-        path.write_text(ser.dumps({"sigma": sigma, **forms}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["qf-reduce", str(path)]) == 9
+        path = self._qf_triple(tmp_path / "triple.json", np.diag([1.0, 1e308, 0.0]))
+        assert main(["qf-reduce", path]) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_dim"] == 1
+
+    def test_qf_reduce_solver_failure_exits_9(self, tmp_path, capsys):
+        # a finite Gram entry of 1e308 ended in numpy's LinAlgError traceback, exit 1.  Here
+        # S's eigenvalues 1 and 1e300 share a block, whose rank cut cannot tell the 1 from 0
+        # and drops a direction sigma pairs: kernel_dim 2 where it is 1
+        from amplitude_lab.cli import main
+
+        r = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+        path = self._qf_triple(tmp_path / "triple.json", r @ np.diag([1.0, 1e300, 0.0]) @ r.T)
+        assert main(["qf-reduce", path]) == 9
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "SolverFailed" and "too badly scaled" in error["message"]
 

@@ -15,9 +15,10 @@ from amplitude_lab import (
     make_algebra,
     matrix_units,
     operator_coordinates,
-    pair_representation,
     right_form,
 )
+from amplitude_lab.forms import _pair
+from amplitude_lab.linalg import diagonal_blocks
 from amplitude_lab.sampling import random_psd, random_state
 from amplitude_lab.selftest import bridge_gap
 
@@ -95,26 +96,31 @@ def test_forms_have_no_sum():
             HermitianForm(np.eye(2)) + other
 
 
+def pair_operators(alpha, beta):
+    """J, A and B of the canonical representation of the pair, A and B dense."""
+    jmat, (a, v), b = _pair(alpha.gram, beta.gram)
+    return jmat, (v * a) @ v.conj().T, (v * b) @ v.conj().T
+
+
 class TestPairRepresentation:
     def test_identity_pair(self):
         alpha = PositiveForm(np.eye(3))
-        rep = pair_representation(alpha, alpha)
-        assert rep.rank == 3
-        assert np.allclose(rep.a_op, np.eye(3) / 2)
-        assert np.allclose(rep.b_op, np.eye(3) / 2)
+        jmat, a_op, b_op = pair_operators(alpha, alpha)
+        assert jmat.shape == (3, 3)
+        assert np.allclose(a_op, np.eye(3) / 2)
+        assert np.allclose(b_op, np.eye(3) / 2)
 
     def test_orthogonal_supports(self):
         alpha = PositiveForm(np.diag([1.0, 0.0]))
         beta = PositiveForm(np.diag([0.0, 1.0]))
-        rep = pair_representation(alpha, beta)
-        assert rep.rank == 2
-        assert np.allclose(sorted(np.linalg.eigvalsh(rep.a_op)), [0.0, 1.0])
+        jmat, a_op, _ = pair_operators(alpha, beta)
+        assert jmat.shape == (2, 2)
+        assert np.allclose(sorted(np.linalg.eigvalsh(a_op)), [0.0, 1.0])
 
     def test_zero_pair(self):
         zero = PositiveForm(np.zeros((3, 3)))
-        rep = pair_representation(zero, zero)
-        assert rep.rank == 0
-        assert rep.jmat.shape == (0, 3)
+        jmat, _, _ = pair_operators(zero, zero)
+        assert jmat.shape == (0, 3)
 
     def test_invariants(self):
         rng = np.random.default_rng(2)
@@ -122,18 +128,21 @@ class TestPairRepresentation:
             d = int(rng.integers(2, 7))
             alpha = PositiveForm(random_psd(rng, d, rank=int(rng.integers(1, d + 1))))
             beta = PositiveForm(random_psd(rng, d))
-            rep = pair_representation(alpha, beta)
-            comm = rep.a_op @ rep.b_op - rep.b_op @ rep.a_op
+            j, a_op, b_op = pair_operators(alpha, beta)
+            comm = a_op @ b_op - b_op @ a_op
             assert np.max(np.abs(comm)) <= 1e-8
-            w = np.linalg.eigvalsh(rep.a_op)
+            w = np.linalg.eigvalsh(a_op)
             assert w[0] >= -1e-10 and w[-1] <= 1 + 1e-10
-            j = rep.jmat
-            assert np.max(np.abs(j.conj().T @ rep.a_op @ j - alpha.gram)) <= 1e-8
-            assert np.max(np.abs(j.conj().T @ rep.b_op @ j - beta.gram)) <= 1e-8
+            assert np.max(np.abs(j.conj().T @ a_op @ j - alpha.gram)) <= 1e-8
+            assert np.max(np.abs(j.conj().T @ b_op @ j - beta.gram)) <= 1e-8
 
     def test_dim_mismatch(self):
+        # _pair takes two Grams of one side; the public functions check the sides
+        two, three = PositiveForm(np.eye(2)), PositiveForm(np.eye(3))
         with pytest.raises(ShapeError):
-            pair_representation(PositiveForm(np.eye(2)), PositiveForm(np.eye(3)))
+            geometric_mean(two, three)
+        with pytest.raises(ShapeError):
+            is_dominated(two, three, three)
 
 
 class TestGeometricMean:
@@ -189,10 +198,9 @@ class TestGeometricMean:
         alpha, beta = left_form(phi), right_form(phi)
         one = operator_coordinates(alg.identity())
         assert geometric_mean(alpha, beta)(one, one) == pytest.approx(1.0, abs=1e-14)
-        rep = pair_representation(alpha, beta)
-        j = rep.jmat
-        assert np.max(np.abs(j.conj().T @ rep.a_op @ j - alpha.gram)) <= 1e-14
-        assert np.max(np.abs(j.conj().T @ rep.b_op @ j - beta.gram)) <= 1e-14
+        j, a_op, b_op = pair_operators(alpha, beta)
+        assert np.max(np.abs(j.conj().T @ a_op @ j - alpha.gram)) <= 1e-14
+        assert np.max(np.abs(j.conj().T @ b_op @ j - beta.gram)) <= 1e-14
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
@@ -253,6 +261,31 @@ class TestGeometricMean:
                 + geometric_mean(PositiveForm(a2), PositiveForm(b2)).gram
             )
             assert min_eigval(whole - parts) >= -1e-9
+
+
+class TestDirectSums:
+    def test_summands_are_the_contiguous_blocks_of_exact_zeros(self):
+        d = np.diag([2.0, 1.0])
+        assert diagonal_blocks(d) == [slice(0, 1), slice(1, 2)]
+        # the joint pattern of two matrices, and a permuted direct sum, which stays one block
+        assert diagonal_blocks(np.kron(d, np.ones((2, 2)))) == [slice(0, 2), slice(2, 4)]
+        assert diagonal_blocks(np.kron(d, np.ones((2, 2))), np.eye(4)[::-1]) == [slice(0, 4)]
+        assert diagonal_blocks(np.kron(np.ones((2, 2)), d)) == [slice(0, 4)]
+        # no tolerance: an entry of 1e-300 joins two summands
+        assert diagonal_blocks(np.array([[1.0, 1e-300j], [-1e-300j, 1.0]])) == [slice(0, 2)]
+        assert diagonal_blocks(np.zeros((0, 0))) == [slice(0, 0)]
+
+    def test_a_summand_far_below_the_other_keeps_its_mean(self):
+        # one pair computation on the whole Gram gave diag(1e308, 0)
+        g = PositiveForm(np.diag([1e308, 1.0]))
+        mean = geometric_mean(g, g).gram
+        assert mean[1, 1] == pytest.approx(1.0, rel=1e-15)
+        assert mean[0, 0] == pytest.approx(1e308, rel=1e-15) and mean[0, 1] == 0.0
+
+    def test_forms_of_side_zero(self):
+        zero = PositiveForm(np.zeros((0, 0)))
+        assert geometric_mean(zero, zero).dim == 0
+        assert is_dominated(zero, zero, zero)
 
 
 class TestDomination:

@@ -83,7 +83,8 @@ class TestRelativeModular:
         alg = make_algebra([3])
         phi = Functional(alg, (random_gibbs(rng, 3),))
         psi = random_state(rng, alg)
-        mat = relative_modular(psi, phi).to_matrices()[0]
+        delta = relative_modular(psi, phi)
+        mat = np.kron(delta.right[0].T, delta.left[0])  # on column-stacked vectors
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(mat)[0] >= -1e-10
 
@@ -197,7 +198,7 @@ class TestModularFlow:
         alg = make_algebra([3])
         phi = Functional(alg, (random_gibbs(rng, 3),))
         delta = relative_modular(phi, phi)
-        mat = delta.to_matrices()[0]
+        mat = np.kron(delta.right[0].T, delta.left[0])
         w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
         x = random_operator(rng, alg)
         root = sqrt_vector(phi)
@@ -347,4 +348,5 @@ class TestBridges:
         alg = make_algebra([2, 3])
         rng = np.random.default_rng(20)
         x = random_operator(rng, alg)
-        assert (Superoperator.identity(alg).apply(x) - x).norm() == 0.0
+        eyes = tuple(np.eye(n) for n in alg.block_dims)
+        assert (Superoperator(alg, eyes, eyes).apply(x) - x).norm() == 0.0

@@ -13,7 +13,7 @@ only, and a bound relative to the pair's scale.
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amplitude_lab import (
@@ -40,7 +40,7 @@ from amplitude_lab import (
     uhlmann_fidelity,
     using,
 )
-from amplitude_lab.linalg import in_range, power
+from amplitude_lab.linalg import block_diag, in_range, power
 from amplitude_lab.sampling import random_complex, random_ucp, random_unitary
 from amplitude_lab.selftest import (
     ando_defect,
@@ -153,16 +153,8 @@ def test_quotient_pullbacks_keep_the_amplitude(pair):
     assert quotient_gap(pi, phi, psi) <= DEFAULT_TOL.num * _scale(phi, psi)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known defect, ROADMAP.md items 2 and 9: the mean is not scaled per direct summand, "
-    "so a summand far below the pair's scale is lost to the roundoff of the whole",
-)
-# an expected failure needs no shrinking
-@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(pairs())
-# blocks of phi 1e14 apart: the mean loses the 1e-7 summand whole, 7 times the bound
+# blocks of phi 1e14 apart: the whole-Gram mean lost the 1e-7 summand, 7 times the bound
 @example(
     (
         Functional(make_algebra([4, 1]), (_block(4, 4, 7.0, 18), _block(1, 1, -7.0, 118))),
@@ -325,6 +317,35 @@ def test_the_mean_is_jointly_homogeneous(grams, u, v):
     scaled = geometric_mean(PositiveForm(s * a), PositiveForm(t * b)).gram
     root = np.sqrt(s * t)
     assert np.max(np.abs(scaled - root * mean)) <= DEFAULT_TOL.num * root * np.max(np.abs(mean))
+
+
+@st.composite
+def gram_pair_sums(draw):
+    """Two pairs of PSD Grams on C^1..C^4 of random ranks and scales, the second 10^(+-150) off."""
+
+    def gram(n, u):
+        seed = draw(st.integers(0, 2**32 - 1))
+        return _block(n, draw(st.integers(0, n)), u + draw(st.floats(-2.0, 2.0)), seed)
+
+    pairs = []
+    for u in (0.0, draw(st.floats(-150.0, 150.0))):
+        n = draw(st.integers(1, 4))
+        pairs.append((gram(n, u), gram(n, u)))
+    return pairs
+
+
+@given(gram_pair_sums())
+def test_the_mean_of_a_direct_sum_is_the_direct_sum_of_the_means(pairs):
+    # Kubo & Ando: each summand keeps its own mean, however far below the other it lies
+    sums = [PositiveForm(block_diag(*grams)) for grams in zip(*pairs)]
+    mean = geometric_mean(*sums).gram
+    own = [geometric_mean(PositiveForm(ga), PositiveForm(gb)).gram for ga, gb in pairs]
+    gap, n = np.abs(mean - block_diag(*own)), len(own[0])
+    assert not gap[:n, n:].any() and not gap[n:, :n].any()
+    for part, (ga, gb) in zip((slice(0, n), slice(n, None)), pairs):
+        scale = np.sqrt(np.max(np.abs(ga)) * np.max(np.abs(gb)))
+        assert np.max(gap[part, part]) <= DEFAULT_TOL.num * scale
+    assert is_dominated(PositiveForm(mean), *sums)
 
 
 @given(faithful_first_grams())

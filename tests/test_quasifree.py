@@ -7,6 +7,7 @@ from amplitude_lab import (
     InvalidCovariance,
     PresymplecticSpace,
     ShapeError,
+    SolverFailed,
     build_lumped_diagonal_chain,
     chain_amplitudes,
     diagonal_state,
@@ -157,6 +158,29 @@ class TestReduce:
         triple = reduce_covariance(space, s, s)
         assert triple.kernel_dim == 1
         assert np.all(np.isfinite(triple.s_form.gram))
+
+    def test_each_coordinate_block_is_ranked_on_its_own_scale(self):
+        # one rank cut on the whole product took S's eigenvalue 1 beside 1e20 for roundoff:
+        # kernel_dim 2, and the character at e_1 read 1.0 after the reduction, 0.607 before
+        space = PresymplecticSpace(np.zeros((3, 3)))
+        s = CovarianceForm(np.diag([1e20, 1.0, 0.0]))
+        triple = reduce_covariance(space, s, s)
+        assert triple.kernel_dim == 1
+        e1 = np.array([0.0, 1.0, 0.0])
+        before = quasifree_character(s, e1)
+        assert before == pytest.approx(np.exp(-0.5), rel=1e-15)
+        assert quasifree_character(triple.s_form, triple.quotient @ e1) == pytest.approx(before)
+
+    def test_a_far_block_does_not_hide_a_direction_sigma_pairs(self):
+        # the 1 beside 1e300 in the rotated block is cut; a kept 1e-300 in another block
+        # must not widen that block's roundoff bound (cond 1e600 overflows to inf)
+        sigma = standard_sigma(1, extra_zeros=2)
+        r = np.eye(4)
+        r[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
+        s = make_covariance(r @ np.diag([2.0, 2e300, 0.0, 2e-300]) @ r.T, sigma)
+        t = make_covariance(np.diag([2.0, 2.0, 0.0, 2e-300]), sigma)
+        with pytest.raises(SolverFailed, match="too badly scaled"):
+            reduce_covariance(PresymplecticSpace(sigma), s, t)
 
     def test_idempotent(self):
         sigma = standard_sigma(1, extra_zeros=1)

@@ -7,6 +7,7 @@ symmetric solver that real densities get.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,19 +19,23 @@ from amplitude_lab import (
     HermitianForm,
     InvalidCovariance,
     NotPositive,
+    PositiveForm,
     UnitalEmbedding,
     amplitude_sum_check,
     decompose,
     functional_norm,
+    geometric_mean,
     hermitize,
     inequality_suite,
     interpolated_form,
     is_faithful,
     kms_defect,
+    left_form,
     make_algebra,
     modular_flow,
     relative_modular,
     restrict,
+    right_form,
     support_projection,
     support_reduce,
     total_rank,
@@ -66,19 +71,30 @@ def eigh_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def lapack_dtypes(monkeypatch):
-    """List that grows by (name, input dtype) per numpy eigh or eigvalsh call."""
+def _lapack_calls(monkeypatch, entry):
+    """List that grows by entry(name, input) per numpy eigh or eigvalsh call."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
         def recording(a, *args, _name=name, _solver=solver, **kwargs):
-            calls.append((_name, np.asarray(a).dtype))
+            calls.append(entry(_name, np.asarray(a)))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+@pytest.fixture
+def lapack_dtypes(monkeypatch):
+    """List that grows by (name, input dtype) per numpy eigh or eigvalsh call."""
+    return _lapack_calls(monkeypatch, lambda name, a: (name, a.dtype))
+
+
+@pytest.fixture
+def lapack_sides(monkeypatch):
+    """List that grows by (name, side) per numpy eigh or eigvalsh call."""
+    return _lapack_calls(monkeypatch, lambda name, a: (name, a.shape[-1]))
 
 
 def fresh_pair(seed, dims):
@@ -180,6 +196,19 @@ class TestEighCounts:
         for d, (w, v) in zip(red.functional.densities, red.functional.spectrum()):
             assert not w.flags.writeable and not v.flags.writeable
             assert np.array_equal(d, np.diag(w)) and np.array_equal(v, np.eye(len(w)))
+
+    def test_forms_are_diagonalised_summand_by_summand(self, lapack_sides):
+        # the form algebra M12 + M4 of the dense-pairs bench: one pair computation on the
+        # whole Gram made 2 eigh and 1 eigvalsh of side 160
+        phi, psi = fresh_pair(13, [12, 4])
+        alpha, beta = left_form(phi), right_form(psi)
+        del lapack_sides[:]
+        geometric_mean(alpha, beta)
+        expected = {("eigh", 144): 2, ("eigvalsh", 144): 1, ("eigh", 16): 2, ("eigvalsh", 16): 1}
+        assert Counter(lapack_sides) == expected
+        del lapack_sides[:]
+        PositiveForm(np.diag([1e308, 1.0]))
+        assert lapack_sides == [("eigvalsh", 1)] * 2
 
     def test_amplitude_sum_check_reads_the_parent_spectra(self, eigh_calls):
         phi, psi = fresh_pair(11, [3, 2, 1])
