@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .config import MAX_CHAIN_DIM, tolerances
 from .errors import NotFactor, NotQuotient, TooLarge
-from .linalg import min_eig, power, trace_norm
+from .linalg import eigvalsh, hermitize, power, trace_norm
 
 
 def sqrt_vector(phi: Functional) -> L2Vector:
@@ -136,7 +136,7 @@ def inequality_suite(phi: Functional, psi: Functional) -> InequalityReport:
     for t in (0.25, 0.5, 0.75):
         root_mix = sqrt_vector(t * phi + (1.0 - t) * psi)
         for rm, rp, rq in zip(root_mix.blocks, root_p.blocks, root_q.blocks):
-            conc = min(conc, min_eig(rm - t * rp - (1.0 - t) * rq))
+            conc = min(conc, float(eigvalsh(hermitize(rm - t * rp - (1.0 - t) * rq))[0]))
 
     return InequalityReport(
         amplitude=amp,

@@ -16,6 +16,12 @@ operator A is the compression of S^{-1/2} G_a S^{-1/2} to the range, and
 B = I - A, its eigenvalues measured on the pair (1 - a loses digits near
 a = 1).  The mean's Gram is J* (AB)^{1/2} J, the largest Hermitian form
 dominated by the pair.  No tolerance reaches its arithmetic.
+
+The forms built here are positive by construction: interpolated_form's
+kron(q, p^T) has the products of two clamped spectra, which
+require_positive has accepted, as eigenvalues, and the mean's (AB)^{1/2}
+has a and b clipped to [0, 1].  So their positivity is decided by their
+inputs' checks; PositiveForm diagonalises the Grams of files and callers.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .config import rank_cut
 from .errors import DomainError, ShapeError
 from .linalg import (
     Spectrum,
-    block_diag,
     check_psd,
     diagonal_blocks,
     eigh,
@@ -83,6 +88,13 @@ class PositiveForm(HermitianForm):
         check_psd(np.concatenate([eigvalsh(g[b, b]) for b in diagonal_blocks(g)]), "Gram matrix")
 
 
+def _positive_by_construction(gram: np.ndarray) -> PositiveForm:
+    """PositiveForm of a Gram built positive here: hermitian_part's check, and no eigvalsh."""
+    form = object.__new__(PositiveForm)
+    object.__setattr__(form, "gram", hermitian_part(gram, "Gram matrix"))
+    return form
+
+
 def matrix_units(algebra: BlockAlgebra) -> Iterator[BlockOperator]:
     """Matrix units in the documented order: block by block, row-major."""
     for k, n in enumerate(algebra.block_dims):
@@ -121,12 +133,15 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     _check_algebra(phi.algebra, psi)
     phi.require_positive()
     psi.require_positive()
-    grams = []
-    for sp, sq in zip(phi.spectrum(), psi.spectrum()):
-        p = power(sp, 1.0 - t)
-        q = power(sq, t)
-        grams.append(np.kron(q, p.T))
-    return PositiveForm(block_diag(*grams))
+    grams = [
+        np.kron(power(sq, t), power(sp, 1.0 - t).T)
+        for sp, sq in zip(phi.spectrum(), psi.spectrum())
+    ]
+    ends = np.cumsum([len(g) for g in grams]).tolist()
+    gram = np.zeros((ends[-1], ends[-1]), dtype=np.result_type(*grams))
+    for g, end in zip(grams, ends):
+        gram[end - len(g) : end, end - len(g) : end] = g
+    return _positive_by_construction(gram)
 
 
 def _pair(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, Spectrum, np.ndarray]:
@@ -176,7 +191,7 @@ def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
         jmat, spec, wb = _pair(ga / np.ldexp(1.0, 2 * ks[0]), gb / np.ldexp(1.0, 2 * ks[1]))
         middle = spectral_apply(spec, lambda a: np.sqrt(a * wb))
         mean[b, b] = hermitize(jmat.conj().T @ middle @ jmat) * np.ldexp(1.0, ks[0] + ks[1])
-    return PositiveForm(mean)
+    return _positive_by_construction(mean)
 
 
 def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) -> bool:

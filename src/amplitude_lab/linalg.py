@@ -102,25 +102,6 @@ def frozen(
     return out
 
 
-def block_diag(*mats: np.ndarray) -> np.ndarray:
-    """Complex block-diagonal matrix with the given blocks along the diagonal."""
-    out = np.zeros(
-        (sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex
-    )
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r, c = r + m.shape[0], c + m.shape[1]
-    return out
-
-
-def min_eig(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the hermitized input."""
-    if a.size == 0:
-        return 0.0
-    return float(eigvalsh(hermitize(a))[0])
-
-
 def is_psd(w: np.ndarray) -> bool:
     """The one positivity test: no eigenvalue in w falls below -tolerances().psd(max|w|)."""
     return not w.size or float(np.min(w)) >= -tolerances().psd(float(np.max(np.abs(w))))
@@ -169,15 +150,17 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
     For a real z >= 0, eigenvalues outside in_range(w) count as 0, so
     exact-rank-deficient input stays exactly rank deficient (fractional
     powers would otherwise amplify eigenvalue noise to its root): they map
-    to 0 for z > 0 and to 1 at z = 0.  Any other z needs every eigenvalue
-    in range, else NotFaithful.  A real z (an imaginary part of 0 counts as
-    real) gives the hermitized power in real arithmetic, and a non-real z
-    the complex power.
+    to 0 for z > 0 and to 1 at z = 0, so h^0 is exactly np.eye.  Any other
+    z needs every eigenvalue in range, else NotFaithful.  A real z (an
+    imaginary part of 0 counts as real) gives the hermitized power in real
+    arithmetic, and a non-real z the complex power.
     """
     w, v = spec
     z, keep = complex(z), in_range(w)
     if (z.imag != 0.0 or z.real < 0.0) and not keep.all():
         raise NotFaithful(f"power {z} of a singular spectrum")
+    if z == 0.0:
+        return np.eye(len(w))
     if z.imag != 0.0:
         return spectral_apply(spec, lambda w: np.power(w.astype(complex), z))
     return hermitize(spectral_apply((np.where(keep, w, 0.0), v), lambda w: np.power(w, z.real)))

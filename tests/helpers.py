@@ -30,6 +30,15 @@ def spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ar @ mid @ ar
 
 
+def block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of square blocks, in their common dtype."""
+    ends = np.cumsum([len(m) for m in mats])
+    out = np.zeros((ends[-1], ends[-1]), dtype=np.result_type(*mats))
+    for m, end in zip(mats, ends):
+        out[end - len(m) : end, end - len(m) : end] = m
+    return out
+
+
 def min_eigval(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
 

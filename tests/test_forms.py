@@ -18,8 +18,8 @@ from amplitude_lab import (
     right_form,
 )
 from amplitude_lab.forms import _pair
-from amplitude_lab.linalg import diagonal_blocks
-from amplitude_lab.sampling import random_psd, random_state
+from amplitude_lab.linalg import diagonal_blocks, eigh, power
+from amplitude_lab.sampling import random_gibbs, random_psd, random_state
 from amplitude_lab.selftest import bridge_gap
 
 from helpers import min_eigval, spd_mean_closed_form
@@ -281,6 +281,18 @@ class TestDirectSums:
         mean = geometric_mean(g, g).gram
         assert mean[1, 1] == pytest.approx(1.0, rel=1e-15)
         assert mean[0, 0] == pytest.approx(1e308, rel=1e-15) and mean[0, 1] == 0.0
+
+    def test_the_unused_factor_is_exactly_the_identity(self):
+        # power(spec, 0) was hermitize(v v*), off I by roundoff, so this left form was one summand
+        rng = np.random.default_rng(3)
+        phi = Functional(make_algebra([12]), (random_gibbs(rng, 12),))
+        singular = eigh(random_psd(rng, 5, rank=2))
+        for spec in (phi.spectrum()[0], singular):
+            assert np.array_equal(power(spec, 0.0), np.eye(len(spec[0])))
+        gram, d = left_form(phi).gram, phi.densities[0]
+        assert np.array_equal(gram, np.kron(np.eye(12), power(phi.spectrum()[0], 1.0).T))
+        assert np.allclose(gram, np.kron(np.eye(12), d.T), rtol=0.0, atol=1e-15)
+        assert len(diagonal_blocks(gram)) == 12
 
     def test_forms_of_side_zero(self):
         zero = PositiveForm(np.zeros((0, 0)))

@@ -32,15 +32,18 @@ from amplitude_lab import (
     classify_pair,
     geometric_mean,
     identity_embedding,
+    interpolated_form,
     is_dominated,
+    left_form,
     make_algebra,
+    right_form,
     support_projection,
     total_rank,
     transition_amplitude,
     uhlmann_fidelity,
     using,
 )
-from amplitude_lab.linalg import block_diag, in_range, power
+from amplitude_lab.linalg import in_range, power
 from amplitude_lab.sampling import random_complex, random_ucp, random_unitary
 from amplitude_lab.selftest import (
     ando_defect,
@@ -52,7 +55,7 @@ from amplitude_lab.selftest import (
     ucp_gain,
 )
 
-from helpers import clamped_power
+from helpers import block_diag, clamped_power
 
 
 def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
@@ -164,6 +167,14 @@ def test_quotient_pullbacks_keep_the_amplitude(pair):
 def test_interpolation_midpoint_is_the_geometric_mean(pair):
     phi, psi = pair
     assert midpoint_gap(phi, psi) <= DEFAULT_TOL.num * _scale(phi, psi)
+
+
+@given(pairs(), st.floats(0.0, 1.0))
+def test_a_fresh_eigvalsh_accepts_the_forms_built_positive(pair, t):
+    # interpolated_form and geometric_mean take no eigvalsh of the Grams they build
+    phi, psi = pair
+    PositiveForm(interpolated_form(phi, psi, t).gram)
+    PositiveForm(geometric_mean(left_form(phi), right_form(psi)).gram)
 
 
 @given(pairs())

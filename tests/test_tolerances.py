@@ -23,12 +23,14 @@ from amplitude_lab import (
     PositiveForm,
     Tolerances,
     geometric_mean,
+    interpolated_form,
     make_algebra,
     tolerances,
     using,
 )
 from amplitude_lab import serialize as ser
 from amplitude_lab.cli import main
+from amplitude_lab.sampling import random_state
 
 LOOSE = Tolerances(slack=1e-4, num=1e-4)
 LOOSER = Tolerances(slack=1e-2, num=1e-2)
@@ -199,3 +201,31 @@ def test_only_validation_reads_the_tolerances():
         "selftest._Suite",
     }
     assert in_forms == []
+
+
+TIGHTEST = Tolerances(slack=1e-300, num=1e-300)
+
+
+def test_gmean_exits_0_under_the_tightest_tol(tmp_path, capsys):
+    # a fresh eigvalsh of the mean's own Gram read -2.776e-17 and exited 4
+    paths = []
+    for name, gram in (("a", np.diag([1.0, 0.0])), ("b", np.array([[2.0, 1.0], [1.0, 2.0]]))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(ser.dumps(ser.form_to_json(PositiveForm(gram))))
+        paths.append(str(path))
+    outs = []
+    for flags in ([], ["--tol", "1e-300"]):
+        assert main([*flags, "gmean", *paths]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_an_interpolated_form_is_as_positive_as_its_functionals():
+    # a fresh eigvalsh of the kron Gram read -3.5e-18 and raised NotPositive
+    rng = np.random.default_rng(18)
+    alg = make_algebra([3, 2])
+    phi, psi = random_state(rng, alg, True), random_state(rng, alg, True)
+    with using(TIGHTEST):
+        phi.require_positive()
+        psi.require_positive()
+        assert interpolated_form(phi, psi, 0.5).dim == 13
