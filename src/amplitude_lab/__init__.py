@@ -25,10 +25,8 @@ from .algebra import (
 )
 from .amplitudes import (
     InequalityReport,
-    QuotientMap,
     amplitude_kernel,
     inequality_suite,
-    pullback_along_quotient,
     purification_op,
     purify,
     sqrt_vector,
@@ -106,6 +104,7 @@ from .restriction import (
     embedding_as_ucp,
     identity_embedding,
     product_state,
+    quotient_map,
     restrict,
     ucp_pullback,
 )

@@ -3,7 +3,8 @@
 The transition amplitude between positive functionals is the inner
 product of their square-root vectors, sum_k Tr(D_phi^{1/2} D_psi^{1/2});
 for commuting (diagonal) densities it reduces to the Hellinger affinity
-sum_i sqrt(p_i q_i).
+sum_i sqrt(p_i q_i).  Maps between block algebras, and the pullbacks
+along them under which the amplitude can only grow, are in restriction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .algebra import (
     functional_norm,
 )
 from .config import MAX_CHAIN_DIM, tolerances
-from .errors import NotFactor, NotQuotient, TooLarge
+from .errors import NotFactor, TooLarge
 from .linalg import eigvalsh, hermitize, power, trace_norm
 
 
@@ -179,51 +180,3 @@ def purification_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     transpose (the documented opposite-algebra convention).
     """
     return np.kron(np.asarray(b).T, np.asarray(a))
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """Surjective unital *-homomorphism given by block selection.
-
-    assignment[l] is the source block that image block l copies; every
-    other source block is killed.  The assignment must be injective with
-    matching block dimensions.
-    """
-
-    source: BlockAlgebra
-    image: BlockAlgebra
-    assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.assignment) != self.image.num_blocks:
-            raise NotQuotient("assignment length must match the image block count")
-        seen = set()
-        for l, k in enumerate(self.assignment):
-            if not (0 <= k < self.source.num_blocks):
-                raise NotQuotient(f"assignment index {k} out of range")
-            if k in seen:
-                raise NotQuotient("assignment must be injective for surjectivity")
-            seen.add(k)
-            if self.source.block_dims[k] != self.image.block_dims[l]:
-                raise NotQuotient(
-                    f"block dimension mismatch: source {self.source.block_dims[k]} "
-                    f"vs image {self.image.block_dims[l]}"
-                )
-
-    def apply(self, x: BlockOperator) -> BlockOperator:
-        """Image pi(x): image block l is the selected source block."""
-        _check_algebra(self.source, x)
-        return BlockOperator(self.image, tuple(x.blocks[k] for k in self.assignment))
-
-
-def pullback_along_quotient(pi: QuotientMap, phi: Functional) -> Functional:
-    """Pull a functional on the image back to the source, phi o pi.
-
-    Densities land on the selected source blocks, zero elsewhere;
-    transition amplitudes are preserved exactly.
-    """
-    _check_algebra(pi.image, phi)
-    blocks = [np.zeros((n, n)) for n in pi.source.block_dims]
-    for l, k in enumerate(pi.assignment):
-        blocks[k] = phi.densities[l]
-    return Functional(pi.source, tuple(blocks))

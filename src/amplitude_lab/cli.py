@@ -156,11 +156,13 @@ def cmd_chain(args) -> int:
         # checked before the weight vectors are allocated
         if args.lumped > MAX_CHAIN_DIM:
             raise err.TooLarge(f"--lumped {args.lumped} is above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
+        for flag, value in (("--lambda", args.lam), ("--mu", args.mu)):
+            if not math.isfinite(value):
+                raise err.ParseError(f"bad {flag} {value!r}: expected a finite number")
         p = qf.geometric_weights(args.lam, args.lumped)
         q = qf.geometric_weights(args.mu, args.lumped)
         chain = build_lumped_diagonal_chain(p, q)
-        phi = diagonal_state(p)
-        psi = diagonal_state(q)
+        phi, psi = diagonal_state(p), diagonal_state(q)
     else:
         raise err.ParseError("chain: give a spec file, --product-chain, or --lumped")
     amps = chain_amplitudes(phi, psi, chain)

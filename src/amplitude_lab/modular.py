@@ -72,6 +72,7 @@ class Superoperator:
 
 
 def _require_faithful(phi: Functional, what: str = "functional") -> None:
+    """NotFaithful unless phi has full rank; is_faithful raises NotPositive first."""
     if not is_faithful(phi):
         raise NotFaithful(f"{what} is not faithful; support_reduce it first")
 
@@ -91,7 +92,6 @@ def relative_modular(psi: Functional, phi: Functional, z: complex = 1.0) -> Supe
     admits only a real z > 0 (else NotFaithful).
     """
     _check_algebra(psi.algebra, phi)
-    phi.require_positive()
     psi.require_positive()
     _require_faithful(phi, "second argument")
     z = complex(z)
@@ -102,7 +102,6 @@ def relative_modular(psi: Functional, phi: Functional, z: complex = 1.0) -> Supe
 
 def modular_conjugation(phi: Functional) -> Superoperator:
     """Antilinear involution xi -> xi^* on each block."""
-    phi.require_positive()
     _require_faithful(phi)
     eyes = tuple(np.eye(n) for n in phi.algebra.block_dims)
     return Superoperator(phi.algebra, eyes, eyes, antilinear=True)
@@ -111,7 +110,6 @@ def modular_conjugation(phi: Functional) -> Superoperator:
 def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
     """Automorphism x -> D^{it} x D^{-it} generated by a faithful functional: Delta_phi^{it} x."""
     _check_algebra(phi.algebra, x)
-    phi.require_positive()
     _require_faithful(phi)
     return _delta(phi, phi, 1j * complex(t)).apply(x)
 
@@ -133,7 +131,6 @@ def kms_defect(
     generator = phi if flow is None else flow
     _check_algebra(phi.algebra, x, y, generator)
     phi.require_positive()
-    generator.require_positive()
     _require_faithful(generator, "flow generator")
     lhs = evaluate(phi, x @ _delta(generator, generator, 1j * (t - 1j)).apply(y))
     rhs = evaluate(phi, _delta(generator, generator, 1j * complex(t)).apply(y) @ x)

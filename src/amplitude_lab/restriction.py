@@ -1,10 +1,14 @@
-"""Unital embeddings of block algebras, restriction, and UCP pullbacks.
+"""Maps between block algebras: unital embeddings, UCP maps and their pullbacks.
 
 A unital embedding of multi-matrix algebras is stored in standard
 position: source block l enters target block k as c[k][l] copies of
 a_l (x) 1, sections ordered by l, conjugated by an optional unitary per
 target block.  Every unital embedding has this form, with the unitary
 carrying all the generality.
+
+Every map between block algebras is a UcpMap: an embedding acts through
+embedding_as_ucp, a quotient is quotient_map's identity pieces, and the
+linear ucp_pullback pulls signed functionals back along either.
 
 Restricting a functional along an embedding is the adjoint operation
 (blockwise partial traces over the multiplicity indices); restricting a
@@ -25,7 +29,7 @@ from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
 from .config import MAX_CHAIN_DIM, tolerances
-from .errors import DomainError, InvalidEmbedding, NotUnital, ShapeError, TooLarge
+from .errors import DomainError, InvalidEmbedding, NotQuotient, NotUnital, ShapeError, TooLarge
 from .linalg import frozen, hermitize, real_if_exact
 
 
@@ -114,15 +118,6 @@ class UnitalEmbedding:
             stop = start + self.source.block_dims[l] * c
             out.extend((l, basis[:, start + j : stop : c]) for j in range(c))
         return out
-
-    def embed(self, a: BlockOperator) -> BlockOperator:
-        """Image of a source element: the sum of V a_l V* over the copy isometries (l, V)."""
-        _check_algebra(self.source, a)
-        blocks = tuple(
-            sum(v @ a.blocks[l] @ v.conj().T for l, v in self.slot_isometries(k))
-            for k in range(self.target.num_blocks)
-        )
-        return BlockOperator(self.target, blocks)
 
 
 def identity_embedding(algebra: BlockAlgebra) -> UnitalEmbedding:
@@ -226,7 +221,7 @@ class UcpMap:
 
 
 def embedding_as_ucp(emb: UnitalEmbedding) -> UcpMap:
-    """The embedding viewed as a UCP map: the pieces (l, V*) of its copy isometries."""
+    """The embedding as a UCP map, pieces (l, V*) of its copy isometries: a -> sum V a_l V*."""
     families = tuple(
         tuple((l, v.conj().T) for l, v in emb.slot_isometries(k))
         for k in range(emb.target.num_blocks)
@@ -234,15 +229,36 @@ def embedding_as_ucp(emb: UnitalEmbedding) -> UcpMap:
     return UcpMap(emb.source, emb.target, families)
 
 
-def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
-    """Pull a positive functional on the target back along a UCP map.
+def quotient_map(source: BlockAlgebra, image: BlockAlgebra, assignment: Sequence[int]) -> UcpMap:
+    """Surjective unital *-homomorphism as a UCP map: one identity piece (assignment[l], I)
+    per image block l, so every other source block is killed.
 
-    Source block l has the density sum K D_k K^* over the pieces (l, K);
-    positivity and total mass are preserved, and the transition
-    amplitude of a pair can only grow under the pullback.
+    Entry l must be an integer naming a distinct source block of image
+    block l's side, one entry per image block (else NotQuotient).
+    """
+    assignment, dims = tuple(assignment), image.block_dims
+    if len(assignment) != len(dims):
+        raise NotQuotient("assignment length must match the image block count")
+    for l, k in enumerate(assignment):
+        integral = isinstance(k, numbers.Integral) and not isinstance(k, bool)
+        if not integral or k not in range(source.num_blocks):
+            raise NotQuotient(f"assignment entry {l} ({k!r}) names no source block")
+        if k in assignment[:l]:
+            raise NotQuotient("assignment must be injective for surjectivity")
+        if source.block_dims[k] != dims[l]:
+            raise NotQuotient(f"image block {l} has side {dims[l]}, source block {k} does not")
+    return UcpMap(source, image, tuple(((int(k), np.eye(n)),) for k, n in zip(assignment, dims)))
+
+
+def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
+    """Pull a functional on the target back along a UCP map, psi o channel.
+
+    Source block l has the density sum K D_k K^* over the pieces (l, K).
+    The pullback is linear, so it takes signed functionals; it keeps
+    positivity and total mass, and the transition amplitude of a
+    positive pair can only grow under it.
     """
     _check_algebra(channel.target, psi)
-    psi.require_positive()
     out = [np.zeros((m, m), dtype=complex) for m in channel.source.block_dims]
     for fam, d in zip(channel.kraus, psi.densities):
         for l, m in fam:

@@ -25,7 +25,7 @@ from amplitude_lab import (
     kms_defect,
     make_algebra,
     purify,
-    QuotientMap,
+    quotient_map,
     transition_amplitude,
 )
 from amplitude_lab.linalg import psd_sqrt
@@ -223,7 +223,7 @@ def test_criterion_8_quotient_and_ucp():
     rng = np.random.default_rng(108)
     source = make_algebra([2, 3, 2])
     image = make_algebra([3, 2])
-    pi = QuotientMap(source, image, (1, 0))
+    pi = quotient_map(source, image, (1, 0))
     worst_quotient = 0.0
     for _ in range(200):
         phi = random_state(rng, image)

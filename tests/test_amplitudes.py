@@ -8,16 +8,17 @@ from amplitude_lab import (
     Functional,
     NotFactor,
     NotQuotient,
-    QuotientMap,
     TooLarge,
+    UcpMap,
     amplitude_kernel,
     evaluate,
     inequality_suite,
     make_algebra,
-    pullback_along_quotient,
     purify,
+    quotient_map,
     sqrt_vector,
     transition_amplitude,
+    ucp_pullback,
     uhlmann_fidelity,
 )
 from amplitude_lab.amplitudes import purification_op
@@ -302,54 +303,60 @@ class TestQuotientPullback:
     def test_first_block_projection(self):
         source = make_algebra([2, 3])
         image = make_algebra([2])
-        pi = QuotientMap(source, image, (0,))
+        pi = quotient_map(source, image, (0,))
+        assert isinstance(pi, UcpMap)
         rng = np.random.default_rng(16)
         phi = random_state(rng, image)
         psi = random_state(rng, image)
-        back_phi = pullback_along_quotient(pi, phi)
-        assert np.allclose(back_phi.densities[0], phi.densities[0])
+        back_phi = ucp_pullback(pi, phi)
+        # the identity piece copies the density exactly
+        assert np.array_equal(back_phi.densities[0], phi.densities[0])
         assert np.max(np.abs(back_phi.densities[1])) == 0.0
-        assert transition_amplitude(back_phi, pullback_along_quotient(pi, psi)) == pytest.approx(
+        assert transition_amplitude(back_phi, ucp_pullback(pi, psi)) == pytest.approx(
             transition_amplitude(phi, psi)
         )
 
     def test_identity_quotient(self):
         alg = make_algebra([2, 2])
-        pi = QuotientMap(alg, alg, (0, 1))
+        pi = quotient_map(alg, alg, (0, 1))
         rng = np.random.default_rng(17)
         phi = random_state(rng, alg)
-        back = pullback_along_quotient(pi, phi)
+        back = ucp_pullback(pi, phi)
         for a, b in zip(back.densities, phi.densities):
-            assert np.allclose(a, b)
+            assert np.array_equal(a, b)
 
     def test_amplitude_preserved_random(self):
         rng = np.random.default_rng(18)
         source = make_algebra([3, 2, 2])
         image = make_algebra([2, 3])
-        pi = QuotientMap(source, image, (1, 0))
+        pi = quotient_map(source, image, (1, 0))
         for _ in range(10):
             phi = random_state(rng, image)
             psi = random_state(rng, image)
-            lhs = transition_amplitude(
-                pullback_along_quotient(pi, phi), pullback_along_quotient(pi, psi)
-            )
+            lhs = transition_amplitude(ucp_pullback(pi, phi), ucp_pullback(pi, psi))
             assert lhs == pytest.approx(transition_amplitude(phi, psi), abs=1e-12)
 
     def test_pullback_respects_composition(self):
         source = make_algebra([2, 2])
         image = make_algebra([2])
-        pi = QuotientMap(source, image, (1,))
+        pi = quotient_map(source, image, (1,))
         rng = np.random.default_rng(19)
         phi = random_state(rng, image)
         x = random_operator(rng, source)
-        assert evaluate(pullback_along_quotient(pi, phi), x) == pytest.approx(
-            evaluate(phi, pi.apply(x))
-        )
+        assert evaluate(ucp_pullback(pi, phi), x) == pytest.approx(evaluate(phi, pi.apply(x)))
 
     def test_invalid_assignments(self):
         with pytest.raises(NotQuotient):
-            QuotientMap(make_algebra([2, 2]), make_algebra([2, 2]), (0, 0))
+            quotient_map(make_algebra([2, 2]), make_algebra([2, 2]), (0, 0))
         with pytest.raises(NotQuotient):
-            QuotientMap(make_algebra([2, 3]), make_algebra([3, 2]), (0, 1))
+            quotient_map(make_algebra([2, 3]), make_algebra([3, 2]), (0, 1))
         with pytest.raises(NotQuotient):
-            QuotientMap(make_algebra([2]), make_algebra([2]), (3,))
+            quotient_map(make_algebra([2]), make_algebra([2]), (3,))
+        with pytest.raises(NotQuotient):
+            quotient_map(make_algebra([2, 2]), make_algebra([2, 2]), (0,))
+
+    @pytest.mark.parametrize("entry", [0.0, "0", True, -1], ids=["float", "str", "bool", "negative"])
+    def test_an_entry_that_is_no_block_index_is_not_a_quotient(self, entry):
+        # 0.0 and "0" ended in a TypeError, and True was taken as block 1
+        with pytest.raises(NotQuotient):
+            quotient_map(make_algebra([2, 2]), make_algebra([2]), (entry,))

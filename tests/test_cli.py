@@ -474,6 +474,28 @@ class TestErrorsAndDeterminism:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ParseError" and "--mu" in error["message"]
 
+    @pytest.mark.parametrize(
+        "flag, value, code, kind",
+        [
+            ("--lambda", "inf", 2, "ParseError"),
+            ("--mu", "nan", 2, "ParseError"),
+            ("--lambda", "1e400", 2, "ParseError"),
+            ("--mu", "-inf", 2, "ParseError"),
+            ("--lambda", "1.5", 6, "DomainError"),
+            ("--mu", "-0.1", 6, "DomainError"),
+        ],
+    )
+    def test_lumped_parameters_are_finite_numbers_in_the_unit_interval(
+        self, flag, value, code, kind, capsys
+    ):
+        # NaN, infinities and overflowing numbers failed the [0, 1) check as DomainError, exit 6
+        from amplitude_lab.cli import main
+
+        assert main(["chain", "--lumped", "3", f"{flag}={value}"]) == code
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == kind
+        assert flag in error["message"] or kind == "DomainError"
+
     def test_chain_links_must_be_a_list(self, tmp_path, capsys):
         # "links": {} was read as an empty list of links
         from amplitude_lab.cli import main

@@ -21,7 +21,6 @@ from amplitude_lab import (
     Functional,
     NotFaithful,
     PositiveForm,
-    QuotientMap,
     StateRelation,
     SubalgebraChain,
     Tolerances,
@@ -30,21 +29,25 @@ from amplitude_lab import (
     central_support,
     chain_amplitudes,
     classify_pair,
+    embedding_as_ucp,
     geometric_mean,
     identity_embedding,
     interpolated_form,
     is_dominated,
     left_form,
     make_algebra,
+    quotient_map,
+    restrict,
     right_form,
     support_projection,
     total_rank,
     transition_amplitude,
+    ucp_pullback,
     uhlmann_fidelity,
     using,
 )
 from amplitude_lab.linalg import in_range, power
-from amplitude_lab.sampling import random_complex, random_ucp, random_unitary
+from amplitude_lab.sampling import random_complex, random_embedding, random_ucp, random_unitary
 from amplitude_lab.selftest import (
     ando_defect,
     chain_margin,
@@ -55,7 +58,7 @@ from amplitude_lab.selftest import (
     ucp_gain,
 )
 
-from helpers import block_diag, clamped_power
+from helpers import block_diag, clamped_power, unitary_conjugation_ucp
 
 
 def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
@@ -152,8 +155,37 @@ def test_quotient_pullbacks_keep_the_amplitude(pair):
     dims = phi.algebra.block_dims
     # a source with an extra block, holding the image's blocks in reverse order
     source = make_algebra([2, *dims[::-1]])
-    pi = QuotientMap(source, phi.algebra, tuple(range(len(dims), 0, -1)))
+    pi = quotient_map(source, phi.algebra, tuple(range(len(dims), 0, -1)))
     assert quotient_gap(pi, phi, psi) <= DEFAULT_TOL.num * _scale(phi, psi)
+
+
+@given(pairs(), st.integers(0, 2**32 - 1))
+def test_unitary_conjugations_keep_the_amplitude(pair, seed):
+    phi, psi = pair
+    rng = np.random.default_rng(seed)
+    us = tuple(random_unitary(rng, n) for n in phi.algebra.block_dims)
+    channel = unitary_conjugation_ucp(phi.algebra, us)
+    assert quotient_gap(channel, phi, psi) <= DEFAULT_TOL.num * _scale(phi, psi)
+
+
+@st.composite
+def embedded_pairs(draw):
+    """A random embedding with Haar unitaries and a pair on its target."""
+    source = make_algebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    emb = random_embedding(rng, source, num_target_blocks=draw(st.integers(1, 2)))
+    dims = emb.target.block_dims
+    return emb, draw(functionals(dims)), draw(functionals(dims))
+
+
+@given(embedded_pairs())
+def test_embeddings_restrict_as_their_ucp_maps(case):
+    emb, phi, psi = case
+    channel = embedding_as_ucp(emb)
+    for f in (phi, psi):
+        for a, b in zip(restrict(f, emb).densities, ucp_pullback(channel, f).densities):
+            assert np.max(np.abs(a - b), initial=0.0) <= DEFAULT_TOL.num * f.mass
+    assert ucp_gain(channel, phi, psi) >= -DEFAULT_TOL.num * _scale(phi, psi)
 
 
 @given(pairs())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from amplitude_lab import (
+    DEFAULT_TOL,
     DomainError,
     Functional,
     InvalidEmbedding,
@@ -74,7 +75,8 @@ class TestRestrict:
         restricted = restrict(phi, emb)
         for _ in range(5):
             a = random_operator(rng, src)
-            assert evaluate(phi, emb.embed(a)) == pytest.approx(evaluate(restricted, a))
+            image = embedding_as_ucp(emb).apply(a)
+            assert evaluate(phi, image) == pytest.approx(evaluate(restricted, a))
 
     def test_mass_preserved(self):
         rng = np.random.default_rng(3)
@@ -101,8 +103,8 @@ class TestRestrict:
         outer = random_embedding(rng, inner.target, num_target_blocks=1)
         comp = compose_embeddings(outer, inner)
         a = random_operator(rng, src)
-        lhs = outer.embed(inner.embed(a))
-        rhs = comp.embed(a)
+        lhs = embedding_as_ucp(outer).apply(embedding_as_ucp(inner).apply(a))
+        rhs = embedding_as_ucp(comp).apply(a)
         for x, y in zip(lhs.blocks, rhs.blocks):
             assert np.max(np.abs(x - y)) <= 1e-10
 
@@ -287,13 +289,37 @@ class TestUcp:
             assert abs(lhs - evaluate(psi, chan.apply(a))) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_embedding_as_ucp_applies_as_embed(self):
+        # the image of a is the sum of V a_l V* over 0/1 copy isometries V rotated by the unitary
         rng = np.random.default_rng(12)
         for _ in range(10):
+            c = rng.integers(0, 3, size=(int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+            c[~c.any(axis=1), 0] = 1
+            c[0, ~c.any(axis=0)] = 1
+            source = make_algebra(list(rng.integers(1, 4, size=c.shape[1])))
+            dims = np.array(source.block_dims)
+            target = make_algebra([int(n) for n in c @ dims])
+            us = tuple(random_unitary(rng, n) for n in target.block_dims)
+            x = random_operator(rng, source)
+            got = embedding_as_ucp(UnitalEmbedding(source, target, c, us)).apply(x)
+            for k, block in enumerate(got.blocks):
+                slots = brute_force_slots(c, dims, us, k)
+                want = sum(v @ x.blocks[l] @ v.conj().T for l, v in slots)
+                assert np.max(np.abs(block - want)) <= 1e-12
+
+    def test_pullback_is_linear_on_signed_functionals(self):
+        # the pullback required a positive functional: phi - psi raised NotPositive
+        rng = np.random.default_rng(13)
+        for _ in range(20):
             src = make_algebra(rng.integers(1, 4, size=rng.integers(1, 4)))
-            emb = random_embedding(rng, src, num_target_blocks=int(rng.integers(1, 4)))
-            x = random_operator(rng, src)
-            for got, want in zip(embedding_as_ucp(emb).apply(x).blocks, emb.embed(x).blocks):
-                assert np.max(np.abs(got - want)) <= 1e-12
+            tgt = make_algebra(rng.integers(1, 4, size=rng.integers(1, 4)))
+            chan = random_ucp(rng, src, tgt)
+            phi = random_state(rng, tgt) * 10.0 ** rng.uniform(-4, 4)
+            psi = random_state(rng, tgt) * 10.0 ** rng.uniform(-4, 4)
+            signed = ucp_pullback(chan, phi - psi)
+            diff = ucp_pullback(chan, phi) - ucp_pullback(chan, psi)
+            scale = phi.mass + psi.mass
+            for a, b in zip(signed.densities, diff.densities):
+                assert np.max(np.abs(a - b)) <= DEFAULT_TOL.num * scale
 
     @pytest.mark.parametrize(
         "piece",
