@@ -85,8 +85,10 @@ class _BlockTuple:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        factors = zip(self.algebra.block_dims, self.blocks, strict=True)
-        object.__setattr__(self, "blocks", tuple(self._stored(b, n) for n, b in factors))
+        dims, blocks = self.algebra.block_dims, tuple(self.blocks)
+        if len(blocks) != len(dims):
+            raise ShapeError(f"{len(blocks)} blocks given for the algebra {dims}")
+        object.__setattr__(self, "blocks", tuple(self._stored(b, n) for n, b in zip(dims, blocks)))
 
     @staticmethod
     def _stored(b, n: int) -> np.ndarray:

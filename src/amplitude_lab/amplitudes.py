@@ -46,17 +46,14 @@ def transition_amplitude(phi: Functional, psi: Functional) -> float:
 def amplitude_kernel(
     phi: Functional, psi: Functional, x: BlockOperator, y: BlockOperator
 ) -> complex:
-    """Two-variable kernel sum_k Tr(D_phi^{1/2} x_k^* D_psi^{1/2} y_k).
+    """Two-variable kernel <x xi_phi, xi_psi y> of the square-root vectors in the standard
+    form, sum_k Tr(D_phi^{1/2} x_k^* D_psi^{1/2} y_k).
 
     At x = y = 1 this is the transition amplitude; for x = y the value
     is real and nonnegative.
     """
     _check_algebra(phi.algebra, psi, x, y)
-    root_p, root_q = sqrt_vector(phi), sqrt_vector(psi)
-    total = 0.0 + 0.0j
-    for rp, rq, xb, yb in zip(root_p.blocks, root_q.blocks, x.blocks, y.blocks):
-        total += np.trace(rp @ xb.conj().T @ rq @ yb)
-    return complex(total)
+    return (x @ sqrt_vector(phi)).inner(sqrt_vector(psi) @ y)
 
 
 def uhlmann_fidelity(phi: Functional, psi: Functional) -> float:
@@ -135,9 +132,8 @@ def inequality_suite(phi: Functional, psi: Functional) -> InequalityReport:
 
     conc = np.inf
     for t in (0.25, 0.5, 0.75):
-        root_mix = sqrt_vector(t * phi + (1.0 - t) * psi)
-        for rm, rp, rq in zip(root_mix.blocks, root_p.blocks, root_q.blocks):
-            conc = min(conc, float(eigvalsh(hermitize(rm - t * rp - (1.0 - t) * rq))[0]))
+        gap = sqrt_vector(t * phi + (1.0 - t) * psi) - t * root_p - (1.0 - t) * root_q
+        conc = min(conc, *(float(eigvalsh(hermitize(g))[0]) for g in gap.blocks))
 
     return InequalityReport(
         amplitude=amp,

@@ -245,8 +245,15 @@ def _add_flags(parser: argparse.ArgumentParser, names) -> None:
         parser.add_argument(f"--{name}", default=argparse.SUPPRESS, **_FLAGS[name][1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as ParseError, so that they end in the JSON object."""
+
+    def error(self, message):
+        raise err.ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amplab",
         description="Transition amplitudes and geometric means on block matrix algebras.",
     )
@@ -306,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parsed arguments with the flag defaults; a flag the command does not read exits 2."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parsed arguments with the flag defaults; a flag the command does not read is a ParseError."""
+    args = build_parser().parse_args(argv)
     for name, (default, _) in _FLAGS.items():
         if name in args and name not in args.flags:
-            parser.error(f"unrecognized arguments: --{name} ({args.command} does not read it)")
+            message = f"unrecognized arguments: --{name} ({args.command} does not read it)"
+            raise err.ParseError(message)
         setattr(args, name, getattr(args, name, default))
     return args
 
@@ -326,8 +333,8 @@ def _tolerances(raw: float | None) -> Tolerances:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
     try:
+        args = _parse_args(argv)
         with using(_tolerances(args.tol)):
             if args.seed < 0:
                 raise err.ParseError(f"bad --seed {args.seed}: expected an integer >= 0")

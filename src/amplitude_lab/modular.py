@@ -1,11 +1,13 @@
 """Modular operators, modular conjugation, modular flow, and KMS checks.
 
-Superoperators act on the block Hilbert-Schmidt space.  The structured
-representation (L, R) means xi -> L xi R for linear maps; antilinear
-maps act as xi -> L xi^* R, i.e. the adjoint xi^* = conj(xi)^T is the
-antilinear core (this is the documented conjugation convention, chosen
-so the modular conjugation is the structured pair (I, I)).  Every power
-of a density is read from a held spectrum by one function, _delta.
+Superoperators act on the Hilbert-Schmidt standard form of a block
+algebra.  A Superoperator is a pair (L, R) of elements of the algebra,
+acting as xi -> L xi R when linear and as xi -> L xi^* R when
+antilinear, i.e. the adjoint xi^* = conj(xi)^T is the antilinear core
+(the documented conjugation convention, chosen so the modular
+conjugation is the pair (1, 1)).  All block arithmetic is the algebra's
+own @ and adjoint.  Every power of a density is read from a held
+spectrum by one function, _delta.
 """
 
 from __future__ import annotations
@@ -25,50 +27,42 @@ from .algebra import (
     is_faithful,
 )
 from .errors import EmptyReduction, NotFaithful
-from .linalg import frozen, in_range, power
+from .linalg import in_range, power
 
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Structured (left, right) map on the block Hilbert-Schmidt space.
+    """Structured map xi -> left xi right, or left xi^* right when antilinear, on the
+    block Hilbert-Schmidt space; both factors are elements of one algebra."""
 
-    Each factor is stored by linalg.real_if_exact.
-    """
-
-    algebra: BlockAlgebra
-    left: tuple[np.ndarray, ...] = field(repr=False)
-    right: tuple[np.ndarray, ...] = field(repr=False)
+    left: BlockOperator
+    right: BlockOperator
     antilinear: bool = False
 
     def __post_init__(self):
-        dims = self.algebra.block_dims
-        for side in ("left", "right"):
-            factors = zip(dims, getattr(self, side), strict=True)
-            stored = tuple(frozen(f, (n, n), f"{side} factor") for n, f in factors)
-            object.__setattr__(self, side, stored)
+        if not (isinstance(self.left, BlockOperator) and isinstance(self.right, BlockOperator)):
+            raise TypeError("superoperator factors must be BlockOperators")
+        _check_algebra(self.left.algebra, self.right)
+
+    @property
+    def algebra(self) -> BlockAlgebra:
+        return self.left.algebra
 
     def apply(self, xi):
         """Apply to a BlockOperator or L2Vector, returning the same type."""
         if not isinstance(xi, (BlockOperator, L2Vector)):
             raise TypeError(f"cannot apply a superoperator to {type(xi).__name__}")
-        _check_algebra(self.algebra, xi)
-        cores = (b.conj().T for b in xi.blocks) if self.antilinear else xi.blocks
-        blocks = tuple(l @ b @ r for l, b, r in zip(self.left, cores, self.right))
-        return type(xi)(xi.algebra, blocks)
+        return self.left @ (xi.adjoint() if self.antilinear else xi) @ self.right
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other; antilinear composed with antilinear is linear."""
         if not isinstance(other, Superoperator):
             raise TypeError(f"cannot compose a superoperator with {type(other).__name__}")
-        _check_algebra(self.algebra, other)
         if not self.antilinear:
-            left = tuple(l1 @ l2 for l1, l2 in zip(self.left, other.left))
-            right = tuple(r2 @ r1 for r1, r2 in zip(self.right, other.right))
-            return Superoperator(self.algebra, left, right, other.antilinear)
+            return Superoperator(self.left @ other.left, other.right @ self.right, other.antilinear)
         # self antilinear: xi -> L1 (other(xi))^* R1
-        left = tuple(l1 @ r2.conj().T for l1, r2 in zip(self.left, other.right))
-        right = tuple(l2.conj().T @ r1 for r1, l2 in zip(self.right, other.left))
-        return Superoperator(self.algebra, left, right, not other.antilinear)
+        left, right = self.left @ other.right.adjoint(), other.left.adjoint() @ self.right
+        return Superoperator(left, right, not other.antilinear)
 
 
 def _require_faithful(phi: Functional, what: str = "functional") -> None:
@@ -79,9 +73,9 @@ def _require_faithful(phi: Functional, what: str = "functional") -> None:
 
 def _delta(psi: Functional, phi: Functional, z: complex) -> Superoperator:
     """Delta^z from held spectra, for psi, phi checked positive and phi checked faithful."""
-    left = tuple(power(s, z) for s in psi.spectrum())
-    right = tuple(power(s, -z) for s in phi.spectrum())
-    return Superoperator(phi.algebra, left, right)
+    left = BlockOperator(psi.algebra, tuple(power(s, z) for s in psi.spectrum()))
+    right = BlockOperator(phi.algebra, tuple(power(s, -z) for s in phi.spectrum()))
+    return Superoperator(left, right)
 
 
 def relative_modular(psi: Functional, phi: Functional, z: complex = 1.0) -> Superoperator:
@@ -103,8 +97,8 @@ def relative_modular(psi: Functional, phi: Functional, z: complex = 1.0) -> Supe
 def modular_conjugation(phi: Functional) -> Superoperator:
     """Antilinear involution xi -> xi^* on each block."""
     _require_faithful(phi)
-    eyes = tuple(np.eye(n) for n in phi.algebra.block_dims)
-    return Superoperator(phi.algebra, eyes, eyes, antilinear=True)
+    one = phi.algebra.identity()
+    return Superoperator(one, one, antilinear=True)
 
 
 def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
@@ -150,9 +144,8 @@ class SupportReduction:
     def compress(self, x: BlockOperator) -> BlockOperator:
         """Compress an element of the original algebra to the support."""
         _check_algebra(self.source, x)
-        blocks = tuple(
-            v.conj().T @ x.blocks[k] @ v for k, v in zip(self.kept_blocks, self.isometries)
-        )
+        kept = self.kept_blocks
+        blocks = tuple(v.conj().T @ x.blocks[kept[i]] @ v for i, v in enumerate(self.isometries))
         return BlockOperator(self.algebra, blocks)
 
 

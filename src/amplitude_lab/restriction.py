@@ -90,8 +90,10 @@ class UnitalEmbedding:
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "bounds", bounds)
         if self.unitaries is not None:
+            if len(self.unitaries) != self.target.num_blocks:
+                raise InvalidEmbedding("one unitary per target block is required")
             us = []
-            for k, (n, u) in enumerate(zip(self.target.block_dims, self.unitaries, strict=True)):
+            for k, (n, u) in enumerate(zip(self.target.block_dims, self.unitaries)):
                 u = frozen(u, (n, n), f"unitary {k}", InvalidEmbedding)
                 if np.max(np.abs(u.conj().T @ u - np.eye(n))) > tolerances().num:
                     raise InvalidEmbedding(f"matrix {k} is not unitary within tolerance")
@@ -301,11 +303,9 @@ def chain_amplitudes(phi: Functional, psi: Functional, chain: SubalgebraChain) -
     composite embeddings.
     """
     _check_algebra(chain.ambient, phi, psi)
-    amps = []
-    p, q = restrict(phi, chain.final), restrict(psi, chain.final)
-    amps.append(transition_amplitude(p, q))
-    for link in reversed(chain.links):
-        p, q = restrict(p, link), restrict(q, link)
+    amps, p, q = [], phi, psi
+    for emb in reversed((*chain.links, chain.final)):
+        p, q = restrict(p, emb), restrict(q, emb)
         amps.append(transition_amplitude(p, q))
     amps.reverse()
     return amps

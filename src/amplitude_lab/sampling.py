@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional
-from .linalg import eigh, hermitize, power
+from .linalg import eigh, hermitize, power, spectral_apply
 from .restriction import UcpMap, UnitalEmbedding
 
 
@@ -51,8 +51,7 @@ def random_operator(rng: np.random.Generator, algebra: BlockAlgebra) -> BlockOpe
 def random_gibbs(rng: np.random.Generator, n: int) -> np.ndarray:
     """Gibbs density exp(-H)/Z for a random Hermitian H; always faithful."""
     h = hermitize(random_complex(rng, (n, n)))
-    w, v = eigh(h)
-    g = (v * np.exp(-w)) @ v.conj().T
+    g = spectral_apply(eigh(h), lambda w: np.exp(-w))
     return hermitize(g / np.trace(g).real)
 
 

@@ -8,9 +8,11 @@ from amplitude_lab import (
     BlockOperator,
     Functional,
     InvalidAlgebra,
+    L2Vector,
     NotPositive,
     ShapeError,
     StateRelation,
+    Superoperator,
     central_support,
     classify_pair,
     evaluate,
@@ -270,6 +272,23 @@ class TestFunctionalValidation:
         phi = diag_functional(alg, [0.5, 0.5])
         with pytest.raises(ValueError):
             phi.densities[0][0, 0] = 9.0
+
+    @pytest.mark.parametrize("blocks", [(np.eye(2),), (np.eye(2), np.eye(3), np.eye(1))])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            Functional,
+            BlockOperator,
+            L2Vector,
+            lambda alg, blocks: Superoperator(BlockOperator(alg, blocks), alg.identity()),
+        ],
+        ids=["Functional", "BlockOperator", "L2Vector", "Superoperator"],
+    )
+    def test_a_wrong_block_count_is_a_shape_error(self, build, blocks):
+        # zip(strict=True) ended in a bare ValueError
+        message = rf"{len(blocks)} blocks given for the algebra \(2, 3\)"
+        with pytest.raises(ShapeError, match=message):
+            build(make_algebra([2, 3]), blocks)
 
 
 def _mismatch_sites():

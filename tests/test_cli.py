@@ -374,23 +374,52 @@ class TestFlags:
     def _flag_args(flag):
         return [flag] if flag == "--csv" else [flag, "5"]
 
+    @staticmethod
+    def _parse_error(capsys) -> str:
+        """The message of the one ParseError object on stdout; stderr stays empty."""
+        out, errs = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError" and errs == ""
+        return error["message"]
+
     @pytest.mark.parametrize("command, rest, flag", UNREAD)
     def test_unread_flag_after_the_command_exits_2(self, command, rest, flag, capsys):
         from amplitude_lab.cli import main
 
-        with pytest.raises(SystemExit) as exc:
-            main([command, *self._flag_args(flag), *rest])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert main([command, *self._flag_args(flag), *rest]) == 2
+        assert flag in self._parse_error(capsys)
 
     @pytest.mark.parametrize("command, rest, flag", UNREAD)
     def test_unread_flag_before_the_command_exits_2(self, command, rest, flag, capsys):
         from amplitude_lab.cli import main
 
+        assert main([*self._flag_args(flag), command, *rest]) == 2
+        assert flag in self._parse_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--tol", "-1e-3", "selftest"], "--tol"),
+            (["chain", "--lumped", "3", "--mu", "-inf"], "--mu"),
+            (["chain", "--lumped", "abc"], "--lumped"),
+            (["amp", "--seed", "3", "a.json", "b.json"], "--seed"),
+            ([], "command"),
+        ],
+    )
+    def test_argparse_errors_end_in_the_json_error_object(self, argv, named, capsys):
+        # argparse printed its usage to stderr and exited 2 with nothing on stdout
+        from amplitude_lab.cli import main
+
+        assert main(argv) == 2
+        assert named in self._parse_error(capsys)
+
+    def test_help_still_exits_0(self, capsys):
+        from amplitude_lab.cli import main
+
         with pytest.raises(SystemExit) as exc:
-            main([*self._flag_args(flag), command, *rest])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: amplab")
 
     @pytest.mark.parametrize("before", [True, False])
     def test_read_flags_are_accepted_in_either_position(self, qubit_pair, before, capsys):
@@ -495,6 +524,23 @@ class TestErrorsAndDeterminism:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == kind
         assert flag in error["message"] or kind == "DomainError"
+
+    def test_chain_algebras_that_disagree_with_the_links_exit_7(self, tmp_path, capsys):
+        from amplitude_lab.cli import main
+
+        phi = Functional(make_algebra([4]), (np.eye(4) / 4,))
+        two, four = {"blocks": [2]}, {"blocks": [4]}
+        chain = {
+            "algebras": [two, {"blocks": [3]}],
+            "links": [{"source": two, "target": four, "multiplicity": [[2]]}],
+            "final": {"source": four, "target": four, "multiplicity": [[1]]},
+        }
+        state = ser.functional_to_json(phi)
+        path = tmp_path / "spec.json"
+        path.write_text(ser.dumps({"phi": state, "psi": state, "chain": chain}))
+        assert main(["chain", str(path)]) == 7
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InvalidEmbedding" and "link 0" in error["message"]
 
     def test_chain_links_must_be_a_list(self, tmp_path, capsys):
         # "links": {} was read as an empty list of links

@@ -6,6 +6,7 @@ from amplitude_lab import (
     EmptyReduction,
     Functional,
     NotFaithful,
+    ShapeError,
     Superoperator,
     amplitude_kernel,
     evaluate,
@@ -75,7 +76,7 @@ class TestRelativeModular:
             for z in (1j, 0, -0.5):
                 with pytest.raises(NotFaithful, match="first argument"):
                     relative_modular(psi, tau, z)
-            left = relative_modular(psi, tau, 0.5).left[0]
+            left = relative_modular(psi, tau, 0.5).left.blocks[0]
             assert np.max(np.abs(left @ left - psi.densities[0])) <= 1e-12
 
     def test_positive_on_hs_space(self):
@@ -84,7 +85,7 @@ class TestRelativeModular:
         phi = Functional(alg, (random_gibbs(rng, 3),))
         psi = random_state(rng, alg)
         delta = relative_modular(psi, phi)
-        mat = np.kron(delta.right[0].T, delta.left[0])  # on column-stacked vectors
+        mat = np.kron(delta.right.blocks[0].T, delta.left.blocks[0])  # on column-stacked vectors
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(mat)[0] >= -1e-10
 
@@ -198,7 +199,7 @@ class TestModularFlow:
         alg = make_algebra([3])
         phi = Functional(alg, (random_gibbs(rng, 3),))
         delta = relative_modular(phi, phi)
-        mat = np.kron(delta.right[0].T, delta.left[0])
+        mat = np.kron(delta.right.blocks[0].T, delta.left.blocks[0])
         w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
         x = random_operator(rng, alg)
         root = sqrt_vector(phi)
@@ -348,5 +349,16 @@ class TestBridges:
         alg = make_algebra([2, 3])
         rng = np.random.default_rng(20)
         x = random_operator(rng, alg)
+        one = alg.identity()
+        assert (Superoperator(one, one).apply(x) - x).norm() == 0.0
+
+    def test_factors_are_block_operators_of_one_algebra(self):
+        alg = make_algebra([2, 3])
         eyes = tuple(np.eye(n) for n in alg.block_dims)
-        assert (Superoperator(alg, eyes, eyes).apply(x) - x).norm() == 0.0
+        with pytest.raises(TypeError):
+            Superoperator(alg, eyes, eyes)  # the signature before the factors were elements
+        with pytest.raises(TypeError):
+            Superoperator(alg.identity(), eyes)
+        with pytest.raises(ShapeError, match="algebra mismatch"):
+            Superoperator(alg.identity(), make_algebra([3, 2]).identity())
+        assert Superoperator(alg.identity(), alg.identity()).algebra == alg

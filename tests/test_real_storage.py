@@ -128,8 +128,10 @@ STORED = {
     ),
     "Superoperator": (
         lambda rng: [rng.normal(size=(n, n)) for n in (3, 2, 3, 2)],
-        lambda ms: Superoperator(make_algebra([3, 2]), tuple(ms[:2]), tuple(ms[2:])),
-        lambda op: [*op.left, *op.right],
+        lambda ms: Superoperator(
+            BlockOperator(make_algebra([3, 2]), ms[:2]), BlockOperator(make_algebra([3, 2]), ms[2:])
+        ),
+        lambda op: [*op.left.blocks, *op.right.blocks],
         _row_phase,
     ),
     "UnitalEmbedding.unitaries": (

@@ -11,6 +11,7 @@ from amplitude_lab import (
     InvalidEmbedding,
     NotUnital,
     ShapeError,
+    SubalgebraChain,
     TooLarge,
     UcpMap,
     UnitalEmbedding,
@@ -113,6 +114,13 @@ class TestRestrict:
             UnitalEmbedding(make_algebra([2]), make_algebra([3]), np.array([[1]]))
         with pytest.raises(InvalidEmbedding):
             UnitalEmbedding(make_algebra([2]), make_algebra([4]), np.array([[-2]]))
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_one_unitary_per_target_block(self, count):
+        # a second unitary ended in zip()'s bare ValueError
+        us = (np.eye(2), np.eye(1))[:count]
+        with pytest.raises(InvalidEmbedding, match="one unitary per target block"):
+            UnitalEmbedding(make_algebra([1]), make_algebra([2]), [[2]], us)
 
 
 def brute_force_slots(c, source_dims, unitaries, k):
@@ -389,6 +397,20 @@ class TestChains:
             build_product_chain([32, 33])
         with pytest.raises(TooLarge):
             build_product_chain(itertools.repeat(2))  # sites are read only up to the cap
+
+    @pytest.mark.parametrize(
+        "pick, message",
+        [
+            (lambda c: (c.links[:1], c.final), "one link between consecutive algebras"),
+            (lambda c: (c.links[::-1], c.final), "link 0 does not connect A_1 to A_2"),
+            (lambda c: (c.links, c.links[1]), "final embedding must start at the last"),
+        ],
+        ids=["link-count", "link-ends", "final-source"],
+    )
+    def test_links_must_connect_the_chain_algebras(self, pick, message):
+        _, chain = build_product_chain([2, 2, 2])
+        with pytest.raises(InvalidEmbedding, match=message):
+            SubalgebraChain(chain.algebras, *pick(chain))
 
     def test_single_site_trivial(self):
         ambient, chain = build_product_chain([2])

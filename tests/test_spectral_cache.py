@@ -171,7 +171,7 @@ class TestEighCounts:
         deltas = [relative_modular(psi, phi, z) for z in zs]
         assert lapack_dtypes == []
         for z, delta in zip(zs, deltas):
-            pairs = zip(delta.left, delta.right, psi.densities, phi.densities)
+            pairs = zip(delta.left.blocks, delta.right.blocks, psi.densities, phi.densities)
             for left, right, dq, dp in pairs:
                 assert np.max(np.abs(left - eig_fn(dq, lambda w: (w + 0j) ** z))) <= 1e-12
                 assert np.max(np.abs(right - eig_fn(dp, lambda w: (w + 0j) ** -z))) <= 1e-12
