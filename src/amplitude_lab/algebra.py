@@ -26,6 +26,7 @@ from .linalg import (
     frozen,
     hermitian_part,
     in_range,
+    integer,
     is_psd,
     spectral_apply,
 )
@@ -40,9 +41,10 @@ class BlockAlgebra:
     def __post_init__(self):
         if len(self.block_dims) == 0:
             raise InvalidAlgebra("algebra needs at least one block")
-        if any(int(n) < 1 for n in self.block_dims):
-            raise InvalidAlgebra(f"block dimensions must be >= 1, got {self.block_dims}")
-        object.__setattr__(self, "block_dims", tuple(int(n) for n in self.block_dims))
+        dims = tuple(
+            integer(n, f"block {k} side", InvalidAlgebra, 1) for k, n in enumerate(self.block_dims)
+        )
+        object.__setattr__(self, "block_dims", dims)
 
     @property
     def num_blocks(self) -> int:

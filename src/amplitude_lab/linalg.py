@@ -10,9 +10,12 @@ power (root, inverse, flow unitary) by power.  real_if_exact is the one
 dtype rule: every container stores by it, through hermitian_part
 (Hermitian matrices) or frozen (any other stored array), the solvers
 pick by it, and every other helper here keeps the dtype it is given.
+integer is the one integer rule, for every side, count and block index.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -102,6 +105,13 @@ def frozen(
     return out
 
 
+def integer(x, what: str, error: type[Exception], lo: int = 0, stop: int = 2**63) -> int:
+    """The one integer rule: int(x) for an integer x (numpy's too), not a bool, in [lo, stop)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x < stop:
+        raise error(f"{what}: expected an integer from {lo} to {stop - 1}")
+    return int(x)
+
+
 def is_psd(w: np.ndarray) -> bool:
     """The one positivity test: no eigenvalue in w falls below -tolerances().psd(max|w|)."""
     return not w.size or float(np.min(w)) >= -tolerances().psd(float(np.max(np.abs(w))))
@@ -167,8 +177,8 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
-    """Unique PSD square root of a Hermitian PSD matrix; NotPositive otherwise."""
-    spec = eigh(hermitize(h))
+    """Unique PSD square root of h, read by hermitian_part; NotPositive unless h is PSD."""
+    spec = eigh(hermitian_part(h))
     check_psd(spec[0])
     return power(spec, 0.5)
 

@@ -18,7 +18,7 @@ from .config import rank_cut, tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError, SolverFailed
 from .forms import HermitianForm
 from .linalg import (
-    diagonal_blocks, eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
+    diagonal_blocks, eigh, eigvalsh, hermitian_part, in_range, integer, is_psd, real_if_exact
 )
 
 __all__ = [
@@ -198,8 +198,7 @@ def geometric_weights(lam: float, n: int) -> np.ndarray:
     """Geometric distribution (1-lam) lam^k with the tail lumped at k = n-1."""
     if not (0.0 <= lam < 1.0):
         raise DomainError("parameter must lie in [0, 1)")
-    if n < 1:
-        raise DomainError("need at least one weight")
+    n = integer(n, "weight count", DomainError, 1)
     w = (1.0 - lam) * lam ** np.arange(n, dtype=float)
     w[n - 1] = lam ** (n - 1)
     return w

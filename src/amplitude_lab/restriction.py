@@ -19,7 +19,6 @@ amplitude when the chain exhausts the algebra.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,7 +29,7 @@ from .amplitudes import transition_amplitude
 from .central import probability_vector
 from .config import MAX_CHAIN_DIM, tolerances
 from .errors import DomainError, InvalidEmbedding, NotQuotient, NotUnital, ShapeError, TooLarge
-from .linalg import frozen, hermitize, real_if_exact
+from .linalg import frozen, hermitize, integer, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +53,12 @@ class UnitalEmbedding:
     bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, multiplicity):
-        c = np.array(multiplicity, dtype=int)
+        try:
+            c = np.asarray(multiplicity)
+        except ValueError as exc:  # a ragged list
+            raise InvalidEmbedding(f"multiplicity is not a matrix: {exc}") from exc
+        if c.dtype.kind not in "iu":
+            raise InvalidEmbedding(f"multiplicity has dtype {c.dtype}, expected integers")
         if c.shape != (self.target.num_blocks, self.source.num_blocks):
             raise InvalidEmbedding(
                 f"multiplicity shape {c.shape} does not match "
@@ -70,6 +74,7 @@ class UnitalEmbedding:
         # the int64 sums below are exact under this bound; no layout past it could be built
         if int(c.max()) * max(self.source.block_dims) * self.source.num_blocks >= 2**63:
             raise TooLarge("multiplicity sums c[k][l]*m_l may pass 2^63")
+        c = c.astype(np.int64, copy=False)
         sums = c @ dims_src
         bad = np.flatnonzero(sums != self.target.block_dims)
         if bad.size:
@@ -136,24 +141,15 @@ def compose_embeddings(outer: UnitalEmbedding, inner: UnitalEmbedding) -> Unital
     """
     if inner.target != outer.source:
         raise InvalidEmbedding("inner target and outer source algebras differ")
-    slots = []
-    for k in range(outer.target.num_blocks):
+    counts, unitaries = [], []
+    for k, n in enumerate(outer.target.block_dims):
         by_source: list[list[np.ndarray]] = [[] for _ in inner.source.block_dims]
         for j, v_out in outer.slot_isometries(k):
             for l, v_in in inner.slot_isometries(j):
                 by_source[l].append(v_out @ v_in)
-        slots.append(by_source)
-    c = np.array([[len(copies) for copies in by_source] for by_source in slots], dtype=int)
-    layout = UnitalEmbedding(inner.source, outer.target, c)
-    unitaries = []
-    for k, n in enumerate(outer.target.block_dims):
-        u = np.zeros((n, n), dtype=complex)
-        for l, start, cc in layout._sections(k):
-            stop = start + inner.source.block_dims[l] * cc
-            for j, w in enumerate(slots[k][l]):
-                u[:, start + j : stop : cc] = w
-        unitaries.append(u)
-    return UnitalEmbedding(inner.source, outer.target, c, tuple(unitaries))
+        counts.append([len(copies) for copies in by_source])
+        unitaries.append(np.hstack([np.stack(w, axis=-1).reshape(n, -1) for w in by_source if w]))
+    return UnitalEmbedding(inner.source, outer.target, np.array(counts), tuple(unitaries))
 
 
 def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
@@ -196,7 +192,6 @@ class UcpMap:
     kraus: tuple[tuple[tuple[int, np.ndarray], ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        dims, sources = self.source.block_dims, range(self.source.num_blocks)
         if len(self.kraus) != self.target.num_blocks:
             raise NotUnital("one Kraus family per target block is required")
         families = []
@@ -206,9 +201,8 @@ class UcpMap:
                 what = f"Kraus piece {i} of target block {k}"
                 pair = isinstance(piece, (tuple, list)) and len(piece) == 2
                 l, m = piece if pair else (None, None)
-                if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l not in sources:
-                    raise ShapeError(f"{what} names no source block")
-                pieces.append((int(l), frozen(m, (dims[l], n), what)))
+                l = integer(l, f"source block of {what}", ShapeError, 0, self.source.num_blocks)
+                pieces.append((l, frozen(m, (self.source.block_dims[l], n), what)))
             total = sum(m.conj().T @ m for _, m in pieces)
             if not pieces or np.max(np.abs(total - np.eye(n))) > tolerances().num:
                 raise NotUnital(f"Kraus family for target block {k} does not sum to identity")
@@ -242,14 +236,12 @@ def quotient_map(source: BlockAlgebra, image: BlockAlgebra, assignment: Sequence
     if len(assignment) != len(dims):
         raise NotQuotient("assignment length must match the image block count")
     for l, k in enumerate(assignment):
-        integral = isinstance(k, numbers.Integral) and not isinstance(k, bool)
-        if not integral or k not in range(source.num_blocks):
-            raise NotQuotient(f"assignment entry {l} ({k!r}) names no source block")
+        k = integer(k, f"assignment entry {l}", NotQuotient, 0, source.num_blocks)
         if k in assignment[:l]:
             raise NotQuotient("assignment must be injective for surjectivity")
         if source.block_dims[k] != dims[l]:
             raise NotQuotient(f"image block {l} has side {dims[l]}, source block {k} does not")
-    return UcpMap(source, image, tuple(((int(k), np.eye(n)),) for k, n in zip(assignment, dims)))
+    return UcpMap(source, image, tuple(((k, np.eye(n)),) for k, n in zip(assignment, dims)))
 
 
 def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
@@ -322,9 +314,7 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
     dims: list[int] = []
     ambient_dim = 1
     for d in site_dims:
-        if int(d) < 1:
-            raise DomainError("site dimensions must be positive")
-        dims.append(int(d))
+        dims.append(integer(d, f"site {len(dims)} dimension", DomainError, 1))
         ambient_dim *= dims[-1]
         if ambient_dim > MAX_CHAIN_DIM:
             raise TooLarge(
@@ -334,7 +324,7 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
     if not dims:
         raise DomainError("site dimensions must be positive")
     partial = np.cumprod(dims)
-    algebras = tuple(BlockAlgebra((int(p),)) for p in partial)
+    algebras = tuple(BlockAlgebra((p,)) for p in partial)
     links = tuple(
         UnitalEmbedding(algebras[n], algebras[n + 1], np.array([[dims[n + 1]]]))
         for n in range(len(dims) - 1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .algebra import BlockAlgebra, Functional, make_algebra
 from .errors import ParseError, SolverFailed
 from .forms import HermitianForm, PositiveForm
+from .linalg import integer
 from .quasifree import CovarianceForm, PresymplecticSpace
 from .restriction import SubalgebraChain, UnitalEmbedding
 
@@ -56,13 +58,6 @@ def _fields(obj, what: str, names: tuple[str, ...]) -> tuple:
     if not isinstance(obj, dict) or any(k not in obj for k in names):
         raise ParseError(f"{what}: expected an object with fields {', '.join(map(repr, names))}")
     return tuple(obj[k] for k in names)
-
-
-def _integer(x, what: str, lo: int = 0) -> int:
-    """An integer, not a bool, from lo that fits int64."""
-    if isinstance(x, bool) or not isinstance(x, int) or not lo <= x < 2**63:
-        raise ParseError(f"{what}: expected an integer from {lo} to 2^63 - 1")
-    return x
 
 
 def _number(x, what: str) -> float:
@@ -122,7 +117,8 @@ def algebra_from_json(obj) -> BlockAlgebra:
     (blocks,) = _fields(obj, "algebra", ("blocks",))
     if not isinstance(blocks, list) or not blocks:
         raise ParseError("algebra: 'blocks' must be a nonempty list")
-    return make_algebra([_integer(b, f"algebra: block {k}", 1) for k, b in enumerate(blocks)])
+    sides = [integer(b, f"algebra: block {k}", ParseError, 1) for k, b in enumerate(blocks)]
+    return make_algebra(sides)
 
 
 def functional_to_json(phi: Functional) -> dict:
@@ -145,7 +141,7 @@ def form_to_json(form: HermitianForm) -> dict:
 def _gram_from_json(obj) -> np.ndarray:
     """The Gram matrix of a form object, once its 'dim' and 'gram' fields parse."""
     d, gram = _fields(obj, "form", ("dim", "gram"))
-    return matrix_from_pairs(gram, _integer(d, "form: 'dim'"), "gram")
+    return matrix_from_pairs(gram, integer(d, "form: 'dim'", ParseError), "gram")
 
 
 def form_from_json(obj) -> PositiveForm:
@@ -174,7 +170,8 @@ def embedding_from_json(obj):
     source, target, mult = _fields(obj, "embedding", ("source", "target", "multiplicity"))
     source = algebra_from_json(source)
     target = algebra_from_json(target)
-    c = _rows(mult, "embedding: 'multiplicity'", _integer, target.num_blocks, source.num_blocks)
+    entry = partial(integer, error=ParseError)
+    c = _rows(mult, "embedding: 'multiplicity'", entry, target.num_blocks, source.num_blocks)
     us = obj.get("unitaries")
     unitaries = None if us is None else _per_block(us, target, "unitary")
     return UnitalEmbedding(source, target, c, unitaries)

@@ -109,6 +109,11 @@ class TestPsdSqrt:
         with pytest.raises(NotPositive):
             psd_sqrt(np.diag([1.0, -0.5]))
 
+    def test_rejects_a_non_hermitian_matrix(self):
+        # its Hermitian part is sqrt(2) I, which was returned without a word
+        with pytest.raises(NotPositive, match="not Hermitian"):
+            psd_sqrt(np.array([[2.0, 0.5], [-0.5, 2.0]]))
+
 
 class TestFunctionalNorm:
     def test_signed_difference(self):

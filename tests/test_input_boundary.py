@@ -4,9 +4,12 @@ Each reproducer below is an input that must end in its documented exit
 code with one JSON error object on stdout, not in a Python traceback or
 in a wrong number with exit 0.  The property at the end mutates one JSON
 node of a golden input and asks the same of whatever the program does
-with it.
+with it.  The integer table asks the library's own entry points the
+same: a value that is not an integer is the package's error, never a
+truncation.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -19,7 +22,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amplitude_lab import InvalidEmbedding, TooLarge, make_algebra
+import amplitude_lab
+from amplitude_lab import (
+    DomainError,
+    InvalidAlgebra,
+    InvalidEmbedding,
+    TooLarge,
+    build_product_chain,
+    geometric_weights,
+    make_algebra,
+)
 from amplitude_lab.cli import main
 from amplitude_lab.restriction import UnitalEmbedding
 from amplitude_lab.sampling import random_embedding
@@ -151,6 +163,56 @@ class TestEmbeddingsEmbed:
         for _ in range(60):
             emb = random_embedding(rng, make_algebra([1, 2, 1]), num_target_blocks=1)
             assert emb.sections[:, 0].tolist() == [0, 1, 2]
+
+
+# --- the integer rule ------------------------------------------------------
+
+C1, C2 = make_algebra([1]), make_algebra([1, 1])
+
+# each call was accepted with a truncated or coerced value, or ended in a bare
+# ValueError, TypeError or IndexError
+NOT_INTEGERS = {
+    "float-side": (InvalidAlgebra, lambda: make_algebra([2.5])),
+    "bool-side": (InvalidAlgebra, lambda: make_algebra([True, 2])),
+    "string-side": (InvalidAlgebra, lambda: make_algebra(["3"])),
+    "none-side": (InvalidAlgebra, lambda: make_algebra([None])),
+    "word-side": (InvalidAlgebra, lambda: make_algebra(["x"])),
+    "float-multiplicity": (InvalidEmbedding, lambda: UnitalEmbedding(C1, C1, [[1.5]])),
+    "bool-multiplicity": (InvalidEmbedding, lambda: UnitalEmbedding(C1, C1, [[True]])),
+    "string-multiplicity": (InvalidEmbedding, lambda: UnitalEmbedding(C1, C1, [["1"]])),
+    "ragged-multiplicity": (
+        InvalidEmbedding,
+        lambda: UnitalEmbedding(C2, make_algebra([2, 1]), [[1, 1], [1]]),
+    ),
+    "float-site": (DomainError, lambda: build_product_chain([2.9, 2])),
+    "string-site": (DomainError, lambda: build_product_chain(["a"])),
+    "float-weight-count": (DomainError, lambda: geometric_weights(0.5, 2.5)),
+    "string-weight-count": (DomainError, lambda: geometric_weights(0.5, "a")),
+}
+
+
+@pytest.mark.parametrize("error, call", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+def test_an_integer_input_that_is_not_an_integer_is_the_package_error(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    algebra = make_algebra([np.int64(3), np.uint8(1)])
+    assert algebra.block_dims == (3, 1) and all(type(n) is int for n in algebra.block_dims)
+    assert len(build_product_chain([np.int32(2)] * 3)[1]) == 3
+    emb = UnitalEmbedding(C1, make_algebra([2]), np.array([[2]], dtype=np.uint64))
+    assert emb.sections.tolist() == [[0, 0, 2]]
+
+
+def test_only_linalg_names_the_integer_rule():
+    # linalg.integer is the one reader of block sides, counts and block indices
+    naming = set()
+    for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if "Integral" in (getattr(node, "attr", None), getattr(node, "name", None)):
+                naming.add(path.name)
+    assert naming == {"linalg.py"}
 
 
 # --- mutated golden inputs -------------------------------------------------
