@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import integer, sequence
 from .errors import InvalidAlgebra, NotPositive, ShapeError
 from .linalg import (
     Spectrum,
@@ -26,7 +27,6 @@ from .linalg import (
     frozen,
     hermitian_part,
     in_range,
-    integer,
     is_psd,
     spectral_apply,
 )
@@ -39,11 +39,10 @@ class BlockAlgebra:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.block_dims) == 0:
+        sides = enumerate(sequence(self.block_dims, "block sides", InvalidAlgebra))
+        dims = tuple(integer(n, f"block {k} side", InvalidAlgebra, 1) for k, n in sides)
+        if not dims:
             raise InvalidAlgebra("algebra needs at least one block")
-        dims = tuple(
-            integer(n, f"block {k} side", InvalidAlgebra, 1) for k, n in enumerate(self.block_dims)
-        )
         object.__setattr__(self, "block_dims", dims)
 
     @property
@@ -64,7 +63,7 @@ class BlockAlgebra:
 
 def make_algebra(dims: Sequence[int]) -> BlockAlgebra:
     """Build the block algebra with the given block side lengths."""
-    return BlockAlgebra(tuple(dims))
+    return BlockAlgebra(dims)
 
 
 def _check_algebra(algebra: BlockAlgebra, *xs) -> None:
@@ -87,7 +86,7 @@ class _BlockTuple:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        dims, blocks = self.algebra.block_dims, tuple(self.blocks)
+        dims, blocks = self.algebra.block_dims, tuple(sequence(self.blocks, "blocks", ShapeError))
         if len(blocks) != len(dims):
             raise ShapeError(f"{len(blocks)} blocks given for the algebra {dims}")
         object.__setattr__(self, "blocks", tuple(self._stored(b, n) for n, b in zip(dims, blocks)))

@@ -16,9 +16,9 @@ import numpy as np
 
 from .algebra import BlockAlgebra, Functional, _block_component, _check_algebra
 from .amplitudes import transition_amplitude
-from .config import tolerances
+from .config import sequence, tolerances
 from .errors import DomainError, SingularMeasure
-from .linalg import is_psd
+from .linalg import is_psd, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,16 +45,16 @@ class StateDecomposition:
 
 
 def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
-    """p as a float vector clipped at 0, once it is checked to be a distribution.
+    """p, read by linalg.real_if_exact, clipped at 0, once it is checked to be a distribution.
 
-    Entries must be finite and pass linalg.is_psd, and their sum must lie
-    within tolerances().num of 1; the vector must be nonempty, and of the
-    given length when one is given.
+    Entries must be real and finite and pass linalg.is_psd, and their sum
+    must lie within tolerances().num of 1; the vector must be nonempty, and
+    of the given length when one is given.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0 or length not in (None, p.size):
+    p = real_if_exact(p)
+    if p.ndim != 1 or p.size == 0 or length not in (None, p.size) or np.iscomplexobj(p):
         of_length = "" if length is None else f" of length {length}"
-        raise DomainError(f"{name} must be a nonempty vector{of_length}")
+        raise DomainError(f"{name} must be a nonempty real vector{of_length}")
     if not np.all(np.isfinite(p)):
         raise DomainError(f"{name} must be finite")
     if not is_psd(p) or abs(float(np.sum(p)) - 1.0) > tolerances().num:
@@ -163,7 +163,8 @@ def integrate_disjoint_family(
     decompose inverts the construction when the components are single
     blocks.
     """
-    if len(components) == 0:
+    components = tuple(sequence(components, "components", DomainError))
+    if not components:
         raise DomainError("need at least one component")
     mu = probability_vector(mu, "weight vector", len(components))
     dims: list[int] = []

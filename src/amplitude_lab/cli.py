@@ -11,7 +11,6 @@ object is all of stdout.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 
@@ -22,7 +21,7 @@ from . import errors as err
 from . import quasifree as qf
 from . import serialize as ser
 from .amplitudes import inequality_suite, purify, transition_amplitude, uhlmann_fidelity
-from .config import DEFAULT_TOL, MAX_CHAIN_DIM, Tolerances, using
+from .config import DEFAULT_TOL, MAX_CHAIN_DIM, Tolerances, real, using
 from .forms import geometric_mean
 from .modular import kms_defect
 from .restriction import (
@@ -71,14 +70,11 @@ def _load_functional(path: str):
 
 
 def _floats(raw: str, what: str) -> list[float]:
-    """Comma-separated finite numbers; anything else is a ParseError naming the input."""
+    """Comma-separated numbers, each read by config.real; else a ParseError naming the input."""
     try:
-        vals = [float(x) for x in raw.split(",")]
+        return [real(float(x), f"bad {what} {raw!r}", err.ParseError) for x in raw.split(",")]
     except ValueError as exc:
         raise err.ParseError(f"bad {what} {raw!r}: expected comma-separated numbers") from exc
-    if not np.all(np.isfinite(vals)):
-        raise err.ParseError(f"bad {what} {raw!r}: NaN and infinities are not allowed")
-    return vals
 
 
 def _site_density(spec: str) -> np.ndarray:
@@ -156,11 +152,10 @@ def cmd_chain(args) -> int:
         # checked before the weight vectors are allocated
         if args.lumped > MAX_CHAIN_DIM:
             raise err.TooLarge(f"--lumped {args.lumped} is above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
-        for flag, value in (("--lambda", args.lam), ("--mu", args.mu)):
-            if not math.isfinite(value):
-                raise err.ParseError(f"bad {flag} {value!r}: expected a finite number")
-        p = qf.geometric_weights(args.lam, args.lumped)
-        q = qf.geometric_weights(args.mu, args.lumped)
+        lam = real(args.lam, f"bad --lambda {args.lam!r}", err.ParseError)
+        mu = real(args.mu, f"bad --mu {args.mu!r}", err.ParseError)
+        p = qf.geometric_weights(lam, args.lumped)
+        q = qf.geometric_weights(mu, args.lumped)
         chain = build_lumped_diagonal_chain(p, q)
         phi, psi = diagonal_state(p), diagonal_state(q)
     else:
@@ -324,12 +319,13 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _tolerances(raw: float | None) -> Tolerances:
-    """The --tol override; anything but a finite number > 0 is a ParseError."""
+    """The --tol override; anything Tolerances refuses, not a finite number > 0, is a ParseError."""
     if raw is None:
         return DEFAULT_TOL
-    if not (math.isfinite(raw) and raw > 0.0):
-        raise err.ParseError(f"bad --tol {raw!r}: expected a finite number > 0")
-    return Tolerances(slack=raw, num=raw)
+    try:
+        return Tolerances(slack=raw, num=raw)
+    except err.DomainError as exc:
+        raise err.ParseError(f"bad --tol {raw!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,7 @@
-"""Numerical tolerance policy.
+"""Numerical policy: one reader per kind of caller value, and the tolerances.
+
+integer, real, complex_number and sequence (arrays: linalg.real_if_exact) raise the error their
+caller names and coerce nothing; they live here so Tolerances can read its fields.
 
 All cutoffs are scale-relative.  One slack serves hermiticity, measured
 on the largest entry of the matrix under test, and positivity, measured
@@ -12,13 +15,47 @@ a using(tol) block.  It is a ContextVar, so a new thread starts at DEFAULT_TOL.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import numbers
+import sys
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 EPS = float(np.finfo(np.float64).eps)
+
+
+def integer(x, what: str, error: type[Exception], lo: int = 0, stop: int = 2**63) -> int:
+    """The one integer rule: int(x) for an integer x (numpy's too), not a bool, in [lo, stop)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x < stop:
+        raise error(f"{what}: expected an integer from {lo} to {stop - 1}")
+    return int(x)
+
+
+def real(x, what: str, error: type[Exception]) -> float:
+    """The one real rule: float(x), x a finite real (numpy's too), no bool; 10**400 is refused."""
+    x = x.item() if isinstance(x, np.generic) else x  # so a float32 inf is not compared in float32
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not abs(x) <= sys.float_info.max:
+        raise error(f"{what}: expected a finite real number")
+    return float(x)
+
+
+def complex_number(z, what: str, error: type[Exception]) -> complex:
+    """The one complex rule: complex(z), z a number (numpy's too), no bool; each part by real."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Complex):
+        raise error(f"{what}: expected a finite number")
+    return complex(real(z.real, what, error), real(z.imag, what, error))
+
+
+def sequence(x, what: str, error: type[Exception]):
+    """The one sequence rule: iter(x), still lazy, for an iterable x that is not a str or bytes."""
+    if not isinstance(x, (str, bytes)):
+        with suppress(TypeError):
+            return iter(x)
+    raise error(f"{what}: expected a sequence")
 
 
 @dataclass(frozen=True)
@@ -27,11 +64,15 @@ class Tolerances:
 
     slack multiplies (1 + scale) for the hermiticity and positivity
     slack psd(scale); num is the generic comparison tolerance for
-    identities that hold exactly in real arithmetic.
+    identities that hold exactly in real arithmetic.  Both are finite reals > 0.
     """
 
     slack: float = 1e-10
     num: float = 1e-8
+
+    def __post_init__(self):
+        if min(real(vars(self)[k], f"tolerance {k}", DomainError) for k in ("slack", "num")) <= 0.0:
+            raise DomainError("tolerances slack and num: expected numbers > 0")
 
     def psd(self, scale: float) -> float:
         return self.slack * (1.0 + scale)

@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
-from .config import rank_cut
+from .config import rank_cut, real
 from .errors import DomainError, ShapeError
 from .linalg import (
     Spectrum,
@@ -126,8 +126,9 @@ def interpolated_form(phi: Functional, psi: Functional, t: float) -> PositiveFor
     Fractional powers come from each density's cached spectrum by
     linalg.power; the zero eigenvalue maps to 0 for positive exponents and
     to 1 at exponent 0, so the unused factor at t = 0 (the left form) and
-    t = 1 (the right form) is the identity.
+    t = 1 (the right form) is the identity.  t is a real number (config.real).
     """
+    t = real(t, "interpolation parameter", DomainError)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"interpolation parameter {t} outside [0, 1]")
     _check_algebra(phi.algebra, psi)

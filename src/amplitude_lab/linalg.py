@@ -7,15 +7,13 @@ matrices: hermitized once where a matrix comes from a product or from
 outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
 power (root, inverse, flow unitary) by power.  real_if_exact is the one
-dtype rule: every container stores by it, through hermitian_part
+array rule: every container stores by it, through hermitian_part
 (Hermitian matrices) or frozen (any other stored array), the solvers
 pick by it, and every other helper here keeps the dtype it is given.
-integer is the one integer rule, for every side, count and block index.
+Numbers and sequences have their readers in config.
 """
 
 from __future__ import annotations
-
-import numbers
 
 import numpy as np
 
@@ -31,14 +29,21 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def real_if_exact(a) -> np.ndarray:
-    """The one dtype rule: a as float64 when no entry has a nonzero imaginary part, else complex128.
+    """The one array rule: a as float64 when no entry has a nonzero imaginary part, else complex128.
 
-    Copies only to change the dtype; an exactly real complex array gives
-    its real part, a view.  Density blocks are stored by this rule, and
-    eigh and eigvalsh pick their LAPACK solver by it.
+    Entries must be integers, reals or complex numbers: a ragged list,
+    strings, bools and objects are ShapeError.  Copies only to change the
+    dtype; an exactly real complex array gives its real part, a view.
+    Density blocks are stored by this rule, and eigh and eigvalsh pick
+    their LAPACK solver by it.
     """
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # a ragged list
+        raise ShapeError(f"not an array: {exc}") from exc
+    if a.dtype.kind not in "iufc":
+        raise ShapeError(f"array of dtype {a.dtype}, expected numbers")
+    if a.dtype.kind == "c":
         a = a.astype(complex, copy=False)
         return a if a.imag.any() else a.real
     return a.astype(float, copy=False)
@@ -73,11 +78,11 @@ def hermitian_part(
 ) -> np.ndarray:
     """The one constructor of stored Hermitian matrices: read-only hermitize(a).
 
-    a is taken by real_if_exact and must be square, of side n when n is
+    a is read by real_if_exact and must be square, of side n when n is
     given (ShapeError), and pass max|a - a*| <= tolerances().psd(max|a|)
     (else error; NaN fails).  a* is formed once and serves both the check and
-    the Hermitian part, which is a new array, bit-identical to
-    hermitize(a).
+    the Hermitian part, a new array bit-identical to hermitize(a), stored by
+    real_if_exact, so a part whose imaginary entries cancel is float64.
     """
     a = real_if_exact(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or n not in (None, a.shape[0]):
@@ -86,7 +91,7 @@ def hermitian_part(
     ah = a.conj().T
     if a.size and not float(np.max(np.abs(a - ah))) <= tolerances().psd(float(np.max(np.abs(a)))):
         raise error(f"{what} is not Hermitian within tolerance")
-    h = 0.5 * a + 0.5 * ah
+    h = real_if_exact(0.5 * a + 0.5 * ah)
     h.setflags(write=False)
     return h
 
@@ -103,13 +108,6 @@ def frozen(
         raise error(f"{what} has shape {out.shape}, expected {shape}")
     out.setflags(write=False)
     return out
-
-
-def integer(x, what: str, error: type[Exception], lo: int = 0, stop: int = 2**63) -> int:
-    """The one integer rule: int(x) for an integer x (numpy's too), not a bool, in [lo, stop)."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x < stop:
-        raise error(f"{what}: expected an integer from {lo} to {stop - 1}")
-    return int(x)
 
 
 def is_psd(w: np.ndarray) -> bool:

@@ -26,7 +26,8 @@ from .algebra import (
     evaluate,
     is_faithful,
 )
-from .errors import EmptyReduction, NotFaithful
+from .config import complex_number, real
+from .errors import DomainError, EmptyReduction, NotFaithful
 from .linalg import in_range, power
 
 
@@ -82,13 +83,13 @@ def relative_modular(psi: Functional, phi: Functional, z: complex = 1.0) -> Supe
     """Power Delta^z of the relative modular operator, xi -> D_psi^z xi D_phi^{-z}.
 
     Delta is positive on the Hilbert-Schmidt space, and Delta^{1/2} maps
-    x D_phi^{1/2} to D_psi^{1/2} x.  phi must be faithful; a singular psi
-    admits only a real z > 0 (else NotFaithful).
+    x D_phi^{1/2} to D_psi^{1/2} x.  z is a finite number (DomainError); phi
+    must be faithful, and a singular psi admits only a real z > 0 (NotFaithful).
     """
+    z = complex_number(z, "power z", DomainError)
     _check_algebra(psi.algebra, phi)
     psi.require_positive()
     _require_faithful(phi, "second argument")
-    z = complex(z)
     if z.imag != 0.0 or z.real <= 0.0:
         _require_faithful(psi, "first argument")
     return _delta(psi, phi, z)
@@ -103,9 +104,10 @@ def modular_conjugation(phi: Functional) -> Superoperator:
 
 def modular_flow(phi: Functional, t: float, x: BlockOperator) -> BlockOperator:
     """Automorphism x -> D^{it} x D^{-it} generated by a faithful functional: Delta_phi^{it} x."""
+    t = real(t, "time", DomainError)
     _check_algebra(phi.algebra, x)
     _require_faithful(phi)
-    return _delta(phi, phi, 1j * complex(t)).apply(x)
+    return _delta(phi, phi, 1j * t).apply(x)
 
 
 def kms_defect(
@@ -122,12 +124,13 @@ def kms_defect(
     faithful functional as `flow` checks phi against a foreign flow (the
     defect is then strictly positive unless the densities commute).
     """
+    t = real(t, "time", DomainError)
     generator = phi if flow is None else flow
     _check_algebra(phi.algebra, x, y, generator)
     phi.require_positive()
     _require_faithful(generator, "flow generator")
     lhs = evaluate(phi, x @ _delta(generator, generator, 1j * (t - 1j)).apply(y))
-    rhs = evaluate(phi, _delta(generator, generator, 1j * complex(t)).apply(y) @ x)
+    rhs = evaluate(phi, _delta(generator, generator, 1j * t).apply(y) @ x)
     return abs(lhs - rhs)
 
 

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import rank_cut, tolerances
+from .config import integer, rank_cut, real, tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError, SolverFailed
 from .forms import HermitianForm
-from .linalg import (
-    diagonal_blocks, eigh, eigvalsh, hermitian_part, in_range, integer, is_psd, real_if_exact
-)
+from .linalg import diagonal_blocks, eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
 
 __all__ = [
     "PresymplecticSpace",
@@ -43,10 +41,8 @@ class PresymplecticSpace:
 
     def __post_init__(self):
         s = real_if_exact(self.sigma)
-        if np.iscomplexobj(s):
-            raise ShapeError("presymplectic form must be real, got a nonzero imaginary part")
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ShapeError(f"presymplectic form must be square, got {s.shape}")
+        if np.iscomplexobj(s) or s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ShapeError(f"presymplectic form must be real and square, got {s.shape} {s.dtype}")
         scale = float(np.max(np.abs(s))) if s.size else 0.0
         if s.size and float(np.max(np.abs(s + s.T))) > tolerances().psd(scale):
             raise ShapeError("presymplectic form is not antisymmetric within tolerance")
@@ -79,8 +75,11 @@ class CovarianceForm(HermitianForm):
 
 
 def make_covariance(g: np.ndarray, sigma: np.ndarray) -> CovarianceForm:
-    """Covariance (g + i sigma) / 2 from a real symmetric part g."""
-    return CovarianceForm(0.5 * (np.asarray(g, dtype=float) + 1j * np.asarray(sigma, dtype=float)))
+    """Covariance (g + i sigma) / 2 from real g and sigma (else InvalidCovariance)."""
+    g, sigma = real_if_exact(g), real_if_exact(sigma)
+    if np.iscomplexobj(g) or np.iscomplexobj(sigma):
+        raise InvalidCovariance("g and sigma must be real, got a nonzero imaginary part")
+    return CovarianceForm(0.5 * (g + 1j * sigma))
 
 
 def validate_covariance(s: CovarianceForm, space: PresymplecticSpace) -> bool:
@@ -176,9 +175,9 @@ def quasifree_character(s: CovarianceForm, x: np.ndarray) -> float:
     """
     if not is_psd(eigvalsh(s.gram)):
         raise InvalidCovariance("covariance must be positive semidefinite")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (s.dim,):
-        raise ShapeError(f"argument shape {x.shape} does not match dim {s.dim}")
+    x = real_if_exact(x)
+    if x.shape != (s.dim,) or np.iscomplexobj(x):
+        raise ShapeError(f"argument must be a real vector of dim {s.dim}, got {x.shape} {x.dtype}")
     val = float(np.real(s(x, x)))
     return float(np.exp(-0.5 * max(val, 0.0)))
 
@@ -189,6 +188,7 @@ def thermal_amplitude(lam: float, mu: float) -> float:
     sqrt((1-lam)(1-mu)) / (1 - sqrt(lam mu)); the limit of the lumped
     diagonal chain amplitudes with geometric weights.
     """
+    lam, mu = real(lam, "lam", DomainError), real(mu, "mu", DomainError)
     if not (0.0 <= lam < 1.0 and 0.0 <= mu < 1.0):
         raise DomainError("parameters must lie in [0, 1)")
     return float(np.sqrt((1.0 - lam) * (1.0 - mu)) / (1.0 - np.sqrt(lam * mu)))
@@ -196,6 +196,7 @@ def thermal_amplitude(lam: float, mu: float) -> float:
 
 def geometric_weights(lam: float, n: int) -> np.ndarray:
     """Geometric distribution (1-lam) lam^k with the tail lumped at k = n-1."""
+    lam = real(lam, "lam", DomainError)
     if not (0.0 <= lam < 1.0):
         raise DomainError("parameter must lie in [0, 1)")
     n = integer(n, "weight count", DomainError, 1)

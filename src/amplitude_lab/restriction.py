@@ -27,9 +27,9 @@ import numpy as np
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
-from .config import MAX_CHAIN_DIM, tolerances
+from .config import MAX_CHAIN_DIM, integer, sequence, tolerances
 from .errors import DomainError, InvalidEmbedding, NotQuotient, NotUnital, ShapeError, TooLarge
-from .linalg import frozen, hermitize, integer, real_if_exact
+from .linalg import frozen, hermitize, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +95,11 @@ class UnitalEmbedding:
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "bounds", bounds)
         if self.unitaries is not None:
-            if len(self.unitaries) != self.target.num_blocks:
+            unitaries = tuple(sequence(self.unitaries, "unitaries", InvalidEmbedding))
+            if len(unitaries) != self.target.num_blocks:
                 raise InvalidEmbedding("one unitary per target block is required")
             us = []
-            for k, (n, u) in enumerate(zip(self.target.block_dims, self.unitaries)):
+            for k, (n, u) in enumerate(zip(self.target.block_dims, unitaries)):
                 u = frozen(u, (n, n), f"unitary {k}", InvalidEmbedding)
                 if np.max(np.abs(u.conj().T @ u - np.eye(n))) > tolerances().num:
                     raise InvalidEmbedding(f"matrix {k} is not unitary within tolerance")
@@ -192,12 +193,13 @@ class UcpMap:
     kraus: tuple[tuple[tuple[int, np.ndarray], ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        if len(self.kraus) != self.target.num_blocks:
+        kraus = tuple(sequence(self.kraus, "Kraus families", NotUnital))
+        if len(kraus) != self.target.num_blocks:
             raise NotUnital("one Kraus family per target block is required")
         families = []
-        for k, (n, fam) in enumerate(zip(self.target.block_dims, self.kraus, strict=True)):
+        for k, (n, fam) in enumerate(zip(self.target.block_dims, kraus, strict=True)):
             pieces = []
-            for i, piece in enumerate(fam):
+            for i, piece in enumerate(sequence(fam, f"Kraus family {k}", NotUnital)):
                 what = f"Kraus piece {i} of target block {k}"
                 pair = isinstance(piece, (tuple, list)) and len(piece) == 2
                 l, m = piece if pair else (None, None)
@@ -232,7 +234,7 @@ def quotient_map(source: BlockAlgebra, image: BlockAlgebra, assignment: Sequence
     Entry l must be an integer naming a distinct source block of image
     block l's side, one entry per image block (else NotQuotient).
     """
-    assignment, dims = tuple(assignment), image.block_dims
+    assignment, dims = tuple(sequence(assignment, "assignment", NotQuotient)), image.block_dims
     if len(assignment) != len(dims):
         raise NotQuotient("assignment length must match the image block count")
     for l, k in enumerate(assignment):
@@ -269,6 +271,9 @@ class SubalgebraChain:
     final: UnitalEmbedding
 
     def __post_init__(self):
+        for name in ("algebras", "links"):
+            items = tuple(sequence(getattr(self, name), f"chain {name}", InvalidEmbedding))
+            object.__setattr__(self, name, items)
         if len(self.links) != len(self.algebras) - 1:
             raise InvalidEmbedding("need exactly one link between consecutive algebras")
         for n, link in enumerate(self.links):
@@ -313,7 +318,7 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
     """
     dims: list[int] = []
     ambient_dim = 1
-    for d in site_dims:
+    for d in sequence(site_dims, "site dimensions", DomainError):
         dims.append(integer(d, f"site {len(dims)} dimension", DomainError, 1))
         ambient_dim *= dims[-1]
         if ambient_dim > MAX_CHAIN_DIM:
@@ -337,11 +342,13 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
 def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
     """Tensor product functional on the single-block algebra of all sites.
 
-    Sites are taken by linalg.real_if_exact, so real sites give a real product.
+    Sites are matrices read by linalg.real_if_exact, so real sites give a real product.
     """
-    mats = [real_if_exact(d) for d in site_densities]
+    mats = [real_if_exact(d) for d in sequence(site_densities, "site densities", DomainError)]
     if not mats:
         raise DomainError("need at least one site density")
+    if any(m.ndim != 2 for m in mats):
+        raise ShapeError("every site density must be a matrix")
     acc = mats[0]
     for m in mats[1:]:
         acc = np.kron(acc, m)
@@ -373,7 +380,9 @@ def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> Subal
 
 
 def diagonal_state(weights: Sequence[float]) -> Functional:
-    """State on C^N with the given diagonal weights."""
-    w = np.asarray(weights, dtype=float)
+    """State on C^N with the given diagonal weights, a real vector (DomainError)."""
+    w = real_if_exact(weights)
+    if w.ndim != 1 or np.iscomplexobj(w):
+        raise DomainError(f"weights must be a real vector, got shape {w.shape} of {w.dtype}")
     algebra = BlockAlgebra((1,) * w.size)
     return Functional(algebra, tuple(np.array([[x]]) for x in w))

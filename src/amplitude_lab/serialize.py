@@ -10,27 +10,24 @@ Schema (documented in the README):
 
 A complex matrix is a flat row-major list of [re, im] pairs; sigma is a
 nested list of real rows.  Every value is read by one of four readers:
-an object's fields, an integer, a finite number and a list of rows.
+an object's fields, config.integer, config.real and a list of rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from functools import partial
 from typing import Any
 
 import numpy as np
 
 from .algebra import BlockAlgebra, Functional, make_algebra
+from .config import integer, real
 from .errors import ParseError, SolverFailed
 from .forms import HermitianForm, PositiveForm
-from .linalg import integer
 from .quasifree import CovarianceForm, PresymplecticSpace
 from .restriction import SubalgebraChain, UnitalEmbedding
-
-_FLOAT_MAX = sys.float_info.max
 
 
 def _reject_constant(name: str):
@@ -58,13 +55,6 @@ def _fields(obj, what: str, names: tuple[str, ...]) -> tuple:
     if not isinstance(obj, dict) or any(k not in obj for k in names):
         raise ParseError(f"{what}: expected an object with fields {', '.join(map(repr, names))}")
     return tuple(obj[k] for k in names)
-
-
-def _number(x, what: str) -> float:
-    """A finite number; an integer is compared exactly with the float range before float()."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not -_FLOAT_MAX <= x <= _FLOAT_MAX:
-        raise ParseError(f"{what}: expected a finite number within the float range")
-    return float(x)
 
 
 def _rows(obj, what: str, entry, count=None, width=None, noun: str = "rows") -> list[list]:
@@ -97,7 +87,7 @@ def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
 
 
 def matrix_from_pairs(pairs, n: int, what: str) -> np.ndarray:
-    rows = _rows(pairs, what, _number, n * n, 2, "complex pairs")
+    rows = _rows(pairs, what, partial(real, error=ParseError), n * n, 2, "complex pairs")
     return np.array(rows, dtype=float).reshape(n * n, 2).view(complex).reshape(n, n)
 
 
@@ -149,7 +139,7 @@ def form_from_json(obj) -> PositiveForm:
 
 
 def sigma_from_json(obj) -> np.ndarray:
-    return np.array(_rows(obj, "sigma", _number), dtype=float)
+    return np.array(_rows(obj, "sigma", partial(real, error=ParseError)), dtype=float)
 
 
 def sigma_to_json(sigma: np.ndarray) -> list:

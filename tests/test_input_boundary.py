@@ -4,15 +4,18 @@ Each reproducer below is an input that must end in its documented exit
 code with one JSON error object on stdout, not in a Python traceback or
 in a wrong number with exit 0.  The property at the end mutates one JSON
 node of a golden input and asks the same of whatever the program does
-with it.  The integer table asks the library's own entry points the
-same: a value that is not an integer is the package's error, never a
-truncation.
+with it.  The tables of integers, real numbers, sequences and arrays ask the
+library's own entry points the same: a value of the wrong kind is the
+package's error, never a bare Python exception, a truncation or a
+coercion.
 """
 
 import ast
 import contextlib
+import inspect
 import io
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -24,17 +27,55 @@ from hypothesis import strategies as st
 
 import amplitude_lab
 from amplitude_lab import (
+    AmplitudeLabError,
+    BlockAlgebra,
+    BlockOperator,
+    CovarianceForm,
     DomainError,
+    Functional,
+    HermitianForm,
     InvalidAlgebra,
+    InvalidCovariance,
     InvalidEmbedding,
+    L2Vector,
+    NotQuotient,
+    NotUnital,
+    ParseError,
+    PositiveForm,
+    PresymplecticSpace,
+    ShapeError,
+    SubalgebraChain,
+    Tolerances,
     TooLarge,
+    UcpMap,
+    amplitude_sum_check,
+    build_lumped_diagonal_chain,
     build_product_chain,
+    decompose,
+    diagonal_state,
     geometric_weights,
+    hermitize,
+    identity_embedding,
+    integrate_disjoint_family,
+    interpolated_form,
+    kms_defect,
     make_algebra,
+    make_covariance,
+    modular_flow,
+    product_state,
+    psd_sqrt,
+    quasifree_character,
+    quotient_map,
+    relative_modular,
+    thermal_amplitude,
+    ucp_pullback,
+    using,
 )
 from amplitude_lab.cli import main
+from amplitude_lab.linalg import hermitian_part
 from amplitude_lab.restriction import UnitalEmbedding
-from amplitude_lab.sampling import random_embedding
+from amplitude_lab.sampling import random_embedding, random_state, random_ucp
+from amplitude_lab.serialize import matrix_from_pairs, sigma_from_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BIG = 10**400
@@ -205,14 +246,260 @@ def test_numpy_integers_are_integers():
     assert emb.sections.tolist() == [[0, 0, 2]]
 
 
-def test_only_linalg_names_the_integer_rule():
-    # linalg.integer is the one reader of block sides, counts and block indices
+@pytest.mark.parametrize("name", ["Integral", "Real", "Complex", "float_info"])
+def test_only_config_names_the_number_rules(name):
+    # config.integer, config.real and config.complex_number are the one readers of numbers
     naming = set()
     for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if "Integral" in (getattr(node, "attr", None), getattr(node, "name", None)):
+            if name in (getattr(node, k, None) for k in ("attr", "name", "id")):
                 naming.add(path.name)
-    assert naming == {"linalg.py"}
+    assert naming == {"config.py"}
+
+
+# --- real numbers, sequences and arrays ------------------------------------
+
+M2 = make_algebra([2])
+PHI = Functional(M2, (np.diag([0.6, 0.4]),))
+PHI2 = diagonal_state([1.0, 0.0])
+X = M2.identity()
+COV = make_covariance(np.eye(2), np.zeros((2, 2)))
+ONE = identity_embedding(C1)
+
+# each key names a public callable and the argument the value goes in; every
+# call ended in a bare TypeError, ValueError or IndexError, or returned an
+# answer for a coerced value, for one value at least
+REAL_SITES = {
+    "thermal_amplitude(lam)": (DomainError, lambda v: thermal_amplitude(v, 0.1)),
+    "thermal_amplitude(mu)": (DomainError, lambda v: thermal_amplitude(0.1, v)),
+    "geometric_weights(lam)": (DomainError, lambda v: geometric_weights(v, 3)),
+    "interpolated_form(t)": (DomainError, lambda v: interpolated_form(PHI, PHI, v)),
+    "modular_flow(t)": (DomainError, lambda v: modular_flow(PHI, v, X)),
+    "kms_defect(t)": (DomainError, lambda v: kms_defect(PHI, X, X, v)),
+    "relative_modular(z)": (DomainError, lambda v: relative_modular(PHI, PHI, v)),
+    "Tolerances(slack)": (DomainError, lambda v: Tolerances(slack=v)),
+    "Tolerances(num)": (DomainError, lambda v: Tolerances(num=v)),
+    "serialize.matrix_from_pairs(entry)": (
+        ParseError,
+        lambda v: matrix_from_pairs([[v, 0]], 1, "m"),
+    ),
+    "serialize.sigma_from_json(entry)": (ParseError, lambda v: sigma_from_json([[v]])),
+}
+# a float32 inf passed a comparison with the float range, which casts it to float32
+NOT_REALS = [None, "x", "0.5", True, math.nan, math.inf, -math.inf, BIG, np.float32(math.inf)]
+
+SEQUENCE_SITES = {
+    "make_algebra(dims)": (InvalidAlgebra, lambda v: make_algebra(v)),
+    "BlockAlgebra(block_dims)": (InvalidAlgebra, lambda v: BlockAlgebra(v)),
+    "build_product_chain(site_dims)": (DomainError, lambda v: build_product_chain(v)),
+    "product_state(site_densities)": (DomainError, lambda v: product_state(v)),
+    "quotient_map(assignment)": (NotQuotient, lambda v: quotient_map(C1, C1, v)),
+    "Functional(blocks)": (ShapeError, lambda v: Functional(C1, v)),
+    "BlockOperator(blocks)": (ShapeError, lambda v: BlockOperator(C1, v)),
+    "L2Vector(blocks)": (ShapeError, lambda v: L2Vector(C1, v)),
+    "integrate_disjoint_family(components)": (
+        DomainError,
+        lambda v: integrate_disjoint_family(v, [1]),
+    ),
+    "UcpMap(kraus)": (NotUnital, lambda v: UcpMap(C1, C1, v)),
+    "UcpMap(family)": (NotUnital, lambda v: UcpMap(C1, C1, (v,))),
+    "UnitalEmbedding(unitaries)": (InvalidEmbedding, lambda v: UnitalEmbedding(C1, C1, [[1]], v)),
+    "SubalgebraChain(algebras)": (InvalidEmbedding, lambda v: SubalgebraChain(v, (), ONE)),
+    "SubalgebraChain(links)": (InvalidEmbedding, lambda v: SubalgebraChain((C1,), v, ONE)),
+}
+NOT_SEQUENCES = [None, "x", "0.5", True, math.nan, math.inf, BIG, 3]
+
+# the array rule, linalg.real_if_exact: ShapeError before any check of the site
+ARRAY_SITES = {
+    "diagonal_state(weights)": lambda v: diagonal_state(v),
+    "build_lumped_diagonal_chain(p)": lambda v: build_lumped_diagonal_chain(v, [1]),
+    "build_lumped_diagonal_chain(q)": lambda v: build_lumped_diagonal_chain([1], v),
+    "decompose(mu)": lambda v: decompose(PHI, v),
+    "amplitude_sum_check(mu)": lambda v: amplitude_sum_check(PHI, PHI, v),
+    "integrate_disjoint_family(mu)": lambda v: integrate_disjoint_family([PHI], v),
+    "Functional(block)": lambda v: Functional(C1, (v,)),
+    "BlockOperator(block)": lambda v: BlockOperator(C1, (v,)),
+    "L2Vector(block)": lambda v: L2Vector(C1, (v,)),
+    "HermitianForm(gram)": lambda v: HermitianForm(v),
+    "PositiveForm(gram)": lambda v: PositiveForm(v),
+    "CovarianceForm(gram)": lambda v: CovarianceForm(v),
+    "PresymplecticSpace(sigma)": lambda v: PresymplecticSpace(v),
+    "make_covariance(g)": lambda v: make_covariance(v, np.zeros((2, 2))),
+    "make_covariance(sigma)": lambda v: make_covariance(np.eye(2), v),
+    "quasifree_character(x)": lambda v: quasifree_character(COV, v),
+    "product_state(site)": lambda v: product_state([v]),
+    "UnitalEmbedding(unitary)": lambda v: UnitalEmbedding(C1, C1, [[1]], (v,)),
+    "UcpMap(kraus piece)": lambda v: UcpMap(C1, C1, (((0, v),),)),
+    "psd_sqrt(h)": lambda v: psd_sqrt(v),
+}
+# None is the default of decompose's and amplitude_sum_check's mu
+NOT_ARRAYS = ["x", "0.5", True, ["a"], ["0.5", "0.5"], [True], [[1], [1, 2]], [None]]
+
+
+def _cases(sites, values):
+    # None is the default of UnitalEmbedding's unitaries
+    return [
+        pytest.param(site, value, id=f"{site}-{value!r}"[:60])
+        for site in sites
+        for value in values
+        if not (value is None and site == "UnitalEmbedding(unitaries)")
+    ]
+
+
+@pytest.mark.parametrize("site, value", _cases(REAL_SITES, NOT_REALS))
+def test_a_real_input_that_is_not_a_finite_real_is_the_package_error(site, value):
+    error, call = REAL_SITES[site]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("site, value", _cases(SEQUENCE_SITES, NOT_SEQUENCES))
+def test_a_sequence_input_that_is_not_a_sequence_is_the_package_error(site, value):
+    error, call = SEQUENCE_SITES[site]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("site, value", _cases(ARRAY_SITES, NOT_ARRAYS))
+def test_an_array_input_that_is_not_an_array_of_numbers_is_a_shape_error(site, value):
+    with pytest.raises(ShapeError):
+        ARRAY_SITES[site](value)
+
+
+# values of the right kind that each site's own check refuses
+SITE_CHECKS = {
+    "diagonal_state(weights): a scalar": (DomainError, lambda: diagonal_state(0.5)),
+    "diagonal_state(weights): complex": (DomainError, lambda: diagonal_state([0.5j, 0.5])),
+    "decompose(mu): complex": (DomainError, lambda: decompose(PHI, [1 + 1j])),
+    # inf and -inf pass the positivity test, and their sum is NaN, which no comparison fails
+    "decompose(mu): inf and -inf": (DomainError, lambda: decompose(PHI2, [math.inf, -math.inf])),
+    "amplitude_sum_check(mu): inf and -inf": (
+        DomainError,
+        lambda: amplitude_sum_check(PHI2, PHI2, [math.inf, -math.inf]),
+    ),
+    "build_lumped_diagonal_chain(p): inf and -inf": (
+        DomainError,
+        lambda: build_lumped_diagonal_chain([math.inf, -math.inf], [0.5, 0.5]),
+    ),
+    "product_state(site): not a matrix": (ShapeError, lambda: product_state([1])),
+    "relative_modular(z): a NaN imaginary part": (
+        DomainError,
+        lambda: relative_modular(PHI, PHI, complex(1, math.nan)),
+    ),
+    "Tolerances(slack): zero": (DomainError, lambda: Tolerances(slack=0)),
+    "Tolerances(num): negative": (DomainError, lambda: Tolerances(num=-1e-8)),
+    "make_covariance(g): complex": (
+        InvalidCovariance,
+        lambda: make_covariance(np.eye(2) + 1e-3j, np.zeros((2, 2))),
+    ),
+    "make_covariance(sigma): complex": (
+        InvalidCovariance,
+        lambda: make_covariance(np.eye(2), np.zeros((2, 2)) + 1e-3j),
+    ),
+    "quasifree_character(x): complex": (ShapeError, lambda: quasifree_character(COV, [1j, 0])),
+}
+
+
+@pytest.mark.parametrize("error, call", SITE_CHECKS.values(), ids=SITE_CHECKS.keys())
+def test_a_value_its_site_refuses_is_the_package_error(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_numpy_reals_are_reals():
+    assert Tolerances(slack=np.float32(0.5), num=np.int64(1)).psd(1.0) == 1.0
+    assert thermal_amplitude(np.float64(0.25), 0) == pytest.approx(np.sqrt(0.75))
+    assert relative_modular(PHI, PHI, np.complex128(0.5j)).algebra == M2
+
+
+def test_a_block_whose_imaginary_part_hermitizing_cancels_is_stored_real():
+    # the rule was applied before hermitizing: this block was stored complex128
+    phi = Functional(M2, ([[1, 0], [0, 1 + 1e-20j]],))
+    assert phi.densities[0].dtype == np.float64
+    assert hermitian_part([[2, 1j], [-1j, 2]]).dtype == np.complex128
+
+
+def test_a_pullback_is_hermitized_before_any_slack_reads_it():
+    # the sums K D K* carry roundoff of about 1e-17 (1 + max) before they are hermitized
+    rng = np.random.default_rng(0)
+    with using(Tolerances(slack=1e-18)):
+        for _ in range(20):
+            channel = random_ucp(rng, make_algebra([2, 1]), make_algebra([3]))
+            psi = random_state(rng, channel.target)
+            raw = sum(m @ psi.densities[0] @ m.conj().T for l, m in channel.kraus[0] if l == 0)
+            pulled = ucp_pullback(channel, psi).densities[0]
+            assert pulled.tobytes() == hermitize(raw).astype(pulled.dtype).tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["chain", "--lumped", "3", "--lambda=x"], "--lambda"),
+        (["chain", "--lumped", "3", "--mu=1e400"], "--mu"),
+        (["amp", "a.json", "b.json", "--tol=nan"], "--tol"),
+        (["kms-check", "a.json", "--times=0,inf"], "--times"),
+        (["kms-check", "a.json", "--times=x"], "--times"),
+        (["decompose", "a.json", "b.json", "--mu=0.5,-inf"], "--mu"),
+        (["chain", "--product-chain", "2", "--site-a=diag:nan,1"], "diagonal site spec"),
+        (["chain", "--product-chain", "2", "--site-b=diag:1,1e400"], "diagonal site spec"),
+    ],
+)
+def test_a_command_line_number_that_is_not_finite_exits_2_naming_it(argv, flag):
+    code, out = run(argv)
+    error = error_of(out)
+    assert code == 2 and error["type"] == "ParseError" and flag in error["message"]
+
+
+# public callables whose arguments are all of the package's own types, or none
+OBJECTS_ONLY = "takes the package's own objects only, which are not read"
+RECORD = "a result record the package builds and returns"
+EXEMPT = {
+    **dict.fromkeys(
+        [
+            "amplitude_kernel", "central_support", "chain_amplitudes", "classify_pair",
+            "compose_embeddings", "embedding_as_ucp", "evaluate", "functional_norm",
+            "geometric_mean", "identity_embedding", "inequality_suite", "is_dominated",
+            "is_faithful", "is_pure", "left_form", "majorizing_inner_product", "matrix_units",
+            "modular_conjugation", "operator_coordinates", "purify", "reduce_covariance",
+            "restrict", "right_form", "sqrt_vector", "support_projection", "support_reduce",
+            "total_rank", "transition_amplitude", "ucp_pullback", "uhlmann_fidelity", "using",
+            "validate_covariance",
+        ],
+        OBJECTS_ONLY,
+    ),
+    "Superoperator": "two BlockOperators and a flag; a factor of another type is a TypeError",
+    **dict.fromkeys(
+        ["hermitize", "purification_op", "trace_norm"],
+        "a matrix helper the package calls on arrays it built; it keeps the dtype it is given",
+    ),
+    "tolerances": "takes no argument",
+    "StateRelation": "an enum of the package",
+    **dict.fromkeys(
+        ["AmplitudeSumCheck", "InequalityReport", "ReducedTriple", "StateDecomposition",
+         "SupportReduction"],
+        RECORD,
+    ),
+}
+
+
+def test_every_public_callable_that_reads_a_value_is_in_a_table():
+    public = {
+        name
+        for name, obj in vars(amplitude_lab).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and not inspect.ismodule(obj)
+        and not (isinstance(obj, type) and issubclass(obj, AmplitudeLabError))
+    }
+    tabled = {
+        key.split("(")[0]
+        for table in (REAL_SITES, SEQUENCE_SITES, ARRAY_SITES, SITE_CHECKS)
+        for key in table
+        if not key.startswith("serialize.")
+    }
+    assert tabled <= public and set(EXEMPT) <= public
+    assert tabled.isdisjoint(EXEMPT)
+    assert public - tabled - set(EXEMPT) == set()
 
 
 # --- mutated golden inputs -------------------------------------------------
