@@ -2,11 +2,11 @@
 
 The ambient algebra is a finite direct sum of full complex matrix blocks
 M_{n_1} (+) ... (+) M_{n_m}.  Elements, functionals and square-root
-vectors all carry one n_k x n_k matrix per block, stored by
-linalg.real_if_exact: float64 when its imaginary part is exactly zero,
-complex128 otherwise.  Everything is immutable after construction and
-all operations are pure functions of their arguments and the tolerances
-in force (config.tolerances).
+vectors all carry one n_k x n_k matrix per block, stored by linalg.built:
+float64 when its imaginary part is exactly zero, complex128 otherwise, read
+first (_stored) when a caller gives it, not when built here (_built).
+Everything is immutable after construction and all operations are pure
+functions of their arguments and the tolerances in force (config.tolerances).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .config import integer, sequence
 from .errors import InvalidAlgebra, NotPositive, ShapeError
 from .linalg import (
     Spectrum,
+    _lapack,
+    built,
     eigh,
     eigvalsh,
     frozen,
@@ -55,10 +57,10 @@ class BlockAlgebra:
         return int(sum(self.block_dims))
 
     def identity(self) -> "BlockOperator":
-        return BlockOperator(self, tuple(np.eye(n) for n in self.block_dims))
+        return BlockOperator._built(self, tuple(np.eye(n) for n in self.block_dims))
 
     def zero_functional(self) -> "Functional":
-        return Functional(self, tuple(np.zeros((n, n)) for n in self.block_dims))
+        return Functional._built(self, tuple(np.zeros((n, n)) for n in self.block_dims))
 
 
 def make_algebra(dims: Sequence[int]) -> BlockAlgebra:
@@ -75,7 +77,7 @@ def _check_algebra(algebra: BlockAlgebra, *xs) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _BlockTuple:
-    """One matrix per block of an algebra, stored by _stored (linalg.frozen), with blockwise + - *.
+    """One matrix per block of an algebra, read by _stored (linalg.frozen), with blockwise + - *.
 
     The scalar rule, HermitianForm's too: * takes a Python or numpy number only, and
     with __array_ufunc__ = None an ndarray is a TypeError in either order.
@@ -95,25 +97,38 @@ class _BlockTuple:
     def _stored(b, n: int) -> np.ndarray:
         return frozen(b, (n, n), "block")
 
+    @classmethod
+    def _built(cls, algebra: BlockAlgebra, blocks):
+        """New blocks built here, exactly Hermitian for a Functional, stored by linalg.built."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "algebra", algebra)
+        object.__setattr__(new, "blocks", tuple(map(built, blocks)))
+        if isinstance(new, Functional) and not all(np.isfinite(b).all() for b in new.blocks):
+            raise NotPositive("density block is not finite")  # arithmetic overflowed, or NaN
+        return new
+
     def adjoint(self):
-        return type(self)(self.algebra, tuple(b.conj().T for b in self.blocks))
+        return self._built(self.algebra, tuple(b.conj().T for b in self.blocks))
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         _check_algebra(self.algebra, other)
-        return type(self)(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return self._built(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         _check_algebra(self.algebra, other)
-        return type(self)(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return self._built(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __mul__(self, c: complex):
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        return type(self)(self.algebra, tuple(c * b for b in self.blocks))
+        blocks = tuple(c * b for b in self.blocks)
+        # c D for a non-real c is Hermitian only within slack, so it is read as a caller's
+        read = isinstance(self, Functional) and np.imag(c) != 0
+        return (type(self) if read else self._built)(self.algebra, blocks)
 
     __rmul__ = __mul__
 
@@ -126,11 +141,11 @@ class BlockOperator(_BlockTuple):
         if not isinstance(other, (BlockOperator, L2Vector)):
             return NotImplemented
         _check_algebra(self.algebra, other)
-        return type(other)(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
+        return other._built(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
     def norm(self) -> float:
-        """Operator (spectral) norm, the max over blocks."""
-        return max(float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in self.blocks)
+        """Operator (spectral) norm, the largest singular value over blocks."""
+        return max(float(_lapack("svd", b, compute_uv=False)[0]) for b in self.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +234,7 @@ class L2Vector(_BlockTuple):
         if not isinstance(other, BlockOperator):
             return NotImplemented
         _check_algebra(self.algebra, other)
-        return L2Vector(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
+        return self._built(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
 
 class StateRelation(enum.Enum):

@@ -30,7 +30,7 @@ def sqrt_vector(phi: Functional) -> L2Vector:
     """Square-root vector of a positive functional, blockwise PSD root."""
     phi.require_positive()
     roots = tuple(power(spec, 0.5) for spec in phi.spectrum())
-    return L2Vector(phi.algebra, roots)
+    return L2Vector._built(phi.algebra, roots)
 
 
 def transition_amplitude(phi: Functional, psi: Functional) -> float:

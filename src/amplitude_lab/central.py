@@ -37,11 +37,9 @@ class StateDecomposition:
     radon_nikodym: np.ndarray = field(repr=False)
 
     def reassemble(self) -> Functional:
-        densities = []
-        for k, comp in enumerate(self.components):
-            c = float(self.weights[k] * self.radon_nikodym[k])
-            densities.append(c * comp.densities[0])
-        return Functional(self.algebra, tuple(densities))
+        scales = (float(w * r) for w, r in zip(self.weights, self.radon_nikodym))
+        densities = tuple(c * comp.densities[0] for c, comp in zip(scales, self.components))
+        return Functional._built(self.algebra, densities)
 
 
 def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
@@ -167,11 +165,8 @@ def integrate_disjoint_family(
     if not components:
         raise DomainError("need at least one component")
     mu = probability_vector(mu, "weight vector", len(components))
-    dims: list[int] = []
-    densities: list[np.ndarray] = []
-    for w, comp in zip(mu, components):
+    for comp in components:
         comp.require_positive()
-        dims.extend(comp.algebra.block_dims)
-        densities.extend(w * d for d in comp.densities)
-    algebra = BlockAlgebra(tuple(dims))
-    return algebra, Functional(algebra, tuple(densities))
+    algebra = BlockAlgebra(tuple(n for comp in components for n in comp.algebra.block_dims))
+    densities = tuple(w * d for w, comp in zip(mu, components) for d in comp.densities)
+    return algebra, Functional._built(algebra, densities)

@@ -20,8 +20,9 @@ dominated by the pair.  No tolerance reaches its arithmetic.
 The forms built here are positive by construction: interpolated_form's
 kron(q, p^T) has the products of two clamped spectra, which
 require_positive has accepted, as eigenvalues, and the mean's (AB)^{1/2}
-has a and b clipped to [0, 1].  So their positivity is decided by their
-inputs' checks; PositiveForm diagonalises the Grams of files and callers.
+has a and b clipped to [0, 1].  Both Grams, of hermitized factors, are
+exactly Hermitian too, so they are stored as built (linalg.built), with no
+eigvalsh; PositiveForm diagonalises the Grams of files and callers.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .config import rank_cut, real
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NotPositive, ShapeError
 from .linalg import (
     Spectrum,
+    built,
     check_psd,
     diagonal_blocks,
     eigh,
@@ -89,9 +91,11 @@ class PositiveForm(HermitianForm):
 
 
 def _positive_by_construction(gram: np.ndarray) -> PositiveForm:
-    """PositiveForm of a Gram built positive here: hermitian_part's check, and no eigvalsh."""
+    """PositiveForm of a Gram built positive here: linalg.built once finite, and no eigvalsh."""
+    if not np.isfinite(gram).all():
+        raise NotPositive("Gram matrix is not finite")
     form = object.__new__(PositiveForm)
-    object.__setattr__(form, "gram", hermitian_part(gram, "Gram matrix"))
+    object.__setattr__(form, "gram", built(gram))
     return form
 
 

@@ -7,9 +7,9 @@ matrices: hermitized once where a matrix comes from a product or from
 outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
 power (root, inverse, flow unitary) by power.  real_if_exact is the one
-array rule: every container stores by it, through hermitian_part
-(Hermitian matrices) or frozen (any other stored array), the solvers
-pick by it, and every other helper here keeps the dtype it is given.
+array rule, and built stores by it: an array built here directly, a
+caller's through hermitian_part (Hermitian) or frozen, which read it.  The
+solvers pick by it, and every other helper here keeps the dtype it is given.
 Numbers and sequences have their readers in config.
 """
 
@@ -34,8 +34,8 @@ def real_if_exact(a) -> np.ndarray:
     Entries must be integers, reals or complex numbers: a ragged list,
     strings, bools and objects are ShapeError.  Copies only to change the
     dtype; an exactly real complex array gives its real part, a view.
-    Density blocks are stored by this rule, and eigh and eigvalsh pick
-    their LAPACK solver by it.
+    Every array is stored by this rule, through built, and eigh and
+    eigvalsh pick their LAPACK solver by it.
     """
     try:
         a = np.asarray(a)
@@ -47,6 +47,13 @@ def real_if_exact(a) -> np.ndarray:
         a = a.astype(complex, copy=False)
         return a if a.imag.any() else a.real
     return a.astype(float, copy=False)
+
+
+def built(a: np.ndarray) -> np.ndarray:
+    """The one way an array is stored: real_if_exact(a), read-only, with no copy."""
+    a = real_if_exact(a)
+    a.setflags(write=False)
+    return a
 
 
 def eigh(h: np.ndarray) -> Spectrum:
@@ -82,7 +89,7 @@ def hermitian_part(
     given (ShapeError), and pass max|a - a*| <= tolerances().psd(max|a|)
     (else error; NaN fails).  a* is formed once and serves both the check and
     the Hermitian part, a new array bit-identical to hermitize(a), stored by
-    real_if_exact, so a part whose imaginary entries cancel is float64.
+    built, so a part whose imaginary entries cancel is float64.
     """
     a = real_if_exact(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or n not in (None, a.shape[0]):
@@ -91,23 +98,20 @@ def hermitian_part(
     ah = a.conj().T
     if a.size and not float(np.max(np.abs(a - ah))) <= tolerances().psd(float(np.max(np.abs(a)))):
         raise error(f"{what} is not Hermitian within tolerance")
-    h = real_if_exact(0.5 * a + 0.5 * ah)
-    h.setflags(write=False)
-    return h
+    return built(0.5 * a + 0.5 * ah)
 
 
 def frozen(
     a, shape: tuple[int, ...], what: str = "matrix", error: type[Exception] = ShapeError
 ) -> np.ndarray:
-    """The one constructor of other stored arrays: a read-only copy of real_if_exact(a).
+    """The one constructor of other stored arrays: built of a copy of real_if_exact(a).
 
     Raises error unless the copy has the given shape.
     """
     out = np.array(real_if_exact(a))
     if out.shape != shape:
         raise error(f"{what} has shape {out.shape}, expected {shape}")
-    out.setflags(write=False)
-    return out
+    return built(out)
 
 
 def is_psd(w: np.ndarray) -> bool:

@@ -74,8 +74,8 @@ def _require_faithful(phi: Functional, what: str = "functional") -> None:
 
 def _delta(psi: Functional, phi: Functional, z: complex) -> Superoperator:
     """Delta^z from held spectra, for psi, phi checked positive and phi checked faithful."""
-    left = BlockOperator(psi.algebra, tuple(power(s, z) for s in psi.spectrum()))
-    right = BlockOperator(phi.algebra, tuple(power(s, -z) for s in phi.spectrum()))
+    left = BlockOperator._built(psi.algebra, tuple(power(s, z) for s in psi.spectrum()))
+    right = BlockOperator._built(phi.algebra, tuple(power(s, -z) for s in phi.spectrum()))
     return Superoperator(left, right)
 
 
@@ -149,7 +149,7 @@ class SupportReduction:
         _check_algebra(self.source, x)
         kept = self.kept_blocks
         blocks = tuple(v.conj().T @ x.blocks[kept[i]] @ v for i, v in enumerate(self.isometries))
-        return BlockOperator(self.algebra, blocks)
+        return BlockOperator._built(self.algebra, blocks)
 
 
 def support_reduce(phi: Functional) -> SupportReduction:
@@ -172,6 +172,6 @@ def support_reduce(phi: Functional) -> SupportReduction:
     if not kept:
         raise EmptyReduction("zero functional has empty support")
     algebra = BlockAlgebra(tuple(len(w) for w, _ in spectra))
-    reduced = Functional(algebra, tuple(np.diag(w) for w, _ in spectra))
+    reduced = Functional._built(algebra, tuple(np.diag(w) for w, _ in spectra))
     _hold_spectrum(reduced, tuple(spectra))
     return SupportReduction(algebra, reduced, tuple(isometries), tuple(kept), phi.algebra)

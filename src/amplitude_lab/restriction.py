@@ -174,7 +174,7 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
             m = emb.source.block_dims[l]
             section = rot[start : start + m * c, start : start + m * c]
             out[l] += np.einsum("pjqj->pq", section.reshape(m, c, m, c))
-    return Functional(emb.source, tuple(out))
+    return Functional._built(emb.source, tuple(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +215,7 @@ class UcpMap:
         """Phi(a) on the target algebra."""
         _check_algebra(self.source, a)
         blocks = tuple(sum(m.conj().T @ a.blocks[l] @ m for l, m in fam) for fam in self.kraus)
-        return BlockOperator(self.target, blocks)
+        return BlockOperator._built(self.target, blocks)
 
 
 def embedding_as_ucp(emb: UnitalEmbedding) -> UcpMap:
@@ -259,7 +259,7 @@ def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
     for fam, d in zip(channel.kraus, psi.densities):
         for l, m in fam:
             out[l] += m @ d @ m.conj().T
-    return Functional(channel.source, tuple(hermitize(x) for x in out))
+    return Functional._built(channel.source, tuple(hermitize(x) for x in out))
 
 
 @dataclass(frozen=True, eq=False)

@@ -278,6 +278,30 @@ class TestFunctionalValidation:
         with pytest.raises(ValueError):
             phi.densities[0][0, 0] = 9.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda phi, big: phi * np.nan,
+            lambda phi, big: phi * np.inf,
+            lambda phi, big: (phi * 1e308) * 10,
+            lambda phi, big: phi * 1j,
+            lambda phi, big: big + big,
+        ],
+        ids=["nan", "inf", "overflow", "non-real", "big+big"],
+    )
+    def test_arithmetic_that_spoils_a_density_is_not_positive(self, build):
+        # a built density skips the Hermitian check: its finiteness scan, and
+        # the reading constructor for a non-real scalar, keep these refused
+        phi = diag_functional(make_algebra([2, 1]), [0.5, 0.25], [0.25])
+        big = Functional(make_algebra([1]), ([[1.5e308]],))
+        with np.errstate(all="ignore"), pytest.raises(NotPositive):
+            build(phi, big)
+
+    def test_a_scalar_with_zero_imaginary_part_keeps_real_storage(self):
+        phi = diag_functional(make_algebra([2, 1]), [0.5, 0.25], [0.25])
+        for d in (phi * (1 + 0j)).densities + (np.complex128(2) * phi).densities:
+            assert d.dtype == np.float64 and not d.flags.writeable
+
     @pytest.mark.parametrize("blocks", [(np.eye(2),), (np.eye(2), np.eye(3), np.eye(1))])
     @pytest.mark.parametrize(
         "build",

@@ -13,7 +13,7 @@ only, and a bound relative to the pair's scale.
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amplitude_lab import (
@@ -29,25 +29,37 @@ from amplitude_lab import (
     central_support,
     chain_amplitudes,
     classify_pair,
+    decompose,
     embedding_as_ucp,
     geometric_mean,
     identity_embedding,
+    integrate_disjoint_family,
     interpolated_form,
     is_dominated,
     left_form,
     make_algebra,
+    modular_conjugation,
     quotient_map,
+    relative_modular,
     restrict,
     right_form,
+    sqrt_vector,
     support_projection,
+    support_reduce,
     total_rank,
     transition_amplitude,
     ucp_pullback,
     uhlmann_fidelity,
     using,
 )
-from amplitude_lab.linalg import in_range, power
-from amplitude_lab.sampling import random_complex, random_embedding, random_ucp, random_unitary
+from amplitude_lab.linalg import frozen, hermitian_part, in_range, power
+from amplitude_lab.sampling import (
+    random_complex,
+    random_embedding,
+    random_operator,
+    random_ucp,
+    random_unitary,
+)
 from amplitude_lab.selftest import (
     ando_defect,
     chain_margin,
@@ -403,3 +415,62 @@ def test_the_mean_does_not_read_the_tolerances_in_force(grams):
     with using(Tolerances(slack=1e-6, num=1e-6)):
         loose = geometric_mean(*forms).gram
     assert np.array_equal(loose, geometric_mean(*forms).gram)
+
+
+@st.composite
+def subnormal_pairs(draw):
+    """pairs() scaled to masses 10^e, e = 0 or e in [-300, -280]: a block sixteen decades
+    below the mass of its functional then has subnormal entries."""
+    scales = st.just(0.0) | st.floats(-300.0, -280.0)
+    return tuple(f * (10.0 ** draw(scales) / f.mass) for f in draw(pairs()))
+
+
+def _as_stored(block, rule):
+    """Assert rule, the reading constructor's, gives back the stored block bit for bit, in
+    its dtype, but where hermitize's 0.5 x rounds: in an entry below twice the smallest
+    normal, by at most the smallest subnormal."""
+    again = rule(block)
+    assert again.dtype == block.dtype
+    if not np.array_equal(again, block):
+        for a, b in ((again.real, block.real), (again.imag, block.imag)):
+            gap, exact = np.abs(a - b), np.abs(b) >= 2 * np.finfo(float).tiny
+            assert not gap[exact].any() and np.all(gap <= np.finfo(float).smallest_subnormal)
+
+
+# half the suite's examples keep this within 1 s; 150 pass as well
+@settings(max_examples=75)
+@given(subnormal_pairs(), st.integers(0, 2**32 - 1))
+def test_the_built_path_stores_what_the_reading_constructors_would(pair, seed):
+    # each site that stores by _built, read again by the rule a caller's block meets:
+    # hermitian_part for densities and Grams, frozen for operators and vectors
+    phi, psi = pair
+    alg, rng = phi.algebra, np.random.default_rng(seed)
+    x, y = random_operator(rng, alg) * 1e-310, random_operator(rng, alg)
+    r = support_reduce(phi)
+    flow = relative_modular(r.functional, r.functional, 0.5)
+    us = tuple(random_unitary(rng, n) for n in alg.block_dims)
+    chain, channel = _two_link_chain(alg, us), unitary_conjugation_ucp(alg, us)
+    restricted = restrict(phi, chain.links[1])
+    densities = [
+        *(phi, psi, phi + psi, phi - psi, 0.5 * phi, phi * (1 + 0j), phi.adjoint()),
+        *(r.functional, decompose(phi).reassemble()),
+        integrate_disjoint_family([phi, psi], [0.5, 0.5])[1],
+        *(restricted, restrict(restricted, chain.links[0]), ucp_pullback(channel, phi)),
+    ]
+    vector, turned = sqrt_vector(phi), flow.compose(modular_conjugation(r.functional))
+    operators = [
+        *(x + y, x - y, 0.5 * x, x.adjoint(), x @ y, flow.left, flow.right),
+        *(flow.apply(r.compress(x)), channel.apply(x)),
+        *(turned.left, turned.right),
+        *(vector, vector @ x, x @ vector, vector - sqrt_vector(psi)),
+    ]
+    for f in densities:
+        for d in f.densities:
+            assert np.array_equal(d, d.conj().T)
+            _as_stored(d, lambda a: hermitian_part(a, n=len(a)))
+    for o in operators:
+        for b in o.blocks:
+            _as_stored(b, lambda a: frozen(a, a.shape))
+    for form in (interpolated_form(phi, psi, 0.5), geometric_mean(left_form(phi), right_form(psi))):
+        assert np.array_equal(form.gram, form.gram.conj().T)
+        _as_stored(form.gram, hermitian_part)

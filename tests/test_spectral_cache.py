@@ -7,6 +7,7 @@ symmetric solver that real densities get.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -14,17 +15,23 @@ import numpy as np
 import pytest
 
 from amplitude_lab import (
+    BlockOperator,
     CovarianceForm,
     Functional,
     HermitianForm,
     InvalidCovariance,
     NotPositive,
     PositiveForm,
+    SolverFailed,
     UnitalEmbedding,
     amplitude_sum_check,
+    build_lumped_diagonal_chain,
+    chain_amplitudes,
     decompose,
+    diagonal_state,
     functional_norm,
     geometric_mean,
+    geometric_weights,
     hermitize,
     inequality_suite,
     interpolated_form,
@@ -32,6 +39,7 @@ from amplitude_lab import (
     kms_defect,
     left_form,
     make_algebra,
+    modular_conjugation,
     modular_flow,
     relative_modular,
     restrict,
@@ -483,6 +491,75 @@ class TestOneValidationPass:
             build(g)
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Counter of hermitian_part and frozen calls, wrapped under every module's name for them."""
+    calls = Counter()
+    for name in ("hermitian_part", "frozen"):
+        original = getattr(linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in _package_modules():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _package_modules():
+    return [
+        importlib.import_module(f"amplitude_lab.{path.stem}")
+        for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py"))
+    ]
+
+
+class TestBuiltPath:
+    def test_a_lumped_chain_reads_no_block_it_builds(self, reads):
+        p, q = geometric_weights(0.25, 50), geometric_weights(0.5, 50)
+        chain = build_lumped_diagonal_chain(p, q)
+        phi, psi = diagonal_state(p), diagonal_state(q)
+        reads.clear()
+        assert chain_amplitudes(phi, psi, chain)[-1] == transition_amplitude(phi, psi)
+        assert reads == Counter()
+
+    def test_the_modular_conjugation_reads_no_block_it_builds(self, reads):
+        rng = np.random.default_rng(29)
+        alg = make_algebra([3, 2])
+        phi, x = random_state(rng, alg), random_operator(rng, alg)
+        reads.clear()
+        assert np.array_equal(modular_conjugation(phi).apply(x).blocks[0], x.blocks[0].conj().T)
+        assert reads == Counter()
+
+    def test_a_callers_functional_is_read_once_per_block(self, reads):
+        blocks = (np.eye(3) / 6, np.eye(2) / 4, np.eye(1) / 4)
+        Functional(make_algebra([3, 2, 1]), blocks)
+        assert reads == Counter(hermitian_part=3)
+
+    def test_the_operator_norm_takes_the_solver_hook(self):
+        # np.linalg.norm ran its own svd, and a NaN block ended in a bare LinAlgError
+        x = BlockOperator(make_algebra([2]), (np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+        with pytest.raises(SolverFailed):
+            x.norm()
+
+
+@pytest.mark.parametrize("name", ["serialize.py", "cli.py", "sampling.py"])
+def test_files_flags_and_draws_never_take_the_built_path(name):
+    # these modules read what comes from outside, so they construct only by reading
+    path = Path(amplitude_lab.__file__).parent / name
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("_built", "built"):
+            found.append(f"{node.lineno} {_dotted(node)}")
+        elif isinstance(node, ast.Name) and node.id in ("_built", "built"):
+            found.append(f"{node.lineno} {node.id}")
+        elif isinstance(node, ast.ImportFrom):
+            if {alias.name for alias in node.names} & {"_built", "built"}:
+                found.append(f"{node.lineno} from {node.module}")
+    assert found == []
+
+
 def _dotted(node) -> str:
     parts = []
     while isinstance(node, ast.Attribute):
@@ -496,7 +573,7 @@ def _dotted(node) -> str:
 def test_only_linalg_names_an_eigensolver():
     # linalg's eigh, eigvalsh and trace_norm are the one hook that can count
     # solver calls; modular.py reads held spectra and imports no solver at all
-    solvers = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+    solvers = {"eigh", "eigvalsh", "eig", "eigvals", "svd", "norm"}
     found = []
     for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
         if path.name == "linalg.py":
