@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import integer, sequence
+from .config import as_built, integer, sequence
 from .errors import InvalidAlgebra, NotPositive, ShapeError
 from .linalg import (
     Spectrum,
@@ -28,6 +28,7 @@ from .linalg import (
     eigvalsh,
     frozen,
     hermitian_part,
+    hermitize,
     in_range,
     is_psd,
     spectral_apply,
@@ -100,9 +101,7 @@ class _BlockTuple:
     @classmethod
     def _built(cls, algebra: BlockAlgebra, blocks):
         """New blocks built here, exactly Hermitian for a Functional, stored by linalg.built."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "algebra", algebra)
-        object.__setattr__(new, "blocks", tuple(map(built, blocks)))
+        new = as_built(cls, algebra=algebra, blocks=tuple(map(built, blocks)))
         if isinstance(new, Functional) and not all(np.isfinite(b).all() for b in new.blocks):
             raise NotPositive("density block is not finite")  # arithmetic overflowed, or NaN
         return new
@@ -259,26 +258,30 @@ def functional_norm(phi: Functional) -> float:
     return float(sum(np.sum(np.abs(eigvalsh(d))) for d in phi.densities))
 
 
-def _block_component(phi: Functional, k: int) -> tuple[Functional, float] | None:
+def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
     """Block k's positive part over its mass m, as a functional on M_{n_k}, and m.
 
     The positive part is D_k less the eigenvalues in_range drops, and m
     = Tr D_k less their sum is its trace; a block that drops none keeps
-    D_k and m = Tr D_k.  A block of rank 0 gives None.  The component's
-    spectrum is phi's, with the dropped eigenvalues set to 0, over m:
-    that keeps the eigenvectors and the ascending order, so the
-    component needs no eigendecomposition of its own.
+    D_k and m = Tr D_k.  A block of rank 0 gives the normalized trace, a
+    placeholder, and m = 0.  The component's spectrum is phi's, with the
+    dropped eigenvalues set to 0, over m: that keeps the eigenvectors and
+    the ascending order, so the component needs no eigendecomposition of
+    its own.  Its density is stored as built, hermitized, as the
+    difference need not be exactly Hermitian.
     """
     w, v = phi.spectrum()[k]
-    keep = in_range(w)
+    keep, n = in_range(w), phi.algebra.block_dims[k]
+    algebra = as_built(BlockAlgebra, block_dims=(n,))
     if not keep.any():
-        return None
+        return Functional._built(algebra, (np.eye(n) / n,)), 0.0
     d, dropped = phi.densities[k], np.where(keep, 0.0, w)
     mass = float(np.trace(d).real) - float(np.sum(dropped))
     if not keep.all():
         d = d - spectral_apply((dropped, v), lambda x: x)
-    algebra = BlockAlgebra((phi.algebra.block_dims[k],))
-    comp = Functional(algebra, (d / mass,))
+    # numpy divides complex by real through the reciprocal, inf for a subnormal m: scale, exactly
+    s = np.ldexp(1.0, max(-1021 - np.frexp(mass)[1], 0))
+    comp = Functional._built(algebra, (hermitize(d * s / (mass * s)),))
     _hold_spectrum(comp, (((w - dropped) / mass, v),))
     return comp, mass
 
@@ -294,7 +297,8 @@ def support_projection(phi: Functional) -> BlockOperator:
 
     This is the minimal projection p with phi(1 - p) = 0.
     """
-    return BlockOperator(phi.algebra, tuple(v @ v.conj().T for v in _support_isometries(phi)))
+    projections = tuple(v @ v.conj().T for v in _support_isometries(phi))
+    return BlockOperator._built(phi.algebra, projections)
 
 
 def central_support(phi: Functional) -> BlockOperator:
@@ -302,7 +306,7 @@ def central_support(phi: Functional) -> BlockOperator:
     blocks = tuple(
         np.eye(v.shape[0]) * bool(v.shape[1]) for v in _support_isometries(phi)
     )
-    return BlockOperator(phi.algebra, blocks)
+    return BlockOperator._built(phi.algebra, blocks)
 
 
 def classify_pair(phi: Functional, psi: Functional) -> StateRelation:

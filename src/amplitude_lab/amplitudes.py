@@ -21,7 +21,7 @@ from .algebra import (
     _check_algebra,
     functional_norm,
 )
-from .config import MAX_CHAIN_DIM, tolerances
+from .config import MAX_CHAIN_DIM, as_built, tolerances
 from .errors import NotFactor, TooLarge
 from .linalg import eigvalsh, hermitize, power, trace_norm
 
@@ -164,8 +164,8 @@ def purify(phi: Functional) -> Functional:
     if n * n > MAX_CHAIN_DIM:
         raise TooLarge(f"purification side {n}^2 = {n * n} is above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
     v = sqrt_vector(phi).blocks[0].flatten(order="F")
-    density = np.outer(v, v.conj())
-    return Functional(BlockAlgebra((v.size,)), (density,))
+    density = hermitize(np.outer(v, v.conj()))
+    return Functional._built(as_built(BlockAlgebra, block_dims=(v.size,)), (density,))
 
 
 def purification_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:

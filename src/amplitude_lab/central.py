@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, Functional, _block_component, _check_algebra
 from .amplitudes import transition_amplitude
-from .config import sequence, tolerances
+from .config import as_built, sequence, tolerances
 from .errors import DomainError, SingularMeasure
 from .linalg import is_psd, real_if_exact
 
@@ -61,10 +61,10 @@ def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
 
 
 def _positive_parts(phi: Functional) -> tuple[list, np.ndarray]:
-    """Each block's (component, mass) pair, None for rank 0, and the masses; phi positive."""
+    """Each block's (component, mass) pair, and the masses; phi positive."""
     phi.require_positive()
     parts = [_block_component(phi, k) for k in range(phi.algebra.num_blocks)]
-    return parts, np.array([0.0 if part is None else part[1] for part in parts])
+    return parts, np.array([mass for _, mass in parts])
 
 
 def decompose(phi: Functional, mu: Sequence[float] | None = None) -> StateDecomposition:
@@ -92,10 +92,7 @@ def _decomposition(
         for k, m in enumerate(masses):
             if m > 0.0 and weights[k] <= 0.0:
                 raise SingularMeasure(f"weight vanishes on block {k} carrying mass {m:.3e}")
-    components = tuple(
-        Functional(BlockAlgebra((n,)), (np.eye(n) / n,)) if part is None else part[0]
-        for n, part in zip(phi.algebra.block_dims, parts)
-    )
+    components = tuple(component for component, _ in parts)
     radon = np.divide(masses, weights, out=np.zeros_like(masses), where=masses > 0.0)
     return StateDecomposition(
         algebra=phi.algebra,
@@ -167,6 +164,6 @@ def integrate_disjoint_family(
     mu = probability_vector(mu, "weight vector", len(components))
     for comp in components:
         comp.require_positive()
-    algebra = BlockAlgebra(tuple(n for comp in components for n in comp.algebra.block_dims))
+    algebra = as_built(BlockAlgebra, block_dims=sum((c.algebra.block_dims for c in components), ()))
     densities = tuple(w * d for w, comp in zip(mu, components) for d in comp.densities)
     return algebra, Functional._built(algebra, densities)

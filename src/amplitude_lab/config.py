@@ -1,7 +1,9 @@
 """Numerical policy: one reader per kind of caller value, and the tolerances.
 
 integer, real, complex_number and sequence (arrays: linalg.real_if_exact) raise the error their
-caller names and coerce nothing; they live here so Tolerances can read its fields.
+caller names and coerce nothing; they live here so Tolerances can read its fields.  What the
+package builds from values it has read is not read again: as_built stores it as it is, so an
+embedding the package lays out skips the dense multiplicity matrix a caller's is read from.
 
 All cutoffs are scale-relative.  One slack serves hermiticity, measured
 on the largest entry of the matrix under test, and positivity, measured
@@ -56,6 +58,14 @@ def sequence(x, what: str, error: type[Exception]):
         with suppress(TypeError):
             return iter(x)
     raise error(f"{what}: expected a sequence")
+
+
+def as_built(cls, **fields):
+    """The one store of a frozen object the package built: its fields as given, with no reader."""
+    new = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(new, name, value)
+    return new
 
 
 @dataclass(frozen=True)

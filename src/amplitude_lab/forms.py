@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
-from .config import rank_cut, real
+from .config import as_built, rank_cut, real
 from .errors import DomainError, NotPositive, ShapeError
 from .linalg import (
     Spectrum,
@@ -94,9 +94,7 @@ def _positive_by_construction(gram: np.ndarray) -> PositiveForm:
     """PositiveForm of a Gram built positive here: linalg.built once finite, and no eigvalsh."""
     if not np.isfinite(gram).all():
         raise NotPositive("Gram matrix is not finite")
-    form = object.__new__(PositiveForm)
-    object.__setattr__(form, "gram", built(gram))
-    return form
+    return as_built(PositiveForm, gram=built(gram))
 
 
 def matrix_units(algebra: BlockAlgebra) -> Iterator[BlockOperator]:
@@ -106,7 +104,7 @@ def matrix_units(algebra: BlockAlgebra) -> Iterator[BlockOperator]:
             for j in range(n):
                 blocks = [np.zeros((m, m)) for m in algebra.block_dims]
                 blocks[k][i, j] = 1.0
-                yield BlockOperator(algebra, tuple(blocks))
+                yield BlockOperator._built(algebra, tuple(blocks))
 
 
 def operator_coordinates(x: BlockOperator) -> np.ndarray:
@@ -184,15 +182,16 @@ def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
 
     The mean of a direct sum is the sum of the means: on each joint summand
     each Gram is divided by 4^k, the largest power of 4 not above its largest
-    entry, exactly, and the scaled pair's mean times 2^(k_alpha + k_beta),
-    jointly homogeneous to roundoff, is written in place; no sum overflows.
+    entry with k >= -511, exactly, and the scaled pair's mean times 2^(k_alpha
+    + k_beta), jointly homogeneous to roundoff, is written in place; no sum overflows.
     """
     if alpha.dim != beta.dim:
         raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
     mean = np.zeros_like(alpha.gram, dtype=np.result_type(alpha.gram, beta.gram))
     for b in diagonal_blocks(alpha.gram, beta.gram):
         ga, gb = alpha.gram[b, b], beta.gram[b, b]
-        ks = [(np.frexp(np.max(np.abs(g), initial=0.0))[1] - 1) // 2 for g in (ga, gb)]
+        # k >= -511 keeps 4^k normal: numpy divides complex by real through the reciprocal
+        ks = [max((np.frexp(np.max(np.abs(g), initial=0.0))[1] - 1) // 2, -511) for g in (ga, gb)]
         jmat, spec, wb = _pair(ga / np.ldexp(1.0, 2 * ks[0]), gb / np.ldexp(1.0, 2 * ks[1]))
         middle = spectral_apply(spec, lambda a: np.sqrt(a * wb))
         mean[b, b] = hermitize(jmat.conj().T @ middle @ jmat) * np.ldexp(1.0, ks[0] + ks[1])

@@ -26,7 +26,7 @@ from .algebra import (
     evaluate,
     is_faithful,
 )
-from .config import complex_number, real
+from .config import as_built, complex_number, real
 from .errors import DomainError, EmptyReduction, NotFaithful
 from .linalg import in_range, power
 
@@ -171,7 +171,7 @@ def support_reduce(phi: Functional) -> SupportReduction:
             spectra.append((w[keep], np.eye(int(keep.sum()))))
     if not kept:
         raise EmptyReduction("zero functional has empty support")
-    algebra = BlockAlgebra(tuple(len(w) for w, _ in spectra))
+    algebra = as_built(BlockAlgebra, block_dims=tuple(len(w) for w, _ in spectra))
     reduced = Functional._built(algebra, tuple(np.diag(w) for w, _ in spectra))
     _hold_spectrum(reduced, tuple(spectra))
     return SupportReduction(algebra, reduced, tuple(isometries), tuple(kept), phi.algebra)

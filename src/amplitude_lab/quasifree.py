@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import integer, rank_cut, real, tolerances
+from .config import as_built, integer, rank_cut, real, tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError, SolverFailed
 from .forms import HermitianForm
-from .linalg import diagonal_blocks, eigh, eigvalsh, hermitian_part, in_range, is_psd, real_if_exact
+from .linalg import built, diagonal_blocks, eigh, eigvalsh, hermitian_part, hermitize, in_range
+from .linalg import is_psd, real_if_exact
 
 __all__ = [
     "PresymplecticSpace",
@@ -162,9 +163,10 @@ def reduce(
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
     q = np.real(v[:, keep]).T
     sigma_red = q @ space.sigma @ q.T
-    s_red = CovarianceForm(q @ s.gram @ q.T)
-    t_red = CovarianceForm(q @ t.gram @ q.T)
-    return ReducedTriple(PresymplecticSpace(sigma_red), s_red, t_red, q, kernel_dim)
+    # stored as built, as each reader would store them, with no check of what was just computed
+    space_red = as_built(PresymplecticSpace, sigma=built(0.5 * (sigma_red - sigma_red.T)))
+    forms = (as_built(CovarianceForm, gram=built(hermitize(q @ x.gram @ q.T))) for x in (s, t))
+    return ReducedTriple(space_red, *forms, q, kernel_dim)
 
 
 def quasifree_character(s: CovarianceForm, x: np.ndarray) -> float:

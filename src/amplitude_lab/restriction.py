@@ -4,7 +4,8 @@ A unital embedding of multi-matrix algebras is stored in standard
 position: source block l enters target block k as c[k][l] copies of
 a_l (x) 1, sections ordered by l, conjugated by an optional unitary per
 target block.  Every unital embedding has this form, with the unitary
-carrying all the generality.
+carrying all the generality.  Embeddings the package builds are laid out
+from their nonempty sections alone, with no dense multiplicity matrix.
 
 Every map between block algebras is a UcpMap: an embedding acts through
 embedding_as_ucp, a quotient is quotient_map's identity pieces, and the
@@ -27,9 +28,9 @@ import numpy as np
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
-from .config import MAX_CHAIN_DIM, integer, sequence, tolerances
+from .config import MAX_CHAIN_DIM, as_built, integer, sequence, tolerances
 from .errors import DomainError, InvalidEmbedding, NotQuotient, NotUnital, ShapeError, TooLarge
-from .linalg import frozen, hermitize, real_if_exact
+from .linalg import built, frozen, hermitize, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +43,8 @@ class UnitalEmbedding:
     of target block k at sections[bounds[k] : bounds[k + 1]].  Copy j of
     section (l, start, c) puts row p of a_l at row start + p*c + j of the
     target block, before the unitary.  The unitaries are stored by
-    linalg.real_if_exact, so a real rotation is float64.
+    linalg.real_if_exact, so a real rotation is float64.  A layout the package
+    builds skips c: _embedding lays out its nonempty sections alone.
     """
 
     source: BlockAlgebra
@@ -57,7 +59,9 @@ class UnitalEmbedding:
             c = np.asarray(multiplicity)
         except ValueError as exc:  # a ragged list
             raise InvalidEmbedding(f"multiplicity is not a matrix: {exc}") from exc
-        if c.dtype.kind not in "iu":
+        # np.asarray makes [[1, True]] integers: a caller's list, not an ndarray, is scanned
+        rows = () if isinstance(multiplicity, np.ndarray) else np.asarray(multiplicity, object)
+        if c.dtype.kind not in "iu" or any(isinstance(x, (bool, np.bool_)) for x in np.ravel(rows)):
             raise InvalidEmbedding(f"multiplicity has dtype {c.dtype}, expected integers")
         if c.shape != (self.target.num_blocks, self.source.num_blocks):
             raise InvalidEmbedding(
@@ -70,12 +74,11 @@ class UnitalEmbedding:
         if not covered.all():
             l = int(np.argmin(covered))
             raise InvalidEmbedding(f"source block {l} has no copy in any target block")
-        dims_src = np.array(self.source.block_dims)
         # the int64 sums below are exact under this bound; no layout past it could be built
         if int(c.max()) * max(self.source.block_dims) * self.source.num_blocks >= 2**63:
             raise TooLarge("multiplicity sums c[k][l]*m_l may pass 2^63")
         c = c.astype(np.int64, copy=False)
-        sums = c @ dims_src
+        sums = c @ np.array(self.source.block_dims)
         bad = np.flatnonzero(sums != self.target.block_dims)
         if bad.size:
             k = int(bad[0])
@@ -84,16 +87,9 @@ class UnitalEmbedding:
                 f"!= {self.target.block_dims[k]}"
             )
         ks, ls = np.nonzero(c)
-        copies = c[ks, ls]
-        sizes = copies * dims_src[ls]
-        # offset of each section in the concatenated target blocks, minus its block's offset
-        starts = np.cumsum(sizes) - sizes - (np.cumsum(sums) - sums)[ks]
-        sections = np.stack([ls, starts, copies], axis=1)
-        bounds = np.searchsorted(ks, np.arange(self.target.num_blocks + 1))
-        for arr in (sections, bounds):
-            arr.setflags(write=False)
-        object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "bounds", bounds)
+        laid_out = _embedding(self.source, self.target, ks, ls, c[ks, ls])
+        for name in ("sections", "bounds"):
+            object.__setattr__(self, name, getattr(laid_out, name))
         if self.unitaries is not None:
             unitaries = tuple(sequence(self.unitaries, "unitaries", InvalidEmbedding))
             if len(unitaries) != self.target.num_blocks:
@@ -128,8 +124,23 @@ class UnitalEmbedding:
         return out
 
 
+def _embedding(source, target, ks, ls, copies, unitaries=None) -> UnitalEmbedding:
+    """The embedding of the nonempty sections, int64 arrays of target block ks, source block ls
+    and copies, ordered by (k, l); stored as built.  The one layout arithmetic: the reader's too."""
+    sizes = copies * np.array(source.block_dims)[ls]
+    bounds = np.searchsorted(ks, np.arange(target.num_blocks + 1))
+    # offset of each section in the concatenated target blocks, less its block's first one's
+    offsets = np.cumsum(sizes) - sizes
+    sections = np.stack([ls, offsets - offsets[bounds[ks]], copies], axis=1)
+    for arr in (sections, bounds):
+        arr.setflags(write=False)
+    fields = dict(source=source, target=target, unitaries=unitaries)
+    return as_built(UnitalEmbedding, **fields, sections=sections, bounds=bounds)
+
+
 def identity_embedding(algebra: BlockAlgebra) -> UnitalEmbedding:
-    return UnitalEmbedding(algebra, algebra, np.eye(algebra.num_blocks, dtype=int))
+    k = np.arange(algebra.num_blocks)
+    return _embedding(algebra, algebra, k, k, np.ones_like(k))
 
 
 def compose_embeddings(outer: UnitalEmbedding, inner: UnitalEmbedding) -> UnitalEmbedding:
@@ -150,7 +161,9 @@ def compose_embeddings(outer: UnitalEmbedding, inner: UnitalEmbedding) -> Unital
                 by_source[l].append(v_out @ v_in)
         counts.append([len(copies) for copies in by_source])
         unitaries.append(np.hstack([np.stack(w, axis=-1).reshape(n, -1) for w in by_source if w]))
-    return UnitalEmbedding(inner.source, outer.target, np.array(counts), tuple(unitaries))
+    c = np.array(counts)
+    ks, ls = np.nonzero(c)
+    return _embedding(inner.source, outer.target, ks, ls, c[ks, ls], tuple(map(built, unitaries)))
 
 
 def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
@@ -221,10 +234,10 @@ class UcpMap:
 def embedding_as_ucp(emb: UnitalEmbedding) -> UcpMap:
     """The embedding as a UCP map, pieces (l, V*) of its copy isometries: a -> sum V a_l V*."""
     families = tuple(
-        tuple((l, v.conj().T) for l, v in emb.slot_isometries(k))
+        tuple((l, built(v.conj().T)) for l, v in emb.slot_isometries(k))
         for k in range(emb.target.num_blocks)
     )
-    return UcpMap(emb.source, emb.target, families)
+    return as_built(UcpMap, source=emb.source, target=emb.target, kraus=families)
 
 
 def quotient_map(source: BlockAlgebra, image: BlockAlgebra, assignment: Sequence[int]) -> UcpMap:
@@ -234,16 +247,17 @@ def quotient_map(source: BlockAlgebra, image: BlockAlgebra, assignment: Sequence
     Entry l must be an integer naming a distinct source block of image
     block l's side, one entry per image block (else NotQuotient).
     """
-    assignment, dims = tuple(sequence(assignment, "assignment", NotQuotient)), image.block_dims
+    assignment, dims = list(sequence(assignment, "assignment", NotQuotient)), image.block_dims
     if len(assignment) != len(dims):
         raise NotQuotient("assignment length must match the image block count")
     for l, k in enumerate(assignment):
-        k = integer(k, f"assignment entry {l}", NotQuotient, 0, source.num_blocks)
+        assignment[l] = k = integer(k, f"assignment entry {l}", NotQuotient, 0, source.num_blocks)
         if k in assignment[:l]:
             raise NotQuotient("assignment must be injective for surjectivity")
         if source.block_dims[k] != dims[l]:
             raise NotQuotient(f"image block {l} has side {dims[l]}, source block {k} does not")
-    return UcpMap(source, image, tuple(((k, np.eye(n)),) for k, n in zip(assignment, dims)))
+    kraus = tuple(((k, built(np.eye(n))),) for k, n in zip(assignment, dims))
+    return as_built(UcpMap, source=source, target=image, kraus=kraus)
 
 
 def ucp_pullback(channel: UcpMap, psi: Functional) -> Functional:
@@ -328,12 +342,10 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
             )
     if not dims:
         raise DomainError("site dimensions must be positive")
-    partial = np.cumprod(dims)
-    algebras = tuple(BlockAlgebra((p,)) for p in partial)
-    links = tuple(
-        UnitalEmbedding(algebras[n], algebras[n + 1], np.array([[dims[n + 1]]]))
-        for n in range(len(dims) - 1)
-    )
+    partial = np.cumprod(dims).tolist()
+    algebras = tuple(as_built(BlockAlgebra, block_dims=(p,)) for p in partial)
+    steps = zip(algebras, algebras[1:], dims[1:])
+    links = tuple(_embedding(a, b, *np.array([[0], [0], [d]])) for a, b, d in steps)
     ambient = algebras[-1]
     chain = SubalgebraChain(algebras, links, identity_embedding(ambient))
     return ambient, chain
@@ -370,12 +382,12 @@ def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> Subal
     n_total = pv.size
     if n_total > MAX_CHAIN_DIM:
         raise TooLarge(f"{n_total} coordinates are above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
-    algebras = tuple(BlockAlgebra((1,) * n) for n in range(1, n_total + 1))
+    algebras = tuple(as_built(BlockAlgebra, block_dims=(1,) * n) for n in range(1, n_total + 1))
     links = []
-    for n in range(1, n_total):
-        c = np.eye(n + 1, n, dtype=int)
-        c[n, n - 1] = 1
-        links.append(UnitalEmbedding(algebras[n - 1], algebras[n], c))
+    for a, b in zip(algebras, algebras[1:]):
+        # a's last block, the lumped tail, splits into b's last two: one copy in each
+        k = np.arange(b.num_blocks)
+        links.append(_embedding(a, b, k, np.minimum(k, a.num_blocks - 1), np.ones_like(k)))
     return SubalgebraChain(algebras, tuple(links), identity_embedding(algebras[-1]))
 
 

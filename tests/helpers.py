@@ -54,3 +54,11 @@ def bell_state() -> Functional:
     v = np.zeros(4)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return Functional(BlockAlgebra((4,)), (np.outer(v, v),))
+
+
+def rank_one_on_m1_m1_m1_m2(scale: float) -> Functional:
+    """The complex rank-1 block v v* on M2 beside three M1 blocks of 0.5, 0.25 and 0, times
+    scale: for a scale below about 1e-308 its entries, and its mass, are subnormal."""
+    v = np.array([0.968, 0.1147 + 0.2221j])
+    blocks = ([[0.5]], [[0.25]], [[0.0]], np.outer(v, v.conj()))
+    return Functional(BlockAlgebra((1, 1, 1, 2)), tuple(np.multiply(b, scale) for b in blocks))

@@ -17,6 +17,8 @@ from amplitude_lab import (
 )
 from amplitude_lab.sampling import random_density, random_operator, random_state
 
+from helpers import rank_one_on_m1_m1_m1_m2
+
 
 def two_point(p):
     alg = make_algebra([1, 1])
@@ -70,6 +72,15 @@ class TestDecompose:
         back = decompose(phi, mu).reassemble()
         for a, b in zip(back.densities, phi.densities):
             assert np.max(np.abs(a - b)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-309, 1e-310, 1e-312])
+    def test_a_subnormal_block_decomposes(self, scale):
+        # its positive part over a subnormal mass was inf, through numpy's reciprocal, or
+        # failed the Hermitian check on its roundoff: NotPositive for a positive functional
+        phi = rank_one_on_m1_m1_m1_m2(scale)
+        back = decompose(phi).reassemble()
+        for a, b in zip(back.densities, phi.densities):
+            assert np.max(np.abs(a - b)) <= 1e-8 * scale
 
 
 class TestAmplitudeSumCheck:

@@ -22,7 +22,7 @@ from amplitude_lab.linalg import diagonal_blocks, eigh, power
 from amplitude_lab.sampling import random_gibbs, random_psd, random_state
 from amplitude_lab.selftest import bridge_gap
 
-from helpers import min_eigval, spd_mean_closed_form
+from helpers import min_eigval, rank_one_on_m1_m1_m1_m2, spd_mean_closed_form
 
 
 def brute_force_left_gram(phi):
@@ -261,6 +261,14 @@ class TestGeometricMean:
                 + geometric_mean(PositiveForm(a2), PositiveForm(b2)).gram
             )
             assert min_eigval(whole - parts) >= -1e-9
+
+    @pytest.mark.parametrize("scales", [(1e-301, 1e-309), (1e-303, 1e-311)])
+    def test_subnormal_summands_keep_a_normal_divisor(self, scales):
+        # 4^k below the normal range made numpy's complex division inf, and _pair's eigh failed
+        alpha = left_form(rank_one_on_m1_m1_m1_m2(scales[0]))
+        beta = right_form(rank_one_on_m1_m1_m1_m2(scales[1]))
+        mean = geometric_mean(alpha, beta).gram
+        assert np.isfinite(mean).all() and np.array_equal(mean, mean.conj().T)
 
 
 class TestDirectSums:

@@ -169,6 +169,18 @@ def test_product_chain_past_int64_stops_at_the_cap():
     assert out == run(["chain", "--product-chain", "11"])[1]
 
 
+@pytest.mark.parametrize("flags", [["--lumped", "1025"], ["--product-chain", "11"]])
+def test_a_built_in_chain_above_the_cap_exits_6_before_it_is_built(flags):
+    tracemalloc.start()
+    try:
+        code, out = run(["chain", *flags])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 6 and error_of(out)["type"] == "TooLarge"
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("spec", ["diag:0.5,0.3,0.2", "diag:1", "diag:0.5,-0.5"])
 def test_a_site_spec_is_a_qubit_read_before_any_product(spec):
     # three weights built a 3^N-sided product state before "algebra mismatch" (139 MB at N = 7)
@@ -220,6 +232,14 @@ NOT_INTEGERS = {
     "word-side": (InvalidAlgebra, lambda: make_algebra(["x"])),
     "float-multiplicity": (InvalidEmbedding, lambda: UnitalEmbedding(C1, C1, [[1.5]])),
     "bool-multiplicity": (InvalidEmbedding, lambda: UnitalEmbedding(C1, C1, [[True]])),
+    "bool-beside-int-multiplicity": (
+        InvalidEmbedding,
+        lambda: UnitalEmbedding(C2, make_algebra([2]), [[1, True]]),
+    ),
+    "numpy-bool-multiplicity": (
+        InvalidEmbedding,
+        lambda: UnitalEmbedding(C2, make_algebra([2]), [[np.int64(1), np.True_]]),
+    ),
     "string-multiplicity": (InvalidEmbedding, lambda: UnitalEmbedding(C1, C1, [["1"]])),
     "ragged-multiplicity": (
         InvalidEmbedding,

@@ -18,17 +18,22 @@ from hypothesis import strategies as st
 
 from amplitude_lab import (
     DEFAULT_TOL,
+    BlockAlgebra,
     Functional,
     NotFaithful,
     PositiveForm,
     StateRelation,
     SubalgebraChain,
     Tolerances,
+    UcpMap,
     UnitalEmbedding,
     amplitude_sum_check,
+    build_lumped_diagonal_chain,
+    build_product_chain,
     central_support,
     chain_amplitudes,
     classify_pair,
+    compose_embeddings,
     decompose,
     embedding_as_ucp,
     geometric_mean,
@@ -453,7 +458,7 @@ def test_the_built_path_stores_what_the_reading_constructors_would(pair, seed):
     restricted = restrict(phi, chain.links[1])
     densities = [
         *(phi, psi, phi + psi, phi - psi, 0.5 * phi, phi * (1 + 0j), phi.adjoint()),
-        *(r.functional, decompose(phi).reassemble()),
+        *(r.functional, decompose(phi).reassemble(), *decompose(phi).components),
         integrate_disjoint_family([phi, psi], [0.5, 0.5])[1],
         *(restricted, restrict(restricted, chain.links[0]), ucp_pullback(channel, phi)),
     ]
@@ -461,6 +466,7 @@ def test_the_built_path_stores_what_the_reading_constructors_would(pair, seed):
     operators = [
         *(x + y, x - y, 0.5 * x, x.adjoint(), x @ y, flow.left, flow.right),
         *(flow.apply(r.compress(x)), channel.apply(x)),
+        *(support_projection(phi), central_support(phi)),
         *(turned.left, turned.right),
         *(vector, vector @ x, x @ vector, vector - sqrt_vector(psi)),
     ]
@@ -474,3 +480,72 @@ def test_the_built_path_stores_what_the_reading_constructors_would(pair, seed):
     for form in (interpolated_form(phi, psi, 0.5), geometric_mean(left_form(phi), right_form(psi))):
         assert np.array_equal(form.gram, form.gram.conj().T)
         _as_stored(form.gram, hermitian_part)
+
+
+def _multiplicity(emb: UnitalEmbedding) -> np.ndarray:
+    c = np.zeros((emb.target.num_blocks, emb.source.num_blocks), dtype=int)
+    for k in range(emb.target.num_blocks):
+        for l, _, copies in emb._sections(k):
+            c[k, l] = copies
+    return c
+
+
+def _as_read(built, read):
+    """Assert an algebra, embedding or UCP map the package built is what its reading
+    constructor made of the same values: Python int sides, and arrays bit for bit."""
+    if isinstance(built, BlockAlgebra):
+        assert built.block_dims == read.block_dims and hash(built) == hash(read)
+        assert all(type(n) is int for n in built.block_dims)
+        return
+    _as_read(built.source, read.source)
+    _as_read(built.target, read.target)
+    if isinstance(built, UnitalEmbedding):
+        assert (built.unitaries is None) == (read.unitaries is None)
+        arrays = [(built.sections, read.sections), (built.bounds, read.bounds)]
+        arrays += list(zip(built.unitaries or (), read.unitaries or (), strict=True))
+    else:
+        assert [[l for l, _ in f] for f in built.kraus] == [[l for l, _ in f] for f in read.kraus]
+        assert all(type(l) is int for f in built.kraus for l, _ in f)
+        arrays = [(a, b) for f, g in zip(built.kraus, read.kraus) for (_, a), (_, b) in zip(f, g)]
+    for a, b in arrays:
+        assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_package_builds_the_maps_its_reading_constructors_make(dims, sites, n, seed):
+    rng = np.random.default_rng(seed)
+    source = make_algebra(dims)
+    inner = random_embedding(rng, source, int(rng.integers(1, 3)))
+    outer = random_embedding(rng, inner.target, int(rng.integers(1, 3)))
+    composite = compose_embeddings(outer, inner)
+    c = _multiplicity(outer) @ _multiplicity(inner)
+    _as_read(composite, UnitalEmbedding(source, outer.target, c, composite.unitaries))
+
+    partial = np.cumprod(sites)
+    _, chain = build_product_chain(sites)
+    for m, link in enumerate(chain.links):
+        a, b = (BlockAlgebra((partial[j],)) for j in (m, m + 1))
+        _as_read(link, UnitalEmbedding(a, b, [[sites[m + 1]]]))
+    lumped = build_lumped_diagonal_chain(np.full(n, 1.0 / n), np.full(n, 1.0 / n))
+    for m, link in enumerate(lumped.links, start=1):
+        c = np.eye(m + 1, m, dtype=int)
+        c[m, m - 1] = 1
+        _as_read(link, UnitalEmbedding(make_algebra([1] * m), make_algebra([1] * (m + 1)), c))
+    for ambient in (source, chain.ambient, lumped.ambient):
+        ident = np.eye(ambient.num_blocks, dtype=int)
+        _as_read(identity_embedding(ambient), UnitalEmbedding(ambient, ambient, ident))
+
+    families = tuple(
+        tuple((l, v.conj().T) for l, v in inner.slot_isometries(k))
+        for k in range(inner.target.num_blocks)
+    )
+    _as_read(embedding_as_ucp(inner), UcpMap(source, inner.target, families))
+    assignment = rng.permutation(len(dims))[: int(rng.integers(1, len(dims) + 1))]
+    image = make_algebra([dims[k] for k in assignment])
+    pieces = tuple(((k, np.eye(dims[k])),) for k in assignment)
+    _as_read(quotient_map(source, image, assignment), UcpMap(source, image, pieces))

@@ -51,7 +51,7 @@ from amplitude_lab import (
     uhlmann_fidelity,
 )
 import amplitude_lab
-from amplitude_lab import linalg
+from amplitude_lab import config, linalg
 from amplitude_lab.config import Tolerances, using
 from amplitude_lab.sampling import (
     random_complex,
@@ -515,6 +515,27 @@ def _package_modules():
     ]
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counter of config.integer calls and of UnitalEmbedding reads, its __post_init__."""
+    calls = Counter()
+    integer, post_init = config.integer, UnitalEmbedding.__post_init__
+
+    def counting_integer(*args, **kwargs):
+        calls["integer"] += 1
+        return integer(*args, **kwargs)
+
+    def counting_post_init(self, multiplicity):
+        calls["UnitalEmbedding"] += 1
+        post_init(self, multiplicity)
+
+    for module in _package_modules():
+        if getattr(module, "integer", None) is integer:
+            monkeypatch.setattr(module, "integer", counting_integer)
+    monkeypatch.setattr(UnitalEmbedding, "__post_init__", counting_post_init)
+    return calls
+
+
 class TestBuiltPath:
     def test_a_lumped_chain_reads_no_block_it_builds(self, reads):
         p, q = geometric_weights(0.25, 50), geometric_weights(0.5, 50)
@@ -523,6 +544,20 @@ class TestBuiltPath:
         reads.clear()
         assert chain_amplitudes(phi, psi, chain)[-1] == transition_amplitude(phi, psi)
         assert reads == Counter()
+
+    def test_a_lumped_chain_is_built_with_no_reader(self, builds):
+        # 200 links read a dense multiplicity matrix each, and 20,100 block sides
+        p, q = geometric_weights(0.25, 200), geometric_weights(0.5, 200)
+        builds.clear()
+        assert len(build_lumped_diagonal_chain(p, q)) == 200
+        assert builds == Counter()
+
+    def test_a_decomposition_reads_only_the_callers_blocks(self, reads):
+        # each component was read again: 6 hermitian_part calls, not 3
+        blocks = (np.diag([0.3, 0.2, 0.0]), np.array([[0.25, 0.1], [0.1, 0.04]]), np.eye(1) * 0.21)
+        phi = Functional(make_algebra([3, 2, 1]), blocks)
+        assert len(decompose(phi).components) == 3
+        assert reads == Counter(hermitian_part=3)
 
     def test_the_modular_conjugation_reads_no_block_it_builds(self, reads):
         rng = np.random.default_rng(29)
@@ -544,20 +579,38 @@ class TestBuiltPath:
             x.norm()
 
 
+BUILT_PATH = {"_built", "built", "as_built"}
+
+
 @pytest.mark.parametrize("name", ["serialize.py", "cli.py", "sampling.py"])
 def test_files_flags_and_draws_never_take_the_built_path(name):
     # these modules read what comes from outside, so they construct only by reading
     path = Path(amplitude_lab.__file__).parent / name
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Attribute) and node.attr in ("_built", "built"):
+        if isinstance(node, ast.Attribute) and node.attr in BUILT_PATH:
             found.append(f"{node.lineno} {_dotted(node)}")
-        elif isinstance(node, ast.Name) and node.id in ("_built", "built"):
+        elif isinstance(node, ast.Name) and node.id in BUILT_PATH:
             found.append(f"{node.lineno} {node.id}")
         elif isinstance(node, ast.ImportFrom):
-            if {alias.name for alias in node.names} & {"_built", "built"}:
+            if {alias.name for alias in node.names} & BUILT_PATH:
                 found.append(f"{node.lineno} from {node.module}")
     assert found == []
+
+
+def test_one_helper_makes_an_object_without_its_reader():
+    # config.as_built is the one store of what the package built; no type hand-rolls its own
+    found = []
+    for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                found.append(f"{path.name} {owner.get(id(node))} {_dotted(node)}")
+    assert found == ["config.py as_built object.__new__"]
 
 
 def _dotted(node) -> str:

@@ -30,7 +30,7 @@ from amplitude_lab import (
 )
 from amplitude_lab import serialize as ser
 from amplitude_lab.cli import main
-from amplitude_lab.sampling import random_state
+from amplitude_lab.sampling import random_embedding, random_gibbs, random_state
 
 LOOSE = Tolerances(slack=1e-4, num=1e-4)
 LOOSER = Tolerances(slack=1e-2, num=1e-2)
@@ -229,3 +229,29 @@ def test_an_interpolated_form_is_as_positive_as_its_functionals():
         phi.require_positive()
         psi.require_positive()
         assert interpolated_form(phi, psi, 0.5).dim == 13
+
+
+def _arrays(obj):
+    """Every array an embedding, a UCP map or a functional holds, in order."""
+    if isinstance(obj, Functional):
+        return obj.densities
+    if hasattr(obj, "kraus"):
+        return tuple(m for family in obj.kraus for _, m in family)
+    return (obj.sections, obj.bounds, *obj.unitaries)
+
+
+@pytest.mark.parametrize("name", ["compose_embeddings", "embedding_as_ucp", "purify"])
+def test_what_a_call_builds_from_accepted_objects_is_not_judged_again(name):
+    # the reading constructors judged what each call had built: InvalidEmbedding, NotUnital
+    # and NotPositive on the roundoff of its own unitaries, Kraus sums and outer product
+    rng = np.random.default_rng(28)
+    inner = random_embedding(rng, make_algebra([2, 1]), 2)
+    outer = random_embedding(rng, inner.target, 1)
+    phi = Functional(make_algebra([3]), (random_gibbs(rng, 3),))
+    args = {"compose_embeddings": (outer, inner), "embedding_as_ucp": (inner,), "purify": (phi,)}
+    call = getattr(amplitude_lab, name)
+    expected = call(*args[name])
+    with using(TIGHTEST):
+        got = call(*args[name])
+    pairs = list(zip(_arrays(expected), _arrays(got), strict=True))
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
