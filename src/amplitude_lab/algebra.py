@@ -185,7 +185,8 @@ class Functional(_BlockTuple):
     def spectrum(self) -> tuple[Spectrum, ...]:
         """Read-only (w, v) = linalg.eigh(D_k) per block, eigenvalues ascending.
 
-        v is real for a block whose imaginary part is exactly zero.
+        v is real for a block whose imaginary part is exactly zero; eigh
+        splits each block at its direct-sum pattern.
         """
         if self._spectrum is None:
             _hold_spectrum(self, tuple(eigh(d) for d in self.densities))

@@ -86,8 +86,7 @@ class PositiveForm(HermitianForm):
 
     def __post_init__(self):
         super().__post_init__()
-        g = self.gram
-        check_psd(np.concatenate([eigvalsh(g[b, b]) for b in diagonal_blocks(g)]), "Gram matrix")
+        check_psd(eigvalsh(self.gram), "Gram matrix")
 
 
 def _positive_by_construction(gram: np.ndarray) -> PositiveForm:
@@ -184,6 +183,8 @@ def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:
     each Gram is divided by 4^k, the largest power of 4 not above its largest
     entry with k >= -511, exactly, and the scaled pair's mean times 2^(k_alpha
     + k_beta), jointly homogeneous to roundoff, is written in place; no sum overflows.
+    The loop over summands stays here, not in linalg.eigh, because each
+    summand is scaled by its own power of 4 before its pair is diagonalised.
     """
     if alpha.dim != beta.dim:
         raise ShapeError(f"form dimensions differ: {alpha.dim} vs {beta.dim}")
@@ -203,7 +204,10 @@ def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) 
 
     Equivalent to the contraction factorization G_c = G_a^{1/2} K G_b^{1/2}
     with ||K|| <= 1: [[G_a, G_c], [G_c*, G_b]] on each joint summand of the
-    three Grams, its eigenvalues tested together by is_psd.
+    three Grams, its eigenvalues tested together by is_psd.  The loop over
+    summands stays here: in the one block matrix of the whole Grams a joint
+    summand b takes the rows b and dim + b, interleaved, not contiguous, so
+    linalg.eigvalsh would not split it.
     """
     if not (gamma.dim == alpha.dim == beta.dim):
         raise ShapeError("form dimensions differ")

@@ -2,9 +2,12 @@
 
 Every eigendecomposition in the package goes through eigh or eigvalsh
 here, so that the choice of LAPACK solver and the scale-relative
-tolerances are applied uniformly.  Callers pass exactly Hermitian
-matrices: hermitized once where a matrix comes from a product or from
-outside, as is where it is Hermitian by construction.  Every
+tolerances are applied uniformly.  Both take a matrix summand by summand
+at its direct-sum pattern (diagonal_blocks, the one direct-sum rule),
+one stacked LAPACK call per summand side and dtype, so a diagonal matrix
+costs one call on a stack of 1 x 1 summands and a sort.  Callers pass
+exactly Hermitian matrices: hermitized once where a matrix comes from a
+product or from outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
 power (root, inverse, flow unitary) by power.  real_if_exact is the one
 array rule, and built stores by it: an array built here directly, a
@@ -57,18 +60,56 @@ def built(a: np.ndarray) -> np.ndarray:
 
 
 def eigh(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition (w, v) of a Hermitian matrix, eigenvalues ascending.
-
-    A matrix whose imaginary part is exactly zero goes to LAPACK's real
-    symmetric solver, and its eigenvectors come back real; any nonzero
-    imaginary entry keeps the complex Hermitian solver.
-    """
-    return _lapack("eigh", real_if_exact(h))
+    """Eigendecomposition (w, v) of a Hermitian matrix, eigenvalues ascending, by _summandwise."""
+    return _summandwise("eigh", h)
 
 
 def eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, on the solver eigh picks."""
-    return _lapack("eigvalsh", real_if_exact(h))
+    """Ascending eigenvalues of a Hermitian matrix, by _summandwise."""
+    return _summandwise("eigvalsh", h)
+
+
+def _summandwise(name: str, h: np.ndarray):
+    """numpy.linalg.<name> of the Hermitian h, summand by summand at its direct-sum pattern.
+
+    h is read by real_if_exact and split at diagonal_blocks.  The summands
+    of one side and one dtype go to LAPACK in one stacked call: a summand
+    whose imaginary part is exactly zero takes the real symmetric solver,
+    any nonzero imaginary entry keeps the complex Hermitian one for its own
+    summand.  A one-summand h is a stack of one, a view of itself, and
+    numpy runs a stack matrix by matrix, so it gets the bits of its own
+    call.  The spectrum is assembled with its eigenvalues ascending (a
+    stable sort, so ties keep summand order) and its eigenvectors exactly
+    0 outside their summand.
+    """
+    h = real_if_exact(h)
+    blocks = diagonal_blocks(h)
+    starts: dict[int, list[int]] = {}  # side -> the first rows of its summands
+    for b in blocks:
+        starts.setdefault(b.stop - b.start, []).append(b.start)
+    w, solved = np.empty(len(h)), []  # solved: (rows, vectors), rows[j] indexing summand j
+    for side, first in starts.items():
+        rows = np.add.outer(first, np.arange(side))
+        stack = h[None] if len(blocks) == 1 else h[rows[:, :, None], rows[:, None, :]]
+        parts = [(rows, stack)]
+        if len(blocks) > 1 and h.dtype.kind == "c":  # real_if_exact, summand by summand
+            real = ~stack.imag.any(axis=(1, 2))
+            parts = [(rows[real], stack[real].real), (rows[~real], stack[~real])]
+        for part_rows, part in parts:
+            if len(part_rows):
+                got = _lapack(name, part)
+                if name == "eigh":
+                    got, vs = got
+                    solved.append((part_rows, vs))
+                w[part_rows] = got
+    order = np.argsort(w, kind="stable")
+    if name != "eigh":
+        return w[order]
+    column, v = np.empty(len(h), dtype=int), np.zeros(h.shape, dtype=h.dtype)
+    column[order] = np.arange(len(h))
+    for rows, vs in solved:
+        v[rows[:, :, None], column[rows][:, None, :]] = vs
+    return w[order], v
 
 
 def _lapack(name: str, a: np.ndarray, **kwargs):
@@ -144,9 +185,13 @@ def diagonal_blocks(*mats: np.ndarray) -> list[slice]:
     """The one direct-sum rule: the contiguous diagonal blocks of the matrices' joint pattern.
 
     A block ends after k where every m[:k+1, k+1:] is exactly 0, with no
-    tolerance.  There is always one block at least, empty for side 0.
+    tolerance.  There is always one block at least, empty for side 0.  A
+    nonzero corner m[0, n-1] couples row 0 to the last column, so no prefix
+    splits: one block, found before the O(n^2) scan.
     """
     n = len(mats[0])
+    if n == 0 or any(m[0, -1] != 0 for m in mats):
+        return [slice(0, n)]
     nonzero = mats[0] != 0
     for m in mats[1:]:
         nonzero |= m != 0

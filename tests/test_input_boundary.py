@@ -72,6 +72,7 @@ from amplitude_lab import (
     using,
 )
 from amplitude_lab.cli import main
+from amplitude_lab.config import MAX_CHAIN_DIM
 from amplitude_lab.linalg import hermitian_part
 from amplitude_lab.restriction import UnitalEmbedding
 from amplitude_lab.sampling import random_embedding, random_state, random_ucp
@@ -178,6 +179,41 @@ def test_a_built_in_chain_above_the_cap_exits_6_before_it_is_built(flags):
     finally:
         tracemalloc.stop()
     assert code == 6 and error_of(out)["type"] == "TooLarge"
+    assert peak < 2**20
+
+
+def _spec_naming(side: int, where: str) -> dict:
+    """A chain spec of a few hundred bytes that names one block of the given side."""
+    big = {"blocks": [side]}
+    ident = {"source": big, "target": big, "multiplicity": [[1]]}
+    if where == "functional":
+        state = {"algebra": big, "densities": [[[1, 0]]]}
+        return {"phi": state, "psi": state, "chain": {"algebras": [big], "links": [], "final": ident}}
+    if where == "algebra":
+        return chain_spec([big], ident)
+    link = {"source": {"blocks": [1]}, "target": big, "multiplicity": [[side]]}
+    spec = chain_spec([{"blocks": [1]}, big], ident)
+    spec["chain"]["links"] = [link]
+    return spec
+
+
+@pytest.mark.parametrize(
+    "where, code, error",
+    [("functional", 2, "ParseError"), ("algebra", 3, "ShapeError"), ("link", 3, "ShapeError")],
+)
+def test_a_malformed_spec_naming_a_large_side_fails_before_it_allocates(
+    tmp_path, where, code, error
+):
+    # no cap reads a spec: it spells out its densities, so a side past MAX_CHAIN_DIM in
+    # a small file is a density too short or an ambient the states do not live on
+    path = write(tmp_path / "spec.json", _spec_naming(MAX_CHAIN_DIM + 1, where))
+    tracemalloc.start()
+    try:
+        got, out = run(["chain", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == code and error_of(out)["type"] == error
     assert peak < 2**20
 
 

@@ -57,7 +57,16 @@ from amplitude_lab import (
     uhlmann_fidelity,
     using,
 )
-from amplitude_lab.linalg import frozen, hermitian_part, in_range, power
+from amplitude_lab.linalg import (
+    diagonal_blocks,
+    eigh,
+    eigvalsh,
+    frozen,
+    hermitian_part,
+    in_range,
+    power,
+    real_if_exact,
+)
 from amplitude_lab.sampling import (
     random_complex,
     random_embedding,
@@ -549,3 +558,55 @@ def test_the_package_builds_the_maps_its_reading_constructors_make(dims, sites, 
     image = make_algebra([dims[k] for k in assignment])
     pieces = tuple(((k, np.eye(dims[k])),) for k in assignment)
     _as_read(quotient_map(source, image, assignment), UcpMap(source, image, pieces))
+
+
+@st.composite
+def direct_sums(draw):
+    """(sides, h): a signed block-diagonal Hermitian h with exact zeros off its summands.
+
+    Each summand is a _block of random rank, real or complex, scaled by
+    +-10^u with u in [-8, 8]; every side is 1 for an all-diagonal draw.
+    """
+    top = draw(st.sampled_from([1, 4]))
+    sides = draw(st.lists(st.integers(1, top), min_size=1, max_size=10))
+    blocks = [
+        _block(n, draw(st.integers(0, n)), draw(st.floats(-8.0, 8.0)),
+               draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+        * draw(st.sampled_from([1.0, -1.0]))
+        for n in sides
+    ]
+    return sides, block_diag(*blocks)
+
+
+@given(direct_sums())
+def test_spectra_split_a_direct_sum_into_its_summands(case):
+    sides, h = case
+    (w, v), values = eigh(h), eigvalsh(h)
+    # the loop reference: one numpy call per summand, by the same solver, then sorted
+    own = [np.linalg.eigh(real_if_exact(h[b, b]))[0] for b in diagonal_blocks(h)]
+    assert np.array_equal(w, np.sort(np.concatenate(own)))
+    eps, n = np.finfo(float).eps, len(h)
+    for x in (w, values):
+        assert np.all(np.diff(x) >= 0.0)
+        assert np.max(np.abs(x - np.linalg.eigvalsh(h))) <= 10 * n * eps * np.max(np.abs(h))
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 10 * n * eps
+    summand = np.repeat(np.arange(len(sides)), sides)
+    for j in range(n):
+        assert len(set(summand[v[:, j] != 0])) == 1  # column j lies in one summand
+    rebuilt = (v * w) @ v.conj().T
+    assert not rebuilt[summand[:, None] != summand].any()
+    for b in np.split(np.arange(n), np.cumsum(sides)[:-1]):
+        part = np.ix_(b, b)
+        assert np.max(np.abs(rebuilt[part] - h[part])) <= 10 * n * eps * np.max(np.abs(h[part]))
+
+
+@given(st.integers(1, 8), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_one_summand_matrix_is_diagonalised_as_numpy_would(n, real, zero_corner, seed):
+    # the corner exit and a full scan that finds one summand both hand numpy h itself
+    h = _block(n, n, 0.0, seed, real)
+    if zero_corner and n > 2:
+        h[0, -1] = h[-1, 0] = 0.0
+    w, v = eigh(h)
+    w_ref, v_ref = np.linalg.eigh(h)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert np.array_equal(eigvalsh(h), np.linalg.eigvalsh(h))

@@ -1,13 +1,16 @@
 """The per-block spectrum a Functional keeps, and the eigh calls it saves.
 
-Counts come from a counting wrapper patched over numpy.linalg.eigh.
+Counts come from a counting wrapper patched over numpy.linalg.eigh: one
+entry per matrix handed to LAPACK, a stack of k counting k.
 References are the test helpers' matrix functions from a fresh complex
 eigh, so they do not read the cache they check, nor take the real
 symmetric solver that real densities get.
 """
 
 import ast
+import functools
 import importlib
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from amplitude_lab import (
     UnitalEmbedding,
     amplitude_sum_check,
     build_lumped_diagonal_chain,
+    build_product_chain,
     chain_amplitudes,
     decompose,
     diagonal_state,
@@ -41,6 +45,7 @@ from amplitude_lab import (
     make_algebra,
     modular_conjugation,
     modular_flow,
+    product_state,
     relative_modular,
     restrict,
     right_form,
@@ -65,28 +70,20 @@ from amplitude_lab.sampling import (
 from helpers import block_diag, eig_fn
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """List that grows by one entry (the matrix shape) per numpy eigh call."""
+def _lapack_calls(monkeypatch, entry, names=("eigh", "eigvalsh")):
+    """List that grows by entry(name, m) per matrix m handed to the numpy solvers named.
+
+    A stack of k matrices adds k entries, so counts do not depend on how
+    linalg.eigh groups a matrix's summands into calls.
+    """
     calls = []
-    eigh = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
-
-
-def _lapack_calls(monkeypatch, entry):
-    """List that grows by entry(name, input) per numpy eigh or eigvalsh call."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         solver = getattr(np.linalg, name)
 
         def recording(a, *args, _name=name, _solver=solver, **kwargs):
-            calls.append(entry(_name, np.asarray(a)))
+            a = np.asarray(a)
+            stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
+            calls.extend(entry(_name, m) for m in stack)
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
@@ -94,15 +91,27 @@ def _lapack_calls(monkeypatch, entry):
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """List that grows by one entry (the matrix shape) per matrix handed to numpy eigh."""
+    return _lapack_calls(monkeypatch, lambda name, m: m.shape, ("eigh",))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """List that grows by (name, side, dtype) per matrix handed to numpy eigh or eigvalsh."""
+    return _lapack_calls(monkeypatch, lambda name, m: (name, m.shape[-1], m.dtype))
+
+
+@pytest.fixture
 def lapack_dtypes(monkeypatch):
-    """List that grows by (name, input dtype) per numpy eigh or eigvalsh call."""
-    return _lapack_calls(monkeypatch, lambda name, a: (name, a.dtype))
+    """List that grows by (name, input dtype) per matrix handed to numpy eigh or eigvalsh."""
+    return _lapack_calls(monkeypatch, lambda name, m: (name, m.dtype))
 
 
 @pytest.fixture
 def lapack_sides(monkeypatch):
-    """List that grows by (name, side) per numpy eigh or eigvalsh call."""
-    return _lapack_calls(monkeypatch, lambda name, a: (name, a.shape[-1]))
+    """List that grows by (name, side) per matrix handed to numpy eigh or eigvalsh."""
+    return _lapack_calls(monkeypatch, lambda name, m: (name, m.shape[-1]))
 
 
 def fresh_pair(seed, dims):
@@ -238,6 +247,30 @@ class TestEighCounts:
         assert check.defect <= 1e-12
 
 
+class TestSizeClasses:
+    """linalg.eigh: each summand side of a matrix one stacked LAPACK call, so a diagonal
+    density costs a stack of 1x1 solves and a sort."""
+
+    def test_a_commutative_chain_hands_lapack_only_1x1_summands(self, lapack_sides):
+        # diagonal sites, a pure one among them, give diagonal marginals at every level
+        rng = np.random.default_rng(30)
+        sites = [[np.diag(rng.dirichlet([1.0, 1.0])) for _ in range(8)] for _ in range(2)]
+        sites[0][3] = np.diag([1.0, 0.0])
+        _, chain = build_product_chain([2] * 8)
+        amps = chain_amplitudes(product_state(sites[0]), product_state(sites[1]), chain)
+        assert lapack_sides and {side for _, side in lapack_sides} == {1}
+        for k, amp in enumerate(amps, start=1):
+            p, q = (functools.reduce(np.kron, [np.diag(d) for d in s[:k]]) for s in sites)
+            assert amp == pytest.approx(np.sum(np.sqrt(p * q)), abs=1e-14)
+
+    def test_a_lumped_chain_keeps_its_bits(self):
+        # each 1x1 block is a one-summand stack of one, assembled by the split path's sort
+        p, q = geometric_weights(0.25, 200), geometric_weights(0.5, 200)
+        chain = build_lumped_diagonal_chain(p, q)
+        amps = chain_amplitudes(diagonal_state(p), diagonal_state(q), chain)
+        assert amps[-1] == 0.9472900418764619  # what one unsplit eigh per block gave
+
+
 class TestSpectrum:
     def test_kept_and_read_only(self):
         phi, _ = fresh_pair(5, [3, 2])
@@ -339,10 +372,10 @@ def real_pair(seed, dims):
 class TestRealSolver:
     """Densities whose imaginary part is exactly zero take the real symmetric solver."""
 
-    def test_real_densities_get_real_eigenvectors(self, lapack_dtypes):
+    def test_real_densities_get_real_eigenvectors(self, lapack_calls):
         rng = np.random.default_rng(20)
         blocks = (
-            np.diag([0.3, 0.2, 0.0]),  # diagonal, rank deficient
+            np.diag([0.3, 0.2, 0.0]),  # diagonal, rank deficient: three 1x1 summands
             np.full((2, 2), 0.5),  # plus
             real_psd(rng, 4, rank=2),  # rank deficient, not diagonal
             np.array([[0.7]]),  # 1x1
@@ -351,22 +384,26 @@ class TestRealSolver:
         phi = Functional(alg, tuple(np.asarray(b, dtype=complex) for b in blocks))
         spec = phi.spectrum()
         phi.spectrum()
-        assert lapack_dtypes == [("eigh", np.dtype(float))] * 4
+        real = np.dtype(float)
+        expected = {("eigh", 1, real): 3 + 1, ("eigh", 2, real): 1, ("eigh", 4, real): 1}
+        assert Counter(lapack_calls) == expected
         assert all(v.dtype == np.dtype(float) for _, v in spec)
         for d, (w, v) in zip(phi.densities, spec):
             assert np.allclose((v * w) @ v.T, d, atol=1e-14)
         assert total_rank(phi) == 2 + 1 + 2 + 1
 
-    def test_one_imaginary_entry_keeps_the_complex_solver(self, lapack_dtypes):
+    def test_one_imaginary_entry_keeps_the_complex_solver(self, lapack_calls):
+        # for its own summand, the first two coordinates; the real third takes the real solver
         d = np.diag([0.5, 0.3, 0.2]).astype(complex)
         d[0, 1], d[1, 0] = 1e-3j, -1e-3j
         phi = Functional(make_algebra([3]), (d,))
         ((w, v),) = phi.spectrum()
-        assert lapack_dtypes == [("eigh", np.dtype(complex))]
+        expected = {("eigh", 2, np.dtype(complex)): 1, ("eigh", 1, np.dtype(float)): 1}
+        assert Counter(lapack_calls) == expected
         assert v.dtype == np.dtype(complex)
-        w_ref, v_ref = np.linalg.eigh(phi.densities[0])
-        assert np.array_equal(w, w_ref)
-        assert np.array_equal(v, v_ref)
+        w_ref, v_ref = np.linalg.eigh(phi.densities[0][:2, :2])
+        assert np.array_equal(w, [0.2, *w_ref])
+        assert np.array_equal(v, [[0, *v_ref[0]], [0, *v_ref[1]], [1, 0, 0]])
 
     def test_every_entry_point_picks_the_solver(self, lapack_dtypes):
         real = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
