@@ -266,12 +266,13 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
     = Tr D_k less their sum is its trace; a block that drops none keeps
     D_k and m = Tr D_k.  A block of rank 0 gives the normalized trace, a
     placeholder, and m = 0.  The component's spectrum is phi's, with the
-    dropped eigenvalues set to 0, over m: that keeps the eigenvectors and
-    the ascending order, so the component needs no eigendecomposition of
-    its own.  Its density is stored as built, hermitized, as the
-    difference need not be exactly Hermitian.
+    dropped eigenvalues set to 0, over m: that keeps the eigenvectors,
+    their layout and the ascending order, so the component needs no
+    eigendecomposition of its own.  Its density is stored as built,
+    hermitized, as the difference need not be exactly Hermitian.
     """
-    w, v = phi.spectrum()[k]
+    spec = phi.spectrum()[k]
+    w, v = spec
     keep, n = in_range(w), phi.algebra.block_dims[k]
     algebra = as_built(BlockAlgebra, block_dims=(n,))
     if not keep.any():
@@ -279,11 +280,11 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
     d, dropped = phi.densities[k], np.where(keep, 0.0, w)
     mass = float(np.trace(d).real) - float(np.sum(dropped))
     if not keep.all():
-        d = d - spectral_apply((dropped, v), lambda x: x)
+        d = d - spectral_apply(Spectrum.of(dropped, v, spec.layout), lambda x: x)
     # numpy divides complex by real through the reciprocal, inf for a subnormal m: scale, exactly
     s = np.ldexp(1.0, max(-1021 - np.frexp(mass)[1], 0))
     comp = Functional._built(algebra, (hermitize(d * s / (mass * s)),))
-    _hold_spectrum(comp, (((w - dropped) / mass, v),))
+    _hold_spectrum(comp, (Spectrum.of((w - dropped) / mass, v, spec.layout),))
     return comp, mass
 
 

@@ -9,10 +9,13 @@ costs one call on a stack of 1 x 1 summands and a sort.  Callers pass
 exactly Hermitian matrices: hermitized once where a matrix comes from a
 product or from outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
-power (root, inverse, flow unitary) by power.  real_if_exact is the one
-array rule, and built stores by it: an array built here directly, a
-caller's through hermitian_part (Hermitian) or frozen, which read it.  The
-solvers pick by it, and every other helper here keeps the dtype it is given.
+power (root, inverse, flow unitary) by power, both summand by summand
+from the layout a split matrix's Spectrum keeps: one stacked product
+per size class, so a diagonal matrix's root is its diagonal's root in a
+zero matrix.  real_if_exact is the one array rule, and built stores by
+it: an array built here directly, a caller's through hermitian_part
+(Hermitian) or frozen, which read it.  The solvers pick by it, and every
+other helper here keeps the dtype it is given.
 Numbers and sequences have their readers in config.
 """
 
@@ -23,12 +26,30 @@ import numpy as np
 from .config import rank_cut, tolerances
 from .errors import NotFaithful, NotPositive, ShapeError, SolverFailed
 
-Spectrum = tuple[np.ndarray, np.ndarray]
+
+class Spectrum(tuple):
+    """The spectrum (w, v) of a Hermitian matrix, unpacked as w, v = spec, and its layout.
+
+    layout holds, per size class of the matrix's summands (one side and
+    one solver dtype), (rows, vs, cols): rows[j] the rows of summand j,
+    vs[j] its local eigenvectors and cols[j] the columns of v, and entries
+    of w, that hold them.  It is None for a one-summand matrix, and a bare
+    tuple (w, v) is read as one summand too.
+    """
+
+    layout = None
+
+    @classmethod
+    def of(cls, w: np.ndarray, v: np.ndarray, layout=None) -> "Spectrum":
+        spec = cls((w, v))
+        spec.layout = layout
+        return spec
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (a + a*) / 2, halved before the sum so no finite a overflows."""
-    return 0.5 * a + 0.5 * a.conj().T
+    """Return the Hermitian part (a + a*) / 2, halved before the sum so no finite a overflows;
+    a stack of matrices is hermitized matrix by matrix."""
+    return 0.5 * a + 0.5 * a.conj().swapaxes(-1, -2)
 
 
 def real_if_exact(a) -> np.ndarray:
@@ -80,7 +101,7 @@ def _summandwise(name: str, h: np.ndarray):
     numpy runs a stack matrix by matrix, so it gets the bits of its own
     call.  The spectrum is assembled with its eigenvalues ascending (a
     stable sort, so ties keep summand order) and its eigenvectors exactly
-    0 outside their summand.
+    0 outside their summand; a split h's Spectrum keeps the layout.
     """
     h = real_if_exact(h)
     blocks = diagonal_blocks(h)
@@ -107,9 +128,10 @@ def _summandwise(name: str, h: np.ndarray):
         return w[order]
     column, v = np.empty(len(h), dtype=int), np.zeros(h.shape, dtype=h.dtype)
     column[order] = np.arange(len(h))
-    for rows, vs in solved:
-        v[rows[:, :, None], column[rows][:, None, :]] = vs
-    return w[order], v
+    layout = tuple((rows, vs, column[rows]) for rows, vs in solved)
+    for rows, vs, cols in layout:
+        v[rows[:, :, None], cols[:, None, :]] = vs
+    return Spectrum.of(w[order], v, layout if len(blocks) > 1 else None)
 
 
 def _lapack(name: str, a: np.ndarray, **kwargs):
@@ -167,9 +189,31 @@ def check_psd(w: np.ndarray, what: str = "matrix") -> None:
 
 
 def spectral_apply(spec: Spectrum, f) -> np.ndarray:
-    """The matrix function v f(w) v* of the Hermitian matrix with spectrum (w, v)."""
+    """The matrix function v f(w) v* of the Hermitian matrix with spectrum (w, v), by _apply."""
+    return _apply(spec, f, lambda a: a)
+
+
+def _apply(spec: Spectrum, f, tidy) -> np.ndarray:
+    """v f(w) v* summand by summand, each summand's product passed through tidy.
+
+    Each size class (rows, vs, cols) of the layout is one stacked product
+    tidy((vs * f(w)[cols]) @ vs*), written at its rows into a zero matrix
+    of the dtype of (v * f(w)) @ v*; a 1 x 1 summand's is f(w), on the
+    diagonal, its eigenvector being 1.  A one-summand spectrum, a bare
+    (w, v) among them, is a stack of one, which numpy multiplies as the
+    one matrix it holds, so its product is the dense v f(w) v* bit for
+    bit, and is the matrix.
+    """
     w, v = spec
-    return (v * f(w)) @ v.conj().T
+    fw, n = f(w), len(w)
+    layout = getattr(spec, "layout", None) or ((np.arange(n)[None], v[None], np.arange(n)[None]),)
+    local = [tidy((vs * fw[cols][:, None, :]) @ vs.conj().swapaxes(1, 2)) for _, vs, cols in layout]
+    if local[0].shape[1] == n:  # one summand of side n
+        return local[0][0]
+    out = np.zeros(v.shape, dtype=np.result_type(v, fw))
+    for (rows, _, _), part in zip(layout, local):
+        out[rows[:, :, None], rows[:, None, :]] = part
+    return out
 
 
 def in_range(w: np.ndarray) -> np.ndarray:
@@ -209,8 +253,9 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
     powers would otherwise amplify eigenvalue noise to its root): they map
     to 0 for z > 0 and to 1 at z = 0, so h^0 is exactly np.eye.  Any other
     z needs every eigenvalue in range, else NotFaithful.  A real z (an
-    imaginary part of 0 counts as real) gives the hermitized power in real
-    arithmetic, and a non-real z the complex power.
+    imaginary part of 0 counts as real) gives the power in real arithmetic,
+    hermitized summand by summand, and a non-real z the complex power; both
+    by _apply, so a diagonal h^z is its diagonal's power in a zero matrix.
     """
     w, v = spec
     z, keep = complex(z), in_range(w)
@@ -220,7 +265,7 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
         return np.eye(len(w))
     if z.imag != 0.0:
         return spectral_apply(spec, lambda w: np.power(w.astype(complex), z))
-    return hermitize(spectral_apply((np.where(keep, w, 0.0), v), lambda w: np.power(w, z.real)))
+    return _apply(spec, lambda w: np.power(np.where(keep, w, 0.0), z.real), hermitize)
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .config import as_built, complex_number, real
 from .errors import DomainError, EmptyReduction, NotFaithful
-from .linalg import in_range, power
+from .linalg import Spectrum, in_range, power
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +158,9 @@ def support_reduce(phi: Functional) -> SupportReduction:
     Rank-zero blocks are dropped.  A kept block's isometry v holds the
     eigenvectors in_range keeps, and its reduced density is diag of their
     eigenvalues w, which v* D v equals up to roundoff; it keeps (w, I) as
-    its spectrum.  The compressed functional is faithful and evaluation is
-    preserved on compressed elements.
+    its spectrum, laid out as len(w) summands of side 1.  The compressed
+    functional is faithful and evaluation is preserved on compressed
+    elements.
     """
     phi.require_positive()
     kept, isometries, spectra = [], [], []
@@ -168,7 +169,9 @@ def support_reduce(phi: Functional) -> SupportReduction:
         if keep.any():
             kept.append(k)
             isometries.append(v[:, keep])
-            spectra.append((w[keep], np.eye(int(keep.sum()))))
+            rows = np.arange(int(keep.sum()))[:, None]
+            ones = np.ones((len(rows), 1, 1))
+            spectra.append(Spectrum.of(w[keep], np.eye(len(rows)), ((rows, ones, rows),)))
     if not kept:
         raise EmptyReduction("zero functional has empty support")
     algebra = as_built(BlockAlgebra, block_dims=tuple(len(w) for w, _ in spectra))

@@ -30,7 +30,7 @@ from .amplitudes import transition_amplitude
 from .central import probability_vector
 from .config import MAX_CHAIN_DIM, as_built, integer, sequence, tolerances
 from .errors import DomainError, InvalidEmbedding, NotQuotient, NotUnital, ShapeError, TooLarge
-from .linalg import built, frozen, hermitize, real_if_exact
+from .linalg import built, frozen, hermitian_part, hermitize, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,17 +354,19 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
 def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
     """Tensor product functional on the single-block algebra of all sites.
 
-    Sites are matrices read by linalg.real_if_exact, so real sites give a real product.
+    Site i is read by linalg.hermitian_part as "site density i": square and
+    Hermitian within tolerance, so real sites give a real product.  The
+    Kronecker product of exactly Hermitian matrices is exactly Hermitian, so
+    the product is stored as built, with no Hermitian check of its own.
     """
-    mats = [real_if_exact(d) for d in sequence(site_densities, "site densities", DomainError)]
+    sites = sequence(site_densities, "site densities", DomainError)
+    mats = [hermitian_part(d, f"site density {i}") for i, d in enumerate(sites)]
     if not mats:
         raise DomainError("need at least one site density")
-    if any(m.ndim != 2 for m in mats):
-        raise ShapeError("every site density must be a matrix")
     acc = mats[0]
     for m in mats[1:]:
         acc = np.kron(acc, m)
-    return Functional(BlockAlgebra((acc.shape[0],)), (acc,))
+    return Functional._built(BlockAlgebra((len(acc),)), (acc,))
 
 
 def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> SubalgebraChain:

@@ -66,6 +66,7 @@ from amplitude_lab.linalg import (
     in_range,
     power,
     real_if_exact,
+    spectral_apply,
 )
 from amplitude_lab.sampling import (
     random_complex,
@@ -561,18 +562,19 @@ def test_the_package_builds_the_maps_its_reading_constructors_make(dims, sites, 
 
 
 @st.composite
-def direct_sums(draw):
+def direct_sums(draw, faithful=False):
     """(sides, h): a signed block-diagonal Hermitian h with exact zeros off its summands.
 
     Each summand is a _block of random rank, real or complex, scaled by
     +-10^u with u in [-8, 8]; every side is 1 for an all-diagonal draw.
+    A faithful draw takes every summand of full rank and positive.
     """
     top = draw(st.sampled_from([1, 4]))
     sides = draw(st.lists(st.integers(1, top), min_size=1, max_size=10))
     blocks = [
-        _block(n, draw(st.integers(0, n)), draw(st.floats(-8.0, 8.0)),
+        _block(n, n if faithful else draw(st.integers(0, n)), draw(st.floats(-8.0, 8.0)),
                draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
-        * draw(st.sampled_from([1.0, -1.0]))
+        * (1.0 if faithful else draw(st.sampled_from([1.0, -1.0])))
         for n in sides
     ]
     return sides, block_diag(*blocks)
@@ -610,3 +612,47 @@ def test_a_one_summand_matrix_is_diagonalised_as_numpy_would(n, real, zero_corne
     w_ref, v_ref = np.linalg.eigh(h)
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
     assert np.array_equal(eigvalsh(h), np.linalg.eigvalsh(h))
+
+
+def _dense_function(spec, f, hermitian):
+    """The dense formula (v * f(w)) @ v*, hermitized for a real power."""
+    w, v = spec
+    m = (v * f(w)) @ v.conj().T
+    return 0.5 * m + 0.5 * m.conj().T if hermitian else m
+
+
+def _clamped_power(z):
+    return lambda x: np.power(np.where(in_range(x), x, 0.0), z)
+
+
+@given(st.one_of(direct_sums(), direct_sums(faithful=True)), st.floats(0.1, 2.0))
+def test_functions_of_a_split_spectrum_are_the_dense_formula_summand_by_summand(case, t):
+    sides, h = case
+    spec, n = eigh(h), len(h)
+
+    def phase(x):
+        return x * np.exp(1j * t * np.sign(x))
+
+    # (matrix function, the f of w it applies, hermitized as power hermitizes a real power)
+    functions = [(lambda s, z=z: power(s, z), _clamped_power(z), True) for z in (0.5, 1.0, 1 / 3)]
+    functions.append((lambda s: spectral_apply(s, phase), phase, False))
+    for z, f, hermitian in ((-0.5, _clamped_power(-0.5), True),
+                            (1j * t, lambda x, z=1j * t: np.power(x.astype(complex), z), False)):
+        if in_range(spec[0]).all():
+            functions.append((lambda s, z=z: power(s, z), f, hermitian))
+        else:
+            with pytest.raises(NotFaithful):
+                power(spec, z)
+    assert np.array_equal(power(spec, 0.0), np.eye(n))
+    summand = np.repeat(np.arange(len(sides)), sides)
+    ones = np.flatnonzero(np.array(sides)[summand] == 1)  # the rows of the 1 x 1 summands
+    one = eigh(h[: sides[0], : sides[0]])  # the first summand as a matrix of its own
+    bound = 10 * n * np.finfo(float).eps
+    for function, f, hermitian in functions:
+        got, ref = function(spec), _dense_function(spec, f, hermitian)
+        assert got.dtype == ref.dtype
+        assert not got[summand[:, None] != summand].any()
+        assert np.array_equal(got[ones, ones], ref[ones, ones])  # -0.0 == 0.0
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(f(spec[0])), initial=0.0)
+        if one.layout is None:
+            assert np.array_equal(function(one), _dense_function(one, f, hermitian))

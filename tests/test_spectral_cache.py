@@ -11,6 +11,7 @@ import ast
 import functools
 import importlib
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from amplitude_lab import (
     InvalidCovariance,
     NotPositive,
     PositiveForm,
+    ShapeError,
     SolverFailed,
     UnitalEmbedding,
     amplitude_sum_check,
@@ -49,6 +51,7 @@ from amplitude_lab import (
     relative_modular,
     restrict,
     right_form,
+    sqrt_vector,
     support_projection,
     support_reduce,
     total_rank,
@@ -269,6 +272,37 @@ class TestSizeClasses:
         chain = build_lumped_diagonal_chain(p, q)
         amps = chain_amplitudes(diagonal_state(p), diagonal_state(q), chain)
         assert amps[-1] == 0.9472900418764619  # what one unsplit eigh per block gave
+
+    def test_a_diagonal_root_is_its_diagonals_root_in_a_zero_matrix(self):
+        # the dense (v * f(w)) @ v* and its hermitize peaked at 3.0 * 8 n^2 bytes
+        n = config.MAX_CHAIN_DIM
+        spec = linalg.eigh(np.diag(np.random.default_rng(31).random(n)))
+        tracemalloc.start()
+        try:
+            linalg.power(spec, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
+    def test_the_root_of_a_diagonal_product_state_is_diagonal(self):
+        sites = [np.diag([0.3, 0.7]), np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.9, 0.1])] * 2
+        phi = product_state(sites)
+        d = np.diag(phi.densities[0])
+        root = sqrt_vector(phi).blocks[0]
+        assert not (root - np.diag(np.diag(root))).any()
+        assert np.array_equal(np.diag(root), np.power(np.where(linalg.in_range(d), d, 0.0), 0.5))
+
+    def test_a_product_state_reads_its_sites_not_its_product(self, reads):
+        # the 256 x 256 product was hermitized and checked entry by entry
+        product_state([np.array([[0.5, 0.25j], [-0.25j, 0.5]])] * 8)
+        assert reads == Counter(hermitian_part=8)
+        h, k = np.array([[1.0, 1j], [-1j, 2.0]]), np.diag([1.0, 3.0])
+        assert np.allclose(np.kron(1j * h, 1j * k), np.kron(1j * h, 1j * k).conj().T)
+        with pytest.raises(NotPositive, match="site density 0 is not Hermitian"):
+            product_state([1j * h, 1j * k])  # its product -(h (x) k) is Hermitian
+        with pytest.raises(ShapeError, match=r"site density 0 has shape \(2, 3\)"):
+            product_state([np.ones((2, 3)), np.ones((3, 2))])  # its product is 6 x 6
 
 
 class TestSpectrum:
