@@ -205,11 +205,8 @@ class Functional(_BlockTuple):
 
 
 def _hold_spectrum(phi: Functional, spec: tuple[Spectrum, ...]) -> None:
-    """Make spec, read-only, the spectrum phi keeps: spectrum()'s eigh, or the spectrum a
-    constructor knows of the densities it builds, which are then never diagonalised."""
-    for w, v in spec:
-        w.setflags(write=False)
-        v.setflags(write=False)
+    """Attach spec, read-only as every Spectrum is, as phi's: spectrum()'s eigh, or the spectrum
+    a constructor knows of the densities it builds, which are then never diagonalised."""
     object.__setattr__(phi, "_spectrum", spec)
 
 
@@ -288,10 +285,10 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
     return comp, mass
 
 
-def _support_isometries(phi: Functional) -> tuple[np.ndarray, ...]:
-    """Orthonormal columns spanning the range of each density, by in_range."""
+def _ranks(phi: Functional) -> np.ndarray:
+    """The rank of each density: the eigenvalues in_range counts, read from the held spectrum."""
     phi.require_positive()
-    return tuple(v[:, in_range(w)] for w, v in phi.spectrum())
+    return np.array([np.count_nonzero(in_range(w)) for w, _ in phi.spectrum()])
 
 
 def support_projection(phi: Functional) -> BlockOperator:
@@ -299,22 +296,21 @@ def support_projection(phi: Functional) -> BlockOperator:
 
     This is the minimal projection p with phi(1 - p) = 0.
     """
-    projections = tuple(v @ v.conj().T for v in _support_isometries(phi))
-    return BlockOperator._built(phi.algebra, projections)
+    phi.require_positive()
+    ranges = (v[:, in_range(w)] for w, v in phi.spectrum())
+    return BlockOperator._built(phi.algebra, tuple(u @ u.conj().T for u in ranges))
 
 
 def central_support(phi: Functional) -> BlockOperator:
     """Central cover of the support: the identity on every block of nonzero rank."""
-    blocks = tuple(
-        np.eye(v.shape[0]) * bool(v.shape[1]) for v in _support_isometries(phi)
-    )
+    blocks = tuple(np.eye(n) * bool(r) for n, r in zip(phi.algebra.block_dims, _ranks(phi)))
     return BlockOperator._built(phi.algebra, blocks)
 
 
 def classify_pair(phi: Functional, psi: Functional) -> StateRelation:
     """Disjoint (orthogonal central supports), quasi-equivalent (equal), or neither."""
     _check_algebra(phi.algebra, psi)
-    zp, zq = (np.array([v.shape[1] > 0 for v in _support_isometries(f)]) for f in (phi, psi))
+    zp, zq = (_ranks(f) > 0 for f in (phi, psi))
     if not np.any(zp & zq):
         return StateRelation.DISJOINT
     if np.array_equal(zp, zq):
@@ -323,7 +319,7 @@ def classify_pair(phi: Functional, psi: Functional) -> StateRelation:
 
 
 def total_rank(phi: Functional) -> int:
-    return sum(v.shape[1] for v in _support_isometries(phi))
+    return int(_ranks(phi).sum())
 
 
 def is_pure(phi: Functional) -> bool:

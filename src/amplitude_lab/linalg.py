@@ -4,18 +4,19 @@ Every eigendecomposition in the package goes through eigh or eigvalsh
 here, so that the choice of LAPACK solver and the scale-relative
 tolerances are applied uniformly.  Both take a matrix summand by summand
 at its direct-sum pattern (diagonal_blocks, the one direct-sum rule),
-one stacked LAPACK call per summand side and dtype, so a diagonal matrix
-costs one call on a stack of 1 x 1 summands and a sort.  Callers pass
+one stacked LAPACK call per summand side, so a diagonal matrix costs one
+call on a stack of 1 x 1 summands and a sort, and a one-summand matrix
+one call on itself.  Every spectrum leaves here read-only.  Callers pass
 exactly Hermitian matrices: hermitized once where a matrix comes from a
 product or from outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
 power (root, inverse, flow unitary) by power, both summand by summand
-from the layout a split matrix's Spectrum keeps: one stacked product
-per size class, so a diagonal matrix's root is its diagonal's root in a
-zero matrix.  real_if_exact is the one array rule, and built stores by
-it: an array built here directly, a caller's through hermitian_part
-(Hermitian) or frozen, which read it.  The solvers pick by it, and every
-other helper here keeps the dtype it is given.
+(summands): one stacked product per size class, so a diagonal matrix's
+root is its diagonal's root in a zero matrix.  real_if_exact is the one
+array rule, and built stores by it: an array built here directly, a
+caller's through hermitian_part (Hermitian) or frozen, which read it.
+The solvers pick by it, once per matrix, and every other helper here
+keeps the dtype it is given.
 Numbers and sequences have their readers in config.
 """
 
@@ -30,20 +31,31 @@ from .errors import NotFaithful, NotPositive, ShapeError, SolverFailed
 class Spectrum(tuple):
     """The spectrum (w, v) of a Hermitian matrix, unpacked as w, v = spec, and its layout.
 
-    layout holds, per size class of the matrix's summands (one side and
-    one solver dtype), (rows, vs, cols): rows[j] the rows of summand j,
-    vs[j] its local eigenvectors and cols[j] the columns of v, and entries
-    of w, that hold them.  It is None for a one-summand matrix, and a bare
-    tuple (w, v) is read as one summand too.
+    layout holds, per size class of the matrix's summands (one side),
+    (rows, vs, cols): rows[j] the rows of summand j, vs[j] its local
+    eigenvectors and cols[j] the columns of v, and entries of w, that
+    hold them.  It is None for a one-summand matrix, and a bare tuple
+    (w, v) is read as one summand too (summands).
     """
 
     layout = None
 
     @classmethod
     def of(cls, w: np.ndarray, v: np.ndarray, layout=None) -> "Spectrum":
+        """The spectrum (w, v) with its layout; w and v are made read-only, with no copy."""
+        w.setflags(write=False)
+        v.setflags(write=False)
         spec = cls((w, v))
         spec.layout = layout
         return spec
+
+
+def summands(spec) -> tuple:
+    """The (rows, vs, cols) per size class of the spectrum (w, v): its layout, or for a
+    one-summand spectrum, a bare (w, v) among them, the one class of its one summand."""
+    w, v = spec
+    whole = np.arange(len(w))[None]
+    return getattr(spec, "layout", None) or ((whole, v[None], whole),)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -93,36 +105,33 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
 def _summandwise(name: str, h: np.ndarray):
     """numpy.linalg.<name> of the Hermitian h, summand by summand at its direct-sum pattern.
 
-    h is read by real_if_exact and split at diagonal_blocks.  The summands
-    of one side and one dtype go to LAPACK in one stacked call: a summand
-    whose imaginary part is exactly zero takes the real symmetric solver,
-    any nonzero imaginary entry keeps the complex Hermitian one for its own
-    summand.  A one-summand h is a stack of one, a view of itself, and
-    numpy runs a stack matrix by matrix, so it gets the bits of its own
-    call.  The spectrum is assembled with its eigenvalues ascending (a
-    stable sort, so ties keep summand order) and its eigenvectors exactly
-    0 outside their summand; a split h's Spectrum keeps the layout.
+    h is read by real_if_exact, which picks the solver for the whole
+    matrix: the real symmetric one for float64, the complex Hermitian one
+    for complex128, whatever the imaginary part of a summand.  A
+    one-summand h (diagonal_blocks) is handed to LAPACK as it is, and its
+    (w, v) are LAPACK's own arrays.  A split h's summands of one side go
+    to LAPACK in one stacked call; numpy runs a stack matrix by matrix, so
+    each summand gets the bits of its own call.  Their spectrum is
+    assembled with its eigenvalues ascending (a stable sort, so ties keep
+    summand order) and its eigenvectors exactly 0 outside their summand,
+    and its Spectrum keeps the layout.
     """
     h = real_if_exact(h)
     blocks = diagonal_blocks(h)
+    if len(blocks) == 1:
+        got = _lapack(name, h)
+        return Spectrum.of(*got) if name == "eigh" else got
     starts: dict[int, list[int]] = {}  # side -> the first rows of its summands
     for b in blocks:
         starts.setdefault(b.stop - b.start, []).append(b.start)
     w, solved = np.empty(len(h)), []  # solved: (rows, vectors), rows[j] indexing summand j
     for side, first in starts.items():
         rows = np.add.outer(first, np.arange(side))
-        stack = h[None] if len(blocks) == 1 else h[rows[:, :, None], rows[:, None, :]]
-        parts = [(rows, stack)]
-        if len(blocks) > 1 and h.dtype.kind == "c":  # real_if_exact, summand by summand
-            real = ~stack.imag.any(axis=(1, 2))
-            parts = [(rows[real], stack[real].real), (rows[~real], stack[~real])]
-        for part_rows, part in parts:
-            if len(part_rows):
-                got = _lapack(name, part)
-                if name == "eigh":
-                    got, vs = got
-                    solved.append((part_rows, vs))
-                w[part_rows] = got
+        got = _lapack(name, h[rows[:, :, None], rows[:, None, :]])
+        if name == "eigh":
+            got, vs = got
+            solved.append((rows, vs))
+        w[rows] = got
     order = np.argsort(w, kind="stable")
     if name != "eigh":
         return w[order]
@@ -131,7 +140,7 @@ def _summandwise(name: str, h: np.ndarray):
     layout = tuple((rows, vs, column[rows]) for rows, vs in solved)
     for rows, vs, cols in layout:
         v[rows[:, :, None], cols[:, None, :]] = vs
-    return Spectrum.of(w[order], v, layout if len(blocks) > 1 else None)
+    return Spectrum.of(w[order], v, layout)
 
 
 def _lapack(name: str, a: np.ndarray, **kwargs):
@@ -196,17 +205,15 @@ def spectral_apply(spec: Spectrum, f) -> np.ndarray:
 def _apply(spec: Spectrum, f, tidy) -> np.ndarray:
     """v f(w) v* summand by summand, each summand's product passed through tidy.
 
-    Each size class (rows, vs, cols) of the layout is one stacked product
-    tidy((vs * f(w)[cols]) @ vs*), written at its rows into a zero matrix
-    of the dtype of (v * f(w)) @ v*; a 1 x 1 summand's is f(w), on the
-    diagonal, its eigenvector being 1.  A one-summand spectrum, a bare
-    (w, v) among them, is a stack of one, which numpy multiplies as the
-    one matrix it holds, so its product is the dense v f(w) v* bit for
-    bit, and is the matrix.
+    Each size class (rows, vs, cols) of summands(spec) is one stacked
+    product tidy((vs * f(w)[cols]) @ vs*), written at its rows into a zero
+    matrix of the dtype of (v * f(w)) @ v*; a 1 x 1 summand's is f(w), on
+    the diagonal, its eigenvector being 1.  A one-summand spectrum is a
+    stack of one, which numpy multiplies as the one matrix it holds, so
+    its product is the dense v f(w) v* bit for bit, and is the matrix.
     """
     w, v = spec
-    fw, n = f(w), len(w)
-    layout = getattr(spec, "layout", None) or ((np.arange(n)[None], v[None], np.arange(n)[None]),)
+    fw, n, layout = f(w), len(w), summands(spec)
     local = [tidy((vs * fw[cols][:, None, :]) @ vs.conj().swapaxes(1, 2)) for _, vs, cols in layout]
     if local[0].shape[1] == n:  # one summand of side n
         return local[0][0]
@@ -219,10 +226,11 @@ def _apply(spec: Spectrum, f, tidy) -> np.ndarray:
 def in_range(w: np.ndarray) -> np.ndarray:
     """The one rank rule: the mask of eigenvalues in one block's spectrum w that count.
 
-    An eigenvalue counts when it exceeds rank_cut(w.size, max|w|), on the
-    block's own scale; the rest, negative roundoff included, are zero.
+    An eigenvalue counts when it exceeds rank_cut(len, max|w|), on the
+    block's own scale; the rest, negative roundoff included, are zero.  A
+    stack w of spectra is ranked row by row, each on its own scale.
     """
-    return w > rank_cut(w.size, float(np.max(np.abs(w))) if w.size else 0.0)
+    return w > rank_cut(w.shape[-1], np.abs(w).max(-1, keepdims=True, initial=0.0))
 
 
 def diagonal_blocks(*mats: np.ndarray) -> list[slice]:

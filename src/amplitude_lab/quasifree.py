@@ -17,8 +17,8 @@ import numpy as np
 from .config import as_built, integer, rank_cut, real, tolerances
 from .errors import DomainError, InvalidCovariance, ShapeError, SolverFailed
 from .forms import HermitianForm
-from .linalg import built, diagonal_blocks, eigh, eigvalsh, hermitian_part, hermitize, in_range
-from .linalg import is_psd, real_if_exact
+from .linalg import built, eigh, eigvalsh, hermitian_part, hermitize, in_range, is_psd
+from .linalg import real_if_exact, summands
 
 __all__ = [
     "PresymplecticSpace",
@@ -134,34 +134,32 @@ def reduce(
     kernels of S, T, and sigma), and the reduced covariances are again
     valid for the reduced presymplectic form.  When the majorizing
     product is nondegenerate the input is returned with q = identity.
-    The kernel is found one diagonal block (linalg.diagonal_blocks) of the
-    product at a time, each block ranked on its own scale, and sorted by
-    eigenvalue.  SolverFailed when the cut drops a direction sigma pairs:
-    an eigenvalue too far below the largest of its block to be told from 0.
+    The kernel is read from one linalg.eigh of the product, each of its
+    summands (linalg.summands) ranked on its own scale, in the spectrum's
+    ascending order.  SolverFailed when the cut drops a direction sigma
+    pairs: an eigenvalue too far below the largest of its summand to be
+    told from 0.
     """
     _require_valid(s, space, "first covariance")
     _require_valid(t, space, "second covariance")
     # the majorizing product's quarter, halved before the sum so that no finite pair overflows
-    m = 0.5 * np.real(s.gram) + 0.5 * np.real(t.gram)
-    w, v, keep = np.zeros(space.dim), np.zeros_like(m), np.zeros(space.dim, dtype=bool)
-    for b in diagonal_blocks(m):
-        wb, vb = w[b], v[b, b] = eigh(m[b, b])
-        keep[b] = kept = in_range(wb)
-        if kept.all():
-            continue
-        # sigma vanishes on the block's kernel up to the roundoff of eigh, dim * EPS * its cond
-        cond = float(wb[kept][-1] / wb[kept][0]) if kept.any() else 1.0
-        leak = float(np.max(np.abs(space.sigma[:, b] @ vb[:, ~kept])))
-        if leak > rank_cut(2 * space.dim, cond * float(np.max(np.abs(space.sigma)))):
-            raise SolverFailed(
-                f"majorizing product too badly scaled: sigma {leak:.3e} on its kernel"
-            )
-    order = np.argsort(w, kind="stable")
-    v, keep = v[:, order], keep[order]
+    spec = eigh(0.5 * np.real(s.gram) + 0.5 * np.real(t.gram))
+    (w, v), keep = spec, np.empty(space.dim, dtype=bool)
+    for rows, vs, cols in summands(spec):
+        keep[cols] = kept = in_range(w[cols])
+        for j in np.flatnonzero(~kept.all(axis=1)):
+            # sigma vanishes on the kernel up to eigh's roundoff, dim * EPS * the summand's cond
+            wj = w[cols[j]][kept[j]]
+            cond = float(wj[-1] / wj[0]) if wj.size else 1.0
+            leak = float(np.max(np.abs(space.sigma[:, rows[j]] @ vs[j][:, ~kept[j]])))
+            if leak > rank_cut(2 * space.dim, cond * float(np.max(np.abs(space.sigma)))):
+                raise SolverFailed(
+                    f"majorizing product too badly scaled: sigma {leak:.3e} on its kernel"
+                )
     kernel_dim = int(np.sum(~keep))
     if kernel_dim == 0:
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
-    q = np.real(v[:, keep]).T
+    q = v[:, keep].T
     sigma_red = q @ space.sigma @ q.T
     # stored as built, as each reader would store them, with no check of what was just computed
     space_red = as_built(PresymplecticSpace, sigma=built(0.5 * (sigma_red - sigma_red.T)))

@@ -55,21 +55,12 @@ class UnitalEmbedding:
     bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, multiplicity):
-        try:
-            c = np.asarray(multiplicity)
-        except ValueError as exc:  # a ragged list
-            raise InvalidEmbedding(f"multiplicity is not a matrix: {exc}") from exc
-        # np.asarray makes [[1, True]] integers: a caller's list, not an ndarray, is scanned
-        rows = () if isinstance(multiplicity, np.ndarray) else np.asarray(multiplicity, object)
-        if c.dtype.kind not in "iu" or any(isinstance(x, (bool, np.bool_)) for x in np.ravel(rows)):
-            raise InvalidEmbedding(f"multiplicity has dtype {c.dtype}, expected integers")
-        if c.shape != (self.target.num_blocks, self.source.num_blocks):
-            raise InvalidEmbedding(
-                f"multiplicity shape {c.shape} does not match "
-                f"{self.target.num_blocks} x {self.source.num_blocks}"
-            )
-        if np.any(c < 0):
-            raise InvalidEmbedding("multiplicities must be nonnegative")
+        shape = (self.target.num_blocks, self.source.num_blocks)
+        rows = [tuple(sequence(r, "multiplicity row", InvalidEmbedding))
+                for r in sequence(multiplicity, "multiplicity", InvalidEmbedding)]
+        if [len(r) for r in rows] != [shape[1]] * shape[0]:
+            raise InvalidEmbedding(f"multiplicity is not a {shape[0]} x {shape[1]} matrix")
+        c = np.array([[integer(x, "multiplicity", InvalidEmbedding) for x in r] for r in rows])
         covered = c.any(axis=0)
         if not covered.all():
             l = int(np.argmin(covered))
@@ -77,7 +68,6 @@ class UnitalEmbedding:
         # the int64 sums below are exact under this bound; no layout past it could be built
         if int(c.max()) * max(self.source.block_dims) * self.source.num_blocks >= 2**63:
             raise TooLarge("multiplicity sums c[k][l]*m_l may pass 2^63")
-        c = c.astype(np.int64, copy=False)
         sums = c @ np.array(self.source.block_dims)
         bad = np.flatnonzero(sums != self.target.block_dims)
         if bad.size:

@@ -39,6 +39,24 @@ def block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def reduced_quotient(m: np.ndarray, sides) -> tuple[int, np.ndarray]:
+    """(kernel_dim, q) of the reduction of a real block-diagonal product m with blocks of the
+    given sides: one np.linalg.eigh per block, an eigenvalue kept above len * eps * max|w| of
+    its own block, q the kept eigenvectors by ascending eigenvalue (ties in block order), or
+    the identity when none is dropped."""
+    w, v, keep, start = np.empty(len(m)), np.zeros_like(m), np.empty(len(m), dtype=bool), 0
+    for n in sides:
+        b = slice(start, start + n)
+        w[b], v[b, b] = np.linalg.eigh(m[b, b])
+        keep[b] = w[b] > n * np.finfo(float).eps * np.max(np.abs(w[b]))
+        start += n
+    order = np.argsort(w, kind="stable")
+    keep = keep[order]
+    if keep.all():
+        return 0, np.eye(len(m))
+    return int(np.sum(~keep)), v[:, order][:, keep].T
+
+
 def min_eigval(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
 

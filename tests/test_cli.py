@@ -475,6 +475,20 @@ class TestErrorsAndDeterminism:
         error = json.loads(res.stdout)["error"]
         assert error["type"] == "ParseError" and "--seed" in error["message"]
 
+    def test_selftest_tol_moves_its_verdicts_only(self, capsys):
+        # the draws were read under --tol: 1e-15 exited 7 (NotUnital) and 1e-300 4 (NotPositive)
+        from amplitude_lab.cli import main
+
+        def witnesses(argv):
+            code = main(["--seed", "7", *argv, "selftest"])
+            return code, [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+
+        default = witnesses([])
+        assert default[0] == 0 and len(default[1]) == 30
+        exits = {"1e-6": 0, "1e-12": 0, "1e-13": 8, "1e-15": 8, "1e-300": 8}
+        for tol, code in exits.items():
+            assert witnesses(["--tol", tol]) == (code, default[1]), tol
+
     def test_missing_file(self):
         res = run_cli("amp", "/nonexistent/a.json", "/nonexistent/b.json")
         assert res.returncode == 2

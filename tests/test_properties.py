@@ -22,6 +22,7 @@ from amplitude_lab import (
     Functional,
     NotFaithful,
     PositiveForm,
+    PresymplecticSpace,
     StateRelation,
     SubalgebraChain,
     Tolerances,
@@ -43,8 +44,10 @@ from amplitude_lab import (
     is_dominated,
     left_form,
     make_algebra,
+    make_covariance,
     modular_conjugation,
     quotient_map,
+    reduce_covariance,
     relative_modular,
     restrict,
     right_form,
@@ -85,7 +88,7 @@ from amplitude_lab.selftest import (
     ucp_gain,
 )
 
-from helpers import block_diag, clamped_power, unitary_conjugation_ucp
+from helpers import block_diag, clamped_power, reduced_quotient, unitary_conjugation_ucp
 
 
 def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
@@ -584,8 +587,9 @@ def direct_sums(draw, faithful=False):
 def test_spectra_split_a_direct_sum_into_its_summands(case):
     sides, h = case
     (w, v), values = eigh(h), eigvalsh(h)
-    # the loop reference: one numpy call per summand, by the same solver, then sorted
-    own = [np.linalg.eigh(real_if_exact(h[b, b]))[0] for b in diagonal_blocks(h)]
+    # the loop reference: one numpy call per summand, in the dtype of the whole h, then sorted
+    stored = real_if_exact(h)
+    own = [np.linalg.eigh(stored[b, b])[0] for b in diagonal_blocks(h)]
     assert np.array_equal(w, np.sort(np.concatenate(own)))
     eps, n = np.finfo(float).eps, len(h)
     for x in (w, values):
@@ -611,6 +615,7 @@ def test_a_one_summand_matrix_is_diagonalised_as_numpy_would(n, real, zero_corne
     w, v = eigh(h)
     w_ref, v_ref = np.linalg.eigh(h)
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert not (w.flags.writeable or v.flags.writeable)
     assert np.array_equal(eigvalsh(h), np.linalg.eigvalsh(h))
 
 
@@ -656,3 +661,30 @@ def test_functions_of_a_split_spectrum_are_the_dense_formula_summand_by_summand(
         assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(f(spec[0])), initial=0.0)
         if one.layout is None:
             assert np.array_equal(function(one), _dense_function(one, f, hermitian))
+
+
+@st.composite
+def scaled_covariances(draw):
+    """(sides, s, t): two real covariances on sigma = 0, block-diagonal with the same blocks.
+
+    Each block of s and of t is a real _block of random rank, both scaled
+    by 10^u with one u of -8, 0 or 8 per block, so two blocks of unlike
+    scale sit eight or sixteen decades apart.
+    """
+    sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    pairs = []
+    for n in sides:
+        u = draw(st.sampled_from([-8.0, 0.0, 8.0]))
+        pairs.append([_block(n, draw(st.integers(0, n)), u, draw(st.integers(0, 2**32 - 1)), True)
+                      for _ in range(2)])
+    sigma = np.zeros((sum(sides), sum(sides)))
+    return (sides, *(make_covariance(2.0 * block_diag(*g).real, sigma) for g in zip(*pairs)))
+
+
+@given(scaled_covariances())
+def test_reduce_ranks_each_block_as_a_plain_eigh_per_block_does(case):
+    sides, s, t = case
+    triple = reduce_covariance(PresymplecticSpace(np.zeros((s.dim, s.dim))), s, t)
+    kernel_dim, q = reduced_quotient(0.5 * np.real(s.gram) + 0.5 * np.real(t.gram), sides)
+    assert triple.kernel_dim == kernel_dim
+    assert np.array_equal(triple.quotient, q)
