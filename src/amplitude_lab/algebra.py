@@ -277,7 +277,7 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
     d, dropped = phi.densities[k], np.where(keep, 0.0, w)
     mass = float(np.trace(d).real) - float(np.sum(dropped))
     if not keep.all():
-        d = d - spectral_apply(Spectrum.of(dropped, v, spec.layout), lambda x: x)
+        d = d - spectral_apply(spec, lambda x: np.where(keep, 0.0, x))
     # numpy divides complex by real through the reciprocal, inf for a subnormal m: scale, exactly
     s = np.ldexp(1.0, max(-1021 - np.frexp(mass)[1], 0))
     comp = Functional._built(algebra, (hermitize(d * s / (mass * s)),))

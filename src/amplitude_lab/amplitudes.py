@@ -21,9 +21,9 @@ from .algebra import (
     _check_algebra,
     functional_norm,
 )
-from .config import MAX_CHAIN_DIM, as_built, tolerances
+from .config import MAX_CHAIN_DIM, as_built
 from .errors import NotFactor, TooLarge
-from .linalg import eigvalsh, hermitize, power, trace_norm
+from .linalg import close, eigvalsh, hermitize, power, trace_norm
 
 
 def sqrt_vector(phi: Functional) -> L2Vector:
@@ -121,7 +121,7 @@ def inequality_suite(phi: Functional, psi: Functional) -> InequalityReport:
     lower_defect = dist - root_diff_sq
     upper_defect = np.sqrt(max(root_diff_sq, 0.0)) * root_sum - dist
 
-    if max(abs(phi.mass - 1.0), abs(psi.mass - 1.0)) <= tolerances().num:
+    if close([phi.mass - 1.0, psi.mass - 1.0]):
         fid = _root_fidelity(root_p, root_q)
         sandwich_lower = fid - amp * amp
         sandwich_upper = amp - fid

@@ -16,9 +16,9 @@ import numpy as np
 
 from .algebra import BlockAlgebra, Functional, _block_component, _check_algebra
 from .amplitudes import transition_amplitude
-from .config import as_built, sequence, tolerances
+from .config import as_built, sequence
 from .errors import DomainError, SingularMeasure
-from .linalg import is_psd, real_if_exact
+from .linalg import close, is_psd, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +46,8 @@ def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
     """p, read by linalg.real_if_exact, clipped at 0, once it is checked to be a distribution.
 
     Entries must be real and finite and pass linalg.is_psd, and their sum
-    must lie within tolerances().num of 1; the vector must be nonempty, and
-    of the given length when one is given.
+    less 1 must pass linalg.close; the vector must be nonempty, and of the
+    given length when one is given.
     """
     p = real_if_exact(p)
     if p.ndim != 1 or p.size == 0 or length not in (None, p.size) or np.iscomplexobj(p):
@@ -55,7 +55,7 @@ def probability_vector(p, name: str, length: int | None = None) -> np.ndarray:
         raise DomainError(f"{name} must be a nonempty real vector{of_length}")
     if not np.all(np.isfinite(p)):
         raise DomainError(f"{name} must be finite")
-    if not is_psd(p) or abs(float(np.sum(p)) - 1.0) > tolerances().num:
+    if not is_psd(p) or not close(float(np.sum(p)) - 1.0):
         raise DomainError(f"{name} is not a probability distribution")
     return np.maximum(p, 0.0)
 

@@ -164,7 +164,8 @@ def _pair(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, Spectrum, np.ndar
     wr, x = w[keep], x[:, keep]
     jmat = np.sqrt(wr)[:, None] * x.conj().T
     x *= 1.0 / np.sqrt(wr)  # in place: the kept eigenvectors become X = S^{-1/2}
-    wa, va = eigh(hermitize(x.conj().T @ ga @ x))
+    spec = eigh(hermitize(x.conj().T @ ga @ x))
+    wa, va = spec
     y = x @ va
     wb = np.einsum("ij,ij->j", y.conj(), gb @ y).real
     spread = np.abs(x) @ np.abs(va)
@@ -173,7 +174,7 @@ def _pair(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, Spectrum, np.ndar
     ends = [wa < snap, wa > 1.0 - snap]
     wa = np.select(ends, [0.0, 1.0], np.clip(wa, 0.0, 1.0))
     wb = np.select(ends, [1.0, 0.0], np.clip(wb, 0.0, 1.0))
-    return jmat, (wa, va), wb
+    return jmat, Spectrum.of(wa, va, spec.layout), wb
 
 
 def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:

@@ -11,12 +11,13 @@ exactly Hermitian matrices: hermitized once where a matrix comes from a
 product or from outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
 power (root, inverse, flow unitary) by power, both summand by summand
-(summands): one stacked product per size class, so a diagonal matrix's
+(Spectrum.layout): one stacked product per size class, so a diagonal matrix's
 root is its diagonal's root in a zero matrix.  real_if_exact is the one
 array rule, and built stores by it: an array built here directly, a
 caller's through hermitian_part (Hermitian) or frozen, which read it.
 The solvers pick by it, once per matrix, and every other helper here
-keeps the dtype it is given.
+keeps the dtype it is given.  No other module compares a value with a
+tolerance: hermitian_part and is_psd apply the slack, close the num.
 Numbers and sequences have their readers in config.
 """
 
@@ -34,28 +35,29 @@ class Spectrum(tuple):
     layout holds, per size class of the matrix's summands (one side),
     (rows, vs, cols): rows[j] the rows of summand j, vs[j] its local
     eigenvectors and cols[j] the columns of v, and entries of w, that
-    hold them.  It is None for a one-summand matrix, and a bare tuple
-    (w, v) is read as one summand too (summands).
+    hold them.  Every spectrum carries one: a one-summand matrix's is its
+    one class, of its one summand.
     """
-
-    layout = None
 
     @classmethod
     def of(cls, w: np.ndarray, v: np.ndarray, layout=None) -> "Spectrum":
-        """The spectrum (w, v) with its layout; w and v are made read-only, with no copy."""
+        """The spectrum (w, v) with its layout, by default the one summand's; w and v are made
+        read-only, with no copy."""
         w.setflags(write=False)
         v.setflags(write=False)
+        if layout is None:
+            whole = np.arange(len(w))[None]
+            layout = ((whole, v[None], whole),)
         spec = cls((w, v))
         spec.layout = layout
         return spec
 
 
-def summands(spec) -> tuple:
-    """The (rows, vs, cols) per size class of the spectrum (w, v): its layout, or for a
-    one-summand spectrum, a bare (w, v) among them, the one class of its one summand."""
-    w, v = spec
-    whole = np.arange(len(w))[None]
-    return getattr(spec, "layout", None) or ((whole, v[None], whole),)
+def diagonal_spectrum(w: np.ndarray) -> Spectrum:
+    """The spectrum (w, I) of diag(w), w ascending, laid out as len(w) summands of side 1: what
+    eigh would give, with no solver call."""
+    rows = np.arange(len(w))[:, None]
+    return Spectrum.of(w, np.eye(len(w)), ((rows, np.ones((len(w), 1, 1)), rows),))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -173,6 +175,14 @@ def hermitian_part(
     return built(0.5 * a + 0.5 * ah)
 
 
+def close(gap) -> bool:
+    """The one closeness test of an identity: max|gap| <= tolerances().num.
+
+    NaN fails, and an empty gap passes.
+    """
+    return not np.size(gap) or float(np.max(np.abs(gap))) <= tolerances().num
+
+
 def frozen(
     a, shape: tuple[int, ...], what: str = "matrix", error: type[Exception] = ShapeError
 ) -> np.ndarray:
@@ -205,7 +215,7 @@ def spectral_apply(spec: Spectrum, f) -> np.ndarray:
 def _apply(spec: Spectrum, f, tidy) -> np.ndarray:
     """v f(w) v* summand by summand, each summand's product passed through tidy.
 
-    Each size class (rows, vs, cols) of summands(spec) is one stacked
+    Each size class (rows, vs, cols) of spec.layout is one stacked
     product tidy((vs * f(w)[cols]) @ vs*), written at its rows into a zero
     matrix of the dtype of (v * f(w)) @ v*; a 1 x 1 summand's is f(w), on
     the diagonal, its eigenvector being 1.  A one-summand spectrum is a
@@ -213,7 +223,7 @@ def _apply(spec: Spectrum, f, tidy) -> np.ndarray:
     its product is the dense v f(w) v* bit for bit, and is the matrix.
     """
     w, v = spec
-    fw, n, layout = f(w), len(w), summands(spec)
+    fw, n, layout = f(w), len(w), spec.layout
     local = [tidy((vs * fw[cols][:, None, :]) @ vs.conj().swapaxes(1, 2)) for _, vs, cols in layout]
     if local[0].shape[1] == n:  # one summand of side n
         return local[0][0]

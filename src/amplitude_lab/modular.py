@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .config import as_built, complex_number, real
 from .errors import DomainError, EmptyReduction, NotFaithful
-from .linalg import Spectrum, in_range, power
+from .linalg import diagonal_spectrum, in_range, power
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +157,8 @@ def support_reduce(phi: Functional) -> SupportReduction:
 
     Rank-zero blocks are dropped.  A kept block's isometry v holds the
     eigenvectors in_range keeps, and its reduced density is diag of their
-    eigenvalues w, which v* D v equals up to roundoff; it keeps (w, I) as
-    its spectrum, laid out as len(w) summands of side 1.  The compressed
+    eigenvalues w, which v* D v equals up to roundoff; it keeps
+    linalg.diagonal_spectrum(w) as its spectrum.  The compressed
     functional is faithful and evaluation is preserved on compressed
     elements.
     """
@@ -169,9 +169,7 @@ def support_reduce(phi: Functional) -> SupportReduction:
         if keep.any():
             kept.append(k)
             isometries.append(v[:, keep])
-            rows = np.arange(int(keep.sum()))[:, None]
-            ones = np.ones((len(rows), 1, 1))
-            spectra.append(Spectrum.of(w[keep], np.eye(len(rows)), ((rows, ones, rows),)))
+            spectra.append(diagonal_spectrum(w[keep]))
     if not kept:
         raise EmptyReduction("zero functional has empty support")
     algebra = as_built(BlockAlgebra, block_dims=tuple(len(w) for w, _ in spectra))

@@ -14,42 +14,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import as_built, integer, rank_cut, real, tolerances
+from .config import as_built, integer, rank_cut, real
 from .errors import DomainError, InvalidCovariance, ShapeError, SolverFailed
 from .forms import HermitianForm
-from .linalg import built, eigh, eigvalsh, hermitian_part, hermitize, in_range, is_psd
-from .linalg import real_if_exact, summands
-
-__all__ = [
-    "PresymplecticSpace",
-    "CovarianceForm",
-    "ReducedTriple",
-    "make_covariance",
-    "validate_covariance",
-    "majorizing_inner_product",
-    "reduce",
-    "quasifree_character",
-    "thermal_amplitude",
-    "geometric_weights",
-]
+from .linalg import built, close, eigh, eigvalsh, hermitian_part, hermitize, in_range, is_psd
+from .linalg import real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
 class PresymplecticSpace:
-    """Real vector space with an antisymmetric bilinear form."""
+    """Real vector space with an antisymmetric bilinear form.
+
+    sigma is antisymmetric exactly when i sigma is Hermitian, so it is read
+    as i sigma by linalg.hermitian_part (ShapeError) and stored as the
+    imaginary part of the result: (sigma - sigma^T) / 2, halved first.
+    """
 
     sigma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         s = real_if_exact(self.sigma)
-        if np.iscomplexobj(s) or s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ShapeError(f"presymplectic form must be real and square, got {s.shape} {s.dtype}")
-        scale = float(np.max(np.abs(s))) if s.size else 0.0
-        if s.size and float(np.max(np.abs(s + s.T))) > tolerances().psd(scale):
-            raise ShapeError("presymplectic form is not antisymmetric within tolerance")
-        s = 0.5 * (s - s.T)
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
+        if np.iscomplexobj(s):
+            raise ShapeError("presymplectic form must be real, got a nonzero imaginary part")
+        h = hermitian_part(1j * s, "presymplectic form (as i sigma)", ShapeError)
+        object.__setattr__(self, "sigma", built(np.ascontiguousarray(h.imag)))
 
     @property
     def dim(self) -> int:
@@ -90,8 +78,7 @@ def validate_covariance(s: CovarianceForm, space: PresymplecticSpace) -> bool:
     m = s.gram
     if not is_psd(eigvalsh(m)):
         return False
-    gap = m - m.T - 1j * space.sigma
-    return float(np.max(np.abs(gap))) <= tolerances().num if gap.size else True
+    return close(m - m.T - 1j * space.sigma)
 
 
 def _require_valid(s: CovarianceForm, space: PresymplecticSpace, name: str) -> None:
@@ -135,7 +122,7 @@ def reduce(
     valid for the reduced presymplectic form.  When the majorizing
     product is nondegenerate the input is returned with q = identity.
     The kernel is read from one linalg.eigh of the product, each of its
-    summands (linalg.summands) ranked on its own scale, in the spectrum's
+    summands (its spectrum's layout) ranked on its own scale, in the spectrum's
     ascending order.  SolverFailed when the cut drops a direction sigma
     pairs: an eigenvalue too far below the largest of its summand to be
     told from 0.
@@ -145,7 +132,7 @@ def reduce(
     # the majorizing product's quarter, halved before the sum so that no finite pair overflows
     spec = eigh(0.5 * np.real(s.gram) + 0.5 * np.real(t.gram))
     (w, v), keep = spec, np.empty(space.dim, dtype=bool)
-    for rows, vs, cols in summands(spec):
+    for rows, vs, cols in spec.layout:
         keep[cols] = kept = in_range(w[cols])
         for j in np.flatnonzero(~kept.all(axis=1)):
             # sigma vanishes on the kernel up to eigh's roundoff, dim * EPS * the summand's cond
@@ -162,7 +149,7 @@ def reduce(
     q = v[:, keep].T
     sigma_red = q @ space.sigma @ q.T
     # stored as built, as each reader would store them, with no check of what was just computed
-    space_red = as_built(PresymplecticSpace, sigma=built(0.5 * (sigma_red - sigma_red.T)))
+    space_red = as_built(PresymplecticSpace, sigma=built(0.5 * sigma_red - 0.5 * sigma_red.T))
     forms = (as_built(CovarianceForm, gram=built(hermitize(q @ x.gram @ q.T))) for x in (s, t))
     return ReducedTriple(space_red, *forms, q, kernel_dim)
 

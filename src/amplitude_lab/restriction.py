@@ -28,9 +28,9 @@ import numpy as np
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
-from .config import MAX_CHAIN_DIM, as_built, integer, sequence, tolerances
+from .config import MAX_CHAIN_DIM, as_built, integer, sequence
 from .errors import DomainError, InvalidEmbedding, NotQuotient, NotUnital, ShapeError, TooLarge
-from .linalg import built, frozen, hermitian_part, hermitize, real_if_exact
+from .linalg import built, close, frozen, hermitian_part, hermitize, real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +87,7 @@ class UnitalEmbedding:
             us = []
             for k, (n, u) in enumerate(zip(self.target.block_dims, unitaries)):
                 u = frozen(u, (n, n), f"unitary {k}", InvalidEmbedding)
-                if np.max(np.abs(u.conj().T @ u - np.eye(n))) > tolerances().num:
+                if not close(u.conj().T @ u - np.eye(n)):
                     raise InvalidEmbedding(f"matrix {k} is not unitary within tolerance")
                 us.append(u)
             object.__setattr__(self, "unitaries", tuple(us))
@@ -209,7 +209,7 @@ class UcpMap:
                 l = integer(l, f"source block of {what}", ShapeError, 0, self.source.num_blocks)
                 pieces.append((l, frozen(m, (self.source.block_dims[l], n), what)))
             total = sum(m.conj().T @ m for _, m in pieces)
-            if not pieces or np.max(np.abs(total - np.eye(n))) > tolerances().num:
+            if not pieces or not close(total - np.eye(n)):
                 raise NotUnital(f"Kraus family for target block {k} does not sum to identity")
             families.append(tuple(pieces))
         object.__setattr__(self, "kraus", tuple(families))

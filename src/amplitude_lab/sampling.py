@@ -85,8 +85,7 @@ def random_ucp(rng: np.random.Generator, source: BlockAlgebra, target: BlockAlge
     for n in target.block_dims:
         raw = [random_complex(rng, (s, n)) for _ in range(max(3, -(-n // s)))]
         total = sum(a.conj().T @ a for a in raw)
-        w, v = eigh(hermitize(total))
-        inv_root = power((w, v), -0.5)
+        inv_root = power(eigh(hermitize(total)), -0.5)
         families.append(tuple(p for a in raw for p in enumerate(np.split(a @ inv_root, cuts))))
     return UcpMap(source, target, tuple(families))
 

@@ -11,8 +11,8 @@ through amplitude_lab.cli.main in process from tests/golden/, each file
 command twice, as written and with --tol 1e-6, and `selftest` at five
 seeds with and without it, and writes expected.json: per invocation its
 argv, the labels of its quantities that are 0 in exact arithmetic (for
-`selftest`, the checks whose witness is a defect), its exit code and its
-stdout.
+`selftest`, the checks whose witness is a defect), its exit code, its
+stdout, and the matrices it hands to LAPACK (solver_calls).
 
 Regenerating the files is a test-data change: do it only in a change that
 says why.
@@ -23,8 +23,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -229,14 +231,47 @@ def selftest_defects() -> list[str]:
     return names
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of amplab argv, run in this process."""
+@contextlib.contextmanager
+def solver_calls(entry=lambda name, m: (name, m.shape[-1]), names=("eigh", "eigvalsh", "svd")):
+    """Yield a list that grows by entry(name, m) per matrix m handed, in the block, to the
+    numpy.linalg solvers named, by default (solver, side); a stack of k matrices adds k
+    entries, so counts do not depend on how linalg groups a matrix's summands into calls."""
+    calls = []
+    solvers = {name: getattr(np.linalg, name) for name in names}
+
+    def recording(name, solver):
+        def call(a, *args, **kwargs):
+            a = np.asarray(a)
+            stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
+            calls.extend(entry(name, m) for m in stack)
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    try:
+        for name, solver in solvers.items():
+            setattr(np.linalg, name, recording(name, solver))
+        yield calls
+    finally:
+        for name, solver in solvers.items():
+            setattr(np.linalg, name, solver)
+
+
+def solver_line(calls: list) -> str:
+    """solver_calls' (solver, side) entries counted on one line, "solver nxn: count" per solver
+    and side, sorted."""
+    counts = sorted(Counter(calls).items())
+    return ", ".join(f"{name} {side}x{side}: {n}" for (name, side), n in counts)
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and solver_line of amplab argv, run in this process."""
     from amplitude_lab import cli
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), solver_calls() as calls:
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), solver_line(calls)
 
 
 def main() -> None:
@@ -244,8 +279,10 @@ def main() -> None:
     os.chdir(HERE)
     records = []
     for argv, zeros in manifest():
-        code, stdout = run(argv)
-        records.append({"argv": argv, "zeros": zeros, "code": code, "stdout": stdout})
+        code, stdout, lapack = run(argv)
+        records.append(
+            {"argv": argv, "zeros": zeros, "code": code, "stdout": stdout, "lapack": lapack}
+        )
     (HERE / "expected.json").write_text(json.dumps(records, indent=1) + "\n")
     print(f"recorded {len(records)} invocations", file=sys.stderr)
 

@@ -259,6 +259,17 @@ class TestDecomposeAndKms:
         assert res.returncode == 0
         assert json.loads(res.stdout)["kernel_dim"] == 0
 
+    @pytest.mark.parametrize("scale", [1e300, 1.5e308])
+    def test_qf_reduce_of_a_finite_sigma_near_the_float_range(self, tmp_path, scale):
+        # sigma - sigma^T overflowed at 1.5e308: the valid triple exited 7, with two warnings
+        sigma = np.array([[0.0, scale], [-scale, 0.0]])
+        form = {"dim": 2, "gram": ser.matrix_to_pairs(0.5 * (scale * np.eye(2) + 1j * sigma))}
+        path = tmp_path / "triple.json"
+        path.write_text(ser.dumps({"sigma": sigma.tolist(), "S": form, "T": form}))
+        res = run_cli("qf-reduce", str(path))
+        assert (res.returncode, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["sigma"] == sigma.tolist()
+
     def test_qf_reduce_non_hermitian_covariance_exits_7(self, tmp_path):
         sigma = np.array([[0.0, 1.0], [-1.0, 0.0]])
         gram = 0.5 * (2.0 * np.eye(2) + 1j * sigma)

@@ -10,7 +10,9 @@ that is 0 in exact arithmetic (a defect, named by its JSON key, CSV column,
 CSV row label or selftest check name in the record's "zeros") only needs
 to lie within tol on both sides, since its digits are roundoff.  A
 selftest line's text and status must match exactly and its witness is a
-number.
+number.  The multiset of (solver, side) matrices each invocation hands to
+numpy's eigh, eigvalsh and svd (record.solver_line) must match exactly:
+counts are exact where timings are noisy, so an extra solver call fails.
 """
 
 import json
@@ -21,6 +23,7 @@ import pytest
 
 from amplitude_lab import DEFAULT_TOL
 from amplitude_lab.cli import main
+from golden.record import solver_calls, solver_line
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDS = json.loads((GOLDEN / "expected.json").read_text())
@@ -85,10 +88,12 @@ def _tol(argv: list[str]) -> float:
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
 def test_cli_output_matches_the_recorded_output(record, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
-    code = main(record["argv"])
+    with solver_calls() as calls:
+        code = main(record["argv"])
     out = capsys.readouterr().out
     assert code == record["code"], out
     assert compare(record["stdout"], out, _tol(record["argv"]), record["zeros"]) == []
+    assert solver_line(calls) == record["lapack"]
 
 
 def test_comparator_applies_the_tolerance_rule():

@@ -453,6 +453,22 @@ SITE_CHECKS = {
         lambda: make_covariance(np.eye(2), np.zeros((2, 2)) + 1e-3j),
     ),
     "quasifree_character(x): complex": (ShapeError, lambda: quasifree_character(COV, [1j, 0])),
+    # a residual compared as `> tol` passed NaN, and sigma + sigma^T of inf entries is NaN
+    **{
+        f"PresymplecticSpace(sigma): {x}": (
+            ShapeError,
+            lambda x=x: PresymplecticSpace(np.array([[0.0, x], [-x, 0.0]])),
+        )
+        for x in (math.nan, math.inf, -math.inf)
+    },
+    **{
+        f"UnitalEmbedding(unitary): {x}": (
+            InvalidEmbedding,
+            lambda x=x: UnitalEmbedding(M2, M2, [[1]], ([[x, 0.0], [0.0, 1.0]],)),
+        )
+        for x in (math.nan, math.inf)
+    },
+    "UcpMap(kraus piece): NaN": (NotUnital, lambda: UcpMap(C1, C1, (((0, [[math.nan]]),),))),
 }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amplitude_lab import (
     CovarianceForm,
@@ -40,6 +42,30 @@ class TestPresymplecticSpace:
         space = PresymplecticSpace(sigma.astype(complex))
         assert space.sigma.dtype == np.float64
         assert np.array_equal(space.sigma, sigma)
+
+
+@st.composite
+def near_antisymmetric(draw):
+    """A real sigma whose entries lie in the normal range, up to 1e307, antisymmetric up to a
+    relative 1e-11 per entry, well inside the default slack."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0.0), st.floats(1e-300, 1e307), st.floats(-1e307, -1e-300))
+    sigma = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(entry)
+            sigma[i, j], sigma[j, i] = x, -x * (1.0 + draw(st.floats(-1e-11, 1e-11)))
+    return sigma
+
+
+@given(near_antisymmetric())
+def test_sigma_is_stored_halved_first(sigma):
+    # in the normal range 0.5 s - 0.5 s^T is 0.5 (s - s^T) exactly; only the second overflows
+    assert np.array_equal(PresymplecticSpace(sigma).sigma, 0.5 * (sigma - sigma.T))
+    big = sigma / max(np.max(np.abs(sigma)), 1e-300) * 1.7e308
+    stored = PresymplecticSpace(big).sigma
+    assert np.isfinite(stored).all()
+    assert np.array_equal(stored, 0.5 * big - 0.5 * big.T)
 
 
 class TestValidateCovariance:

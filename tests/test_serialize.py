@@ -60,7 +60,7 @@ class TestRoundTrips:
         monkeypatch.setattr(quasifree, "hermitian_part", counted)
         form = {"dim": 2, "gram": [[0.5, 0.0], [0.0, 0.5], [0.0, -0.5], [0.5, 0.0]]}
         ser.covariance_triple_from_json({"sigma": [[0.0, 1.0], [-1.0, 0.0]], "S": form, "T": form})
-        assert len(calls) == 2
+        assert len(calls) == 3  # sigma (as i sigma), S and T
 
 
 class TestRejection:

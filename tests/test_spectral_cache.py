@@ -1,6 +1,7 @@
 """The per-block spectrum a Functional keeps, and the eigh calls it saves.
 
-Counts come from a counting wrapper patched over numpy.linalg.eigh: one
+Counts come from golden.record.solver_calls, the counting wrapper the
+golden records use, patched over numpy.linalg.eigh and eigvalsh: one
 entry per matrix handed to LAPACK, a stack of k counting k.
 References are the test helpers' matrix functions from a fresh complex
 eigh, so they do not read the cache they check, nor take the real
@@ -10,7 +11,6 @@ symmetric solver that real densities get.
 import ast
 import functools
 import importlib
-import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -70,51 +70,39 @@ from amplitude_lab.sampling import (
     random_unitary,
 )
 
+from golden.record import solver_calls
 from helpers import block_diag, eig_fn
 
 
-def _lapack_calls(monkeypatch, entry, names=("eigh", "eigvalsh")):
-    """List that grows by entry(name, m) per matrix m handed to the numpy solvers named.
-
-    A stack of k matrices adds k entries, so counts do not depend on how
-    linalg.eigh groups a matrix's summands into calls.
-    """
-    calls = []
-    for name in names:
-        solver = getattr(np.linalg, name)
-
-        def recording(a, *args, _name=name, _solver=solver, **kwargs):
-            a = np.asarray(a)
-            stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
-            calls.extend(entry(_name, m) for m in stack)
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    return calls
+EIGH = ("eigh", "eigvalsh")
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
+def eigh_calls():
     """List that grows by one entry (the matrix shape) per matrix handed to numpy eigh."""
-    return _lapack_calls(monkeypatch, lambda name, m: m.shape, ("eigh",))
+    with solver_calls(lambda name, m: m.shape, ("eigh",)) as calls:
+        yield calls
 
 
 @pytest.fixture
-def lapack_calls(monkeypatch):
+def lapack_calls():
     """List that grows by (name, side, dtype) per matrix handed to numpy eigh or eigvalsh."""
-    return _lapack_calls(monkeypatch, lambda name, m: (name, m.shape[-1], m.dtype))
+    with solver_calls(lambda name, m: (name, m.shape[-1], m.dtype), EIGH) as calls:
+        yield calls
 
 
 @pytest.fixture
-def lapack_dtypes(monkeypatch):
+def lapack_dtypes():
     """List that grows by (name, input dtype) per matrix handed to numpy eigh or eigvalsh."""
-    return _lapack_calls(monkeypatch, lambda name, m: (name, m.dtype))
+    with solver_calls(lambda name, m: (name, m.dtype), EIGH) as calls:
+        yield calls
 
 
 @pytest.fixture
-def lapack_sides(monkeypatch):
+def lapack_sides():
     """List that grows by (name, side) per matrix handed to numpy eigh or eigvalsh."""
-    return _lapack_calls(monkeypatch, lambda name, m: (name, m.shape[-1]))
+    with solver_calls(names=EIGH) as calls:
+        yield calls
 
 
 def fresh_pair(seed, dims):
@@ -697,6 +685,21 @@ def test_one_helper_makes_an_object_without_its_reader():
             if isinstance(node, ast.Attribute) and node.attr == "__new__":
                 found.append(f"{path.name} {owner.get(id(node))} {_dotted(node)}")
     assert found == ["config.py as_built object.__new__"]
+
+
+def test_outside_linalg_a_spectrum_is_made_only_with_an_existing_layout():
+    # a spectrum's layout groups its eigenvectors by summand size; only linalg lays one out,
+    # and a spectrum made elsewhere takes the layout of the one it is made from
+    found = []
+    for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _dotted(node.func) == "Spectrum.of":
+                args = node.args
+                if len(args) != 3 or node.keywords or getattr(args[2], "attr", None) != "layout":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def _dotted(node) -> str:

@@ -189,17 +189,8 @@ def test_only_validation_reads_the_tolerances():
                     or isinstance(node, ast.alias) and node.name in names
                 ):
                     in_forms.append(f"forms.py:{node.lineno}")
-    assert sites == {
-        "linalg.hermitian_part",
-        "linalg.is_psd",
-        "central.probability_vector",
-        "amplitudes.inequality_suite",
-        "quasifree.PresymplecticSpace",
-        "quasifree.validate_covariance",
-        "restriction.UnitalEmbedding",
-        "restriction.UcpMap",
-        "selftest._Suite",
-    }
+    # the comparisons are linalg's alone: the slack in hermitian_part and is_psd, num in close
+    assert sites == {"linalg.hermitian_part", "linalg.is_psd", "linalg.close", "selftest._Suite"}
     assert in_forms == []
 
 
