@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import as_built, integer, sequence
-from .errors import InvalidAlgebra, NotPositive, ShapeError
+from .errors import InvalidAlgebra, NotPositive, ShapeError, SolverFailed
 from .linalg import (
     Spectrum,
     _lapack,
@@ -100,11 +100,8 @@ class _BlockTuple:
 
     @classmethod
     def _built(cls, algebra: BlockAlgebra, blocks):
-        """New blocks built here, exactly Hermitian for a Functional, stored by linalg.built."""
-        new = as_built(cls, algebra=algebra, blocks=tuple(map(built, blocks)))
-        if isinstance(new, Functional) and not all(np.isfinite(b).all() for b in new.blocks):
-            raise NotPositive("density block is not finite")  # arithmetic overflowed, or NaN
-        return new
+        """New blocks built here, stored by linalg.built."""
+        return as_built(cls, algebra=algebra, blocks=tuple(map(built, blocks)))
 
     def adjoint(self):
         return self._built(self.algebra, tuple(b.conj().T for b in self.blocks))
@@ -124,10 +121,7 @@ class _BlockTuple:
     def __mul__(self, c: complex):
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        blocks = tuple(c * b for b in self.blocks)
-        # c D for a non-real c is Hermitian only within slack, so it is read as a caller's
-        read = isinstance(self, Functional) and np.imag(c) != 0
-        return (type(self) if read else self._built)(self.algebra, blocks)
+        return self._built(self.algebra, tuple(c * b for b in self.blocks))
 
     __rmul__ = __mul__
 
@@ -159,9 +153,9 @@ class Functional(_BlockTuple):
 
     Everything computed from a density (positivity, rank, support,
     roots, powers, inverse, flow) reads one eigendecomposition per block,
-    taken on first use by spectrum() and kept.  The densities are
-    immutable, so it cannot go stale; arithmetic on functionals builds a
-    new Functional, which starts without one.
+    taken on first use by spectrum() and kept, unless its builder gave it
+    (_built).  The densities are immutable, so it cannot go stale;
+    arithmetic on functionals builds a new Functional, which starts without one.
     """
 
     _spectrum: tuple[Spectrum, ...] | None = field(
@@ -172,6 +166,23 @@ class Functional(_BlockTuple):
     def _stored(d, n: int) -> np.ndarray:
         # the Hermitian part kills roundoff drift before any eigendecomposition
         return hermitian_part(d, "density block", n=n)
+
+    @classmethod
+    def _built(cls, algebra: BlockAlgebra, blocks, spectrum: tuple[Spectrum, ...] | None = None):
+        """Densities built here, exactly Hermitian, stored by linalg.built once finite, and their
+        spectrum if the builder knows it."""
+        blocks = tuple(map(built, blocks))
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise NotPositive("density block is not finite")  # arithmetic overflowed, or NaN
+        return as_built(cls, algebra=algebra, blocks=blocks, _spectrum=spectrum)
+
+    def __mul__(self, c: complex):
+        # c D for a non-real c is Hermitian only within slack, so it is read as a caller's
+        if isinstance(c, numbers.Number) and np.imag(c) != 0:
+            return type(self)(self.algebra, tuple(c * b for b in self.blocks))
+        return super().__mul__(c)
+
+    __rmul__ = __mul__
 
     @property
     def densities(self) -> tuple[np.ndarray, ...]:
@@ -189,7 +200,7 @@ class Functional(_BlockTuple):
         splits each block at its direct-sum pattern.
         """
         if self._spectrum is None:
-            _hold_spectrum(self, tuple(eigh(d) for d in self.densities))
+            object.__setattr__(self, "_spectrum", tuple(eigh(d) for d in self.densities))
         return self._spectrum
 
     def is_positive(self) -> bool:
@@ -202,12 +213,6 @@ class Functional(_BlockTuple):
 
     def block_masses(self) -> np.ndarray:
         return np.array([float(np.trace(d).real) for d in self.densities])
-
-
-def _hold_spectrum(phi: Functional, spec: tuple[Spectrum, ...]) -> None:
-    """Attach spec, read-only as every Spectrum is, as phi's: spectrum()'s eigh, or the spectrum
-    a constructor knows of the densities it builds, which are then never diagonalised."""
-    object.__setattr__(phi, "_spectrum", spec)
 
 
 class L2Vector(_BlockTuple):
@@ -262,10 +267,10 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
     The positive part is D_k less the eigenvalues in_range drops, and m
     = Tr D_k less their sum is its trace; a block that drops none keeps
     D_k and m = Tr D_k.  A block of rank 0 gives the normalized trace, a
-    placeholder, and m = 0.  The component's spectrum is phi's, with the
-    dropped eigenvalues set to 0, over m: that keeps the eigenvectors,
-    their layout and the ascending order, so the component needs no
-    eigendecomposition of its own.  Its density is stored as built,
+    placeholder, and m = 0; an m that overflows is SolverFailed.  The
+    component is built with phi's spectrum, the dropped eigenvalues set to
+    0, over m: that keeps the eigenvectors, their layout and the ascending
+    order, so it needs no eigendecomposition of its own.  Its density is
     hermitized, as the difference need not be exactly Hermitian.
     """
     spec = phi.spectrum()[k]
@@ -276,13 +281,14 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
         return Functional._built(algebra, (np.eye(n) / n,)), 0.0
     d, dropped = phi.densities[k], np.where(keep, 0.0, w)
     mass = float(np.trace(d).real) - float(np.sum(dropped))
+    if not np.isfinite(mass):
+        raise SolverFailed(f"block {k} has mass {mass}: finite input too large")
     if not keep.all():
         d = d - spectral_apply(spec, lambda x: np.where(keep, 0.0, x))
     # numpy divides complex by real through the reciprocal, inf for a subnormal m: scale, exactly
     s = np.ldexp(1.0, max(-1021 - np.frexp(mass)[1], 0))
-    comp = Functional._built(algebra, (hermitize(d * s / (mass * s)),))
-    _hold_spectrum(comp, (Spectrum.of((w - dropped) / mass, v, spec.layout),))
-    return comp, mass
+    held = (Spectrum.of((w - dropped) / mass, v, spec.layout),)
+    return Functional._built(algebra, (hermitize(d * s / (mass * s)),), held), mass
 
 
 def _ranks(phi: Functional) -> np.ndarray:

@@ -97,7 +97,7 @@ class InequalityReport:
         vals = [self.lower_defect, self.upper_defect, self.concavity_min_eig]
         if self.sandwich_lower_defect is not None:
             vals += [self.sandwich_lower_defect, self.sandwich_upper_defect]
-        return min(vals)
+        return float(np.min(vals))
 
 
 def inequality_suite(phi: Functional, psi: Functional) -> InequalityReport:

@@ -204,17 +204,13 @@ def is_dominated(gamma: HermitianForm, alpha: PositiveForm, beta: PositiveForm) 
     """Exact block-PSD certificate for |gamma(x,y)|^2 <= alpha(x,x) beta(y,y).
 
     Equivalent to the contraction factorization G_c = G_a^{1/2} K G_b^{1/2}
-    with ||K|| <= 1: [[G_a, G_c], [G_c*, G_b]] on each joint summand of the
-    three Grams, its eigenvalues tested together by is_psd.  The loop over
-    summands stays here: in the one block matrix of the whole Grams a joint
-    summand b takes the rows b and dim + b, interleaved, not contiguous, so
-    linalg.eigvalsh would not split it.
+    with ||K|| <= 1: [[G_a, G_c], [G_c*, G_b]] >= 0, its eigenvalues tested
+    by is_psd.  The certificate is interleaved, row 2i from the first Gram's
+    row i and row 2i + 1 from the second's, so each joint summand of the
+    three Grams is contiguous and linalg.eigvalsh splits it.
     """
     if not (gamma.dim == alpha.dim == beta.dim):
         raise ShapeError("form dimensions differ")
-    ga, gc, gb = alpha.gram, gamma.gram, beta.gram
-    w = [
-        eigvalsh(np.block([[ga[b, b], gc[b, b]], [gc[b, b].conj().T, gb[b, b]]]))
-        for b in diagonal_blocks(ga, gc, gb)
-    ]
-    return is_psd(np.concatenate(w))
+    gc, n = gamma.gram, gamma.dim
+    cert = np.array([[alpha.gram, gc], [gc.conj().T, beta.gram]])  # [a, b, i, j]
+    return is_psd(eigvalsh(cert.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)))

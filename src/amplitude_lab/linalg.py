@@ -53,13 +53,6 @@ class Spectrum(tuple):
         return spec
 
 
-def diagonal_spectrum(w: np.ndarray) -> Spectrum:
-    """The spectrum (w, I) of diag(w), w ascending, laid out as len(w) summands of side 1: what
-    eigh would give, with no solver call."""
-    rows = np.arange(len(w))[:, None]
-    return Spectrum.of(w, np.eye(len(w)), ((rows, np.ones((len(w), 1, 1)), rows),))
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a*) / 2, halved before the sum so no finite a overflows;
     a stack of matrices is hermitized matrix by matrix."""
@@ -161,18 +154,20 @@ def hermitian_part(
 
     a is read by real_if_exact and must be square, of side n when n is
     given (ShapeError), and pass max|a - a*| <= tolerances().psd(max|a|)
-    (else error; NaN fails).  a* is formed once and serves both the check and
-    the Hermitian part, a new array bit-identical to hermitize(a), stored by
-    built, so a part whose imaginary entries cancel is float64.
+    (else error; NaN fails).  a is halved first, so no finite a overflows:
+    h = a / 2 and h* serve both the check, |h - h*| against half the slack,
+    and the Hermitian part h + h*, a new array bit-identical to hermitize(a),
+    stored by built, so a part whose imaginary entries cancel is float64.
     """
     a = real_if_exact(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or n not in (None, a.shape[0]):
         side = "square" if n is None else f"({n}, {n})"
         raise ShapeError(f"{what} has shape {a.shape}, expected {side}")
-    ah = a.conj().T
-    if a.size and not float(np.max(np.abs(a - ah))) <= tolerances().psd(float(np.max(np.abs(a)))):
+    half = 0.5 * a
+    hh, scale = half.conj().T, float(np.max(np.abs(a), initial=0.0))
+    if not float(np.max(np.abs(half - hh), initial=0.0)) <= 0.5 * tolerances().psd(scale):
         raise error(f"{what} is not Hermitian within tolerance")
-    return built(0.5 * a + 0.5 * ah)
+    return built(half + hh)
 
 
 def close(gap) -> bool:

@@ -22,13 +22,12 @@ from .algebra import (
     Functional,
     L2Vector,
     _check_algebra,
-    _hold_spectrum,
     evaluate,
     is_faithful,
 )
 from .config import as_built, complex_number, real
 from .errors import DomainError, EmptyReduction, NotFaithful
-from .linalg import diagonal_spectrum, in_range, power
+from .linalg import in_range, power
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,22 +156,21 @@ def support_reduce(phi: Functional) -> SupportReduction:
 
     Rank-zero blocks are dropped.  A kept block's isometry v holds the
     eigenvectors in_range keeps, and its reduced density is diag of their
-    eigenvalues w, which v* D v equals up to roundoff; it keeps
-    linalg.diagonal_spectrum(w) as its spectrum.  The compressed
-    functional is faithful and evaluation is preserved on compressed
-    elements.
+    eigenvalues w, which v* D v equals up to roundoff.  The reduced
+    functional is diagonalised on first use, one stacked 1 x 1 solve per
+    block, which gives (w, I) exactly.  The compressed functional is
+    faithful and evaluation is preserved on compressed elements.
     """
     phi.require_positive()
-    kept, isometries, spectra = [], [], []
+    kept, isometries, diagonals = [], [], []
     for k, (w, v) in enumerate(phi.spectrum()):
         keep = in_range(w)
         if keep.any():
             kept.append(k)
             isometries.append(v[:, keep])
-            spectra.append(diagonal_spectrum(w[keep]))
+            diagonals.append(w[keep])
     if not kept:
         raise EmptyReduction("zero functional has empty support")
-    algebra = as_built(BlockAlgebra, block_dims=tuple(len(w) for w, _ in spectra))
-    reduced = Functional._built(algebra, tuple(np.diag(w) for w, _ in spectra))
-    _hold_spectrum(reduced, tuple(spectra))
+    algebra = as_built(BlockAlgebra, block_dims=tuple(map(len, diagonals)))
+    reduced = Functional._built(algebra, tuple(map(np.diag, diagonals)))
     return SupportReduction(algebra, reduced, tuple(isometries), tuple(kept), phi.algebra)

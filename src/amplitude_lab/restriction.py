@@ -29,7 +29,8 @@ from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
 from .config import MAX_CHAIN_DIM, as_built, integer, sequence
-from .errors import DomainError, InvalidEmbedding, NotQuotient, NotUnital, ShapeError, TooLarge
+from .errors import DomainError, InvalidAlgebra, InvalidEmbedding, NotQuotient, NotUnital
+from .errors import ShapeError, TooLarge
 from .linalg import built, close, frozen, hermitian_part, hermitize, real_if_exact
 
 
@@ -337,8 +338,8 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
     steps = zip(algebras, algebras[1:], dims[1:])
     links = tuple(_embedding(a, b, *np.array([[0], [0], [d]])) for a, b, d in steps)
     ambient = algebras[-1]
-    chain = SubalgebraChain(algebras, links, identity_embedding(ambient))
-    return ambient, chain
+    final = identity_embedding(ambient)
+    return ambient, as_built(SubalgebraChain, algebras=algebras, links=links, final=final)
 
 
 def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
@@ -356,7 +357,7 @@ def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
     acc = mats[0]
     for m in mats[1:]:
         acc = np.kron(acc, m)
-    return Functional._built(BlockAlgebra((len(acc),)), (acc,))
+    return Functional._built(as_built(BlockAlgebra, block_dims=(len(acc),)), (acc,))
 
 
 def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> SubalgebraChain:
@@ -380,13 +381,16 @@ def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> Subal
         # a's last block, the lumped tail, splits into b's last two: one copy in each
         k = np.arange(b.num_blocks)
         links.append(_embedding(a, b, k, np.minimum(k, a.num_blocks - 1), np.ones_like(k)))
-    return SubalgebraChain(algebras, tuple(links), identity_embedding(algebras[-1]))
+    final = identity_embedding(algebras[-1])
+    return as_built(SubalgebraChain, algebras=algebras, links=tuple(links), final=final)
 
 
 def diagonal_state(weights: Sequence[float]) -> Functional:
-    """State on C^N with the given diagonal weights, a real vector (DomainError)."""
+    """State on C^N with the given weights, copied: a real vector (DomainError), not empty."""
     w = real_if_exact(weights)
     if w.ndim != 1 or np.iscomplexobj(w):
         raise DomainError(f"weights must be a real vector, got shape {w.shape} of {w.dtype}")
-    algebra = BlockAlgebra((1,) * w.size)
-    return Functional(algebra, tuple(np.array([[x]]) for x in w))
+    if not w.size:
+        raise InvalidAlgebra("algebra needs at least one block")
+    algebra = as_built(BlockAlgebra, block_dims=(1,) * w.size)
+    return Functional._built(algebra, tuple(np.array(w)[:, None, None]))

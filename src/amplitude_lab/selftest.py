@@ -132,7 +132,7 @@ def sandwich_margin(phi: Functional, psi: Functional) -> float:
     """min(F - A^2, A - F) for states: the fidelity F lies between A^2 and A."""
     amp = transition_amplitude(phi, psi)
     fid = uhlmann_fidelity(phi, psi)
-    return min(fid - amp * amp, amp - fid)
+    return float(np.min([fid - amp * amp, amp - fid]))
 
 
 def foreign_flow_defect() -> float:
@@ -158,7 +158,7 @@ def product_chain_gap(sites: int) -> float:
 def chain_margin(phi: Functional, psi: Functional, chain: SubalgebraChain) -> float:
     """min of A_k - A_{k+1} along the chain and -|A_last - A(phi, psi)|: falls to the amplitude."""
     amps = chain_amplitudes(phi, psi, chain)
-    return min(float(np.min(-np.diff(amps))), -abs(amps[-1] - transition_amplitude(phi, psi)))
+    return float(np.min([*-np.diff(amps), -abs(amps[-1] - transition_amplitude(phi, psi))]))
 
 
 def ucp_gain(channel: UcpMap, phi: Functional, psi: Functional) -> float:

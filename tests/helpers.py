@@ -7,7 +7,7 @@ identities themselves are the functions of amplitude_lab.selftest.
 
 import numpy as np
 
-from amplitude_lab import BlockAlgebra, Functional, UcpMap
+from amplitude_lab import DEFAULT_TOL, BlockAlgebra, Functional, UcpMap
 
 
 def eig_fn(h: np.ndarray, fn) -> np.ndarray:
@@ -59,6 +59,19 @@ def reduced_quotient(m: np.ndarray, sides) -> tuple[int, np.ndarray]:
 
 def min_eigval(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
+
+
+def dominated_by_summands(gc: np.ndarray, ga: np.ndarray, gb: np.ndarray, sides) -> bool:
+    """is_dominated's verdict from its certificate [[G_a, G_c], [G_c*, G_b]] on each summand of
+    the given sides alone, by np.block and np.linalg.eigvalsh, against DEFAULT_TOL's slack."""
+    w, start = [], 0
+    for n in sides:
+        b = slice(start, start + n)
+        cert = np.block([[ga[b, b], gc[b, b]], [gc[b, b].conj().T, gb[b, b]]])
+        w.append(np.linalg.eigvalsh(cert))
+        start += n
+    w = np.concatenate(w)
+    return bool(w.min() >= -DEFAULT_TOL.psd(np.abs(w).max()))
 
 
 def unitary_conjugation_ucp(algebra: BlockAlgebra, unitaries) -> UcpMap:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,22 @@ class TestInequalitySuite:
                 phi = random_state(rng, alg, rank_deficient=True)
                 psi = random_state(rng, alg)
                 assert inequality_suite(phi, psi).min_defect() >= -1e-9
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "lower_defect",
+            "upper_defect",
+            "concavity_min_eig",
+            "sandwich_lower_defect",
+            "sandwich_upper_defect",
+        ],
+    )
+    def test_a_nan_defect_is_the_worst(self, field):
+        # Python's min kept or dropped a NaN depending on where it sat in the list
+        rep = inequality_suite(qubit(0.9, 0.1), qubit(0.5, 0.5))
+        assert rep.min_defect() >= -1e-10
+        assert np.isnan(dataclasses.replace(rep, **{field: float("nan")}).min_defect())
 
     def test_unnormalized_skips_sandwich(self):
         rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ from amplitude_lab import (
     DomainError,
     Functional,
     SingularMeasure,
+    SolverFailed,
     StateRelation,
     amplitude_kernel,
     amplitude_sum_check,
@@ -81,6 +82,15 @@ class TestDecompose:
         back = decompose(phi).reassemble()
         for a, b in zip(back.densities, phi.densities):
             assert np.max(np.abs(a - b)) <= 1e-8 * scale
+
+
+    def test_an_overflowing_block_mass_is_refused(self):
+        # its mass was inf: weights [nan, 0], Radon-Nikodym [nan, inf] and an all-zero
+        # component, and amplitude_sum_check refused a weight vector the caller never gave
+        phi = Functional(make_algebra([2, 1]), (np.diag([1.7e308, 0.85e308]), np.eye(1)))
+        for run in (decompose, lambda f: amplitude_sum_check(f, f)):
+            with pytest.raises(SolverFailed, match="block 0 has mass inf: finite input too large"):
+                run(phi)
 
 
 class TestAmplitudeSumCheck:

@@ -338,6 +338,19 @@ class TestDecomposeAndKms:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "SolverFailed" and "too badly scaled" in error["message"]
 
+    def test_decompose_of_an_overflowing_block_mass_exits_9(self, tmp_path):
+        # the mass inf became NaN weights, refused as a "weight vector" the caller never gave:
+        # exit 6, where amp on the same file exits 9
+        phi = Functional(make_algebra([2, 1]), (np.diag([1.7e308, 0.85e308]), np.eye(1)))
+        a = write_functional(tmp_path / "a.json", phi)
+        errors = {}
+        for command in ("decompose", "amp"):
+            res = run_cli(command, a, a)
+            assert res.returncode == 9, command
+            errors[command] = json.loads(res.stdout)["error"]
+        assert {e["type"] for e in errors.values()} == {"SolverFailed"}
+        assert errors["decompose"]["message"] == "block 0 has mass inf: finite input too large"
+
     def test_decompose_decomposes_each_state_once(self, tmp_path, monkeypatch, capsys):
         import amplitude_lab.central as central
         from amplitude_lab.cli import main
@@ -510,6 +523,16 @@ class TestErrorsAndDeterminism:
         a = write_functional(tmp_path / "signed.json", signed)
         res = run_cli("amp", a, a)
         assert res.returncode == 4
+        assert json.loads(res.stdout)["error"]["type"] == "NotPositive"
+
+    def test_a_non_hermitian_density_near_the_float_range_exits_4_quietly(self, tmp_path):
+        # hermitian_part formed a - a* before halving: numpy's overflow warning on stderr
+        m = np.array([[1e308, 1e308], [-1e308, 1e308]])
+        path = tmp_path / "a.json"
+        algebra = ser.algebra_to_json(make_algebra([2]))
+        path.write_text(ser.dumps({"algebra": algebra, "densities": [ser.matrix_to_pairs(m)]}))
+        res = run_cli("amp", str(path), str(path))
+        assert (res.returncode, res.stderr) == (4, "")
         assert json.loads(res.stdout)["error"]["type"] == "NotPositive"
 
     def test_shape_error_exit_code(self, tmp_path):

@@ -10,13 +10,15 @@ that is 0 in exact arithmetic (a defect, named by its JSON key, CSV column,
 CSV row label or selftest check name in the record's "zeros") only needs
 to lie within tol on both sides, since its digits are roundoff.  A
 selftest line's text and status must match exactly and its witness is a
-number.  The multiset of (solver, side) matrices each invocation hands to
+number.  Each runs with numpy's RuntimeWarnings made errors, so a recorded
+command leaves stderr clean.  The multiset of (solver, side) matrices each invocation hands to
 numpy's eigh, eigvalsh and svd (record.solver_line) must match exactly:
 counts are exact where timings are noisy, so an extra solver call fails.
 """
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -88,7 +90,8 @@ def _tol(argv: list[str]) -> float:
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
 def test_cli_output_matches_the_recorded_output(record, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
-    with solver_calls() as calls:
+    with solver_calls() as calls, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(record["argv"])
     out = capsys.readouterr().out
     assert code == record["code"], out

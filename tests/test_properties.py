@@ -20,6 +20,7 @@ from amplitude_lab import (
     DEFAULT_TOL,
     BlockAlgebra,
     Functional,
+    HermitianForm,
     NotFaithful,
     PositiveForm,
     PresymplecticSpace,
@@ -89,7 +90,13 @@ from amplitude_lab.selftest import (
     ucp_gain,
 )
 
-from helpers import block_diag, clamped_power, reduced_quotient, unitary_conjugation_ucp
+from helpers import (
+    block_diag,
+    clamped_power,
+    dominated_by_summands,
+    reduced_quotient,
+    unitary_conjugation_ucp,
+)
 
 
 def _block(n: int, rank: int, u: float, seed: int, real: bool = False) -> np.ndarray:
@@ -420,6 +427,37 @@ def test_the_mean_of_a_direct_sum_is_the_direct_sum_of_the_means(pairs):
         scale = np.sqrt(np.max(np.abs(ga)) * np.max(np.abs(gb)))
         assert np.max(gap[part, part]) <= DEFAULT_TOL.num * scale
     assert is_dominated(PositiveForm(mean), *sums)
+
+
+@st.composite
+def block_diagonal_triples(draw):
+    """(gamma, alpha, beta, sides): PSD alpha and beta of random ranks and scales on 1 to 3
+    summands of sides 1 to 3, and gamma their mean, 1.0001 times it, or a random Hermitian form."""
+
+    def gram():
+        seeds = st.integers(0, 2**32 - 1)
+        ranks, u = [draw(st.integers(0, n)) for n in sides], draw(st.floats(-2.0, 2.0))
+        return block_diag(*(_block(n, r, u, draw(seeds)) for n, r in zip(sides, ranks)))
+
+    sides = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    alpha, beta = PositiveForm(gram()), PositiveForm(gram())
+    kind = draw(st.sampled_from(["mean", "above", "random"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = block_diag(*(random_complex(rng, (n, n)) for n in sides))
+        gamma = HermitianForm(10.0 ** draw(st.floats(-3.0, 1.0)) * (g + g.conj().T))
+    else:
+        mean = geometric_mean(alpha, beta)
+        gamma = mean if kind == "mean" else HermitianForm(1.0001 * mean.gram)
+    return gamma, alpha, beta, sides
+
+
+@given(block_diagonal_triples())
+def test_domination_agrees_with_a_certificate_per_summand(triple):
+    # the interleaved certificate is split by linalg.eigvalsh, not by a loop of is_dominated's
+    gamma, alpha, beta, sides = triple
+    expected = dominated_by_summands(gamma.gram, alpha.gram, beta.gram, sides)
+    assert is_dominated(gamma, alpha, beta) == expected
 
 
 @given(faithful_first_grams())

@@ -8,7 +8,9 @@ from amplitude_lab import (
     DEFAULT_TOL,
     DomainError,
     Functional,
+    InvalidAlgebra,
     InvalidEmbedding,
+    NotPositive,
     NotUnital,
     ShapeError,
     SubalgebraChain,
@@ -453,6 +455,16 @@ class TestLumpedDiagonalChain:
     def test_rejects_non_finite_distribution(self, p):
         with pytest.raises(DomainError):
             build_lumped_diagonal_chain(p, [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_diagonal_state_refuses_a_weight_that_is_not_finite(self, bad):
+        # each 1x1 block was read by hermitian_part: "not Hermitian within tolerance"
+        with pytest.raises(NotPositive, match="density block is not finite"):
+            diagonal_state([0.5, bad])
+
+    def test_a_diagonal_state_needs_a_weight(self):
+        with pytest.raises(InvalidAlgebra):
+            diagonal_state([])
 
     def test_rejects_bad_distribution(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,10 @@ it on its own inputs.  No test writes an identity out again.
 import ast
 from pathlib import Path
 
-from amplitude_lab import selftest
+import numpy as np
+import pytest
+
+from amplitude_lab import build_product_chain, product_state, selftest
 
 TESTS = Path(__file__).parent
 
@@ -75,3 +78,15 @@ def test_the_pass_rule_fails_a_nan_witness_and_reads_an_exact_minus_zero_as_zero
     suite.margin("exact", [-0.0])
     assert [ok for _, ok, _ in suite.results] == [False, False, True]
     assert str(suite.results[2][2]) == "0.0"
+
+
+@pytest.mark.parametrize("margin", ["sandwich_margin", "chain_margin"])
+def test_a_nan_amplitude_is_the_least_margin(margin, monkeypatch):
+    # Python's min dropped a NaN in second place: chain_margin returned its finite steps
+    _, chain = build_product_chain([2, 2])
+    phi = product_state([np.diag([0.75, 0.25])] * 2)
+    psi = product_state([np.eye(2) / 2] * 2)
+    args = (phi, psi, chain)[: 2 if margin == "sandwich_margin" else 3]
+    assert getattr(selftest, margin)(*args) >= -1e-12
+    monkeypatch.setattr(selftest, "transition_amplitude", lambda *_: float("nan"))
+    assert np.isnan(getattr(selftest, margin)(*args))

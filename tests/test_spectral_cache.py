@@ -28,6 +28,7 @@ from amplitude_lab import (
     PositiveForm,
     ShapeError,
     SolverFailed,
+    SubalgebraChain,
     UnitalEmbedding,
     amplitude_sum_check,
     build_lumped_diagonal_chain,
@@ -194,16 +195,28 @@ class TestEighCounts:
             assert np.array_equal(d, np.diag(np.diag(d)))
             assert np.max(np.abs(v.conj().T @ phi.densities[k] @ v - d)) <= 1e-14
 
-    def test_support_reduce_hands_on_the_reduced_spectrum(self, eigh_calls):
-        # the reduced functional was built without a spectrum: one eigh per kept block
+    def test_support_reduce_leaves_the_reduced_spectrum_to_first_use(self, monkeypatch):
+        # the reduced diag(w) is built with no spectrum; its first spectrum() takes one call on
+        # a stack of 1x1 matrices per kept block, which gives (w, I) bit for bit
         phi = random_state(np.random.default_rng(27), make_algebra([6, 4, 2]), rank_deficient=True)
         red = support_reduce(phi)
-        del eigh_calls[:]
-        assert is_faithful(red.functional)
-        assert eigh_calls == []
-        for d, (w, v) in zip(red.functional.densities, red.functional.spectrum()):
+        assert red.functional._spectrum is None
+        calls, lapack = [], linalg._lapack
+
+        def recording(name, a, **kwargs):
+            calls.append((name, a.shape))
+            return lapack(name, a, **kwargs)
+
+        monkeypatch.setattr(linalg, "_lapack", recording)
+        spectra = red.functional.spectrum()
+        assert red.algebra.block_dims == (1, 3, 1)
+        assert calls == [("eigh", (1, 1)), ("eigh", (3, 1, 1)), ("eigh", (1, 1))]
+        for k, d, (w, v) in zip(red.kept_blocks, red.functional.densities, spectra):
+            kept = phi.spectrum()[k][0][linalg.in_range(phi.spectrum()[k][0])]
             assert not w.flags.writeable and not v.flags.writeable
-            assert np.array_equal(d, np.diag(w)) and np.array_equal(v, np.eye(len(w)))
+            assert np.array_equal(w, kept) and np.array_equal(d, np.diag(w))
+            assert np.array_equal(v, np.eye(len(w))) and v.dtype == np.float64
+        assert is_faithful(red.functional)
 
     def test_forms_are_diagonalised_summand_by_summand(self, lapack_sides):
         # the form algebra M12 + M4 of the dense-pairs bench: one pair computation on the
@@ -591,22 +604,25 @@ def _package_modules():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counter of config.integer calls and of UnitalEmbedding reads, its __post_init__."""
+    """Counter of config.integer calls and of UnitalEmbedding and SubalgebraChain reads, their
+    __post_init__."""
     calls = Counter()
-    integer, post_init = config.integer, UnitalEmbedding.__post_init__
+    integer = config.integer
 
     def counting_integer(*args, **kwargs):
         calls["integer"] += 1
         return integer(*args, **kwargs)
 
-    def counting_post_init(self, multiplicity):
-        calls["UnitalEmbedding"] += 1
-        post_init(self, multiplicity)
-
     for module in _package_modules():
         if getattr(module, "integer", None) is integer:
             monkeypatch.setattr(module, "integer", counting_integer)
-    monkeypatch.setattr(UnitalEmbedding, "__post_init__", counting_post_init)
+    for cls in (UnitalEmbedding, SubalgebraChain):
+
+        def counting_post_init(self, *args, _name=cls.__name__, _post_init=cls.__post_init__):
+            calls[_name] += 1
+            _post_init(self, *args)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
     return calls
 
 
@@ -625,6 +641,37 @@ class TestBuiltPath:
         builds.clear()
         assert len(build_lumped_diagonal_chain(p, q)) == 200
         assert builds == Counter()
+
+    def test_a_product_chain_is_built_with_no_reader(self, builds):
+        # the chain went through SubalgebraChain's reader; only the caller's sides are read
+        builds.clear()
+        assert len(build_product_chain([2] * 10)[1]) == 10
+        assert builds == Counter(integer=10)
+
+    def test_a_diagonal_state_reads_no_block_it_builds(self, reads, builds):
+        # each 1x1 block went through hermitian_part, and each side through config.integer
+        weights = geometric_weights(0.25, 200)
+        reads.clear()
+        builds.clear()
+        phi = diagonal_state(weights)
+        assert reads == Counter() and builds == Counter()
+        assert [d[0, 0] for d in phi.densities] == weights.tolist()
+        assert phi.algebra.block_dims == (1,) * 200
+
+    def test_a_diagonal_state_is_its_own_copy(self):
+        weights = np.array([0.25, 0.75])
+        phi = diagonal_state(weights)
+        weights[0] = 0.5
+        assert [d[0, 0] for d in phi.densities] == [0.25, 0.75]
+        assert all(not d.flags.writeable for d in phi.densities)
+
+    def test_a_product_state_reads_only_the_callers_sites(self, reads, builds):
+        # the product's one-block algebra went through BlockAlgebra's reader
+        sites = [np.eye(2) / 2] * 4
+        reads.clear()
+        builds.clear()
+        assert product_state(sites).algebra.block_dims == (16,)
+        assert reads == Counter(hermitian_part=4) and builds == Counter()
 
     def test_a_decomposition_reads_only_the_callers_blocks(self, reads):
         # each component was read again: 6 hermitian_part calls, not 3
@@ -670,6 +717,25 @@ def test_files_flags_and_draws_never_take_the_built_path(name):
             if {alias.name for alias in node.names} & BUILT_PATH:
                 found.append(f"{node.lineno} from {node.module}")
     assert found == []
+
+
+def test_each_object_is_made_in_one_step_by_its_own_class():
+    # _BlockTuple branched on Functional, a spectrum was attached after construction or made
+    # by hand, and is_dominated split the Grams at their direct-sum pattern itself
+    src = Path(amplitude_lab.__file__).parent
+    tree = ast.parse((src / "algebra.py").read_text())
+    base = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_BlockTuple")
+    assert [n.lineno for n in ast.walk(base) if getattr(n, "id", None) == "Functional"] == []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            assert not names & {"_hold_spectrum", "diagonal_spectrum"}, path.name
+    users = set()
+    for func in ast.walk(ast.parse((src / "forms.py").read_text())):
+        if isinstance(func, ast.FunctionDef):
+            if any(getattr(n, "id", None) == "diagonal_blocks" for n in ast.walk(func)):
+                users.add(func.name)
+    assert users == {"geometric_mean"}
 
 
 def test_one_helper_makes_an_object_without_its_reader():
