@@ -197,7 +197,8 @@ class Functional(_BlockTuple):
         """Read-only (w, v) = linalg.eigh(D_k) per block, eigenvalues ascending.
 
         v is real for a block whose imaginary part is exactly zero; eigh
-        splits each block at its direct-sum pattern.
+        splits each block at its direct-sum pattern, and a split block's v
+        is assembled only when it is read.
         """
         if self._spectrum is None:
             object.__setattr__(self, "_spectrum", tuple(eigh(d) for d in self.densities))
@@ -205,7 +206,7 @@ class Functional(_BlockTuple):
 
     def is_positive(self) -> bool:
         """The one positivity test of a functional: is_psd on every block's eigenvalues."""
-        return is_psd(np.concatenate([w for w, _ in self.spectrum()]))
+        return is_psd(np.concatenate([spec.w for spec in self.spectrum()]))
 
     def require_positive(self) -> None:
         if not self.is_positive():
@@ -224,9 +225,8 @@ class L2Vector(_BlockTuple):
 
     def inner(self, other: "L2Vector") -> complex:
         _check_algebra(self.algebra, other)
-        return complex(
-            sum(np.sum(a.conj() * b) for a, b in zip(self.blocks, other.blocks))
-        )
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, and says so
+            return complex(sum(np.sum(a.conj() * b) for a, b in zip(self.blocks, other.blocks)))
 
     def norm(self) -> float:
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
@@ -274,27 +274,28 @@ def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:
     hermitized, as the difference need not be exactly Hermitian.
     """
     spec = phi.spectrum()[k]
-    w, v = spec
+    w = spec.w
     keep, n = in_range(w), phi.algebra.block_dims[k]
     algebra = as_built(BlockAlgebra, block_dims=(n,))
     if not keep.any():
         return Functional._built(algebra, (np.eye(n) / n,)), 0.0
     d, dropped = phi.densities[k], np.where(keep, 0.0, w)
-    mass = float(np.trace(d).real) - float(np.sum(dropped))
+    with np.errstate(over="ignore"):  # an overflowing trace is refused just below
+        mass = float(np.trace(d).real) - float(np.sum(dropped))
     if not np.isfinite(mass):
         raise SolverFailed(f"block {k} has mass {mass}: finite input too large")
     if not keep.all():
         d = d - spectral_apply(spec, lambda x: np.where(keep, 0.0, x))
     # numpy divides complex by real through the reciprocal, inf for a subnormal m: scale, exactly
     s = np.ldexp(1.0, max(-1021 - np.frexp(mass)[1], 0))
-    held = (Spectrum.of((w - dropped) / mass, v, spec.layout),)
+    held = (spec.with_values((w - dropped) / mass),)
     return Functional._built(algebra, (hermitize(d * s / (mass * s)),), held), mass
 
 
 def _ranks(phi: Functional) -> np.ndarray:
     """The rank of each density: the eigenvalues in_range counts, read from the held spectrum."""
     phi.require_positive()
-    return np.array([np.count_nonzero(in_range(w)) for w, _ in phi.spectrum()])
+    return np.array([np.count_nonzero(in_range(spec.w)) for spec in phi.spectrum()])
 
 
 def support_projection(phi: Functional) -> BlockOperator:

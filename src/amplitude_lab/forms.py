@@ -73,10 +73,16 @@ class HermitianForm:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.conj(x) @ self.gram @ y)
 
-    def __mul__(self, c: float) -> "HermitianForm":
+    def __mul__(self, c: complex) -> "HermitianForm":
+        """c times the form.  A real multiple of a Hermitian Gram is exactly Hermitian, and a
+        nonnegative one of a PositiveForm's positive, so a finite one is stored as built; a
+        non-real, negative (of a PositiveForm) or non-finite one is read, by the form's class."""
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        return type(self)(c * self.gram)
+        gram, negative = c * self.gram, np.real(c) < 0 and isinstance(self, PositiveForm)
+        if np.imag(c) != 0 or negative or not np.isfinite(gram).all():
+            return type(self)(gram)
+        return as_built(type(self), gram=built(gram))
 
     __rmul__ = __mul__
 
@@ -174,7 +180,7 @@ def _pair(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, Spectrum, np.ndar
     ends = [wa < snap, wa > 1.0 - snap]
     wa = np.select(ends, [0.0, 1.0], np.clip(wa, 0.0, 1.0))
     wb = np.select(ends, [1.0, 0.0], np.clip(wb, 0.0, 1.0))
-    return jmat, Spectrum.of(wa, va, spec.layout), wb
+    return jmat, spec.with_values(wa), wb
 
 
 def geometric_mean(alpha: PositiveForm, beta: PositiveForm) -> PositiveForm:

@@ -6,13 +6,15 @@ tolerances are applied uniformly.  Both take a matrix summand by summand
 at its direct-sum pattern (diagonal_blocks, the one direct-sum rule),
 one stacked LAPACK call per summand side, so a diagonal matrix costs one
 call on a stack of 1 x 1 summands and a sort, and a one-summand matrix
-one call on itself.  Every spectrum leaves here read-only.  Callers pass
+one call on itself.  Every spectrum leaves here read-only, and a split
+matrix's as its eigenvalues and layout alone: its n x n eigenvector
+matrix is assembled on the first read of Spectrum.v.  Callers pass
 exactly Hermitian matrices: hermitized once where a matrix comes from a
 product or from outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
 power (root, inverse, flow unitary) by power, both summand by summand
-(Spectrum.layout): one stacked product per size class, so a diagonal matrix's
-root is its diagonal's root in a zero matrix.  real_if_exact is the one
+(Spectrum.layout, never v): one stacked product per size class, so a diagonal
+matrix's root is its diagonal's root in a zero matrix.  real_if_exact is the one
 array rule, and built stores by it: an array built here directly, a
 caller's through hermitian_part (Hermitian) or frozen, which read it.
 The solvers pick by it, once per matrix, and every other helper here
@@ -29,28 +31,52 @@ from .config import rank_cut, tolerances
 from .errors import NotFaithful, NotPositive, ShapeError, SolverFailed
 
 
-class Spectrum(tuple):
-    """The spectrum (w, v) of a Hermitian matrix, unpacked as w, v = spec, and its layout.
+class Spectrum:
+    """The spectrum of a Hermitian matrix: its eigenvalues w, ascending, and its layout.
 
     layout holds, per size class of the matrix's summands (one side),
     (rows, vs, cols): rows[j] the rows of summand j, vs[j] its local
     eigenvectors and cols[j] the columns of v, and entries of w, that
     hold them.  Every spectrum carries one: a one-summand matrix's is its
-    one class, of its one summand.
+    one class, of its one summand.  v, the n x n matrix of all the
+    eigenvectors, is that summand's own array; a split matrix's is
+    assembled from the layout on its first read, exactly 0 outside each
+    summand, and kept, read-only and shared with every spectrum made from
+    this one by with_values.  w, v = spec unpacks both.
     """
 
-    @classmethod
-    def of(cls, w: np.ndarray, v: np.ndarray, layout=None) -> "Spectrum":
-        """The spectrum (w, v) with its layout, by default the one summand's; w and v are made
-        read-only, with no copy."""
+    __slots__ = ("w", "layout", "_v")
+
+    def __init__(self, w: np.ndarray, layout, v: list):
+        """w, made read-only, its layout and v, a list of one item: v once known, else None."""
         w.setflags(write=False)
+        self.w, self.layout, self._v = w, layout, v
+
+    @classmethod
+    def of(cls, w: np.ndarray, v: np.ndarray) -> "Spectrum":
+        """The spectrum (w, v) of a one-summand matrix, its layout one class of one summand; w and v
+        are made read-only, with no copy."""
         v.setflags(write=False)
-        if layout is None:
-            whole = np.arange(len(w))[None]
-            layout = ((whole, v[None], whole),)
-        spec = cls((w, v))
-        spec.layout = layout
-        return spec
+        whole = np.arange(len(w))[None]
+        return cls(w, ((whole, v[None], whole),), [v])
+
+    def with_values(self, w: np.ndarray) -> "Spectrum":
+        """The spectrum w, made read-only, on this one's eigenvectors: its layout and its v."""
+        return type(self)(w, self.layout, self._v)
+
+    @property
+    def v(self) -> np.ndarray:
+        """The n x n eigenvectors, column j for w[j]: assembled on the first read, then kept."""
+        if self._v[0] is None:
+            v = np.zeros((len(self.w),) * 2, dtype=self.layout[0][1].dtype)
+            for rows, vs, cols in self.layout:
+                v[rows[:, :, None], cols[:, None, :]] = vs
+            v.setflags(write=False)
+            self._v[0] = v
+        return self._v[0]
+
+    def __iter__(self):
+        return iter((self.w, self.v))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -106,22 +132,20 @@ def _summandwise(name: str, h: np.ndarray):
     one-summand h (diagonal_blocks) is handed to LAPACK as it is, and its
     (w, v) are LAPACK's own arrays.  A split h's summands of one side go
     to LAPACK in one stacked call; numpy runs a stack matrix by matrix, so
-    each summand gets the bits of its own call.  Their spectrum is
-    assembled with its eigenvalues ascending (a stable sort, so ties keep
-    summand order) and its eigenvectors exactly 0 outside their summand,
-    and its Spectrum keeps the layout.
+    each summand gets the bits of its own call.  Their eigenvalues are
+    sorted ascending (a stable sort, so ties keep summand order) and their
+    Spectrum is the layout alone: no n x n array is made until its v is read.
     """
     h = real_if_exact(h)
-    blocks = diagonal_blocks(h)
-    if len(blocks) == 1:
+    bounds = _summand_bounds(h)
+    if len(bounds) == 2:
         got = _lapack(name, h)
         return Spectrum.of(*got) if name == "eigh" else got
-    starts: dict[int, list[int]] = {}  # side -> the first rows of its summands
-    for b in blocks:
-        starts.setdefault(b.stop - b.start, []).append(b.start)
+    starts, sides = bounds[:-1], np.diff(bounds)
+    classes, first = np.unique(sides, return_index=True)
     w, solved = np.empty(len(h)), []  # solved: (rows, vectors), rows[j] indexing summand j
-    for side, first in starts.items():
-        rows = np.add.outer(first, np.arange(side))
+    for side in classes[np.argsort(first)].tolist():  # in the order the sides first appear
+        rows = starts[sides == side][:, None] + np.arange(side)
         got = _lapack(name, h[rows[:, :, None], rows[:, None, :]])
         if name == "eigh":
             got, vs = got
@@ -130,12 +154,9 @@ def _summandwise(name: str, h: np.ndarray):
     order = np.argsort(w, kind="stable")
     if name != "eigh":
         return w[order]
-    column, v = np.empty(len(h), dtype=int), np.zeros(h.shape, dtype=h.dtype)
+    column = np.empty(len(h), dtype=int)
     column[order] = np.arange(len(h))
-    layout = tuple((rows, vs, column[rows]) for rows, vs in solved)
-    for rows, vs, cols in layout:
-        v[rows[:, :, None], cols[:, None, :]] = vs
-    return Spectrum.of(w[order], v, layout)
+    return Spectrum(w[order], tuple((rows, vs, column[rows]) for rows, vs in solved), [None])
 
 
 def _lapack(name: str, a: np.ndarray, **kwargs):
@@ -212,17 +233,17 @@ def _apply(spec: Spectrum, f, tidy) -> np.ndarray:
 
     Each size class (rows, vs, cols) of spec.layout is one stacked
     product tidy((vs * f(w)[cols]) @ vs*), written at its rows into a zero
-    matrix of the dtype of (v * f(w)) @ v*; a 1 x 1 summand's is f(w), on
-    the diagonal, its eigenvector being 1.  A one-summand spectrum is a
-    stack of one, which numpy multiplies as the one matrix it holds, so
-    its product is the dense v f(w) v* bit for bit, and is the matrix.
+    matrix of the products' dtype, that of (v * f(w)) @ v*; a 1 x 1
+    summand's is f(w), on the diagonal, its eigenvector being 1.  A
+    one-summand spectrum is a stack of one, which numpy multiplies as the
+    one matrix it holds, so its product is the dense v f(w) v* bit for
+    bit, and is the matrix.  Only w and the layout are read, never v.
     """
-    w, v = spec
-    fw, n, layout = f(w), len(w), spec.layout
+    fw, n, layout = f(spec.w), len(spec.w), spec.layout
     local = [tidy((vs * fw[cols][:, None, :]) @ vs.conj().swapaxes(1, 2)) for _, vs, cols in layout]
     if local[0].shape[1] == n:  # one summand of side n
         return local[0][0]
-    out = np.zeros(v.shape, dtype=np.result_type(v, fw))
+    out = np.zeros((n, n), dtype=np.result_type(*local))
     for (rows, _, _), part in zip(layout, local):
         out[rows[:, :, None], rows[:, None, :]] = part
     return out
@@ -246,16 +267,27 @@ def diagonal_blocks(*mats: np.ndarray) -> list[slice]:
     nonzero corner m[0, n-1] couples row 0 to the last column, so no prefix
     splits: one block, found before the O(n^2) scan.
     """
+    bounds = _summand_bounds(*mats).tolist()
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _summand_bounds(*mats: np.ndarray) -> np.ndarray:
+    """diagonal_blocks' blocks as the int64 array of their bounds, 0 first and n last.
+
+    The scan holds the matrices' joint nonzero pattern, n^2 bools, and
+    nothing else of size n^2.
+    """
     n = len(mats[0])
     if n == 0 or any(m[0, -1] != 0 for m in mats):
-        return [slice(0, n)]
+        return np.array([0, n])
     nonzero = mats[0] != 0
     for m in mats[1:]:
         nonzero |= m != 0
+    # last[k]: the last column with a nonzero entry in row k, 0 for a zero row
+    last = np.where(nonzero.any(axis=1), n - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
     # reach[k]: the last column with a nonzero entry in rows 0..k
-    reach = np.maximum.accumulate((nonzero * np.arange(n)).max(axis=1, initial=0))
-    bounds = [0, *(np.flatnonzero(reach[:-1] < np.arange(1, n)) + 1).tolist(), n]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    reach = np.maximum.accumulate(last)
+    return np.concatenate([[0], np.flatnonzero(reach[:-1] < np.arange(1, n)) + 1, [n]])
 
 
 def power(spec: Spectrum, z: complex) -> np.ndarray:
@@ -270,7 +302,7 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
     hermitized summand by summand, and a non-real z the complex power; both
     by _apply, so a diagonal h^z is its diagonal's power in a zero matrix.
     """
-    w, v = spec
+    w = spec.w
     z, keep = complex(z), in_range(w)
     if (z.imag != 0.0 or z.real < 0.0) and not keep.all():
         raise NotFaithful(f"power {z} of a singular spectrum")
@@ -284,7 +316,7 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Unique PSD square root of h, read by hermitian_part; NotPositive unless h is PSD."""
     spec = eigh(hermitian_part(h))
-    check_psd(spec[0])
+    check_psd(spec.w)
     return power(spec, 0.5)
 
 

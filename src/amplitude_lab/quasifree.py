@@ -131,7 +131,7 @@ def reduce(
     _require_valid(t, space, "second covariance")
     # the majorizing product's quarter, halved before the sum so that no finite pair overflows
     spec = eigh(0.5 * np.real(s.gram) + 0.5 * np.real(t.gram))
-    (w, v), keep = spec, np.empty(space.dim, dtype=bool)
+    w, keep = spec.w, np.empty(space.dim, dtype=bool)
     for rows, vs, cols in spec.layout:
         keep[cols] = kept = in_range(w[cols])
         for j in np.flatnonzero(~kept.all(axis=1)):
@@ -146,7 +146,7 @@ def reduce(
     kernel_dim = int(np.sum(~keep))
     if kernel_dim == 0:
         return ReducedTriple(space, s, t, np.eye(space.dim), 0)
-    q = v[:, keep].T
+    q = spec.v[:, keep].T
     sigma_red = q @ space.sigma @ q.T
     # stored as built, as each reader would store them, with no check of what was just computed
     space_red = as_built(PresymplecticSpace, sigma=built(0.5 * sigma_red - 0.5 * sigma_red.T))

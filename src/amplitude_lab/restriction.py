@@ -164,20 +164,24 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
     unitarily rotated target densities; mass is preserved.  Where a
     block has a unitary, the rotated density u* D u is hermitized; the
     partial traces of an exactly Hermitian matrix are exactly Hermitian,
-    so they are not.  They are built in the dtype of the densities and
-    the unitaries together, so a real functional restricts in real
-    arithmetic along real unitaries or none.
+    so they are not.  A source block's density is the sum of its
+    sections' partial traces, in section order, started by the first: a
+    one-copy section is its own partial trace, a slice of the rotated
+    density, so a block with no unitary and one such section is a
+    read-only view of the target density, with no copy.  A real
+    functional restricts in real arithmetic along real unitaries or none.
     """
     _check_algebra(emb.target, phi)
-    dtype = np.result_type(*phi.densities, *(emb.unitaries or ()))
-    out = [np.zeros((m, m), dtype=dtype) for m in emb.source.block_dims]
+    out: list[np.ndarray | None] = [None] * emb.source.num_blocks
     for k, d in enumerate(phi.densities):
         u = emb._unitary(k)
         rot = d if u is None else hermitize(u.conj().T @ d @ u)
         for l, start, c in emb._sections(k):
             m = emb.source.block_dims[l]
-            section = rot[start : start + m * c, start : start + m * c]
-            out[l] += np.einsum("pjqj->pq", section.reshape(m, c, m, c))
+            part = rot[start : start + m * c, start : start + m * c]
+            if c > 1:
+                part = np.einsum("pjqj->pq", part.reshape(m, c, m, c))
+            out[l] = part if out[l] is None else out[l] + part
     return Functional._built(emb.source, tuple(out))
 
 
@@ -349,6 +353,8 @@ def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
     Hermitian within tolerance, so real sites give a real product.  The
     Kronecker product of exactly Hermitian matrices is exactly Hermitian, so
     the product is stored as built, with no Hermitian check of its own.
+    Each Kronecker product is filled in place, one multiply per entry of
+    the new site, each entry the one product np.kron takes.
     """
     sites = sequence(site_densities, "site densities", DomainError)
     mats = [hermitian_part(d, f"site density {i}") for i, d in enumerate(sites)]
@@ -356,7 +362,11 @@ def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
         raise DomainError("need at least one site density")
     acc = mats[0]
     for m in mats[1:]:
-        acc = np.kron(acc, m)
+        n, p = len(acc), len(m)
+        out = np.empty((n, p, n, p), dtype=np.result_type(acc, m))
+        for a, b in np.ndindex(p, p):
+            np.multiply(acc, m[a, b], out=out[:, a, :, b])
+        acc = out.reshape(n * p, n * p)
     return Functional._built(as_built(BlockAlgebra, block_dims=(len(acc),)), (acc,))
 
 

@@ -5,6 +5,8 @@ closed-form SPD mean uses plain eigendecompositions.  The paper's
 identities themselves are the functions of amplitude_lab.selftest.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from amplitude_lab import DEFAULT_TOL, BlockAlgebra, Functional, UcpMap
@@ -72,6 +74,19 @@ def dominated_by_summands(gc: np.ndarray, ga: np.ndarray, gb: np.ndarray, sides)
         start += n
     w = np.concatenate(w)
     return bool(w.min() >= -DEFAULT_TOL.psd(np.abs(w).max()))
+
+
+def peak_bytes(fn) -> tuple[int, int]:
+    """(peak, held): the most bytes tracemalloc traced during fn() and those still traced as fn
+    returns, its result among them.  Tracing stops however fn exits."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak, held
 
 
 def unitary_conjugation_ucp(algebra: BlockAlgebra, unitaries) -> UcpMap:

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,8 @@ from amplitude_lab import (
 from amplitude_lab.amplitudes import purification_op
 from amplitude_lab.sampling import random_operator, random_state
 from amplitude_lab.selftest import bridge_gap
+
+from helpers import peak_bytes
 
 
 def qubit(d00, d11):
@@ -306,14 +307,7 @@ class TestPurify:
         # 33^2 = 1089 is above MAX_CHAIN_DIM: the outer product alone would
         # be a 1089 x 1089 complex matrix, 19 MB
         phi = random_state(np.random.default_rng(16), make_algebra([33]))
-        tracemalloc.start()
-        try:
-            with pytest.raises(TooLarge):
-                purify(phi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert peak_bytes(lambda: pytest.raises(TooLarge, purify, phi))[0] < 2**20
 
 
 class TestQuotientPullback:

@@ -340,16 +340,18 @@ class TestDecomposeAndKms:
 
     def test_decompose_of_an_overflowing_block_mass_exits_9(self, tmp_path):
         # the mass inf became NaN weights, refused as a "weight vector" the caller never gave:
-        # exit 6, where amp on the same file exits 9
+        # exit 6, where amp on the same file exits 9.  Both then also printed numpy's
+        # "overflow encountered in reduce" RuntimeWarning on stderr, from the sums they refuse
         phi = Functional(make_algebra([2, 1]), (np.diag([1.7e308, 0.85e308]), np.eye(1)))
         a = write_functional(tmp_path / "a.json", phi)
         errors = {}
         for command in ("decompose", "amp"):
             res = run_cli(command, a, a)
-            assert res.returncode == 9, command
+            assert (res.returncode, res.stderr) == (9, ""), command
             errors[command] = json.loads(res.stdout)["error"]
         assert {e["type"] for e in errors.values()} == {"SolverFailed"}
         assert errors["decompose"]["message"] == "block 0 has mass inf: finite input too large"
+        assert errors["amp"]["message"] == "non-finite result inf: finite input too large"
 
     def test_decompose_decomposes_each_state_once(self, tmp_path, monkeypatch, capsys):
         import amplitude_lab.central as central

@@ -296,7 +296,7 @@ class TestDirectSums:
         phi = Functional(make_algebra([12]), (random_gibbs(rng, 12),))
         singular = eigh(random_psd(rng, 5, rank=2))
         for spec in (phi.spectrum()[0], singular):
-            assert np.array_equal(power(spec, 0.0), np.eye(len(spec[0])))
+            assert np.array_equal(power(spec, 0.0), np.eye(len(spec.w)))
         gram, d = left_form(phi).gram, phi.densities[0]
         assert np.array_equal(gram, np.kron(np.eye(12), power(phi.spectrum()[0], 1.0).T))
         assert np.allclose(gram, np.kron(np.eye(12), d.T), rtol=0.0, atol=1e-15)

@@ -17,7 +17,6 @@ import io
 import json
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +76,8 @@ from amplitude_lab.linalg import hermitian_part
 from amplitude_lab.restriction import UnitalEmbedding
 from amplitude_lab.sampling import random_embedding, random_state, random_ucp
 from amplitude_lab.serialize import matrix_from_pairs, sigma_from_json
+
+from helpers import peak_bytes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BIG = 10**400
@@ -172,14 +173,11 @@ def test_product_chain_past_int64_stops_at_the_cap():
 
 @pytest.mark.parametrize("flags", [["--lumped", "1025"], ["--product-chain", "11"]])
 def test_a_built_in_chain_above_the_cap_exits_6_before_it_is_built(flags):
-    tracemalloc.start()
-    try:
+    def refused():
         code, out = run(["chain", *flags])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 6 and error_of(out)["type"] == "TooLarge"
-    assert peak < 2**20
+        assert code == 6 and error_of(out)["type"] == "TooLarge"
+
+    assert peak_bytes(refused)[0] < 2**20
 
 
 def _spec_naming(side: int, where: str) -> dict:
@@ -207,27 +205,22 @@ def test_a_malformed_spec_naming_a_large_side_fails_before_it_allocates(
     # no cap reads a spec: it spells out its densities, so a side past MAX_CHAIN_DIM in
     # a small file is a density too short or an ambient the states do not live on
     path = write(tmp_path / "spec.json", _spec_naming(MAX_CHAIN_DIM + 1, where))
-    tracemalloc.start()
-    try:
+
+    def refused():
         got, out = run(["chain", path])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got == code and error_of(out)["type"] == error
-    assert peak < 2**20
+        assert got == code and error_of(out)["type"] == error
+
+    assert peak_bytes(refused)[0] < 2**20
 
 
 @pytest.mark.parametrize("spec", ["diag:0.5,0.3,0.2", "diag:1", "diag:0.5,-0.5"])
 def test_a_site_spec_is_a_qubit_read_before_any_product(spec):
     # three weights built a 3^N-sided product state before "algebra mismatch" (139 MB at N = 7)
-    tracemalloc.start()
-    try:
+    def refused():
         code, out = run(["chain", "--product-chain", "7", "--site-a", spec, "--site-b", "mixed"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 2 and error_of(out)["type"] == "ParseError"
-    assert peak < 2**20
+        assert code == 2 and error_of(out)["type"] == "ParseError"
+
+    assert peak_bytes(refused)[0] < 2**20
 
 
 class TestEmbeddingsEmbed:

@@ -11,6 +11,8 @@ called here on these draws: states where the identity holds for states
 only, and a bound relative to the pair's scale.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +49,7 @@ from amplitude_lab import (
     make_algebra,
     make_covariance,
     modular_conjugation,
+    product_state,
     quotient_map,
     reduce_covariance,
     relative_modular,
@@ -68,6 +71,7 @@ from amplitude_lab.linalg import (
     eigvalsh,
     frozen,
     hermitian_part,
+    hermitize,
     in_range,
     power,
     real_if_exact,
@@ -682,7 +686,7 @@ def test_functions_of_a_split_spectrum_are_the_dense_formula_summand_by_summand(
     functions.append((lambda s: spectral_apply(s, phase), phase, False))
     for z, f, hermitian in ((-0.5, _clamped_power(-0.5), True),
                             (1j * t, lambda x, z=1j * t: np.power(x.astype(complex), z), False)):
-        if in_range(spec[0]).all():
+        if in_range(spec.w).all():
             functions.append((lambda s, z=z: power(s, z), f, hermitian))
         else:
             with pytest.raises(NotFaithful):
@@ -697,9 +701,122 @@ def test_functions_of_a_split_spectrum_are_the_dense_formula_summand_by_summand(
         assert got.dtype == ref.dtype
         assert not got[summand[:, None] != summand].any()
         assert np.array_equal(got[ones, ones], ref[ones, ones])  # -0.0 == 0.0
-        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(f(spec[0])), initial=0.0)
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(f(spec.w)), initial=0.0)
         if len(one.layout) == 1 and len(one.layout[0][0]) == 1:  # the first summand is one
             assert np.array_equal(function(one), _dense_function(one, f, hermitian))
+
+
+@given(direct_sums())
+def test_a_split_spectrum_assembles_its_v_on_first_read_as_a_dense_scatter(case):
+    # the reference is the dense assembly each split spectrum made before its v was left to
+    # its first read: each summand's own np.linalg.eigh, in the dtype of the whole h, written
+    # at its rows into a zero matrix, the columns ordered by a stable sort of the eigenvalues
+    _, h = case
+    stored = real_if_exact(h)
+    w_ref, v_ref = np.empty(len(h)), np.zeros(h.shape, dtype=stored.dtype)
+    for b in diagonal_blocks(h):
+        w_ref[b], v_ref[b, b] = np.linalg.eigh(stored[b, b])
+    order = np.argsort(w_ref, kind="stable")
+    spec = eigh(h)
+    assert spec.w.tobytes() == w_ref[order].tobytes()
+    w, v = spec
+    assert v.dtype == v_ref.dtype and v.tobytes() == v_ref[:, order].tobytes()
+    assert spec.v is v and spec.with_values(2.0 * w).v is v  # kept, and shared
+    assert not (w.flags.writeable or v.flags.writeable)
+
+
+@st.composite
+def multi_section_embeddings(draw):
+    """(emb, phi): an embedding whose target blocks hold one to three sections of one to three
+    copies, with a complex, a real or no unitary per target block, and a functional on its
+    target, real or complex."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rows = draw(st.integers(1, 3))
+    c = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=len(dims), max_size=len(dims)),
+                               min_size=rows, max_size=rows)))
+    c[0] += ~c.any(axis=0)  # every source block has a copy
+    c[~c.any(axis=1), 0] = 1  # and every target block a section
+    target = make_algebra((c @ np.array(dims)).tolist())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unitaries = draw(st.sampled_from([None, "complex", "real"]))
+    if unitaries == "complex":
+        unitaries = tuple(random_unitary(rng, n) for n in target.block_dims)
+    elif unitaries == "real":
+        unitaries = tuple(np.linalg.qr(rng.normal(size=(n, n)))[0] for n in target.block_dims)
+    emb = UnitalEmbedding(make_algebra(dims), target, c, unitaries)
+    return emb, draw(functionals(target.block_dims, real=draw(st.booleans())))
+
+
+@given(multi_section_embeddings())
+def test_restriction_sums_its_sections_as_a_sum_into_zero_matrices_does(case):
+    # the reference is restrict's sum before it started at its first section: each section's
+    # einsum, one copy or more, added into a zero matrix of the densities' and unitaries' dtype
+    emb, phi = case
+    dtype = np.result_type(*phi.densities, *(emb.unitaries or ()))
+    ref = [np.zeros((m, m), dtype=dtype) for m in emb.source.block_dims]
+    for k, d in enumerate(phi.densities):
+        u = emb._unitary(k)
+        rot = d if u is None else hermitize(u.conj().T @ d @ u)
+        for l, start, c in emb._sections(k):
+            m = emb.source.block_dims[l]
+            section = rot[start : start + m * c, start : start + m * c]
+            ref[l] += np.einsum("pjqj->pq", section.reshape(m, c, m, c))
+    got = restrict(phi, emb).densities
+    for a, b in zip(got, map(real_if_exact, ref), strict=True):
+        # np.array_equal is bit for bit but for the sign of a zero, which 0 + x did not keep
+        assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+
+
+def _blocks_by_the_int64_rule(*mats):
+    """diagonal_blocks as it scanned before: the last nonzero column of each row from the int64
+    product of the joint nonzero pattern and arange(n)."""
+    n = len(mats[0])
+    nonzero = np.zeros((n, n), dtype=bool)
+    for m in mats:
+        nonzero |= m != 0
+    reach = np.maximum.accumulate((nonzero * np.arange(n)).max(axis=1, initial=0))
+    bounds = [0, *(np.flatnonzero(reach[:-1] < np.arange(1, n)) + 1).tolist(), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def zero_patterns(draw):
+    """One or two real or complex matrices of side 0 to 10: sparse random blocks along the
+    diagonal, some rows zeroed, and at times one stray entry anywhere."""
+    n, count = draw(st.integers(0, 10)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(count):
+        m, start = np.zeros((n, n), dtype=complex if rng.random() < 0.5 else float), 0
+        while start < n:
+            b = slice(start, start + int(rng.integers(1, 4)))
+            entries = rng.normal(size=m[b, b].shape) * (rng.random(m[b, b].shape) < 0.6)
+            m[b, b] = entries * (1j if m.dtype == complex and rng.random() < 0.5 else 1.0)
+            start = b.stop
+        m[rng.random(n) < 0.2] = 0.0
+        if n and rng.random() < 0.3:
+            m[rng.integers(n), rng.integers(n)] = 1.0
+        mats.append(m)
+    return mats
+
+
+@given(zero_patterns())
+@example([np.zeros((0, 0))])
+@example([np.zeros((1, 1))])
+@example([np.ones((1, 1))])
+@example([np.zeros((3, 3)), np.diag([0.0, 1.0, 0.0])])
+def test_diagonal_blocks_agree_with_the_int64_rule(mats):
+    assert diagonal_blocks(*mats) == _blocks_by_the_int64_rule(*mats)
+
+
+@given(st.lists(st.sampled_from([2, 3, 1]), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_a_product_state_is_the_kronecker_product_of_its_sites(sides, seed):
+    rng = np.random.default_rng(seed)
+    sites = [_block(n, int(rng.integers(0, n + 1)), rng.uniform(-8.0, 8.0),
+                    int(rng.integers(2**32)), bool(rng.random() < 0.5)) for n in sides]
+    ref = real_if_exact(functools.reduce(np.kron, [hermitian_part(s) for s in sites]))
+    (got,) = product_state(sites).densities
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 @st.composite

@@ -11,7 +11,6 @@ symmetric solver that real densities get.
 import ast
 import functools
 import importlib
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -72,7 +71,7 @@ from amplitude_lab.sampling import (
 )
 
 from golden.record import solver_calls
-from helpers import block_diag, eig_fn
+from helpers import block_diag, eig_fn, peak_bytes
 
 
 EIGH = ("eigh", "eigvalsh")
@@ -212,7 +211,7 @@ class TestEighCounts:
         assert red.algebra.block_dims == (1, 3, 1)
         assert calls == [("eigh", (1, 1)), ("eigh", (3, 1, 1)), ("eigh", (1, 1))]
         for k, d, (w, v) in zip(red.kept_blocks, red.functional.densities, spectra):
-            kept = phi.spectrum()[k][0][linalg.in_range(phi.spectrum()[k][0])]
+            kept = phi.spectrum()[k].w[linalg.in_range(phi.spectrum()[k].w)]
             assert not w.flags.writeable and not v.flags.writeable
             assert np.array_equal(w, kept) and np.array_equal(d, np.diag(w))
             assert np.array_equal(v, np.eye(len(w))) and v.dtype == np.float64
@@ -240,6 +239,30 @@ class TestEighCounts:
         assert lapack_sides == []
         PositiveForm(forms[2].gram)
         assert Counter(lapack_sides) == {("eigvalsh", 144): 1, ("eigvalsh", 16): 1}
+
+    def test_a_multiple_of_a_form_is_read_only_where_it_can_fail(self, lapack_sides, reads):
+        # 2.0 * PositiveForm(g) ran hermitian_part and an eigvalsh of the whole scaled Gram
+        g = random_psd(np.random.default_rng(34), 3)
+        alpha, beta = PositiveForm(g), HermitianForm(g - np.eye(3))
+        del lapack_sides[:]
+        reads.clear()
+        multiples = [(2.0 * alpha, alpha), (0 * alpha, alpha), ((0.5 + 0j) * alpha, alpha),
+                     (-1.5 * beta, beta), (np.float64(3.0) * beta, beta)]
+        assert lapack_sides == [] and reads == Counter()
+        for (got, form), c in zip(multiples, (2.0, 0, 0.5 + 0j, -1.5, 3.0)):
+            assert type(got) is type(form) and not got.gram.flags.writeable
+            assert np.array_equal(got.gram, type(form)(c * form.gram).gram)  # what a read gives
+        del lapack_sides[:]
+        reads.clear()
+        with pytest.raises(NotPositive):
+            -1.0 * alpha
+        assert lapack_sides == [("eigvalsh", 3)] and reads == Counter(hermitian_part=1)
+        for form in (alpha, beta):
+            with pytest.raises(NotPositive, match="not Hermitian"):
+                1j * form
+        # an overflowing multiple is read, so it raises its own class's error
+        with pytest.raises(InvalidCovariance), np.errstate(all="ignore"):
+            1e308 * CovarianceForm(4.0 * np.eye(2))
 
     def test_amplitude_sum_check_reads_the_parent_spectra(self, eigh_calls):
         phi, psi = fresh_pair(11, [3, 2, 1])
@@ -278,13 +301,22 @@ class TestSizeClasses:
         # the dense (v * f(w)) @ v* and its hermitize peaked at 3.0 * 8 n^2 bytes
         n = config.MAX_CHAIN_DIM
         spec = linalg.eigh(np.diag(np.random.default_rng(31).random(n)))
-        tracemalloc.start()
-        try:
-            linalg.power(spec, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert peak_bytes(lambda: linalg.power(spec, 0.5))[0] < 1.5 * 8 * n * n
+
+    def test_a_diagonal_spectrum_holds_no_n_by_n_array(self):
+        # it held its assembled v (1.00 x 8 n^2) and the int64 pattern scan peaked at 1.14
+        n = 1024
+        h = np.diag(np.random.default_rng(33).random(n))
+        peak, held = peak_bytes(lambda: linalg.eigh(h))
+        assert held < 0.05 * 8 * n * n and peak < 0.5 * 8 * n * n
+
+    def test_a_diagonal_product_chain_peaks_below_four_densities(self):
+        # a v per level, sums begun in a zero matrix and n^2 kron temporaries peaked at 7.04
+        rng = np.random.default_rng(30)
+        sites = [[np.diag(rng.dirichlet([1.0, 1.0])) for _ in range(8)] for _ in range(2)]
+        _, chain = build_product_chain([2] * 8)
+        phi, psi = product_state(sites[0]), product_state(sites[1])
+        assert peak_bytes(lambda: chain_amplitudes(phi, psi, chain))[0] < 4 * 8 * 256**2
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_a_one_summand_spectrum_is_lapacks_own_arrays(self, dtype):
@@ -293,13 +325,7 @@ class TestSizeClasses:
         h = linalg.hermitize(rng.standard_normal((n, n)))
         if dtype is complex:
             h = linalg.hermitize(h + 1j * rng.standard_normal((n, n)))
-        tracemalloc.start()
-        try:
-            linalg.eigh(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * h.itemsize * n * n
+        assert peak_bytes(lambda: linalg.eigh(h))[0] < 1.5 * h.itemsize * n * n
 
     def test_the_root_of_a_diagonal_product_state_is_diagonal(self):
         sites = [np.diag([0.3, 0.7]), np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.9, 0.1])] * 2
@@ -755,16 +781,14 @@ def test_one_helper_makes_an_object_without_its_reader():
 
 def test_outside_linalg_a_spectrum_is_made_only_with_an_existing_layout():
     # a spectrum's layout groups its eigenvectors by summand size; only linalg lays one out,
-    # and a spectrum made elsewhere takes the layout of the one it is made from
+    # and a spectrum made elsewhere is one's with_values, on its layout and its v
     found = []
     for path in sorted(Path(amplitude_lab.__file__).parent.glob("*.py")):
         if path.name == "linalg.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call) and _dotted(node.func) == "Spectrum.of":
-                args = node.args
-                if len(args) != 3 or node.keywords or getattr(args[2], "attr", None) != "layout":
-                    found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and _dotted(node.func) in ("Spectrum", "Spectrum.of"):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
