@@ -301,11 +301,21 @@ def _ranks(phi: Functional) -> np.ndarray:
 def support_projection(phi: Functional) -> BlockOperator:
     """Blockwise orthogonal projection onto the range of each density.
 
-    This is the minimal projection p with phi(1 - p) = 0.
+    This is the minimal projection p with phi(1 - p) = 0.  A one-summand
+    spectrum's is u u* for the eigenvectors u in range; a split one's is
+    built from its layout, summand by summand (spectral_apply of the
+    in_range mask), so a side-1 summand's is its mask bit on the diagonal
+    and no dense eigenvector matrix is read.
     """
     phi.require_positive()
-    ranges = (v[:, in_range(w)] for w, v in phi.spectrum())
-    return BlockOperator._built(phi.algebra, tuple(u @ u.conj().T for u in ranges))
+    return BlockOperator._built(phi.algebra, tuple(map(_projection, phi.spectrum())))
+
+
+def _projection(spec: Spectrum) -> np.ndarray:
+    if spec.layout[0][0].shape[1] < len(spec.w):  # split
+        return spectral_apply(spec, lambda w: in_range(w).astype(float))
+    u = spec.v[:, in_range(spec.w)]
+    return u @ u.conj().T
 
 
 def central_support(phi: Functional) -> BlockOperator:

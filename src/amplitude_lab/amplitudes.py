@@ -164,7 +164,9 @@ def purify(phi: Functional) -> Functional:
     if n * n > MAX_CHAIN_DIM:
         raise TooLarge(f"purification side {n}^2 = {n * n} is above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
     v = sqrt_vector(phi).blocks[0].flatten(order="F")
-    density = hermitize(np.outer(v, v.conj()))
+    half = np.outer(v, v.conj())
+    half *= 0.5  # hermitize's halving, in place: its bits, with one n^4 temporary less
+    density = half + half.conj().T
     return Functional._built(as_built(BlockAlgebra, block_dims=(v.size,)), (density,))
 
 

@@ -122,7 +122,7 @@ def cmd_purify(args) -> int:
     if args.csv:
         _emit_matrix(big.densities[0])
     else:
-        _emit_json(ser.functional_to_json(big))
+        ser.write_functional(big, sys.stdout.write)
     return 0
 
 

@@ -6,7 +6,8 @@ tolerances are applied uniformly.  Both take a matrix summand by summand
 at its direct-sum pattern (diagonal_blocks, the one direct-sum rule),
 one stacked LAPACK call per summand side, so a diagonal matrix costs one
 call on a stack of 1 x 1 summands and a sort, and a one-summand matrix
-one call on itself.  Every spectrum leaves here read-only, and a split
+one call on itself; kron_eigh builds a Kronecker product's spectrum from
+its factors' with none.  Every spectrum leaves here read-only, and a split
 matrix's as its eigenvalues and layout alone: its n x n eigenvector
 matrix is assembled on the first read of Spectrum.v.  Callers pass
 exactly Hermitian matrices: hermitized once where a matrix comes from a
@@ -35,7 +36,8 @@ class Spectrum:
     """The spectrum of a Hermitian matrix: its eigenvalues w, ascending, and its layout.
 
     layout holds, per size class of the matrix's summands (one side),
-    (rows, vs, cols): rows[j] the rows of summand j, vs[j] its local
+    (rows, vs, cols): rows[j] the rows of summand j, any index set (a
+    Kronecker product's interleave, kron_eigh), vs[j] its local
     eigenvectors and cols[j] the columns of v, and entries of w, that
     hold them.  Every spectrum carries one: a one-summand matrix's is its
     one class, of its one summand.  v, the n x n matrix of all the
@@ -151,12 +153,63 @@ def _summandwise(name: str, h: np.ndarray):
             got, vs = got
             solved.append((rows, vs))
         w[rows] = got
+    return _sorted(w, solved) if name == "eigh" else w[np.argsort(w, kind="stable")]
+
+
+def _sorted(w: np.ndarray, solved: list) -> Spectrum:
+    """The spectrum of the eigenvalues w, each at a row of its summand, and of the classes
+    solved, (rows, vectors) per summand side: w sorted ascending, by one stable sort, so ties
+    keep row order.  A one-summand spectrum is Spectrum.of, its vectors' columns in w's order."""
     order = np.argsort(w, kind="stable")
-    if name != "eigh":
-        return w[order]
-    column = np.empty(len(h), dtype=int)
-    column[order] = np.arange(len(h))
+    if len(solved) == 1 and len(solved[0][0]) == 1:
+        return Spectrum.of(w[order], solved[0][1][0][:, order])
+    column = np.empty(len(w), dtype=int)
+    column[order] = np.arange(len(w))
     return Spectrum(w[order], tuple((rows, vs, column[rows]) for rows, vs in solved), [None])
+
+
+def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Kronecker products kron(x_s, y_t) of two stacks of square matrices, s major, t minor.
+
+    They are filled in place, one multiply per entry of y's matrices, each
+    entry the one product np.kron takes.
+    """
+    (kx, a, _), (ky, b, _) = x.shape, y.shape
+    out = np.empty((kx, ky, a, b, a, b), dtype=np.result_type(x, y))
+    for p in range(b):
+        for q in range(b):
+            np.multiply(x[:, None], y[None, :, p, q, None, None], out=out[:, :, :, p, :, q])
+    return out.reshape(kx * ky, a * b, a * b)
+
+
+def kron_eigh(specs) -> Spectrum:
+    """The spectrum of kron(A_1, ..., A_N) from its factors' spectra, with no solver call.
+
+    A summand of the product is a tuple of factor summands: folding in a
+    factor of side m, row i of the product so far and row j of the factor
+    give row i * m + j, so its rows interleave.  Its eigenvectors are the
+    Kronecker products of the factors' local ones, one stack per side.  Its
+    eigenvalues, each at a row of its summand as eigh places a split
+    matrix's, are the Kronecker product of the factors' so placed, folded
+    left to right as product_state multiplies the density: a diagonal
+    product's eigenvalues are its diagonal bit for bit.  They are sorted
+    once, by _sorted, as eigh sorts a split matrix's.
+    """
+    w, classes = np.ones(1), {1: (np.zeros((1, 1), dtype=int), np.ones((1, 1, 1)))}
+    for spec in specs:
+        m, placed, out = len(spec.w), np.empty(len(spec.w)), {}
+        for rows_b, vs_b, cols_b in spec.layout:
+            placed[rows_b] = spec.w[cols_b]
+            for rows_a, vs_a in classes.values():
+                k, side = len(rows_a) * len(rows_b), rows_a.shape[1] * rows_b.shape[1]
+                rows = rows_a[:, None, :, None] * m + rows_b[None, :, None, :]
+                out.setdefault(side, []).append((rows.reshape(k, side), kron(vs_a, vs_b)))
+        w = np.multiply.outer(w, placed).ravel()
+        classes = {
+            side: parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            for side, parts in out.items()
+        }
+    return _sorted(w, list(classes.values()))
 
 
 def _lapack(name: str, a: np.ndarray, **kwargs):

@@ -28,10 +28,11 @@ import numpy as np
 from .algebra import BlockAlgebra, BlockOperator, Functional, _check_algebra
 from .amplitudes import transition_amplitude
 from .central import probability_vector
-from .config import MAX_CHAIN_DIM, as_built, integer, sequence
+from .config import MAX_CHAIN_DIM, as_built, integer, integers, sequence
 from .errors import DomainError, InvalidAlgebra, InvalidEmbedding, NotQuotient, NotUnital
 from .errors import ShapeError, TooLarge
-from .linalg import built, close, frozen, hermitian_part, hermitize, real_if_exact
+from .linalg import built, close, eigh, frozen, hermitian_part, hermitize, kron, kron_eigh
+from .linalg import real_if_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +58,13 @@ class UnitalEmbedding:
 
     def __post_init__(self, multiplicity):
         shape = (self.target.num_blocks, self.source.num_blocks)
-        rows = [tuple(sequence(r, "multiplicity row", InvalidEmbedding))
+        if isinstance(multiplicity, np.ndarray):  # its entries as Python's, read by the same rule
+            multiplicity = multiplicity.tolist()
+        rows = [list(sequence(r, "multiplicity row", InvalidEmbedding))
                 for r in sequence(multiplicity, "multiplicity", InvalidEmbedding)]
         if [len(r) for r in rows] != [shape[1]] * shape[0]:
             raise InvalidEmbedding(f"multiplicity is not a {shape[0]} x {shape[1]} matrix")
-        c = np.array([[integer(x, "multiplicity", InvalidEmbedding) for x in r] for r in rows])
+        c = np.array([integers(r, "multiplicity", InvalidEmbedding) for r in rows])
         covered = c.any(axis=0)
         if not covered.all():
             l = int(np.argmin(covered))
@@ -164,7 +167,9 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
     unitarily rotated target densities; mass is preserved.  Where a
     block has a unitary, the rotated density u* D u is hermitized; the
     partial traces of an exactly Hermitian matrix are exactly Hermitian,
-    so they are not.  A source block's density is the sum of its
+    so they are not.  Along an embedding that maps every block onto itself
+    with no unitary, the restriction is phi itself, with the spectrum it
+    holds.  Otherwise a source block's density is the sum of its
     sections' partial traces, in section order, started by the first: a
     one-copy section is its own partial trace, a slice of the rotated
     density, so a block with no unitary and one such section is a
@@ -172,7 +177,12 @@ def restrict(phi: Functional, emb: UnitalEmbedding) -> Functional:
     functional restricts in real arithmetic along real unitaries or none.
     """
     _check_algebra(emb.target, phi)
-    out: list[np.ndarray | None] = [None] * emb.source.num_blocks
+    blocks = emb.source.num_blocks
+    if emb.unitaries is None and emb.source == emb.target and len(emb.sections) == blocks:
+        # one section per block, block k's at row k: each maps onto itself when its source is k
+        if np.array_equal(emb.sections[:, 0], np.arange(blocks)):
+            return phi
+    out: list[np.ndarray | None] = [None] * blocks
     for k, d in enumerate(phi.densities):
         u = emb._unitary(k)
         rot = d if u is None else hermitize(u.conj().T @ d @ u)
@@ -350,24 +360,29 @@ def product_state(site_densities: Sequence[np.ndarray]) -> Functional:
     """Tensor product functional on the single-block algebra of all sites.
 
     Site i is read by linalg.hermitian_part as "site density i": square and
-    Hermitian within tolerance, so real sites give a real product.  The
-    Kronecker product of exactly Hermitian matrices is exactly Hermitian, so
-    the product is stored as built, with no Hermitian check of its own.
-    Each Kronecker product is filled in place, one multiply per entry of
-    the new site, each entry the one product np.kron takes.
+    Hermitian within tolerance, so real sites give a real product.  Each
+    distinct site object is read once and diagonalised once (linalg.eigh),
+    the sites held meanwhile so that no id is reused.  The Kronecker product
+    of exactly Hermitian matrices is exactly Hermitian, so the product is
+    stored as built, with no Hermitian check of its own, and with its
+    spectrum, linalg.kron_eigh of the sites': the product is never
+    diagonalised.  Each Kronecker product is linalg.kron's, the bits of
+    np.kron's.
     """
-    sites = sequence(site_densities, "site densities", DomainError)
-    mats = [hermitian_part(d, f"site density {i}") for i, d in enumerate(sites)]
-    if not mats:
+    sites = list(sequence(site_densities, "site densities", DomainError))
+    if not sites:
         raise DomainError("need at least one site density")
+    read: dict[int, np.ndarray] = {}
+    for i, d in enumerate(sites):
+        if id(d) not in read:
+            read[id(d)] = hermitian_part(d, f"site density {i}")
+    spectra = {key: eigh(m) for key, m in read.items()}
+    mats = [read[id(d)] for d in sites]
     acc = mats[0]
     for m in mats[1:]:
-        n, p = len(acc), len(m)
-        out = np.empty((n, p, n, p), dtype=np.result_type(acc, m))
-        for a, b in np.ndindex(p, p):
-            np.multiply(acc, m[a, b], out=out[:, a, :, b])
-        acc = out.reshape(n * p, n * p)
-    return Functional._built(as_built(BlockAlgebra, block_dims=(len(acc),)), (acc,))
+        acc = kron(acc[None], m[None])[0]
+    spectrum = kron_eigh([spectra[id(d)] for d in sites])
+    return Functional._built(as_built(BlockAlgebra, block_dims=(len(acc),)), (acc,), (spectrum,))
 
 
 def build_lumped_diagonal_chain(p: Sequence[float], q: Sequence[float]) -> SubalgebraChain:

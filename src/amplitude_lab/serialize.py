@@ -118,6 +118,18 @@ def functional_to_json(phi: Functional) -> dict:
     }
 
 
+def write_functional(phi: Functional, write) -> None:
+    """dumps(functional_to_json(phi)) and a newline, through write, one density row at a time:
+    the same bytes, with no density held whole as JSON lists or text."""
+    write(f'{{"algebra": {dumps(algebra_to_json(phi.algebra))}, "densities": [')
+    for k, d in enumerate(phi.densities):
+        write(", [" if k else "[")
+        for i, row in enumerate(d):
+            write((", " if i else "") + dumps(matrix_to_pairs(row))[1:-1])
+        write("]")
+    write("]}\n")
+
+
 def functional_from_json(obj) -> Functional:
     algebra, dens = _fields(obj, "functional", ("algebra", "densities"))
     algebra = algebra_from_json(algebra)

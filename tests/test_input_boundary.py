@@ -287,6 +287,31 @@ def test_an_integer_input_that_is_not_an_integer_is_the_package_error(error, cal
         call()
 
 
+# each refused in list form and in ndarray form, read through tolist, with one message
+A2, A21 = make_algebra([2]), make_algebra([2, 1])
+BAD_MULTIPLICITIES = {
+    "bool": (C1, C1, [[True]], np.array([[True]])),
+    "bool-beside-int": (C2, A2, [[1, True]], np.array([[1, True]], dtype=object)),
+    "float": (C1, C1, [[1.0]], np.array([[1.0]])),
+    "negative": (C2, A2, [[3, -1]], np.array([[3, -1]])),
+    "ragged": (C2, A21, [[1, 1], [1]], np.array([[1, 1], [1]], dtype=object)),
+}
+
+
+@pytest.mark.parametrize("source, target, listed, array", BAD_MULTIPLICITIES.values(),
+                         ids=BAD_MULTIPLICITIES.keys())
+def test_a_bad_multiplicity_is_refused_alike_as_a_list_and_as_an_ndarray(
+    source, target, listed, array
+):
+    messages = []
+    for c in (listed, array):
+        with pytest.raises(InvalidEmbedding) as info:
+            UnitalEmbedding(source, target, c)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert ("not a 2 x 2 matrix" if len(listed) == 2 else "expected an integer") in messages[0]
+
+
 def test_numpy_integers_are_integers():
     algebra = make_algebra([np.int64(3), np.uint8(1)])
     assert algebra.block_dims == (3, 1) and all(type(n) is int for n in algebra.block_dims)

@@ -844,3 +844,59 @@ def test_reduce_ranks_each_block_as_a_plain_eigh_per_block_does(case):
     kernel_dim, q = reduced_quotient(0.5 * np.real(s.gram) + 0.5 * np.real(t.gram), sides)
     assert triple.kernel_dim == kernel_dim
     assert np.array_equal(triple.quotient, q)
+
+
+def _site(kind: str, n: int, u: float, seed: int) -> np.ndarray:
+    """A PSD site of side n and trace 10^u: diagonal (with zeros), rank-1 or dense complex, the
+    uniform rank-1 "plus", or block-split, a dense complex block beside a rank-1 one."""
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        w = rng.random(n) * (rng.random(n) < 0.8)
+        w[rng.integers(n)] = 1.0
+        return np.diag(w * (10.0**u / np.sum(w)))
+    if kind == "plus":
+        return np.full((n, n), 10.0**u / n)
+    if kind == "split" and n > 1:
+        a = int(rng.integers(1, n))
+        return block_diag(_block(a, a, u, seed), _block(n - a, 1, u, seed + 1)) / 2.0
+    return _block(n, 1 if kind == "rank-1" else n, u, seed)
+
+
+SITE_KINDS = ["diagonal", "rank-1", "dense", "split", "plus"]
+
+
+@st.composite
+def product_sites(draw):
+    """1-4 sites of side 1-4, each of a SITE_KINDS kind, with trace 10^u for u in [-1, 1]."""
+    return [_site(draw(st.sampled_from(SITE_KINDS)), draw(st.integers(1, 4)),
+                  draw(st.floats(-1.0, 1.0)), draw(st.integers(0, 2**32 - 2)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=60)
+@given(product_sites())
+def test_a_product_state_holds_the_kronecker_spectrum_of_its_sites(sites):
+    phi = product_state(sites)
+    (d,), (spec,) = phi.densities, phi._spectrum  # held by product_state, not diagonalised
+    n, eps = len(d), np.finfo(float).eps
+    scale = float(np.max(np.abs(spec.w)))
+    assert np.all(np.diff(spec.w) >= 0.0)
+    assert np.max(np.abs(spec.w - np.linalg.eigvalsh(d))) <= DEFAULT_TOL.num * scale
+    # either root errs by up to 1 / (2 sqrt(lam)) times eigh's error, lam its least kept eigenvalue
+    lam = float(np.min(spec.w[in_range(spec.w)]))
+    root = power(eigh(d), 0.5)
+    assert np.max(np.abs(power(spec, 0.5) - root)) <= 10 * n * eps * scale / min(np.sqrt(lam), 1.0)
+    w, v = spec
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 10 * n * eps
+    assert np.max(np.abs((v * w) @ v.conj().T - d)) <= 10 * n * eps * scale
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 4), st.sampled_from(SITE_KINDS),
+       st.sampled_from(SITE_KINDS), st.integers(0, 2**32 - 2))
+def test_a_product_chain_falls_by_the_site_amplitude_at_every_level(n, sites, kind_a, kind_b, seed):
+    a, b = _site(kind_a, n, 0.0, seed), _site(kind_b, n, 0.0, seed + 2)
+    site = transition_amplitude(*(Functional(make_algebra([n]), (s,)) for s in (a, b)))
+    _, chain = build_product_chain([n] * sites)
+    amps = chain_amplitudes(product_state([a] * sites), product_state([b] * sites), chain)
+    assert amps == pytest.approx(site ** np.arange(1, sites + 1), abs=1e-12)

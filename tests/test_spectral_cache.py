@@ -310,6 +310,27 @@ class TestSizeClasses:
         peak, held = peak_bytes(lambda: linalg.eigh(h))
         assert held < 0.05 * 8 * n * n and peak < 0.5 * 8 * n * n
 
+    def test_a_diagonal_support_projection_is_its_mask_on_the_diagonal(self):
+        # the dense v and u @ u* peaked at 3.0 * 8 n^2 bytes
+        n = 1024
+        w = np.random.default_rng(34).random(n)
+        w[::3] = 0.0
+        phi = Functional(make_algebra([n]), (np.diag(w),))
+        phi.spectrum()
+        assert peak_bytes(lambda: support_projection(phi))[0] < 1.5 * 8 * n * n
+        assert np.array_equal(support_projection(phi).blocks[0], np.diag((w > 0).astype(float)))
+
+    def test_a_plus_product_is_diagonalised_site_by_site(self, lapack_sides):
+        # the chain's top step handed each 256 x 256 product to LAPACK whole
+        plus = np.full((2, 2), 0.5)
+        _, chain = build_product_chain([2] * 8)
+        phi, psi = product_state([plus] * 8), product_state([plus] * 8)
+        assert lapack_sides == [("eigh", 2)] * 2
+        lapack_sides.clear()
+        amps = chain_amplitudes(phi, psi, chain)
+        assert Counter(lapack_sides) == Counter({("eigh", 2**k): 2 for k in range(1, 8)})
+        assert amps == pytest.approx([1.0] * 8, abs=1e-12)
+
     def test_a_diagonal_product_chain_peaks_below_four_densities(self):
         # a v per level, sums begun in a zero matrix and n^2 kron temporaries peaked at 7.04
         rng = np.random.default_rng(30)
@@ -336,9 +357,10 @@ class TestSizeClasses:
         assert np.array_equal(np.diag(root), np.power(np.where(linalg.in_range(d), d, 0.0), 0.5))
 
     def test_a_product_state_reads_its_sites_not_its_product(self, reads):
-        # the 256 x 256 product was hermitized and checked entry by entry
+        # the 256 x 256 product was hermitized and checked entry by entry; one site object
+        # repeated 8 times was read 8 times
         product_state([np.array([[0.5, 0.25j], [-0.25j, 0.5]])] * 8)
-        assert reads == Counter(hermitian_part=8)
+        assert reads == Counter(hermitian_part=1)
         h, k = np.array([[1.0, 1j], [-1j, 2.0]]), np.diag([1.0, 3.0])
         assert np.allclose(np.kron(1j * h, 1j * k), np.kron(1j * h, 1j * k).conj().T)
         with pytest.raises(NotPositive, match="site density 0 is not Hermitian"):
@@ -692,12 +714,13 @@ class TestBuiltPath:
         assert all(not d.flags.writeable for d in phi.densities)
 
     def test_a_product_state_reads_only_the_callers_sites(self, reads, builds):
-        # the product's one-block algebra went through BlockAlgebra's reader
+        # the product's one-block algebra went through BlockAlgebra's reader, and the one site
+        # object was read once per occurrence
         sites = [np.eye(2) / 2] * 4
         reads.clear()
         builds.clear()
         assert product_state(sites).algebra.block_dims == (16,)
-        assert reads == Counter(hermitian_part=4) and builds == Counter()
+        assert reads == Counter(hermitian_part=1) and builds == Counter()
 
     def test_a_decomposition_reads_only_the_callers_blocks(self, reads):
         # each component was read again: 6 hermitian_part calls, not 3
