@@ -256,9 +256,12 @@ def functional_norm(phi: Functional) -> float:
 
     Densities may be signed, so this computes ||phi - psi|| when applied
     to a difference.  It needs eigenvalues only, so it takes eigvalsh per
-    block and neither reads nor fills the spectrum phi keeps.
+    block and neither reads nor fills the spectrum phi keeps.  A sum past the
+    float range is inf, silently.
     """
-    return float(sum(np.sum(np.abs(eigvalsh(d))) for d in phi.densities))
+    spectra = [eigvalsh(d) for d in phi.densities]
+    with np.errstate(over="ignore"):
+        return float(sum(np.sum(np.abs(w)) for w in spectra))
 
 
 def _block_component(phi: Functional, k: int) -> tuple[Functional, float]:

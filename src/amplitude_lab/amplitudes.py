@@ -3,8 +3,13 @@
 The transition amplitude between positive functionals is the inner
 product of their square-root vectors, sum_k Tr(D_phi^{1/2} D_psi^{1/2});
 for commuting (diagonal) densities it reduces to the Hellinger affinity
-sum_i sqrt(p_i q_i).  Maps between block algebras, and the pullbacks
-along them under which the amplitude can only grow, are in restriction.
+sum_i sqrt(p_i q_i).  The amplitude and the fidelity are read from the
+pair of held spectra, block by block, with no root formed: the
+amplitude is the classical affinity of their overlap
+(linalg.overlap_amplitude), the fidelity's trace norm that of the
+overlap weighted by the roots of the eigenvalues (linalg.overlap_trace_norm).
+Maps between block algebras, and the pullbacks along them under which
+the amplitude can only grow, are in restriction.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .algebra import (
     functional_norm,
 )
 from .config import MAX_CHAIN_DIM, as_built
-from .errors import NotFactor, TooLarge
-from .linalg import close, eigvalsh, hermitize, power, trace_norm
+from .errors import NotFactor, SolverFailed, TooLarge
+from .linalg import close, eigvalsh, hermitize, overlap_amplitude, overlap_trace_norm, power
 
 
 def sqrt_vector(phi: Functional) -> L2Vector:
@@ -37,10 +42,16 @@ def transition_amplitude(phi: Functional, psi: Functional) -> float:
     """Inner product of square roots, sum_k Tr(D_phi^{1/2} D_psi^{1/2}).
 
     Symmetric in the arguments and contained in [0, sqrt(phi(1) psi(1))].
-    Tiny negative roundoff is clamped to zero.
+    Each block's term is linalg.overlap_amplitude of the two held spectra,
+    a sum of nonnegative terms; a total past the float range is inf.
     """
     _check_algebra(phi.algebra, psi)
-    return max(sqrt_vector(phi).inner(sqrt_vector(psi)).real, 0.0)
+    phi.require_positive()
+    psi.require_positive()
+    total = 0.0
+    for a, b in zip(phi.spectrum(), psi.spectrum()):
+        total += overlap_amplitude(a, b)
+    return total
 
 
 def amplitude_kernel(
@@ -59,17 +70,17 @@ def amplitude_kernel(
 def uhlmann_fidelity(phi: Functional, psi: Functional) -> float:
     """Transition probability (sum_k ||D_phi^{1/2} D_psi^{1/2}||_1)^2.
 
-    Computed from singular values of the root product, which is stabler
-    than rooting the product matrix.
+    Each block's trace norm is linalg.overlap_trace_norm of the two held
+    spectra: the singular values of diag(sqrt l) W diag(sqrt m), W the
+    overlap of the eigenvectors, with no root formed and no product
+    rooted.  A total past the float range is inf.
     """
     _check_algebra(phi.algebra, psi)
-    return _root_fidelity(sqrt_vector(phi), sqrt_vector(psi))
-
-
-def _root_fidelity(root_p: L2Vector, root_q: L2Vector) -> float:
+    phi.require_positive()
+    psi.require_positive()
     total = 0.0
-    for rp, rq in zip(root_p.blocks, root_q.blocks):
-        total += trace_norm(rp @ rq)
+    for a, b in zip(phi.spectrum(), psi.spectrum()):
+        total += overlap_trace_norm(a, b)
     return total * total
 
 
@@ -108,21 +119,25 @@ def inequality_suite(phi: Functional, psi: Functional) -> InequalityReport:
     positive pair; amplitude^2 <= fidelity <= amplitude needs states.
     Concavity is reported as the smallest eigenvalue of
     (t phi + (1-t) psi)^{1/2} - t phi^{1/2} - (1-t) psi^{1/2} over
-    t = 1/4, 1/2, 3/4.  Each square root is taken once.
+    t = 1/4, 1/2, 3/4.  Each square root is taken once; the amplitude and
+    the fidelity are transition_amplitude's and uhlmann_fidelity's.  A
+    norm past the float range is SolverFailed.
     """
     _check_algebra(phi.algebra, psi)
     root_p, root_q = sqrt_vector(phi), sqrt_vector(psi)
-    amp = max(root_p.inner(root_q).real, 0.0)
+    amp = transition_amplitude(phi, psi)
     diff = root_p - root_q
     total = root_p + root_q
     root_diff_sq = diff.inner(diff).real
     root_sum = total.norm()
     dist = functional_norm(phi - psi)
+    if not np.isfinite([amp, root_diff_sq, root_sum, dist]).all():
+        raise SolverFailed("a norm of the pair is not finite: finite input too large")
     lower_defect = dist - root_diff_sq
     upper_defect = np.sqrt(max(root_diff_sq, 0.0)) * root_sum - dist
 
     if close([phi.mass - 1.0, psi.mass - 1.0]):
-        fid = _root_fidelity(root_p, root_q)
+        fid = uhlmann_fidelity(phi, psi)
         sandwich_lower = fid - amp * amp
         sandwich_upper = amp - fid
     else:

@@ -2,10 +2,11 @@
 
 One binary with subcommands.  All numeric output is printed with nine
 significant digits by serialize's one number format, which refuses inf
-and NaN; CSV uses dot decimals and comma separators, and every row is
-formatted before the first is printed.  Module errors map to distinct
-exit codes (see EXIT_CODES); on error a single machine-readable JSON
-object is all of stdout.
+and NaN; CSV uses dot decimals and comma separators.  A matrix is checked
+finite before its first row is printed, then written a row at a time;
+every other output is formatted whole before it is printed.  Module
+errors map to distinct exit codes (see EXIT_CODES); on error a single
+machine-readable JSON object is all of stdout.
 """
 
 from __future__ import annotations
@@ -60,9 +61,14 @@ def _emit_json(obj) -> None:
 
 
 def _emit_matrix(m: np.ndarray) -> None:
-    """CSV rows i,j,re,im of a matrix, row-major."""
-    rows = [f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}" for (i, j), z in np.ndenumerate(m)]
-    print("\n".join(["i,j,re,im", *rows]))
+    """CSV rows i,j,re,im of a matrix, row-major, printed one matrix row at a time, so no more
+    than a row's text is held; a non-finite entry is refused before the header is printed."""
+    bad = m[~np.isfinite(m)]
+    if bad.size:
+        _fmt(abs(bad[0]))  # refuses it
+    print("i,j,re,im")
+    for i, row in enumerate(m):
+        print("\n".join(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}" for j, z in enumerate(row)))
 
 
 def _load_functional(path: str):

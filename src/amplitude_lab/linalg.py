@@ -15,7 +15,10 @@ product or from outside, as is where it is Hermitian by construction.  Every
 matrix function is taken from a spectrum by spectral_apply, and every
 power (root, inverse, flow unitary) by power, both summand by summand
 (Spectrum.layout, never v): one stacked product per size class, so a diagonal
-matrix's root is its diagonal's root in a zero matrix.  real_if_exact is the one
+matrix's root is its diagonal's root in a zero matrix.  The transition amplitude
+and the fidelity's trace norm come from the pair of spectra, with no root formed:
+overlap_amplitude and overlap_trace_norm read the overlap of the two eigenbases
+from the two layouts.  real_if_exact is the one
 array rule, and built stores by it: an array built here directly, a
 caller's through hermitian_part (Hermitian) or frozen, which read it.
 The solvers pick by it, once per matrix, and every other helper here
@@ -354,6 +357,8 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
     imaginary part of 0 counts as real) gives the power in real arithmetic,
     hermitized summand by summand, and a non-real z the complex power; both
     by _apply, so a diagonal h^z is its diagonal's power in a zero matrix.
+    A power of an eigenvalue past the float range (a huge |z|, or a tiny
+    eigenvalue to a negative power) is SolverFailed, where it is taken.
     """
     w = spec.w
     z, keep = complex(z), in_range(w)
@@ -361,9 +366,132 @@ def power(spec: Spectrum, z: complex) -> np.ndarray:
         raise NotFaithful(f"power {z} of a singular spectrum")
     if z == 0.0:
         return np.eye(len(w))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        if z.imag != 0.0:
+            fw = np.power(w.astype(complex), z)
+        else:
+            fw = np.power(np.where(keep, w, 0.0), z.real)
+    if not np.isfinite(fw).all():
+        raise SolverFailed(f"power {z} of a spectrum is not finite: finite input too large")
     if z.imag != 0.0:
-        return spectral_apply(spec, lambda w: np.power(w.astype(complex), z))
-    return _apply(spec, lambda w: np.power(np.where(keep, w, 0.0), z.real), hermitize)
+        return spectral_apply(spec, lambda _: fw)
+    return _apply(spec, lambda _: fw, hermitize)
+
+
+def _roots(w: np.ndarray) -> np.ndarray:
+    """The square roots of the eigenvalues w as power(spec, 0.5) takes them: those outside
+    in_range(w) count as 0."""
+    return np.power(np.where(in_range(w), w, 0.0), 0.5)
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 entrywise, in real arithmetic."""
+    return x * x if x.dtype.kind == "f" else x.real * x.real + x.imag * x.imag
+
+
+def _diagonal(spec: Spectrum) -> bool:
+    """True when every summand of spec's matrix is 1 x 1."""
+    return all(rows.shape[1] == 1 for rows, _, _ in spec.layout)
+
+
+def _one_summand(spec: Spectrum) -> bool:
+    """True when spec's matrix is one summand, its layout Spectrum.of's."""
+    return len(spec.layout) == len(spec.layout[0][0]) == 1
+
+
+def _root_diagonal(spec: Spectrum, r: np.ndarray) -> np.ndarray:
+    """The diagonal of v diag(r) v*, v spec's eigenvectors, from its layout: sum_q r[cols] |vs|^2
+    per summand, so r itself for a 1 x 1 matrix, whose eigenvector is 1, and over the columns
+    where r is nonzero for any other one-summand spectrum."""
+    if len(r) == 1:
+        return r
+    if _one_summand(spec):
+        keep = r != 0.0
+        return _abs2(spec.layout[0][1][0][:, keep]) @ r[keep]
+    out = np.empty(len(r))
+    for rows, vs, cols in spec.layout:
+        out[rows] = (_abs2(vs) @ r[cols][:, :, None])[:, :, 0]
+    return out
+
+
+def _places(spec: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of spec's matrix, from its layout: the class that holds it, its summand in that
+    class and its place in that summand."""
+    where = np.empty((3, len(spec.w)), dtype=np.intp)
+    for c, (rows, _, _) in enumerate(spec.layout):
+        where[0, rows] = c
+        where[1, rows] = np.arange(len(rows))[:, None]
+        where[2, rows] = np.arange(rows.shape[1])
+    return where[0], where[1], where[2]
+
+
+def _overlap(a: Spectrum, b: Spectrum):
+    """The blocks of W = U* V that can be nonzero, U and V the eigenvectors of a and b, read
+    from their layouts alone: per stack, (ca, cb, w), w[g] the overlap of the columns ca[g]
+    of U with the columns cb[g] of V.
+
+    Two one-summand spectra give one thin block, the columns in_range keeps
+    on either side.  Else a summand s of a and a summand t of b meet on
+    the rows they share, and block (s, t) of W is U_s* V_t over those rows:
+    one stacked product per pair of classes and count of shared rows.
+    """
+    if _one_summand(a) and _one_summand(b):
+        keep_a, keep_b = in_range(a.w), in_range(b.w)
+        u, v = a.layout[0][1][0][:, keep_a], b.layout[0][1][0][:, keep_b]
+        yield np.flatnonzero(keep_a)[None], np.flatnonzero(keep_b)[None], (u.conj().T @ v)[None]
+        return
+    (class_a, sa, pa), (class_b, sb, pb) = _places(a), _places(b)
+    for i, (_, us, cols_a) in enumerate(a.layout):
+        for j, (_, vs, cols_b) in enumerate(b.layout):
+            rows = np.flatnonzero((class_a == i) & (class_b == j))
+            key = sa[rows] * len(vs) + sb[rows]
+            order = np.argsort(key, kind="stable")
+            rows, key = rows[order], key[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            counts = np.diff(starts, append=len(key))
+            for c in np.unique(counts).tolist():
+                shared = rows[starts[counts == c][:, None] + np.arange(c)]
+                s, t = sa[shared[:, 0]], sb[shared[:, 0]]
+                w = us[s[:, None], pa[shared]].conj().swapaxes(1, 2) @ vs[t[:, None], pb[shared]]
+                yield cols_a[s], cols_b[t], w
+
+
+def overlap_amplitude(a: Spectrum, b: Spectrum) -> float:
+    """Tr(A^{1/2} B^{1/2}) from the spectra (l, U) of A and (m, V) of B, with no root formed.
+
+    With W = U* V it is sum_ij sqrt(l_i) sqrt(m_j) |W_ij|^2, the classical
+    affinity of the Nussbaum-Szkola pair, each eigenvalue cut as power cuts
+    it.  When either side is diagonal, it is sum_p A^{1/2}_pp B^{1/2}_pp,
+    the diagonals from the two layouts (_root_diagonal); else the sum over
+    _overlap's blocks of W.  Only w and the layouts are read, never v.
+    Every term is nonnegative, and a sum past the float range is inf,
+    silently.
+    """
+    if _diagonal(b):
+        a, b = b, a
+    ra, rb = _roots(a.w), _roots(b.w)
+    with np.errstate(over="ignore"):
+        if _diagonal(a):
+            return float(np.sum(_root_diagonal(a, ra) * _root_diagonal(b, rb)))
+        total = 0.0
+        for ca, cb, w in _overlap(a, b):
+            total += float(np.sum(ra[ca][:, None, :] @ _abs2(w) @ rb[cb][:, :, None]))
+        return total
+
+
+def overlap_trace_norm(a: Spectrum, b: Spectrum) -> float:
+    """||A^{1/2} B^{1/2}||_1 from the spectra (l, U) of A and (m, V) of B: the trace norm of
+    diag(sqrt l) W diag(sqrt m), W = U* V, of side n.  Two one-summand spectra give it as one
+    product of the scaled eigenvectors, (U diag(sqrt l))* V diag(sqrt m); else it is filled
+    from _overlap's blocks."""
+    ra, rb = _roots(a.w), _roots(b.w)
+    if _one_summand(a) and _one_summand(b):
+        return trace_norm((a.layout[0][1][0] * ra).conj().T @ (b.layout[0][1][0] * rb))
+    dtype = np.result_type(a.layout[0][1], b.layout[0][1])
+    m = np.zeros((len(ra), len(rb)), dtype=dtype)
+    for ca, cb, w in _overlap(a, b):
+        m[ca[:, :, None], cb[:, None, :]] = ra[ca][:, :, None] * w * rb[cb][:, None, :]
+    return trace_norm(m)
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
@@ -374,7 +502,8 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(_lapack("svd", a, compute_uv=False)))
+    """Sum of singular values; for Hermitian input the sum of |eigenvalues|.  A sum past the
+    float range is inf, silently; an empty matrix has none, and norm 0."""
+    s = _lapack("svd", a, compute_uv=False)
+    with np.errstate(over="ignore"):
+        return float(np.sum(s))

@@ -36,6 +36,8 @@ class PresymplecticSpace:
         s = real_if_exact(self.sigma)
         if np.iscomplexobj(s):
             raise ShapeError("presymplectic form must be real, got a nonzero imaginary part")
+        if not np.isfinite(s).all():  # i * inf is NaN + inf i, refused before it is formed
+            raise ShapeError("presymplectic form is not finite")
         h = hermitian_part(1j * s, "presymplectic form (as i sigma)", ShapeError)
         object.__setattr__(self, "sigma", built(np.ascontiguousarray(h.imag)))
 

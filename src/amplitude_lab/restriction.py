@@ -91,7 +91,7 @@ class UnitalEmbedding:
             us = []
             for k, (n, u) in enumerate(zip(self.target.block_dims, unitaries)):
                 u = frozen(u, (n, n), f"unitary {k}", InvalidEmbedding)
-                if not close(u.conj().T @ u - np.eye(n)):
+                if not (np.isfinite(u).all() and close(u.conj().T @ u - np.eye(n))):
                     raise InvalidEmbedding(f"matrix {k} is not unitary within tolerance")
                 us.append(u)
             object.__setattr__(self, "unitaries", tuple(us))
@@ -346,7 +346,7 @@ def build_product_chain(site_dims: Iterable[int]) -> tuple[BlockAlgebra, Subalge
                 f"above MAX_CHAIN_DIM = {MAX_CHAIN_DIM}"
             )
     if not dims:
-        raise DomainError("site dimensions must be positive")
+        raise DomainError("need at least one site dimension")
     partial = np.cumprod(dims).tolist()
     algebras = tuple(as_built(BlockAlgebra, block_dims=(p,)) for p in partial)
     steps = zip(algebras, algebras[1:], dims[1:])

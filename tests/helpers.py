@@ -24,6 +24,16 @@ def clamped_power(w: np.ndarray, v: np.ndarray, fn) -> np.ndarray:
     return 0.5 * m + 0.5 * m.conj().T
 
 
+def root_overlap(da: np.ndarray, db: np.ndarray) -> tuple[float, float]:
+    """(Tr(A^{1/2} B^{1/2}), ||A^{1/2} B^{1/2}||_1) of two PSD matrices by plain numpy: each
+    root from a fresh complex eigh, cut as clamped_power cuts it, then the roots' Hilbert-Schmidt
+    inner product and the trace norm of their product."""
+    ra, rb = (clamped_power(*np.linalg.eigh((0.5 * (d + d.conj().T)).astype(complex)), np.sqrt)
+              for d in (da, db))
+    norm = np.sum(np.linalg.svd(ra @ rb, compute_uv=False))
+    return float(np.sum(ra.conj() * rb).real), float(norm)
+
+
 def spd_mean_closed_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}, invertible inputs."""
     ar = eig_fn(a, np.sqrt)

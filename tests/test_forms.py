@@ -18,7 +18,7 @@ from amplitude_lab import (
     right_form,
 )
 from amplitude_lab.forms import _pair
-from amplitude_lab.linalg import diagonal_blocks, eigh, power
+from amplitude_lab.linalg import diagonal_blocks, eigh, power, trace_norm
 from amplitude_lab.sampling import random_gibbs, random_psd, random_state
 from amplitude_lab.selftest import bridge_gap
 
@@ -306,6 +306,9 @@ class TestDirectSums:
         zero = PositiveForm(np.zeros((0, 0)))
         assert geometric_mean(zero, zero).dim == 0
         assert is_dominated(zero, zero, zero)
+
+    def test_an_empty_matrix_has_trace_norm_zero(self):
+        assert trace_norm(np.zeros((0, 0))) == 0.0 and trace_norm(np.zeros((0, 3), complex)) == 0.0
 
 
 class TestDomination:

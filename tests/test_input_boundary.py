@@ -17,6 +17,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ from amplitude_lab import (
     amplitude_sum_check,
     build_lumped_diagonal_chain,
     build_product_chain,
+    compose_embeddings,
     decompose,
     diagonal_state,
     geometric_weights,
@@ -144,25 +146,40 @@ def test_every_decode_failure_exits_2(command, text, tmp_path):
     assert len(error["message"]) < 300  # no 400-digit literal echoed in full
 
 
+def run_silently(argv, capsys) -> tuple[int, str]:
+    """run(argv) with every warning an error, and stderr asserted empty."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(argv)
+    assert capsys.readouterr().err == ""
+    return result
+
+
 # x = diag(1e308, 1e308): its amplitude with itself overflows to inf
 HUGE_STATE = {"algebra": {"blocks": [2]}, "densities": [[[1e308, 0], [0, 0], [0, 0], [1e308, 0]]]}
 
 
-@pytest.mark.parametrize("command", [["amp"], ["fidelity", "--csv"], ["ineq"], ["ineq", "--csv"]])
-def test_a_non_finite_result_exits_9_with_only_the_error(command, tmp_path):
+@pytest.mark.parametrize(
+    "command", [["amp"], ["fidelity", "--csv"], ["ineq"], ["ineq", "--csv"], ["fidelity"]]
+)
+def test_a_non_finite_result_exits_9_with_only_the_error(command, tmp_path, capsys):
+    # each overflow is refused where it happens, so no RuntimeWarning reaches stderr
     x = write(tmp_path / "x.json", HUGE_STATE)
-    code, out = run([*command, x, x])
+    code, out = run_silently([*command, x, x], capsys)
     error = error_of(out)
     assert code == 9 and error["type"] == "SolverFailed"
     assert "finite input too large" in error["message"]
 
 
 @pytest.mark.parametrize("csv", [[], ["--csv"]])
-def test_kms_check_keeps_a_nan_defect(csv):
-    # kms_defect is NaN at t = 1e308, and max(0.0, nan) is 0.0
+def test_kms_check_keeps_a_nan_defect(csv, capsys):
+    # the flow's power D^{1 + it} overflows at t = 1e308: power refuses it where it is taken,
+    # with no RuntimeWarning and no NaN defect
     argv = ["kms-check", GOLDEN / "inputs" / "phi_real.json", "--times", "1e308", "--trials", "1"]
-    code, out = run([*argv, *csv])
-    assert code == 9 and error_of(out)["type"] == "SolverFailed"
+    code, out = run_silently([*argv, *csv], capsys)
+    error = error_of(out)
+    assert code == 9 and error["type"] == "SolverFailed"
+    assert "finite input too large" in error["message"]
 
 
 def test_product_chain_past_int64_stops_at_the_cap():
@@ -494,6 +511,58 @@ SITE_CHECKS = {
 def test_a_value_its_site_refuses_is_the_package_error(error, call):
     with pytest.raises(error):
         call()
+
+
+# refusals of a whole argument, each with its error and its exact message
+REFUSALS = {
+    "build_product_chain: no site": (
+        DomainError,
+        "need at least one site dimension",
+        lambda: build_product_chain([]),
+    ),
+    "product_state: no site": (
+        DomainError,
+        "need at least one site density",
+        lambda: product_state([]),
+    ),
+    "decompose: the zero functional": (
+        DomainError,
+        "cannot decompose the zero functional",
+        lambda: decompose(make_algebra([2, 1]).zero_functional()),
+    ),
+    "compose_embeddings: inner target is not outer source": (
+        InvalidEmbedding,
+        "inner target and outer source algebras differ",
+        lambda: compose_embeddings(identity_embedding(M2), ONE),
+    ),
+    "UcpMap: no family for a target block": (
+        NotUnital,
+        "one Kraus family per target block is required",
+        lambda: UcpMap(C1, C2, (((0, [[1.0]]),),)),
+    ),
+    "UcpMap: a family too many": (
+        NotUnital,
+        "one Kraus family per target block is required",
+        lambda: UcpMap(C1, C1, (((0, [[1.0]]),), ((0, [[1.0]]),))),
+    ),
+    "amplitude_sum_check: two zero functionals": (
+        DomainError,
+        "both functionals are zero",
+        lambda: amplitude_sum_check(*[make_algebra([2, 1]).zero_functional()] * 2),
+    ),
+    "integrate_disjoint_family: no component": (
+        DomainError,
+        "need at least one component",
+        lambda: integrate_disjoint_family([], []),
+    ),
+}
+
+
+@pytest.mark.parametrize("error, message, call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_says_what_is_wrong(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_numpy_reals_are_reals():

@@ -99,6 +99,7 @@ from helpers import (
     clamped_power,
     dominated_by_summands,
     reduced_quotient,
+    root_overlap,
     unitary_conjugation_ucp,
 )
 
@@ -175,6 +176,41 @@ def test_fidelity_lies_between_the_squared_amplitude_and_the_amplitude(pair):
 @given(pairs(max_blocks=1))
 def test_purifications_square_the_amplitude(pair):
     assert purification_defect(*_states(pair)) <= DEFAULT_TOL.num
+
+
+@st.composite
+def overlap_blocks(draw, n):
+    """A PSD block of side n and trace 10^u, u in [-8, 8]: dense, a direct sum of dense
+    summands, or diagonal; faithful, or each summand of random rank; real or complex."""
+    kind = draw(st.sampled_from(["dense", "split", "diagonal"]))
+    real, faithful = draw(st.booleans()), draw(st.booleans())
+    if kind == "diagonal":
+        sides = [1] * n
+    elif kind == "split":
+        cuts = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=2)) if n > 1 else set()
+        sides = np.diff([0, *sorted(cuts), n]).tolist()
+    else:
+        sides = [n]
+    seed, u = draw(st.integers(0, 2**32 - 1 - n)), draw(st.floats(-8.0, 8.0))
+    summands = [_block(m, m if faithful else draw(st.integers(0, m)), 0.0, seed + k, real)
+                for k, m in enumerate(sides)]
+    return block_diag(*summands) * 10.0**u
+
+
+@st.composite
+def overlap_pairs(draw):
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    algebra = make_algebra(dims)
+    return tuple(Functional(algebra, tuple(draw(overlap_blocks(n)) for n in dims)) for _ in "ab")
+
+
+@given(overlap_pairs())
+def test_the_amplitude_and_the_fidelity_are_those_of_the_roots_of_fresh_spectra(pair):
+    phi, psi = pair
+    amps, norms = zip(*(root_overlap(a, b) for a, b in zip(phi.densities, psi.densities)))
+    bound = DEFAULT_TOL.num * _scale(phi, psi)
+    assert abs(transition_amplitude(phi, psi) - sum(amps)) <= bound
+    assert abs(np.sqrt(uhlmann_fidelity(phi, psi)) - sum(norms)) <= bound
 
 
 @given(pairs())
@@ -900,3 +936,16 @@ def test_a_product_chain_falls_by_the_site_amplitude_at_every_level(n, sites, ki
     _, chain = build_product_chain([n] * sites)
     amps = chain_amplitudes(product_state([a] * sites), product_state([b] * sites), chain)
     assert amps == pytest.approx(site ** np.arange(1, sites + 1), abs=1e-12)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(SITE_KINDS),
+                          st.sampled_from(SITE_KINDS), st.integers(0, 2**32 - 3)),
+                min_size=1, max_size=3))
+def test_the_overlap_of_two_product_states_is_that_of_their_densities(sites):
+    # a split site interleaves its product's summands, so the two layouts meet row by row
+    phi, psi = (product_state([_site(kind[i], n, 0.0, seed + 2 * i) for n, *kind, seed in sites])
+                for i in (0, 1))
+    amp, norm = root_overlap(phi.densities[0], psi.densities[0])
+    assert abs(transition_amplitude(phi, psi) - amp) <= DEFAULT_TOL.num
+    assert abs(np.sqrt(uhlmann_fidelity(phi, psi)) - norm) <= DEFAULT_TOL.num

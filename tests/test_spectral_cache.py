@@ -131,6 +131,31 @@ class TestEighCounts:
         assert again == first
         assert swapped == pytest.approx(first, abs=1e-14)
 
+    def test_a_fresh_amplitude_hands_lapack_two_matrices_per_block_and_no_svd(self):
+        phi, psi = fresh_pair(12, [3, 2, 1])
+        with solver_calls() as calls:  # eigh, eigvalsh and svd
+            first = transition_amplitude(phi, psi)
+            assert Counter(name for name, _ in calls) == {"eigh": 2 * 3}
+            calls.clear()
+            assert transition_amplitude(phi, psi) == first
+            assert calls == []
+
+    def test_the_overlap_reads_no_split_spectrums_eigenvectors(self):
+        # a diagonal block, and a split one beside a dense one; the fidelity's one svd per
+        # block keeps the block's side
+        rng = np.random.default_rng(13)
+        dense, split = random_psd(rng, 4), block_diag(random_psd(rng, 2), random_psd(rng, 2))
+        alg = make_algebra([4, 3])
+        phi = Functional(alg, (split, np.diag([0.5, 0.0, 0.25])))
+        psi = Functional(alg, (dense, random_psd(rng, 3)))
+        spectra = phi.spectrum()
+        with solver_calls() as calls:
+            transition_amplitude(phi, psi), transition_amplitude(psi, phi)
+            transition_amplitude(phi, phi)
+            uhlmann_fidelity(phi, psi)
+        assert Counter(calls) == {("eigh", 4): 1, ("eigh", 3): 1, ("svd", 4): 1, ("svd", 3): 1}
+        assert all(spec._v == [None] for spec in spectra)
+
     def test_inequality_suite_on_a_fresh_m6_pair(self, eigh_calls):
         phi, psi = fresh_pair(2, [6])
         assert inequality_suite(phi, psi).min_defect() >= -1e-9
